@@ -14,7 +14,7 @@ from .bayesian_closed import (BayesianConfig, EarliestN, LinearDecay,
                               effort_upper_bound, optimal_T, optimal_h,
                               optimal_n, participation_threshold,
                               solve_bne_earliest_n, solve_bne_linear,
-                              solve_bne_termination, stage1_metrics_earliest_n,
+                              solve_bne_termination, stage1_metrics_mc,
                               stage1_metrics_termination)
 from .open_system import (OpenConfig, OpenEarliestN, OpenTermination,
                           calibrated_open_stage1, open_earliest_n_prob,
@@ -22,19 +22,17 @@ from .open_system import (OpenConfig, OpenEarliestN, OpenTermination,
                           open_termination_prob, solve_bne_open_earliest_n,
                           solve_bne_open_termination, stage1_open_earliest_n,
                           stage1_open_termination)
-from .csf_analysis import (GeneralCsfConfig, TwoPlayerResult,
-                           efficiency_vmax_beta_threshold, exponent_discrim_ne,
-                           nature_efficiency, nature_symmetric_ne,
-                           optimal_beta_gain, reward_discrim_ne,
-                           weight_discrim_ne)
+from .csf_analysis import (TwoPlayerResult, efficiency_vmax_beta_threshold,
+                           exponent_discrim_ne, nature_efficiency,
+                           nature_symmetric_ne, optimal_beta_gain,
+                           reward_discrim_ne, weight_discrim_ne)
 from .timing import (ConstantWeight, EmpiricalJoinTimes, ExponentialJoinTimes,
                      InversePowerWeight, JoinTimeModel, PoissonModel,
                      StepWeight, TableJoinTimes, TableWeight, UniformJoinTimes,
                      ingest_trace, ingest_trace_file, parse_trace_file,
-                     poisson_pmf, sample_arrival_sequence,
-                     sample_arrival_sequences, weight_eval)
-from .numerics import (McEstimate, SolverSettings, bisect, fixed_point,
-                       golden_section_max, mc_expect, spawn_rng)
+                     poisson_pmf, sample_arrival_sequences)
+from .numerics import (SolverSettings, bisect, fixed_point, golden_section_max,
+                       spawn_rng)
 from . import errors
 
 __version__ = "0.1.0"

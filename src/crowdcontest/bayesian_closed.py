@@ -26,6 +26,8 @@ from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 BNE_SETTINGS = SolverSettings(abs_tol=1e-8, max_iter=2000, damping=0.5)
 #: maximum relative Monte Carlo standard error tolerated in the BNE condition
 MC_NOISE_LIMIT = 0.10
+#: step cap of the safeguarded Newton best response
+NEWTON_STEPS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +212,8 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     where A = e0 + E_-i ranges over the Monte Carlo opponent draws.
 
     E[A/(A+e)^2] <= 1/(4e) for any A-distribution, so every root lies in
-    [0, b(t)/4]; a safeguarded Newton iteration stays inside that bracket.
+    [0, b(t)/4]; a safeguarded Newton iteration stays inside that bracket
+    and raises NoConvergence if it has not settled after NEWTON_STEPS steps.
     """
     a = a_samples[:, None]
     if np.all(a_samples > 0):
@@ -227,7 +230,7 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     hi = 0.25 * b_t[active]
     x = 0.5 * hi
     b_act = b_t[active]
-    for _ in range(100):
+    for _ in range(NEWTON_STEPS):
         denom = a + x[None, :]
         g = b_act * np.mean(a / (denom * denom), axis=0) - 1.0
         gp = -2.0 * b_act * np.mean(a / (denom * denom * denom), axis=0)
@@ -236,10 +239,13 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(gp < 0, x - g / gp, 0.5 * (lo + hi))
         x_new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-        if np.max(np.abs(x_new - x)) <= 1e-3 * tol:
-            x = x_new
-            break
+        change = float(np.max(np.abs(x_new - x)))
         x = x_new
+        if change <= 1e-3 * tol:
+            break
+    else:
+        raise NoConvergence("Newton best response did not converge", last=x,
+                            residual=change, iterations=NEWTON_STEPS)
     e[active] = np.maximum(x, 0.0)
     return e
 
@@ -523,14 +529,6 @@ def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
                           expected_efficiency=eff_mean, efficiency_stderr=eff_se)
 
 
-def stage1_metrics_earliest_n(config: BayesianConfig, grid: TypeGrid,
-                              mc_samples: int = 100_000, seed: RngSeed = 1
-                              ) -> StageOneReport:
-    if not isinstance(config.strategy, EarliestN):
-        raise InvalidInput("config.strategy must be EarliestN")
-    return stage1_metrics_mc(config, grid, mc_samples, seed)
-
-
 def _strategy_parameter(s: Strategy) -> float:
     if isinstance(s, EarliestN):
         return float(s.n)
@@ -547,33 +545,51 @@ def budget_tolerance(budget: float, stderr: float) -> float:
     return max(1e-3 * budget, 2.0 * stderr)
 
 
+def scales_with_reward(strategy) -> bool:
+    """Whether the model is homogeneous of degree 1 in the reward scale b,
+    so that E[R](b) = b E[R](1). The nature effort tracks b (e0 = e0_ratio b),
+    which makes every closed and open strategy homogeneous except linear
+    decay, whose fixed velocity does not scale with b."""
+    return not isinstance(strategy, LinearDecay)
+
+
 def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
                 assume_linear: bool = True, b_max: float = 1e9,
-                max_steps: int = 200) -> float:
-    """Reward scale b with |E[R](b) - B| <= max(1e-3 B, 2 stderr).
+                max_steps: int = 200) -> tuple[float, object]:
+    """Reward scale b* with |E[R](b*) - B| <= max(1e-3 B, 2 stderr), and the
+    caller's result at b*.
 
-    payment_at(b) -> (mean, stderr). When the system scales linearly in b
-    (e0 tracks b and exponents are 1) the single evaluation at b_hint pins
-    the answer; the scaled point is re-evaluated as a check and a plain
-    bisection takes over if scaling does not verify.
+    payment_at(b) -> (mean, stderr, result); returns (b*, result) of the
+    evaluation that met the tolerance, so that evaluation is both the check
+    and the report. With assume_linear (a model homogeneous in b) the
+    evaluation at b_hint pins b* = b_hint B / E[R](b_hint) and one more
+    evaluation at b* checks it: InfeasibleBudget if E[R](b_hint) <= 0,
+    NoConvergence (with b* and the residual) if the check misses. Otherwise
+    a bracketing search (doubling or halving, then secant steps safeguarded
+    by bisection) runs until an evaluation meets the tolerance.
     """
     if not budget > 0:
         raise InvalidInput("budget must be > 0")
     if assume_linear:
-        mean, _ = payment_at(b_hint)
-        if mean > 0:
-            b_star = b_hint * budget / mean
-            mean2, se2 = payment_at(b_star)
-            if abs(mean2 - budget) <= budget_tolerance(budget, se2):
-                return b_star
+        mean, _, _ = payment_at(b_hint)
+        if not mean > 0:
+            raise InfeasibleBudget(f"expected payment {mean:.4g} at b={b_hint:.4g} "
+                                   f"cannot be scaled to budget {budget:.4g}")
+        b_star = b_hint * budget / mean
+        mean, se, result = payment_at(b_star)
+        if abs(mean - budget) > budget_tolerance(budget, se):
+            raise NoConvergence("expected payment does not scale linearly in b",
+                                last=b_star, residual=abs(mean - budget),
+                                iterations=2)
+        return b_star, result
 
     lo, lo_val = None, None
     hi, hi_val = None, None
     b = b_hint
     for _ in range(max_steps):
-        mean, se = payment_at(b)
+        mean, se, result = payment_at(b)
         if abs(mean - budget) <= budget_tolerance(budget, se):
-            return b
+            return b, result
         if mean < budget:
             lo, lo_val = b, mean
             if hi is None:
@@ -595,6 +611,14 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
                         iterations=max_steps)
 
 
+def _payment_of(stage1_at):
+    """calibrate_b's payment_at for a Stage-I evaluation b -> (grid, report)."""
+    def payment_at(b: float):
+        grid, report = stage1_at(b)
+        return report.expected_payment, report.payment_stderr, (grid, report)
+    return payment_at
+
+
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                       mc_samples: int = 20_000, stage1_samples: int = 100_000,
                       seed: RngSeed = 0, settings: SolverSettings = BNE_SETTINGS
@@ -608,44 +632,26 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     fixed velocity breaks the scaling.
     """
     s = config.strategy
-    budget = config.budget
     if isinstance(s, Termination):
-        def payment_at(b: float):
-            rep = stage1_metrics_termination(config.with_reward(b))
-            return rep.expected_payment, 0.0
-
-        b_star = calibrate_b(payment_at, budget, b_hint=config.max_reward)
-        report = stage1_metrics_termination(config.with_reward(b_star))
-        return None, report
-
-    if isinstance(s, EarliestN):
+        def stage1_at(b: float):
+            return None, stage1_metrics_termination(config.with_reward(b))
+    elif isinstance(s, EarliestN):
         base = solve_bne_earliest_n(config, grid_size, mc_samples, seed, settings)
 
-        def payment_at(b: float):
-            scaled = base.scaled(b / config.max_reward)
-            rep = stage1_metrics_mc(config.with_reward(b), scaled,
-                                    stage1_samples, seed + 1)
-            return rep.expected_payment, rep.payment_stderr
+        def stage1_at(b: float):
+            grid = base.scaled(b / config.max_reward)
+            return grid, stage1_metrics_mc(config.with_reward(b), grid,
+                                           stage1_samples, seed + 1)
+    else:
+        def stage1_at(b: float):
+            cfg = config.with_reward(b)
+            grid = solve_bne_linear(cfg, grid_size, mc_samples, seed, settings)
+            return grid, stage1_metrics_mc(cfg, grid, stage1_samples, seed + 1)
 
-        b_star = calibrate_b(payment_at, budget, b_hint=config.max_reward)
-        grid = base.scaled(b_star / config.max_reward)
-        report = stage1_metrics_mc(config.with_reward(b_star), grid,
-                                   stage1_samples, seed + 1)
-        return grid, report
-
-    # linear decay: full re-solve per budget candidate
-    def payment_at(b: float):
-        cfg = config.with_reward(b)
-        g = solve_bne_linear(cfg, grid_size, mc_samples, seed, settings)
-        rep = stage1_metrics_mc(cfg, g, stage1_samples, seed + 1)
-        return rep.expected_payment, rep.payment_stderr
-
-    b_star = calibrate_b(payment_at, budget, b_hint=config.max_reward,
-                         assume_linear=False)
-    cfg = config.with_reward(b_star)
-    grid = solve_bne_linear(cfg, grid_size, mc_samples, seed, settings)
-    report = stage1_metrics_mc(cfg, grid, stage1_samples, seed + 1)
-    return grid, report
+    _, result = calibrate_b(_payment_of(stage1_at), config.budget,
+                            b_hint=config.max_reward,
+                            assume_linear=scales_with_reward(s))
+    return result
 
 
 # ---------------------------------------------------------------------------

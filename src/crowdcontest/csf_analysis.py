@@ -24,26 +24,6 @@ BETA_SEARCH_MAX = 50.0
 
 
 @dataclass(frozen=True)
-class GeneralCsfConfig:
-    """Generalized CSF coefficients for a two-player study."""
-
-    weights_a: tuple[float, float] = (1.0, 1.0)
-    exponents_v: tuple[float, float] = (1.0, 1.0)
-    max_rewards_b: tuple[float, float] = (1.0, 1.0)
-    nature_effort: float = 0.0
-
-    def __post_init__(self):
-        if any(a <= 0 for a in self.weights_a):
-            raise InvalidInput("priority coefficients must be > 0")
-        if any(not 0 < v <= 1 for v in self.exponents_v):
-            raise InvalidInput("exponents must lie in (0, 1]")
-        if any(b < 0 for b in self.max_rewards_b):
-            raise InvalidInput("max rewards must be >= 0")
-        if self.nature_effort < 0:
-            raise InvalidInput("nature effort must be >= 0")
-
-
-@dataclass(frozen=True)
 class TwoPlayerResult:
     efforts: tuple[float, float]
     efficiency: float

@@ -313,27 +313,19 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
                           meta=_meta(spec))
     tables = [main, effort, contour]
 
-    kwargs = dict(grid_size=spec.grid_size, mc_samples=spec.mc_samples,
-                  stage1_samples=spec.stage1_samples, seed=spec.seed)
-
-    def one_point(task):
-        value, ratio = task
+    def calibrated(value: float, ratio: float, budget: float):
         if spec.mode == "closed":
-            grid, rep = bc.calibrated_stage1(_closed_config(spec, value, ratio),
-                                             **kwargs)
+            cfg = replace(_closed_config(spec, value, ratio), budget=budget)
+            calibrate = bc.calibrated_stage1
         else:
-            grid, rep = osys.calibrated_open_stage1(_open_config(spec, value, ratio),
-                                                    **kwargs)
-        tol = bc.budget_tolerance(spec.budget, rep.payment_stderr)
-        if abs(rep.expected_payment - spec.budget) > tol:
-            raise SolverError(
-                f"calibration drifted: |E[R]-B| = "
-                f"{abs(rep.expected_payment - spec.budget):.3g} > {tol:.3g}")
-        return grid, rep
+            cfg = replace(_open_config(spec, value, ratio), budget=budget)
+            calibrate = osys.calibrated_open_stage1
+        return calibrate(cfg, grid_size=spec.grid_size, mc_samples=spec.mc_samples,
+                         stage1_samples=spec.stage1_samples, seed=spec.seed)
 
     tasks = [(value, ratio) for ratio in spec.e0_ratios for value in spec.sweep]
     try:
-        results = _parallel_map(one_point, tasks)
+        results = _parallel_map(lambda task: calibrated(*task, spec.budget), tasks)
     except SolverError as exc:
         main.failure = str(exc)
         return tables
@@ -360,16 +352,18 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
             effort.add(0.0, _param(value), ratio, e_star, rep.calibrated_b)
             effort.add(float(value), _param(value), ratio, e_star, rep.calibrated_b)
 
-    # contour lines: calibrated b over the sweep at reference budgets
+    # contour lines: calibrated b over the sweep at reference budgets. Where
+    # the model is homogeneous in b, b* is proportional to the budget, so the
+    # row follows from the main table; linear decay is recalibrated at every
+    # budget but the spec's own.
+    calibrated_b = {task: rep.calibrated_b for task, (_, rep) in zip(tasks, results)}
+
     def contour_point(task):
         budget, value, ratio = task
-        if spec.mode == "closed":
-            cfg = replace(_closed_config(spec, value, ratio), budget=budget)
-            _, rep = bc.calibrated_stage1(cfg, **kwargs)
-        else:
-            cfg = replace(_open_config(spec, value, ratio), budget=budget)
-            _, rep = osys.calibrated_open_stage1(cfg, **kwargs)
-        return rep.calibrated_b
+        strategy = _strategy_obj(spec, value)
+        if budget == spec.budget or bc.scales_with_reward(strategy):
+            return budget / spec.budget * calibrated_b[value, ratio]
+        return calibrated(value, ratio, budget)[1].calibrated_b
 
     ctasks = [(budget, value, ratio) for ratio in spec.e0_ratios
               for budget in CONTOUR_BUDGETS for value in spec.sweep]

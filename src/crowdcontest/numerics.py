@@ -1,11 +1,12 @@
-"""Deterministic numerical kernel: seeded RNG streams, Monte Carlo
-expectations, bisection, golden-section search and damped fixed-point
-iteration. Every solver module builds on these primitives.
+"""Deterministic numerical kernel: seeded RNG streams, bisection,
+golden-section search and damped fixed-point iteration. Every solver module
+builds on these primitives.
 
 Reproducibility contract: all randomness flows through `spawn_rng`, which
 derives independent PCG64 streams from a 64-bit seed plus an integer key
-path. Two runs with the same seed and the same call sequence produce
-bit-identical samples regardless of how work is chunked.
+path. Each solver draws its whole Monte Carlo panel from one such stream,
+so two runs with the same seed produce bit-identical samples whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ RngSeed = int
 def spawn_rng(seed: RngSeed, *key: int) -> np.random.Generator:
     """Derive an independent generator from (seed, *key).
 
-    The key path makes per-chunk / per-instance streams reproducible and
+    The key path makes per-panel / per-instance streams reproducible and
     non-overlapping without sharing mutable generator state.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
@@ -57,21 +58,6 @@ DEFAULT_SETTINGS = SolverSettings()
 # Vector fixed points (NE / BNE searches) settle for a slightly looser
 # tolerance than scalar roots.
 FIXED_POINT_SETTINGS = SolverSettings(abs_tol=1e-7, max_iter=5000)
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo mean with its standard error and sample count."""
-
-    mean: float
-    stderr: float
-    samples: int
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidInput("samples must be >= 1")
-        if not self.stderr >= 0:
-            raise InvalidInput("stderr must be >= 0")
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float,
@@ -155,44 +141,3 @@ def fixed_point(map_fn: Callable[[np.ndarray], np.ndarray],
         x = (1.0 - settings.damping) * x + settings.damping * fx
     raise NoConvergence("fixed-point iteration did not converge", last=x,
                         residual=residual, iterations=settings.max_iter)
-
-
-_MC_CHUNK = 1 << 14
-
-
-def mc_expect(sampler: Callable[[np.random.Generator, int], object],
-              integrand: Callable[[object], np.ndarray],
-              n_samples: int, seed: RngSeed) -> McEstimate:
-    """Monte Carlo estimate of E[integrand(X)] with X drawn by `sampler`.
-
-    sampler(rng, k) must return a batch of k i.i.d. samples; integrand maps
-    that batch to k real values. Work is split into fixed-size chunks, each
-    with its own RNG stream derived from (seed, chunk index), and chunk sums
-    are reduced in index order - so the estimate does not depend on how many
-    workers evaluate the chunks.
-    """
-    if n_samples < 1:
-        raise InvalidInput("n_samples must be >= 1")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        k = min(_MC_CHUNK, n_samples - done)
-        rng = spawn_rng(seed, chunk_idx)
-        values = np.asarray(integrand(sampler(rng, k)), dtype=float).reshape(-1)
-        if values.shape != (k,):
-            raise InvalidInput(f"integrand returned {values.shape}, expected ({k},)")
-        if not np.all(np.isfinite(values)):
-            raise NumericalError("integrand produced non-finite values")
-        total += float(np.sum(values))
-        total_sq += float(np.sum(values * values))
-        done += k
-        chunk_idx += 1
-    mean = total / n_samples
-    if n_samples > 1:
-        var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-        stderr = math.sqrt(var / n_samples)
-    else:
-        stderr = 0.0
-    return McEstimate(mean=mean, stderr=stderr, samples=n_samples)

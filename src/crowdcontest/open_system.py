@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bayesian_closed import (StageOneReport, TypeGrid, calibrate_b,
-                              _iterate_grid_bne)
+                              _iterate_grid_bne, _payment_of)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, SolverSettings, bisect, golden_section_max, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction,
@@ -264,26 +264,20 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
     """Budget-calibrated Stage-I report (both open strategies scale linearly
     in b because e0 tracks b)."""
     if isinstance(config.strategy, OpenTermination):
-        def payment_at(b: float):
-            rep = stage1_open_termination(config.with_reward(b))
-            return rep.expected_payment, 0.0
+        def stage1_at(b: float):
+            return None, stage1_open_termination(config.with_reward(b))
+    else:
+        base = solve_bne_open_earliest_n(config, grid_size, mc_samples, seed,
+                                         settings)
 
-        b_star = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)
-        return None, stage1_open_termination(config.with_reward(b_star))
+        def stage1_at(b: float):
+            grid = base.scaled(b / config.max_reward)
+            return grid, stage1_open_earliest_n(config.with_reward(b), grid,
+                                                stage1_samples, seed + 1)
 
-    base = solve_bne_open_earliest_n(config, grid_size, mc_samples, seed, settings)
-
-    def payment_at(b: float):
-        rep = stage1_open_earliest_n(config.with_reward(b),
-                                     base.scaled(b / config.max_reward),
-                                     stage1_samples, seed + 1)
-        return rep.expected_payment, rep.payment_stderr
-
-    b_star = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)
-    grid = base.scaled(b_star / config.max_reward)
-    report = stage1_open_earliest_n(config.with_reward(b_star), grid,
-                                    stage1_samples, seed + 1)
-    return grid, report
+    _, result = calibrate_b(_payment_of(stage1_at), config.budget,
+                            b_hint=config.max_reward)
+    return result
 
 
 def open_optimal_T(config: OpenConfig, t_grid, refine: bool = True,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +179,8 @@ def _parse_timestamp(raw: str) -> float | None:
     except ValueError:
         pass
     try:
-        return datetime.strptime(raw, _TIMESTAMP_FORMAT).timestamp()
+        return datetime.strptime(raw, _TIMESTAMP_FORMAT) \
+            .replace(tzinfo=timezone.utc).timestamp()
     except ValueError:
         return None
 
@@ -375,11 +376,6 @@ class ConstantWeight(WeightFunction):
         return self.value * max(hi - lo, 0.0)
 
 
-def weight_eval(wf: WeightFunction, t):
-    """Functional alias for wf(t)."""
-    return wf(t)
-
-
 # ---------------------------------------------------------------------------
 # Poisson arrivals (open system)
 # ---------------------------------------------------------------------------
@@ -412,13 +408,6 @@ def poisson_pmf(model: PoissonModel, t: float, m) -> float | np.ndarray:
             np.array([math.lgamma(k + 1.0) for k in np.atleast_1d(m_arr)]).reshape(m_arr.shape)
         out = np.exp(log_pmf)
     return out if out.ndim else float(out)
-
-
-def sample_arrival_sequence(model: PoissonModel,
-                            rng_or_seed: np.random.Generator | RngSeed) -> np.ndarray:
-    """One truncated arrival sequence S_1 < ... < S_M (cumulative sums of
-    i.i.d. exponential gaps)."""
-    return sample_arrival_sequences(model, rng_or_seed, 1)[0]
 
 
 def sample_arrival_sequences(model: PoissonModel,

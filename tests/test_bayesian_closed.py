@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
+from crowdcontest import bayesian_closed
 from crowdcontest.bayesian_closed import (BNE_SETTINGS, BayesianConfig,
                                           EarliestN, LinearDecay, Termination,
                                           budget_tolerance, calibrate_b,
@@ -14,13 +16,12 @@ from crowdcontest.bayesian_closed import (BNE_SETTINGS, BayesianConfig,
                                           solve_bne_earliest_n,
                                           solve_bne_linear,
                                           solve_bne_termination,
-                                          stage1_metrics_earliest_n,
                                           stage1_metrics_mc,
                                           stage1_metrics_termination,
                                           termination_effort_e0_zero,
                                           threshold_analytic_bound)
 from crowdcontest.contest import symmetric_ne
-from crowdcontest.errors import InfeasibleBudget, InvalidInput
+from crowdcontest.errors import InfeasibleBudget, InvalidInput, NoConvergence
 from crowdcontest.numerics import SolverSettings, spawn_rng
 from crowdcontest.timing import (ConstantWeight, StepWeight, UniformJoinTimes)
 
@@ -240,7 +241,7 @@ class TestStage1EarliestN:
     def test_full_quota_no_nature_spends_everything(self):
         cfg = en_config(2, 2, e0_ratio=0.0)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
-        rep = stage1_metrics_earliest_n(cfg, grid, mc_samples=4000, seed=2)
+        rep = stage1_metrics_mc(cfg, grid, mc_samples=4000, seed=2)
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == pytest.approx(0.0, abs=1e-12)
         assert rep.expected_efficiency == pytest.approx(0.5, abs=1e-6)
@@ -249,14 +250,8 @@ class TestStage1EarliestN:
     def test_single_player_payment(self):
         cfg = en_config(1, 1, e0_ratio=0.25)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=64, seed=0)
-        rep = stage1_metrics_earliest_n(cfg, grid, mc_samples=2000, seed=3)
+        rep = stage1_metrics_mc(cfg, grid, mc_samples=2000, seed=3)
         assert rep.expected_payment == pytest.approx(0.5, abs=1e-12)
-
-    def test_wrong_strategy_rejected(self):
-        cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
-                             join_model=UNIFORM01)
-        with pytest.raises(InvalidInput):
-            stage1_metrics_earliest_n(cfg, None)
 
     def test_stage1_mc_matches_tensor_quadrature(self):
         # N=2, n=1: the payment and efficiency expectations reduce to 2-d
@@ -334,14 +329,51 @@ class TestCalibration:
 
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudget):
-            calibrate_b(lambda b: (0.0, 0.0), budget=1.0, assume_linear=False,
-                        b_max=1e3)
+            calibrate_b(lambda b: (0.0, 0.0, None), budget=1.0,
+                        assume_linear=False, b_max=1e3)
+        evals = []
+        with pytest.raises(InfeasibleBudget):
+            calibrate_b(lambda b: evals.append(b) or (0.0, 0.0, None), budget=1.0)
+        assert evals == [1.0]
 
     def test_nonlinear_payment_bisection(self):
-        # payment sqrt(b): linear scaling is wrong, the bisection fallback
-        # must still land on b = B^2
-        b_star = calibrate_b(lambda b: (math.sqrt(b), 0.0), budget=3.0)
+        # payment sqrt(b): the bracketing search must land on b = B^2 and
+        # hand back the result of the evaluation it accepted
+        b_star, result = calibrate_b(lambda b: (math.sqrt(b), 0.0, b), budget=3.0,
+                                     assume_linear=False)
         assert math.sqrt(b_star) == pytest.approx(3.0, rel=1e-3)
+        assert result == b_star
+
+    def test_linear_assumption_is_checked(self):
+        # scaling from b = 1 predicts b* = 3, where sqrt(b) pays 1.73, not 3
+        with pytest.raises(NoConvergence) as err:
+            calibrate_b(lambda b: (math.sqrt(b), 0.0, None), budget=3.0)
+        assert err.value.last == pytest.approx(3.0)
+        assert err.value.residual == pytest.approx(3.0 - math.sqrt(3.0))
+
+    def test_linear_calibration_reports_its_check(self):
+        evals = []
+
+        def payment_at(b):
+            evals.append(b)
+            return 0.25 * b, 0.0, f"report at {b}"
+
+        assert calibrate_b(payment_at, budget=2.0, b_hint=0.5) == (8.0, "report at 8.0")
+        assert evals == [0.5, 8.0]
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(n_players=st.integers(2, 25), deadline=st.floats(0.05, 1.0),
+           e0_ratio=st.floats(0.0, 0.9), budget=st.floats(0.1, 10.0),
+           scale=st.floats(1e-2, 1e2))
+    def test_termination_invariant_under_reward_rescaling(self, n_players, deadline,
+                                                          e0_ratio, budget, scale):
+        cfg = BayesianConfig(n_players=n_players, strategy=Termination(deadline),
+                             join_model=UNIFORM01, e0_ratio=e0_ratio, budget=budget)
+        _, rep = calibrated_stage1(cfg)
+        _, scaled = calibrated_stage1(cfg.with_reward(scale))
+        assert scaled.calibrated_b == pytest.approx(rep.calibrated_b, rel=1e-9)
+        assert scaled.expected_efficiency == pytest.approx(rep.expected_efficiency,
+                                                           rel=1e-9)
 
 
 class TestLinearDecay:
@@ -425,3 +457,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             BayesianConfig(n_players=2, strategy=Termination(-1.0),
                            join_model=UNIFORM01)
+
+
+def test_newton_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(bayesian_closed, "NEWTON_STEPS", 2)
+    a_samples = spawn_rng(3).exponential(size=200) + 0.1
+    with pytest.raises(NoConvergence) as err:
+        bayesian_closed._expected_best_responses(a_samples, np.array([2.0, 4.0]),
+                                                 1e-8)
+    assert err.value.iterations == 2
+    assert err.value.residual > 0
+    assert err.value.last.shape == (2,)

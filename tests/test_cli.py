@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from crowdcontest.bayesian_closed import BayesianConfig, EarliestN, calibrated_stage1
 from crowdcontest.cli import main
 from crowdcontest.errors import ConfigError
 from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, gen_trace_preset,
                                       load_spec, parse_spec, run_spec)
+from crowdcontest.open_system import OpenConfig, OpenEarliestN, calibrated_open_stage1
 from crowdcontest.timing import UniformJoinTimes, ingest_trace_file
 
 SMALL_SPEC = """
@@ -173,6 +175,29 @@ scale = 1
                       if r["budget"] == budget and r["e0_ratio"] == ratio]
                 assert len(bs) == 12
                 assert all(b2 < b1 for b1, b2 in zip(bs, bs[1:]))
+
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_derived_contour_matches_full_calibration(self, tmp_path, mode):
+        # the budget-2 contour row is scaled from the budget-1 calibration;
+        # a full calibration at budget 2 must give the same reward scale
+        text = SMALL_SPEC if mode == "closed" else SMALL_SPEC.replace(
+            "mode = closed", "mode = open\nrate = 5\ntruncation = 6")
+        spec = parse_spec(text)
+        paths = run_spec(spec, out_dir=tmp_path)
+        _, rows = _read_rows(paths[2])
+        [row] = [r for r in rows if r["budget"] == "2.0" and r["n"] == "3"]
+        if mode == "closed":
+            cfg = BayesianConfig(n_players=spec.n_players, strategy=EarliestN(3),
+                                 join_model=spec.join_model, weightfn=spec.weightfn,
+                                 e0_ratio=0.5, budget=2.0)
+            calibrate = calibrated_stage1
+        else:
+            cfg = OpenConfig(poisson=spec.poisson, strategy=OpenEarliestN(3),
+                             weightfn=spec.weightfn, e0_ratio=0.5, budget=2.0)
+            calibrate = calibrated_open_stage1
+        _, rep = calibrate(cfg, grid_size=spec.grid_size, mc_samples=spec.mc_samples,
+                           stage1_samples=spec.stage1_samples, seed=spec.seed)
+        assert float(row["calibrated_b"]) == pytest.approx(rep.calibrated_b, rel=1e-12)
 
     def test_byte_identical_reruns(self, tmp_path):
         spec = parse_spec(SMALL_SPEC)

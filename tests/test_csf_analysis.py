@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crowdcontest.contest import ContestConfig, solve_ne, symmetric_ne
-from crowdcontest.csf_analysis import (GeneralCsfConfig, efficiency_optimal_v,
+from crowdcontest.csf_analysis import (efficiency_optimal_v,
                                        efficiency_vmax_beta_threshold,
                                        exponent_discrim_ne, nature_efficiency,
                                        nature_symmetric_ne, optimal_beta_gain,
@@ -211,9 +211,3 @@ class TestGainMonotonicity:
                         for u in np.linspace(1.0, 40.0, 12)]
                 assert all(b > a for a, b in zip(vals, vals[1:]))
 
-
-def test_general_config_validation():
-    with pytest.raises(InvalidInput):
-        GeneralCsfConfig(exponents_v=(1.2, 1.0))
-    with pytest.raises(InvalidInput):
-        GeneralCsfConfig(weights_a=(0.0, 1.0))

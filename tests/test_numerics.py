@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from crowdcontest.errors import BracketError, NoConvergence, NumericalError
-from crowdcontest.numerics import (McEstimate, SolverSettings, bisect,
-                                   fixed_point, golden_section_max, mc_expect,
-                                   spawn_rng)
+from crowdcontest.numerics import (SolverSettings, bisect, fixed_point,
+                                   golden_section_max, spawn_rng)
 
 
 def test_bisect_linear_root():
@@ -107,54 +106,6 @@ def test_fixed_point_reports_divergence():
 def test_golden_section_max_parabola():
     x = golden_section_max(lambda x: -(x - 1.3) ** 2, 0.0, 3.0, tol=1e-10)
     assert x == pytest.approx(1.3, abs=1e-8)
-
-
-def test_mc_expect_constant():
-    est = mc_expect(lambda rng, k: rng.random(k), lambda s: np.ones_like(s), 500, 3)
-    assert est == McEstimate(mean=1.0, stderr=0.0, samples=500)
-
-
-def test_mc_expect_uniform_mean():
-    est = mc_expect(lambda rng, k: rng.random(k), lambda s: s, 200_000, 11)
-    assert abs(est.mean - 0.5) <= 3 * est.stderr
-    assert est.stderr == pytest.approx(math.sqrt(1 / 12 / 200_000), rel=0.05)
-
-
-def _ordered_pair_sampler(rng, k):
-    return np.sort(rng.uniform(0.0, 2.0, size=(k, 2)), axis=1)
-
-
-def test_mc_expect_ordered_uniform_weight_sum():
-    # two ordered uniforms on (0,2), integrand = sum of unit weights: the
-    # nested integral collapses to exactly 2
-    est = mc_expect(_ordered_pair_sampler,
-                    lambda s: np.sum(np.ones_like(s), axis=1), 50_000, 5)
-    assert est.mean == pytest.approx(2.0, abs=1e-12)
-    assert est.stderr == 0.0
-
-
-def test_mc_expect_ordered_uniform_step_weight():
-    # w = 1 on [0,1), 0.6 afterwards: E[w(s1)+w(s2)] = 2 * (1 + 0.6)/2 = 1.6
-    def integrand(s):
-        return np.sum(np.where(s < 1.0, 1.0, 0.6), axis=1)
-
-    est = mc_expect(_ordered_pair_sampler, integrand, 400_000, 17)
-    assert abs(est.mean - 1.6) <= 3 * est.stderr
-
-
-def test_mc_expect_bit_identical_reruns():
-    a = mc_expect(lambda rng, k: rng.normal(size=k), lambda s: s * s, 100_001, 9)
-    b = mc_expect(lambda rng, k: rng.normal(size=k), lambda s: s * s, 100_001, 9)
-    assert a == b
-
-
-def test_mc_expect_nonfinite_aborts():
-    def integrand(s):
-        with np.errstate(invalid="ignore"):
-            return np.log(s - 2.0)
-
-    with pytest.raises(NumericalError):
-        mc_expect(lambda rng, k: rng.random(k), integrand, 100, 1)
 
 
 def test_spawn_rng_streams_are_stable_and_distinct():

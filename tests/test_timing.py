@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from crowdcontest.timing import (ConstantWeight, EmpiricalJoinTimes,
                                  PoissonModel, StepWeight, TableJoinTimes,
                                  TableWeight, UniformJoinTimes, ingest_trace,
                                  parse_trace_file, poisson_pmf,
-                                 sample_arrival_sequence,
-                                 sample_arrival_sequences, weight_eval)
+                                 sample_arrival_sequences)
 
 ALL_MODELS = [
     UniformJoinTimes(0.0, 6.0),
@@ -88,6 +88,16 @@ class TestTraceFile(object):
                            "u1,ap0,2024-05-01 10:30:00\nu2,ap1,2024-05-01 11:00:00\n")
         records = parse_trace_file(path)
         assert records[1][1] - records[0][1] == pytest.approx(1800.0)
+
+    def test_datetime_timestamps_are_utc(self, tmp_path, monkeypatch):
+        path = self._write(tmp_path, "u1,ap0,1970-01-01 00:00:00\n")
+        monkeypatch.setenv("TZ", "America/New_York")
+        time.tzset()
+        try:
+            assert parse_trace_file(path) == [("u1", 0.0)]
+        finally:
+            monkeypatch.undo()
+            time.tzset()
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = self._write(tmp_path, "u1,ap0,100\nu2,ap1\n")
@@ -175,10 +185,6 @@ class TestWeights:
         assert w(1.0) == pytest.approx(0.75)
         assert w(9.0) == pytest.approx(0.0)
 
-    def test_weight_eval_alias(self):
-        w = ConstantWeight(0.7)
-        assert weight_eval(w, 3.2) == pytest.approx(0.7)
-
     @pytest.mark.parametrize("w", [
         StepWeight((0.0, 1.5, 3.0, 6.0), (1.0, 0.6, 0.2, 0.0)),
         InversePowerWeight(power=2.0, scale=6.0),
@@ -228,7 +234,7 @@ class TestPoisson:
             poisson_pmf(PoissonModel(rate=1.0), 1.0, -2)
 
     def test_sequence_is_strictly_increasing(self):
-        seq = sample_arrival_sequence(PoissonModel(rate=3.0, truncation=25), 4)
+        seq = sample_arrival_sequences(PoissonModel(rate=3.0, truncation=25), 4, 1)[0]
         assert seq.shape == (25,)
         assert np.all(np.diff(seq) > 0)
 
