@@ -207,15 +207,17 @@ def _grid_times(model: JoinTimeModel, grid_size: int) -> np.ndarray:
 
 
 def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
-                             tol: float) -> np.ndarray:
+                             tol: float, start: np.ndarray | None = None
+                             ) -> np.ndarray:
     """For each grid reward b(t), solve E[A/(A+e)^2] b(t) = 1 for e >= 0,
     where A = e0 + E_-i ranges over the Monte Carlo opponent draws.
 
     E[A/(A+e)^2] <= 1/(4e) for any A-distribution, so every root lies in
     [0, b(t)/4]; a safeguarded Newton iteration stays inside that bracket
     and raises NoConvergence if it has not settled after NEWTON_STEPS steps.
+    Each point starts from `start` (the previous best response) where that
+    lies strictly inside its bracket, else from the bracket midpoint.
     """
-    a = a_samples[:, None]
     if np.all(a_samples > 0):
         participation = b_t * float(np.mean(1.0 / a_samples)) > 1.0
     else:
@@ -226,14 +228,24 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     e = np.zeros_like(b_t)
     if not np.any(active):
         return e
-    lo = np.zeros(int(np.sum(active)))
-    hi = 0.25 * b_t[active]
-    x = 0.5 * hi
     b_act = b_t[active]
+    lo = np.zeros(b_act.size)
+    hi = 0.25 * b_act
+    x = 0.5 * hi
+    if start is not None:
+        warm = start[active]
+        x = np.where((warm > 0) & (warm < hi), warm, x)
+    a = a_samples[:, None]
+    # two mc x active buffers: 1/(A+x), then A/(A+x)^2 and A/(A+x)^3
+    inv = np.empty((a.size, x.size))
+    term = np.empty_like(inv)
     for _ in range(NEWTON_STEPS):
-        denom = a + x[None, :]
-        g = b_act * np.mean(a / (denom * denom), axis=0) - 1.0
-        gp = -2.0 * b_act * np.mean(a / (denom * denom * denom), axis=0)
+        np.reciprocal(np.add(a, x, out=inv), out=inv)
+        np.multiply(inv, inv, out=term)
+        term *= a
+        g = b_act * term.mean(axis=0) - 1.0
+        term *= inv
+        gp = -2.0 * b_act * term.mean(axis=0)
         lo = np.where(g > 0, x, lo)
         hi = np.where(g < 0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -248,6 +260,22 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
                             residual=change, iterations=NEWTON_STEPS)
     e[active] = np.maximum(x, 0.0)
     return e
+
+
+def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Dense M (mc x grid) with M @ e == np.interp(panel, times, e).sum(axis=1)
+    for every effort grid e: row i holds the linear-interpolation weights of
+    draw i's opponents, clamped to the end values outside the grid. Built
+    one opponent column at a time from each draw's fractional knot position;
+    within a column every draw has its own row, so no index repeats."""
+    op = np.zeros((panel.shape[0], times.size))
+    rows = np.arange(panel.shape[0])
+    for col in panel.T:
+        pos = np.interp(col, times, np.arange(times.size))
+        k = np.minimum(pos.astype(int), times.size - 2)
+        op[rows, k] += k + 1 - pos
+        op[rows, k + 1] += pos - k
+    return op
 
 
 def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
@@ -271,43 +299,51 @@ def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
 def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
                       opp_panel: np.ndarray, e0: float,
                       settings: SolverSettings) -> TypeGrid:
-    """Damped best-response iteration on the type grid against a fixed panel
-    of opponent draws (common random numbers, so the map is deterministic).
+    """Best-response iteration on the type grid against a fixed panel of
+    opponent draws (common random numbers, so the best-response map G is
+    deterministic).
 
-    The best-response map steepens with the opponent count, so the damping
-    halves whenever the residual stops improving; this keeps the default
-    configuration convergent from small contests up to many dozens of
-    players.
+    The panel enters G only through the opponent aggregates A = e0 + M e,
+    which are linear in the effort grid e; the interpolation operator M is
+    built once. The fixed point is found by depth-1 Anderson mixing (Walker
+    & Ni, SIAM J. Numer. Anal. 49(4), 2011) with mixing weight
+    beta = settings.damping: with the residual f = G(x) - x and the changes
+    dx, df since the previous iterate,
+
+        x <- max(x + beta f - gamma (dx + beta df), 0),
+        gamma = (df . f) / (df . df),
+
+    which is the plain damped step x + beta f when df . df = 0 (and at the
+    first iterate). Each best response warm-starts its Newton solve from the
+    previous one. Returns G(x) once ||G(x) - x||_inf <= abs_tol; raises
+    NoConvergence with the last iterate after max_iter best responses and
+    MonteCarloNoise when the panel is too small for the result.
     """
-    efforts = np.where(b_t > e0, 0.25 * b_t, 0.0)
-    damping = settings.damping
+    op = _interp_operator(opp_panel, times)
+    beta = settings.damping
+    x = np.where(b_t > e0, 0.25 * b_t, 0.0)
+    br = x_prev = f_prev = None
     residual = math.inf
-    best_residual = math.inf
-    stall = 0
     for _ in range(settings.max_iter):
-        opp_eff = np.interp(opp_panel, times, efforts)
-        a_samples = e0 + opp_eff.sum(axis=1)
-        br = _expected_best_responses(a_samples, b_t, settings.abs_tol)
-        residual = float(np.max(np.abs(br - efforts)))
+        br = _expected_best_responses(e0 + op @ x, b_t, settings.abs_tol, br)
+        f = br - x
+        residual = float(np.max(np.abs(f)))
         if residual <= settings.abs_tol:
-            efforts = br
             break
-        if residual < 0.9 * best_residual:
-            best_residual = residual
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 8:
-                damping = max(damping / 2.0, 1.0 / 256.0)
-                stall = 0
-        efforts = (1.0 - damping) * efforts + damping * br
+        step = beta * f
+        if f_prev is not None:
+            df = f - f_prev
+            df_df = float(df @ df)
+            if df_df > 0:
+                step -= float(df @ f) / df_df * (x - x_prev + beta * df)
+        x_prev, f_prev = x, f
+        x = np.maximum(x + step, 0.0)
     else:
-        raise NoConvergence("grid BNE iteration stalled", last=efforts,
+        raise NoConvergence("grid BNE iteration stalled", last=x,
                             residual=residual, iterations=settings.max_iter)
 
-    grid = TypeGrid(times, efforts, b_t)
-    opp_eff = np.interp(opp_panel, times, efforts)
-    noise = _bne_condition_noise(e0 + opp_eff.sum(axis=1), grid)
+    grid = TypeGrid(times, br, b_t)
+    noise = _bne_condition_noise(e0 + op @ br, grid)
     if noise > MC_NOISE_LIMIT:
         raise MonteCarloNoise(
             f"relative stderr {noise:.3f} of the BNE expectation exceeds "
@@ -622,9 +658,10 @@ def _payment_of(stage1_at):
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                       mc_samples: int = 20_000, stage1_samples: int = 100_000,
                       seed: RngSeed = 0, settings: SolverSettings = BNE_SETTINGS
-                      ) -> tuple[TypeGrid | None, StageOneReport]:
+                      ) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
-    at the calibrated reward.
+    at the calibrated reward, together with the Stage-II solution there: the
+    effort grid, or the flat in-time effort e* of a termination strategy.
 
     Earliest-n and termination systems scale linearly in b (the stored
     e0_ratio ties the nature effort to b), so Stage II is solved once at the
@@ -633,8 +670,12 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     """
     s = config.strategy
     if isinstance(s, Termination):
+        p = float(config.join_model.cdf(s.deadline))
+
         def stage1_at(b: float):
-            return None, stage1_metrics_termination(config.with_reward(b))
+            cfg = config.with_reward(b)
+            e_star = solve_bne_termination(cfg.n_players, p, b, cfg.nature_effort)
+            return e_star, stage1_metrics_termination(cfg, e_star)
     elif isinstance(s, EarliestN):
         base = solve_bne_earliest_n(config, grid_size, mc_samples, seed, settings)
 

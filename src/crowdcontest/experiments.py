@@ -333,24 +333,17 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     def _param(value: float):
         return int(round(value)) if spec.strategy == "earliest_n" else value
 
-    for (value, ratio), (grid, rep) in zip(tasks, results):
+    for (value, ratio), (stage2, rep) in zip(tasks, results):
         main.add(_param(value), ratio, rep.expected_efficiency,
                  rep.efficiency_stderr, rep.calibrated_b,
                  rep.expected_payment, rep.payment_stderr)
-        if grid is not None:
-            for t, e, b_t in zip(grid.times, grid.efforts, grid.b_values):
+        if isinstance(stage2, bc.TypeGrid):
+            for t, e, b_t in zip(stage2.times, stage2.efforts, stage2.b_values):
                 effort.add(float(t), _param(value), ratio, float(e), float(b_t))
         else:
-            # termination: the in-time effort is flat, tabulate the step
-            cfg = _closed_config(spec, value, ratio) if spec.mode == "closed" \
-                else _open_config(spec, value, ratio)
-            cfg = cfg.with_reward(rep.calibrated_b)
-            e_star = bc.solve_bne_termination(
-                cfg.n_players, float(cfg.join_model.cdf(value)), cfg.max_reward,
-                cfg.nature_effort) if spec.mode == "closed" \
-                else osys.solve_bne_open_termination(cfg)
-            effort.add(0.0, _param(value), ratio, e_star, rep.calibrated_b)
-            effort.add(float(value), _param(value), ratio, e_star, rep.calibrated_b)
+            # termination: the in-time effort e* is flat, tabulate the step
+            effort.add(0.0, _param(value), ratio, stage2, rep.calibrated_b)
+            effort.add(float(value), _param(value), ratio, stage2, rep.calibrated_b)
 
     # contour lines: calibrated b over the sweep at reference budgets. Where
     # the model is homogeneous in b, b* is proportional to the budget, so the

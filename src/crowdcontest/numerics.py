@@ -36,7 +36,8 @@ class SolverSettings:
     """Tolerances shared by the scalar and vector solvers.
 
     abs_tol applies to residuals / bracket widths, damping to fixed-point
-    updates (x <- (1-damping) x + damping map(x)).
+    updates (x <- (1-damping) x + damping map(x)); the grid BNE kernel uses
+    damping as the mixing weight of its Anderson acceleration.
     """
 
     abs_tol: float = 1e-9

@@ -260,12 +260,16 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            mc_samples: int = 20_000, stage1_samples: int = 100_000,
                            seed: RngSeed = 0,
                            settings: SolverSettings = OPEN_BNE_SETTINGS
-                           ) -> tuple[TypeGrid | None, StageOneReport]:
-    """Budget-calibrated Stage-I report (both open strategies scale linearly
-    in b because e0 tracks b)."""
+                           ) -> tuple[TypeGrid | float, StageOneReport]:
+    """Budget-calibrated Stage-I report with the Stage-II solution at the
+    calibrated reward: the effort grid, or the in-time effort e* of the
+    termination strategy (both open strategies scale linearly in b because
+    e0 tracks b)."""
     if isinstance(config.strategy, OpenTermination):
         def stage1_at(b: float):
-            return None, stage1_open_termination(config.with_reward(b))
+            cfg = config.with_reward(b)
+            e_star = solve_bne_open_termination(cfg)
+            return e_star, stage1_open_termination(cfg, e_star)
     else:
         base = solve_bne_open_earliest_n(config, grid_size, mc_samples, seed,
                                          settings)

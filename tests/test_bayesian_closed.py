@@ -23,7 +23,8 @@ from crowdcontest.bayesian_closed import (BNE_SETTINGS, BayesianConfig,
 from crowdcontest.contest import symmetric_ne
 from crowdcontest.errors import InfeasibleBudget, InvalidInput, NoConvergence
 from crowdcontest.numerics import SolverSettings, spawn_rng
-from crowdcontest.timing import (ConstantWeight, StepWeight, UniformJoinTimes)
+from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, StepWeight,
+                                 UniformJoinTimes)
 
 from helpers import bne_quadrature_oracle, single_peaked
 
@@ -294,10 +295,13 @@ class TestCalibration:
         # E[R] = b (sqrt(5)-1)/4 / ((sqrt(5)-1)/4 + 1/2) = 0.381966 b
         cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
                              join_model=UNIFORM01, e0_ratio=0.5, budget=0.5)
-        _, rep = calibrated_stage1(cfg)
+        e_star, rep = calibrated_stage1(cfg)
         expect = 0.5 * ((math.sqrt(5) - 1) / 4 + 0.5) / ((math.sqrt(5) - 1) / 4)
         assert rep.calibrated_b == pytest.approx(expect, rel=1e-9)
         assert rep.expected_payment == pytest.approx(0.5, rel=1e-9)
+        # the effort of the accepted evaluation comes out with the report
+        assert e_star == solve_bne_termination(2, 1.0, rep.calibrated_b,
+                                               0.5 * rep.calibrated_b)
 
     def test_doubling_budget_doubles_b(self):
         kw = dict(grid_size=16, mc_samples=1000, stage1_samples=8000, seed=4)
@@ -468,3 +472,72 @@ def test_newton_step_cap_raises(monkeypatch):
     assert err.value.iterations == 2
     assert err.value.residual > 0
     assert err.value.last.shape == (2,)
+
+
+class TestGridKernel:
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(size=st.integers(2, 40), quantile_spaced=st.booleans(),
+           n_opp=st.integers(1, 6), mc=st.integers(1, 50),
+           seed=st.integers(0, 2**32 - 1))
+    def test_interp_operator_matches_interp(self, size, quantile_spaced, n_opp,
+                                            mc, seed):
+        if quantile_spaced:
+            times = bayesian_closed._grid_times(ExponentialJoinTimes(0.7), size)
+        else:
+            times = np.linspace(0.0, 3.0, size)
+        rng = spawn_rng(seed)
+        lo, hi = times[0], times[-1]
+        # draws below, inside and above the grid (open arrival epochs run
+        # past its end), plus the knots themselves
+        panel = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo),
+                            size=(mc, n_opp))
+        panel = np.vstack([panel, np.repeat(times[:, None], n_opp, axis=1)])
+        efforts = rng.uniform(0.0, 1.0, size=times.size)
+        op = bayesian_closed._interp_operator(panel, times)
+        assert op.shape == (panel.shape[0], times.size)
+        expect = np.interp(panel, times, efforts).sum(axis=1)
+        assert np.max(np.abs(op @ efforts - expect)) <= 1e-13
+
+    def test_warm_newton_matches_cold(self):
+        rng = spawn_rng(5)
+        a_samples = rng.exponential(size=3000) + 0.05
+        b_t = np.linspace(0.0, 3.0, 24)
+        tol = 1e-8
+        cold = bayesian_closed._expected_best_responses(a_samples, b_t, tol)
+        # near the root, at both bracket ends and outside the bracket
+        start = cold * (1.0 + 0.05 * rng.standard_normal(b_t.size))
+        start[::5] = 0.0
+        start[1::5] = 0.25 * b_t[1::5]
+        start[2::5] = b_t[2::5]
+        warm = bayesian_closed._expected_best_responses(a_samples, b_t, tol, start)
+        assert np.max(np.abs(warm - cold)) <= 1e-3 * tol
+
+    def test_iteration_cap_raises_with_last_iterate(self):
+        cfg = en_config(6, 3, e0_ratio=0.3)
+        with pytest.raises(NoConvergence) as err:
+            solve_bne_earliest_n(cfg, grid_size=16, mc_samples=1000, seed=0,
+                                 settings=SolverSettings(abs_tol=1e-8, max_iter=3))
+        assert err.value.iterations == 3
+        assert err.value.residual > 1e-8
+        last = err.value.last
+        assert last.shape == (16,) and np.all(last >= 0)
+
+    def test_outer_iterations_at_n_near_N(self, monkeypatch):
+        calls = []
+        inner = bayesian_closed._expected_best_responses
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
+        solve_bne_earliest_n(en_config(20, 19, e0_ratio=0.5), mc_samples=4000,
+                             seed=0)
+        assert len(calls) <= 60
+
+    def test_large_contest_converges_under_the_cap(self):
+        cfg = en_config(100, 99, e0_ratio=0.2)
+        grid = solve_bne_earliest_n(cfg, mc_samples=4000, seed=0)
+        cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
+        assert np.any(grid.efforts > 0)
+        assert np.all(grid.efforts <= cap + 1e-12)

@@ -232,8 +232,10 @@ class TestOpenTerminationStage1:
 
     def test_calibration_balances_budget(self):
         cfg = open_tt(2.0, 0.8, e0_ratio=0.2, budget=0.9)
-        _, rep = calibrated_open_stage1(cfg)
+        e_star, rep = calibrated_open_stage1(cfg)
         assert abs(rep.expected_payment - 0.9) <= budget_tolerance(0.9, 0.0)
+        # the effort of the accepted evaluation comes out with the report
+        assert e_star == solve_bne_open_termination(cfg.with_reward(rep.calibrated_b))
 
 
 class TestOpenOptimalT:
