@@ -1,14 +1,17 @@
-"""Closed-system Stackelberg Bayesian games: Stage-II BNE solvers for the
-earliest-n, termination-time and linearly-decreasing reward strategies, plus
-Stage-I metrics, budget calibration and parameter sweeps.
+"""Stackelberg Bayesian crowdsensing games. The two-stage pipeline that
+closed and open systems share lives here: the grid BNE kernel, the scalar
+termination-time BNE, the termination and Monte Carlo Stage-I reports and
+budget calibration. The closed system (a fixed population of N contributors
+with i.i.d. joining times) is built on it here, for the earliest-n,
+termination-time and linearly-decreasing reward strategies, with parameter
+sweeps; `open_system` builds the open system on it from a Poisson prior.
 
-Stage-II symmetry: joining times are i.i.d. across the fixed population of N
-contributors, so one effort function e*(t) (sampled on a type grid) serves
+Stage-II symmetry: one effort function e*(t) (sampled on a type grid) serves
 every player. The equilibrium condition at an active type t is
 
     E[ (e0 + E_-i) / (e0 + e + E_-i)^2 ] * b(t) = 1,
 
-with the expectation over N-1 opponent types drawn from the prior; b(t) is
+with the expectation over the opponents' types drawn from the prior; b(t) is
 the strategy's effective maximum reward at joining time t.
 """
 
@@ -24,6 +27,10 @@ from .numerics import RngSeed, SolverSettings, bisect, spawn_rng
 from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 
 BNE_SETTINGS = SolverSettings(abs_tol=1e-8, max_iter=2000, damping=0.5)
+#: bisection settings of the scalar termination-time BNE
+TERMINATION_SETTINGS = SolverSettings(abs_tol=1e-12)
+#: nodes of the 1-d quantile-midpoint quadratures of Stage I
+QUAD_POINTS = 4096
 #: maximum relative Monte Carlo standard error tolerated in the BNE condition
 MC_NOISE_LIMIT = 0.10
 #: step cap of the safeguarded Newton best response
@@ -317,8 +324,12 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     first iterate). Each best response warm-starts its Newton solve from the
     previous one. Returns G(x) once ||G(x) - x||_inf <= abs_tol; raises
     NoConvergence with the last iterate after max_iter best responses and
-    MonteCarloNoise when the panel is too small for the result.
+    MonteCarloNoise when the panel is too small for the result. A panel
+    without opponent columns leaves a lone contributor against nature, whose
+    effort max(sqrt(b(t) e0) - e0, 0) is returned in closed form.
     """
+    if opp_panel.shape[1] == 0:
+        return TypeGrid(times, np.maximum(np.sqrt(b_t * e0) - e0, 0.0), b_t)
     op = _interp_operator(opp_panel, times)
     beta = settings.damping
     x = np.where(b_t > e0, 0.25 * b_t, 0.0)
@@ -351,18 +362,17 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     return grid
 
 
-def _solve_grid_bne(config: BayesianConfig, times: np.ndarray, b_t: np.ndarray,
-                    mc_samples: int, seed: RngSeed,
-                    settings: SolverSettings) -> TypeGrid:
-    e0 = config.nature_effort
+def _solve_grid_bne(config: BayesianConfig, grid_size: int, mc_samples: int,
+                    seed: RngSeed, settings: SolverSettings) -> TypeGrid:
+    """Grid BNE of a closed config on a quantile-spaced grid, against a panel
+    of N-1 opponent types drawn from the prior."""
+    times = _grid_times(config.join_model, grid_size)
     n_opp = config.n_players - 1
-    if n_opp == 0:
-        efforts = np.maximum(np.sqrt(b_t * e0) - e0, 0.0)
-        return TypeGrid(times, efforts, b_t)
     rng = spawn_rng(seed, 0x5e11)
     opp_types = config.join_model.sample(rng, mc_samples * n_opp) \
         .reshape(mc_samples, n_opp)
-    return _iterate_grid_bne(times, b_t, opp_types, e0, settings)
+    return _iterate_grid_bne(times, reward_schedule(config, times), opp_types,
+                             config.nature_effort, settings)
 
 
 def solve_bne_earliest_n(config: BayesianConfig, grid_size: int = 64,
@@ -371,9 +381,7 @@ def solve_bne_earliest_n(config: BayesianConfig, grid_size: int = 64,
     """Stage-II BNE of the earliest-n strategy on a quantile-spaced grid."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    times = _grid_times(config.join_model, grid_size)
-    return _solve_grid_bne(config, times, reward_schedule(config, times),
-                           mc_samples, seed, settings)
+    return _solve_grid_bne(config, grid_size, mc_samples, seed, settings)
 
 
 def solve_bne_linear(config: BayesianConfig, grid_size: int = 64,
@@ -383,9 +391,7 @@ def solve_bne_linear(config: BayesianConfig, grid_size: int = 64,
     earliest-n with b(t) = max(0, b - h t))."""
     if not isinstance(config.strategy, LinearDecay):
         raise InvalidInput("config.strategy must be LinearDecay")
-    times = _grid_times(config.join_model, grid_size)
-    return _solve_grid_bne(config, times, reward_schedule(config, times),
-                           mc_samples, seed, settings)
+    return _solve_grid_bne(config, grid_size, mc_samples, seed, settings)
 
 
 def participation_threshold(grid: TypeGrid, config: BayesianConfig) -> float:
@@ -423,35 +429,40 @@ def _binom_pmf(k: np.ndarray, m: int, p: float) -> np.ndarray:
     return np.array([math.comb(m, int(j)) for j in k]) * p ** k * (1 - p) ** (m - k)
 
 
-def solve_bne_termination(n_players: int, p: float, b: float, e0: float,
-                          settings: SolverSettings = SolverSettings(abs_tol=1e-12)
-                          ) -> float:
-    """Symmetric BNE effort of the termination-time strategy.
+def _termination_effort(pk: np.ndarray, b: float, e0: float,
+                        settings: SolverSettings) -> float:
+    """Symmetric in-time effort against k in-time opponents, k ~ pk[k]: the
+    root of
+        sum_k pk[k] b (e0 + k e) / (e0 + (k+1) e)^2 = 1,
+    whose left side is strictly decreasing in e, by bisection on
+    [1e-12 b, b]. Returns 0 when even effort 1e-12 b cannot break even: when
+    b <= e0, when e0 = 0 and no opponent is ever in time (any positive
+    effort then wins b), and when the root lies below 1e-12 b."""
+    k = np.arange(pk.size)
 
-    p = F(T) is the probability an opponent joins in time. The effort solves
-        sum_k P(k, N-1) b (e0 + k e) / (e0 + (k+1) e)^2 = 1,
-    whose left side is strictly decreasing in e, by bisection; returns 0 when
-    even vanishing effort cannot break even.
-    """
+    def lhs_minus_one(e: float) -> float:
+        return float(np.sum(pk * b * (e0 + k * e) / (e0 + (k + 1) * e) ** 2)) - 1.0
+
+    lo = 1e-12 * b
+    if lhs_minus_one(lo) < 0:
+        return 0.0
+    return bisect(lhs_minus_one, lo, b, settings)
+
+
+def solve_bne_termination(n_players: int, p: float, b: float, e0: float,
+                          settings: SolverSettings = TERMINATION_SETTINGS
+                          ) -> float:
+    """Symmetric BNE effort of the termination-time strategy: p = F(T) is the
+    probability an opponent joins in time, so the number of in-time
+    opponents is Binomial(N-1, p)."""
     if n_players < 1:
         raise InvalidInput("n_players must be >= 1")
     if not 0 <= p <= 1:
         raise InvalidInput("p must lie in [0, 1]")
     if b <= 0 or e0 < 0:
         raise InvalidInput("need b > 0 and e0 >= 0")
-    k = np.arange(n_players)
-    pk = _binom_pmf(k, n_players - 1, p)
-
-    def lhs_minus_one(e: float) -> float:
-        return float(np.sum(pk * b * (e0 + k * e) / (e0 + (k + 1) * e) ** 2)) - 1.0
-
-    if e0 > 0:
-        if b <= e0:
-            return 0.0
-    else:
-        if n_players == 1 or p == 0.0:
-            return 0.0
-    return max(bisect(lhs_minus_one, 1e-12 * b, b, settings), 0.0)
+    pk = _binom_pmf(np.arange(n_players), n_players - 1, p)
+    return _termination_effort(pk, b, e0, settings)
 
 
 def termination_effort_e0_zero(n_players: int, p: float, b: float) -> float:
@@ -461,47 +472,46 @@ def termination_effort_e0_zero(n_players: int, p: float, b: float) -> float:
     return float(np.sum(pk * k * b / (k + 1) ** 2))
 
 
-def _weight_under_f(config: BayesianConfig, upto: float,
-                    quad_points: int = 4096) -> float:
-    """integral_0^T w(t) f(t) dt by quantile-midpoint quadrature."""
-    p = float(config.join_model.cdf(upto))
-    if p <= 0:
-        return 0.0
-    us = (np.arange(quad_points) + 0.5) / quad_points * p
-    ts = config.join_model.quantile(us)
-    return float(np.mean(config.weightfn(ts))) * p
+def _termination_report(deadline: float, b: float, e0: float, e_star: float,
+                        pm: np.ndarray, w_bar: float) -> StageOneReport:
+    """Stage-I metrics of a termination strategy with in-time effort e*, from
+    the pmf pm[m-1] of the in-time count m = 1, 2, ... and the mean weight
+    w_bar of an in-time contributor:
+        E[U] = sum_m P(m) m e* w_bar,
+        E[R] = sum_m P(m) b m e* / (e0 + m e*),
+        E[Eff] = sum_m P(m) (e0 + m e*) w_bar / b.
+    The empty contest (m = 0) pays nothing and counts as zero efficiency."""
+    m = np.arange(1, pm.size + 1)
+    utility = float(np.sum(pm * m * e_star)) * w_bar
+    payment = float(np.sum(pm * b * m * e_star / (e0 + m * e_star))) \
+        if e_star > 0 else 0.0
+    efficiency = float(np.sum(pm * (e0 + m * e_star))) * w_bar / b
+    return StageOneReport(parameter=deadline, calibrated_b=b,
+                          expected_utility=utility,
+                          expected_payment=payment, payment_stderr=0.0,
+                          expected_efficiency=efficiency, efficiency_stderr=0.0)
 
 
 def stage1_metrics_termination(config: BayesianConfig,
                                e_star: float | None = None,
-                               settings: SolverSettings = SolverSettings(abs_tol=1e-12)
+                               settings: SolverSettings = TERMINATION_SETTINGS
                                ) -> StageOneReport:
-    """Closed-form Stage-I metrics for the termination strategy:
-    E[U] = e* N Iwf,  E[R] = sum_{k>=1} P(k,N) b k e*/(e0 + k e*),
-    E[Eff] = (e0/(b p) (1-(1-p)^N) + N e*/b) Iwf, with Iwf = int_0^T w f dt.
-    The empty contest (k = 0) counts as zero efficiency."""
+    """Closed-form Stage-I metrics for the termination strategy: the in-time
+    count is Binomial(N, p) with p = F(T), and the mean in-time weight comes
+    from quantile-midpoint quadrature of w under F on [0, T]. This gives the
+    paper's E[U] = e* N Iwf and E[Eff] = (e0/(b p) (1-(1-p)^N) + N e*/b) Iwf
+    with Iwf = int_0^T w f dt."""
     if not isinstance(config.strategy, Termination):
         raise InvalidInput("config.strategy must be Termination")
     t_end = config.strategy.deadline
-    b, e0 = config.max_reward, config.nature_effort
+    b, e0, n = config.max_reward, config.nature_effort, config.n_players
     p = float(config.join_model.cdf(t_end))
     if e_star is None:
-        e_star = solve_bne_termination(config.n_players, p, b, e0, settings)
-    iwf = _weight_under_f(config, t_end)
-    n = config.n_players
-    utility = e_star * n * iwf
-    k = np.arange(1, n + 1)
-    pk = _binom_pmf(k, n, p)
-    payment = float(np.sum(pk * b * k * e_star / (e0 + k * e_star))) \
-        if e_star > 0 else 0.0
-    if p > 0:
-        efficiency = (e0 / (b * p) * (1.0 - (1.0 - p) ** n) + n * e_star / b) * iwf
-    else:
-        efficiency = 0.0
-    return StageOneReport(parameter=t_end, calibrated_b=b,
-                          expected_utility=utility,
-                          expected_payment=payment, payment_stderr=0.0,
-                          expected_efficiency=efficiency, efficiency_stderr=0.0)
+        e_star = solve_bne_termination(n, p, b, e0, settings)
+    us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
+    w_bar = float(np.mean(config.weightfn(config.join_model.quantile(us))))
+    pm = _binom_pmf(np.arange(1, n + 1), n, p)
+    return _termination_report(t_end, b, e0, e_star, pm, w_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -527,18 +537,33 @@ def _realized_rewards(config: BayesianConfig, draws: np.ndarray) -> np.ndarray:
     return np.where(draws <= s.deadline, b, 0.0)
 
 
+def _mc_metrics(efforts: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
+                e0: float) -> dict:
+    """Payment and efficiency means with their standard errors over Monte
+    Carlo draws (rows of `efforts`), as StageOneReport fields: a draw pays
+    paid / (e0 + sum of efforts) and scores util_draw (e0 + sum of efforts) /
+    paid, with zero efficiency charged when nothing is paid out."""
+    mc_samples = efforts.shape[0]
+    denom = e0 + np.sum(efforts, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        payment = np.where(denom > 0, paid / denom, 0.0)
+        eff = np.where(paid > 0, util_draw * denom / paid, 0.0)
+    return dict(
+        expected_payment=float(np.mean(payment)),
+        payment_stderr=float(np.std(payment, ddof=1) / math.sqrt(mc_samples)),
+        expected_efficiency=float(np.mean(eff)),
+        efficiency_stderr=float(np.std(eff, ddof=1) / math.sqrt(mc_samples)))
+
+
 def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
                       mc_samples: int = 100_000, seed: RngSeed = 1,
-                      quad_points: int = 4096) -> StageOneReport:
+                      quad_points: int = QUAD_POINTS) -> StageOneReport:
     """Stage-I metrics by Monte Carlo over joint type draws.
 
     E[U] comes from 1-d quantile quadrature of N w(t) e*(t) f(t); the payment
-    and efficiency expectations average the per-draw reward allocation, with
-    zero efficiency charged when nothing is paid out.
+    and efficiency expectations average the per-draw reward allocation.
     """
     n = config.n_players
-    b, e0 = config.max_reward, config.nature_effort
-
     us = (np.arange(quad_points) + 0.5) / quad_points
     ts = config.join_model.quantile(us)
     utility = n * float(np.mean(np.asarray(config.weightfn(ts)) * grid.interp(ts)))
@@ -546,23 +571,12 @@ def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
     rng = spawn_rng(seed, 0x51a6e1)
     draws = config.join_model.sample(rng, mc_samples * n).reshape(mc_samples, n)
     efforts = grid.interp(draws)
-    rewards = _realized_rewards(config, draws)
-    paid = np.sum(efforts * rewards, axis=1)
-    denom = e0 + np.sum(efforts, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        payment = np.where(denom > 0, paid / denom, 0.0)
-        util_draw = np.sum(np.asarray(config.weightfn(draws)) * efforts, axis=1)
-        eff = np.where(paid > 0, util_draw * denom / paid, 0.0)
-    pay_mean = float(np.mean(payment))
-    pay_se = float(np.std(payment, ddof=1) / math.sqrt(mc_samples))
-    eff_mean = float(np.mean(eff))
-    eff_se = float(np.std(eff, ddof=1) / math.sqrt(mc_samples))
-
-    param = _strategy_parameter(config.strategy)
-    return StageOneReport(parameter=param, calibrated_b=b,
-                          expected_utility=utility,
-                          expected_payment=pay_mean, payment_stderr=pay_se,
-                          expected_efficiency=eff_mean, efficiency_stderr=eff_se)
+    paid = np.sum(efforts * _realized_rewards(config, draws), axis=1)
+    util_draw = np.sum(np.asarray(config.weightfn(draws)) * efforts, axis=1)
+    return StageOneReport(parameter=_strategy_parameter(config.strategy),
+                          calibrated_b=config.max_reward, expected_utility=utility,
+                          **_mc_metrics(efforts, paid, util_draw,
+                                        config.nature_effort))
 
 
 def _strategy_parameter(s: Strategy) -> float:
@@ -647,11 +661,20 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
                         iterations=max_steps)
 
 
-def _payment_of(stage1_at):
-    """calibrate_b's payment_at for a Stage-I evaluation b -> (grid, report)."""
+def _payment_at(config, solve, stage1, rescale: bool):
+    """calibrate_b's payment_at(b) -> (E[R], stderr, (solution, report)) for a
+    closed or open config: solve(cfg) is the Stage-II solution at cfg's
+    reward and stage1(cfg, solution) its Stage-I report. With `rescale` (the
+    earliest-n grids, homogeneous in b) Stage II is solved once at the
+    configured reward and scaled to each candidate b; otherwise it is
+    re-solved at each candidate."""
+    base = solve(config) if rescale else None
+
     def payment_at(b: float):
-        grid, report = stage1_at(b)
-        return report.expected_payment, report.payment_stderr, (grid, report)
+        cfg = config.with_reward(b)
+        solution = base.scaled(b / config.max_reward) if rescale else solve(cfg)
+        report = stage1(cfg, solution)
+        return report.expected_payment, report.payment_stderr, (solution, report)
     return payment_at
 
 
@@ -664,33 +687,25 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     effort grid, or the flat in-time effort e* of a termination strategy.
 
     Earliest-n and termination systems scale linearly in b (the stored
-    e0_ratio ties the nature effort to b), so Stage II is solved once at the
-    configured b and rescaled; linear decay re-solves per candidate because a
-    fixed velocity breaks the scaling.
+    e0_ratio ties the nature effort to b); the earliest-n grid is solved once
+    and rescaled. Linear decay re-solves per candidate because a fixed
+    velocity breaks the scaling.
     """
     s = config.strategy
     if isinstance(s, Termination):
         p = float(config.join_model.cdf(s.deadline))
-
-        def stage1_at(b: float):
-            cfg = config.with_reward(b)
-            e_star = solve_bne_termination(cfg.n_players, p, b, cfg.nature_effort)
-            return e_star, stage1_metrics_termination(cfg, e_star)
-    elif isinstance(s, EarliestN):
-        base = solve_bne_earliest_n(config, grid_size, mc_samples, seed, settings)
-
-        def stage1_at(b: float):
-            grid = base.scaled(b / config.max_reward)
-            return grid, stage1_metrics_mc(config.with_reward(b), grid,
-                                           stage1_samples, seed + 1)
+        payment_at = _payment_at(
+            config,
+            lambda cfg: solve_bne_termination(cfg.n_players, p, cfg.max_reward,
+                                              cfg.nature_effort),
+            stage1_metrics_termination, rescale=False)
     else:
-        def stage1_at(b: float):
-            cfg = config.with_reward(b)
-            grid = solve_bne_linear(cfg, grid_size, mc_samples, seed, settings)
-            return grid, stage1_metrics_mc(cfg, grid, stage1_samples, seed + 1)
-
-    _, result = calibrate_b(_payment_of(stage1_at), config.budget,
-                            b_hint=config.max_reward,
+        solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
+        payment_at = _payment_at(
+            config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, settings),
+            lambda cfg, grid: stage1_metrics_mc(cfg, grid, stage1_samples, seed + 1),
+            rescale=isinstance(s, EarliestN))
+    _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward,
                             assume_linear=scales_with_reward(s))
     return result
 

@@ -1,7 +1,9 @@
 """Open crowdsensing system: contributors arrive as a Poisson process and
-compete under the earliest-n or termination-time strategy. Stage-II solvers
-mirror the closed system with arrival-sequence priors; Stage-I metrics use
-the collapsed conditional-efficiency closed form where it exists.
+compete under the earliest-n or termination-time strategy. The game and its
+two-stage pipeline are those of the closed system (`bayesian_closed`); this
+module supplies only the open system's prior: the Poisson type grid, the
+arrival-sequence panels, the meeting-count and in-time count pmfs and the
+mean in-time weight.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayesian_closed import (StageOneReport, TypeGrid, calibrate_b,
-                              _iterate_grid_bne, _payment_of)
+from .bayesian_closed import (BNE_SETTINGS, TERMINATION_SETTINGS, StageOneReport,
+                              TypeGrid, calibrate_b, _iterate_grid_bne, _mc_metrics,
+                              _payment_at, _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, SolverSettings, bisect, golden_section_max, spawn_rng
-from .timing import (ConstantWeight, PoissonModel, WeightFunction,
+from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
                      sample_arrival_sequences)
 
-OPEN_BNE_SETTINGS = SolverSettings(abs_tol=1e-8, max_iter=2000, damping=0.5)
 _TAIL_MASS = 1e-10
 
 
@@ -108,7 +110,7 @@ def _open_grid_times(config: OpenConfig, n: int, grid_size: int) -> np.ndarray:
 
 def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
                               mc_samples: int = 20_000, seed: RngSeed = 0,
-                              settings: SolverSettings = OPEN_BNE_SETTINGS
+                              settings: SolverSettings = BNE_SETTINGS
                               ) -> TypeGrid:
     """Stage-II BNE with b(s) = b P(N(s) <= n-1); after isolating the tagged
     contributor, opponents form a fresh (M-1)-epoch Poisson sequence."""
@@ -117,14 +119,10 @@ def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
     n = config.strategy.n
     times = _open_grid_times(config, n, grid_size)
     b_t = config.max_reward * open_earliest_n_prob(config.poisson.rate, times, n)
-    e0 = config.nature_effort
-    n_opp = config.poisson.truncation - 1
-    if n_opp == 0:
-        return TypeGrid(times, np.maximum(np.sqrt(b_t * e0) - e0, 0.0), b_t)
-
     rng = spawn_rng(seed, 0x09e4)
-    opp_epochs = sample_arrival_sequences(config.poisson, rng, mc_samples, n_opp)
-    return _iterate_grid_bne(times, b_t, opp_epochs, e0, settings)
+    opp_epochs = sample_arrival_sequences(config.poisson, rng, mc_samples,
+                                          config.poisson.truncation - 1)
+    return _iterate_grid_bne(times, b_t, opp_epochs, config.nature_effort, settings)
 
 
 def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
@@ -135,24 +133,16 @@ def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
     if not isinstance(config.strategy, OpenEarliestN):
         raise InvalidInput("config.strategy must be OpenEarliestN")
     n = config.strategy.n
-    b, e0 = config.max_reward, config.nature_effort
+    b = config.max_reward
     rng = spawn_rng(seed, 0x07e4)
     epochs = sample_arrival_sequences(config.poisson, rng, mc_samples)
     efforts = np.interp(epochs, grid.times, grid.efforts)
-    weights = np.asarray(config.weightfn(epochs))
-    util_draw = np.sum(weights * efforts, axis=1)
+    util_draw = np.sum(np.asarray(config.weightfn(epochs)) * efforts, axis=1)
     paid = b * np.sum(efforts[:, :n], axis=1)
-    denom = e0 + np.sum(efforts, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        payment = np.where(denom > 0, paid / denom, 0.0)
-        eff = np.where(paid > 0, util_draw * denom / paid, 0.0)
-    return StageOneReport(
-        parameter=float(n), calibrated_b=b,
-        expected_utility=float(np.mean(util_draw)),
-        expected_payment=float(np.mean(payment)),
-        payment_stderr=float(np.std(payment, ddof=1) / math.sqrt(mc_samples)),
-        expected_efficiency=float(np.mean(eff)),
-        efficiency_stderr=float(np.std(eff, ddof=1) / math.sqrt(mc_samples)))
+    return StageOneReport(parameter=float(n), calibrated_b=b,
+                          expected_utility=float(np.mean(util_draw)),
+                          **_mc_metrics(efforts, paid, util_draw,
+                                        config.nature_effort))
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +183,14 @@ def _truncated_meeting_pmf(rate: float, deadline: float) -> np.ndarray:
 
 
 def solve_bne_open_termination(config: OpenConfig,
-                               settings: SolverSettings = SolverSettings(abs_tol=1e-12)
+                               settings: SolverSettings = TERMINATION_SETTINGS
                                ) -> float:
-    """Symmetric in-time effort: bisection on
-    sum_k P(k, inf) b (e0 + k e) / (e0 + (k+1) e)^2 = 1 (strictly decreasing
-    left side), with the k-sum truncated by tail mass."""
+    """Symmetric in-time effort against the truncated meeting-count pmf
+    P(k, inf)."""
     if not isinstance(config.strategy, OpenTermination):
         raise InvalidInput("config.strategy must be OpenTermination")
-    b, e0 = config.max_reward, config.nature_effort
     pk = _truncated_meeting_pmf(config.poisson.rate, config.strategy.deadline)
-    k = np.arange(pk.size)
-
-    def lhs_minus_one(e: float) -> float:
-        return float(np.sum(pk * b * (e0 + k * e) / (e0 + (k + 1) * e) ** 2)) - 1.0
-
-    if e0 > 0 and b <= e0:
-        return 0.0
-    return max(bisect(lhs_minus_one, 1e-12 * b, b, settings), 0.0)
+    return _termination_effort(pk, config.max_reward, config.nature_effort, settings)
 
 
 def open_termination_conditional_eff(m: int, e_star: float, b: float,
@@ -228,59 +209,41 @@ def open_termination_conditional_eff(m: int, e_star: float, b: float,
 
 def stage1_open_termination(config: OpenConfig, e_star: float | None = None
                             ) -> StageOneReport:
-    """Closed-form Stage-I metrics for the open termination strategy:
-    expectations over the arrival count m ~ Poisson(rate T), with the
-    conditional efficiency collapsed through the order-statistics identity."""
+    """Closed-form Stage-I metrics for the open termination strategy: the
+    in-time count is Poisson(rate T), truncated at M, and in-time joining
+    epochs are uniform on [0, T], so the mean in-time weight is
+    integral_0^T w(x) dx / T."""
     if not isinstance(config.strategy, OpenTermination):
         raise InvalidInput("config.strategy must be OpenTermination")
     t_end = config.strategy.deadline
-    b, e0 = config.max_reward, config.nature_effort
     if e_star is None:
         e_star = solve_bne_open_termination(config)
-    rate = config.poisson.rate
-    lam_t = rate * t_end
-    m_max = config.poisson.truncation
-    m = np.arange(1, m_max + 1)
-    log_pmf = m * math.log(lam_t) - lam_t - np.array(
-        [math.lgamma(j + 1.0) for j in m])
-    pmf = np.exp(log_pmf)
-    iw = config.weightfn.integral(0.0, t_end)
-
-    utility = float(np.sum(pmf * m * e_star)) * iw / t_end
-    payment = float(np.sum(pmf * b * m * e_star / (e0 + m * e_star))) \
-        if e_star > 0 else 0.0
-    efficiency = float(np.sum(pmf * (e0 + m * e_star))) * iw / (b * t_end)
-    return StageOneReport(parameter=t_end, calibrated_b=b,
-                          expected_utility=utility,
-                          expected_payment=payment, payment_stderr=0.0,
-                          expected_efficiency=efficiency, efficiency_stderr=0.0)
+    pm = poisson_pmf(config.poisson, t_end, np.arange(1, config.poisson.truncation + 1))
+    w_bar = config.weightfn.integral(0.0, t_end) / t_end
+    return _termination_report(t_end, config.max_reward, config.nature_effort,
+                               e_star, pm, w_bar)
 
 
 def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                           seed: RngSeed = 0,
-                           settings: SolverSettings = OPEN_BNE_SETTINGS
+                           seed: RngSeed = 0, settings: SolverSettings = BNE_SETTINGS
                            ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward: the effort grid, or the in-time effort e* of the
     termination strategy (both open strategies scale linearly in b because
     e0 tracks b)."""
     if isinstance(config.strategy, OpenTermination):
-        def stage1_at(b: float):
-            cfg = config.with_reward(b)
-            e_star = solve_bne_open_termination(cfg)
-            return e_star, stage1_open_termination(cfg, e_star)
+        payment_at = _payment_at(config, solve_bne_open_termination,
+                                 stage1_open_termination, rescale=False)
     else:
-        base = solve_bne_open_earliest_n(config, grid_size, mc_samples, seed,
-                                         settings)
-
-        def stage1_at(b: float):
-            grid = base.scaled(b / config.max_reward)
-            return grid, stage1_open_earliest_n(config.with_reward(b), grid,
-                                                stage1_samples, seed + 1)
-
-    _, result = calibrate_b(_payment_of(stage1_at), config.budget,
-                            b_hint=config.max_reward)
+        payment_at = _payment_at(
+            config,
+            lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,
+                                                  settings),
+            lambda cfg, grid: stage1_open_earliest_n(cfg, grid, stage1_samples,
+                                                     seed + 1),
+            rescale=True)
+    _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)
     return result
 
 

@@ -183,6 +183,12 @@ class TestTerminationSolver:
     def test_nonparticipation(self):
         assert solve_bne_termination(3, 0.5, 1.0, 1.2) == 0.0
 
+    def test_root_below_the_bracket_reads_zero(self):
+        # the effort tends to 0 as e0 nears b, or as opponents are almost
+        # never in time at e0 = 0; below the bracket's 1e-12 b it is 0
+        assert solve_bne_termination(1, 0.5, 1.0, 1.0 - 2.0 ** -53) == 0.0
+        assert solve_bne_termination(5, 1e-13, 1.0, 0.0) == 0.0
+
 
 class TestTerminationStage1:
     def test_matches_complete_info_efficiency(self):
@@ -225,6 +231,28 @@ class TestTerminationStage1:
         assert abs(mc.expected_efficiency - rep.expected_efficiency) <= \
             3 * mc.efficiency_stderr + 1e-9
         assert abs(mc.expected_utility - rep.expected_utility) <= 1e-3
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), p=st.floats(1e-300, 1.0), e0_ratio=st.floats(0.0, 1.0),
+           cut=st.floats(0.01, 1.0), low=st.floats(0.0, 1.0))
+    def test_report_matches_the_paper_closed_forms(self, n, p, e0_ratio, cut, low):
+        # the report sums over the in-time count m ~ Binomial(N, p); the paper
+        # writes the same expectations as E[U] = e* N Iwf and
+        # E[Eff] = (e0/(b p) (1 - (1-p)^N) + N e*/b) Iwf. The absolute floor
+        # only admits products that underflow to subnormals.
+        w = StepWeight((0.0, cut), (1.0, low))
+        cfg = BayesianConfig(n_players=n, strategy=Termination(p), join_model=UNIFORM01,
+                             weightfn=w, e0_ratio=e0_ratio)
+        rep = stage1_metrics_termination(cfg)
+        e_star = solve_bne_termination(n, p, 1.0, e0_ratio)
+        us = (np.arange(bayesian_closed.QUAD_POINTS) + 0.5) / bayesian_closed.QUAD_POINTS
+        iwf = p * float(np.mean(w(UNIFORM01.quantile(us * p))))
+        # 1 - (1-p)^N without cancellation at small p
+        some_in_time = 1.0 if p == 1.0 else -math.expm1(n * math.log1p(-p))
+        assert rep.expected_utility == pytest.approx(e_star * n * iwf, rel=1e-12,
+                                                     abs=1e-300)
+        assert rep.expected_efficiency == pytest.approx(
+            (e0_ratio / p * some_in_time + n * e_star) * iwf, rel=1e-12, abs=1e-300)
 
     def test_step_weights_enter_through_the_integral(self):
         w = StepWeight((0.0, 0.5), (1.0, 0.0))

@@ -36,6 +36,11 @@ breakpoints = 0,1.5,3,6
 values = 1,0.6,0.2,0
 """
 
+#: SMALL_SPEC's sweep in the open system, and a small open termination sweep
+OPEN_SPEC = SMALL_SPEC.replace("mode = closed", "mode = open\nrate = 5\ntruncation = 6")
+OPEN_TERMINATION_SPEC = OPEN_SPEC.replace("strategy = earliest_n", "strategy = termination") \
+    .replace("sweep = 2,3,4", "sweep = 0.2,0.5,1.0")
+
 TERMINATION_SPEC = """
 [experiment]
 name = tt
@@ -180,9 +185,7 @@ scale = 1
     def test_derived_contour_matches_full_calibration(self, tmp_path, mode):
         # the budget-2 contour row is scaled from the budget-1 calibration;
         # a full calibration at budget 2 must give the same reward scale
-        text = SMALL_SPEC if mode == "closed" else SMALL_SPEC.replace(
-            "mode = closed", "mode = open\nrate = 5\ntruncation = 6")
-        spec = parse_spec(text)
+        spec = parse_spec(SMALL_SPEC if mode == "closed" else OPEN_SPEC)
         paths = run_spec(spec, out_dir=tmp_path)
         _, rows = _read_rows(paths[2])
         [row] = [r for r in rows if r["budget"] == "2.0" and r["n"] == "3"]
@@ -206,11 +209,15 @@ scale = 1
         for p1, p2 in zip(first, second):
             assert p1.read_bytes() == p2.read_bytes()
 
-    def test_worker_count_never_changes_output(self, tmp_path, monkeypatch):
-        spec = parse_spec(SMALL_SPEC)
+    @pytest.mark.parametrize("text", [SMALL_SPEC, OPEN_SPEC, OPEN_TERMINATION_SPEC],
+                             ids=["closed", "open-earliest-n", "open-termination"])
+    def test_worker_count_never_changes_output(self, tmp_path, monkeypatch, text):
+        spec = parse_spec(text)
+        monkeypatch.setenv("CROWDCONTEST_THREADS", "1")
         serial = run_spec(spec, out_dir=tmp_path / "serial")
         monkeypatch.setenv("CROWDCONTEST_THREADS", "4")
         threaded = run_spec(spec, out_dir=tmp_path / "threaded")
+        assert [p.name for p in serial] == [p.name for p in threaded]
         for p1, p2 in zip(serial, threaded):
             assert p1.read_bytes() == p2.read_bytes()
 

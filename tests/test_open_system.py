@@ -101,6 +101,10 @@ class TestOpenTerminationSolver:
     def test_priced_out(self):
         assert solve_bne_open_termination(open_tt(1.0, 1.0, e0_ratio=1.5)) == 0.0
 
+    def test_nobody_to_meet_without_nature(self):
+        # rate T = 1e-11: the truncated meeting pmf keeps only k = 0
+        assert solve_bne_open_termination(open_tt(1.0, 1e-11, e0_ratio=0.0)) == 0.0
+
 
 class TestOpenEarliestNSolver:
     def test_lone_contributor_closed_form(self):
