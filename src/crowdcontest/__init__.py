@@ -31,8 +31,7 @@ from .timing import (ConstantWeight, EmpiricalJoinTimes, ExponentialJoinTimes,
                      StepWeight, TableJoinTimes, TableWeight, UniformJoinTimes,
                      ingest_trace, ingest_trace_file, parse_trace_file,
                      poisson_pmf, sample_arrival_sequences)
-from .numerics import (SolverSettings, bisect, fixed_point, golden_section_max,
-                       spawn_rng)
+from .numerics import bisect, fixed_point, golden_section_max, spawn_rng
 from . import errors
 
 __version__ = "0.1.0"

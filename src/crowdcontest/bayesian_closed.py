@@ -23,12 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleBudget, InvalidInput, MonteCarloNoise, NoConvergence
-from .numerics import RngSeed, SolverSettings, bisect, spawn_rng
+from .numerics import RngSeed, bisect, spawn_rng
 from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 
-BNE_SETTINGS = SolverSettings(abs_tol=1e-8, max_iter=2000, damping=0.5)
-#: bisection settings of the scalar termination-time BNE
-TERMINATION_SETTINGS = SolverSettings(abs_tol=1e-12)
+#: tolerance, best-response cap and Anderson mixing weight of the grid BNE
+BNE_TOL = 1e-8
+BNE_STEPS = 2000
+ANDERSON_WEIGHT = 0.5
+#: bisection tolerance of the scalar termination-time BNE
+TERMINATION_TOL = 1e-12
 #: nodes of the 1-d quantile-midpoint quadratures of Stage I
 QUAD_POINTS = 4096
 #: maximum relative Monte Carlo standard error tolerated in the BNE condition
@@ -304,8 +307,7 @@ def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
 
 
 def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
-                      opp_panel: np.ndarray, e0: float,
-                      settings: SolverSettings) -> TypeGrid:
+                      opp_panel: np.ndarray, e0: float) -> TypeGrid:
     """Best-response iteration on the type grid against a fixed panel of
     opponent draws (common random numbers, so the best-response map G is
     deterministic).
@@ -314,7 +316,7 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     which are linear in the effort grid e; the interpolation operator M is
     built once. The fixed point is found by depth-1 Anderson mixing (Walker
     & Ni, SIAM J. Numer. Anal. 49(4), 2011) with mixing weight
-    beta = settings.damping: with the residual f = G(x) - x and the changes
+    beta = ANDERSON_WEIGHT: with the residual f = G(x) - x and the changes
     dx, df since the previous iterate,
 
         x <- max(x + beta f - gamma (dx + beta df), 0),
@@ -322,8 +324,8 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
     which is the plain damped step x + beta f when df . df = 0 (and at the
     first iterate). Each best response warm-starts its Newton solve from the
-    previous one. Returns G(x) once ||G(x) - x||_inf <= abs_tol; raises
-    NoConvergence with the last iterate after max_iter best responses and
+    previous one. Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises
+    NoConvergence with the last iterate after BNE_STEPS best responses and
     MonteCarloNoise when the panel is too small for the result. A panel
     without opponent columns leaves a lone contributor against nature, whose
     effort max(sqrt(b(t) e0) - e0, 0) is returned in closed form.
@@ -331,15 +333,15 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     if opp_panel.shape[1] == 0:
         return TypeGrid(times, np.maximum(np.sqrt(b_t * e0) - e0, 0.0), b_t)
     op = _interp_operator(opp_panel, times)
-    beta = settings.damping
+    beta = ANDERSON_WEIGHT
     x = np.where(b_t > e0, 0.25 * b_t, 0.0)
     br = x_prev = f_prev = None
     residual = math.inf
-    for _ in range(settings.max_iter):
-        br = _expected_best_responses(e0 + op @ x, b_t, settings.abs_tol, br)
+    for _ in range(BNE_STEPS):
+        br = _expected_best_responses(e0 + op @ x, b_t, BNE_TOL, br)
         f = br - x
         residual = float(np.max(np.abs(f)))
-        if residual <= settings.abs_tol:
+        if residual <= BNE_TOL:
             break
         step = beta * f
         if f_prev is not None:
@@ -351,7 +353,7 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
         x = np.maximum(x + step, 0.0)
     else:
         raise NoConvergence("grid BNE iteration stalled", last=x,
-                            residual=residual, iterations=settings.max_iter)
+                            residual=residual, iterations=BNE_STEPS)
 
     grid = TypeGrid(times, br, b_t)
     noise = _bne_condition_noise(e0 + op @ br, grid)
@@ -363,7 +365,7 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
 
 def _solve_grid_bne(config: BayesianConfig, grid_size: int, mc_samples: int,
-                    seed: RngSeed, settings: SolverSettings) -> TypeGrid:
+                    seed: RngSeed) -> TypeGrid:
     """Grid BNE of a closed config on a quantile-spaced grid, against a panel
     of N-1 opponent types drawn from the prior."""
     times = _grid_times(config.join_model, grid_size)
@@ -372,26 +374,24 @@ def _solve_grid_bne(config: BayesianConfig, grid_size: int, mc_samples: int,
     opp_types = config.join_model.sample(rng, mc_samples * n_opp) \
         .reshape(mc_samples, n_opp)
     return _iterate_grid_bne(times, reward_schedule(config, times), opp_types,
-                             config.nature_effort, settings)
+                             config.nature_effort)
 
 
 def solve_bne_earliest_n(config: BayesianConfig, grid_size: int = 64,
-                         mc_samples: int = 20_000, seed: RngSeed = 0,
-                         settings: SolverSettings = BNE_SETTINGS) -> TypeGrid:
+                         mc_samples: int = 20_000, seed: RngSeed = 0) -> TypeGrid:
     """Stage-II BNE of the earliest-n strategy on a quantile-spaced grid."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    return _solve_grid_bne(config, grid_size, mc_samples, seed, settings)
+    return _solve_grid_bne(config, grid_size, mc_samples, seed)
 
 
 def solve_bne_linear(config: BayesianConfig, grid_size: int = 64,
-                     mc_samples: int = 20_000, seed: RngSeed = 0,
-                     settings: SolverSettings = BNE_SETTINGS) -> TypeGrid:
+                     mc_samples: int = 20_000, seed: RngSeed = 0) -> TypeGrid:
     """Stage-II BNE of the linearly-decreasing strategy (same machinery as
     earliest-n with b(t) = max(0, b - h t))."""
     if not isinstance(config.strategy, LinearDecay):
         raise InvalidInput("config.strategy must be LinearDecay")
-    return _solve_grid_bne(config, grid_size, mc_samples, seed, settings)
+    return _solve_grid_bne(config, grid_size, mc_samples, seed)
 
 
 def participation_threshold(grid: TypeGrid, config: BayesianConfig) -> float:
@@ -429,8 +429,7 @@ def _binom_pmf(k: np.ndarray, m: int, p: float) -> np.ndarray:
     return np.array([math.comb(m, int(j)) for j in k]) * p ** k * (1 - p) ** (m - k)
 
 
-def _termination_effort(pk: np.ndarray, b: float, e0: float,
-                        settings: SolverSettings) -> float:
+def _termination_effort(pk: np.ndarray, b: float, e0: float) -> float:
     """Symmetric in-time effort against k in-time opponents, k ~ pk[k]: the
     root of
         sum_k pk[k] b (e0 + k e) / (e0 + (k+1) e)^2 = 1,
@@ -446,12 +445,10 @@ def _termination_effort(pk: np.ndarray, b: float, e0: float,
     lo = 1e-12 * b
     if lhs_minus_one(lo) < 0:
         return 0.0
-    return bisect(lhs_minus_one, lo, b, settings)
+    return bisect(lhs_minus_one, lo, b, TERMINATION_TOL)
 
 
-def solve_bne_termination(n_players: int, p: float, b: float, e0: float,
-                          settings: SolverSettings = TERMINATION_SETTINGS
-                          ) -> float:
+def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> float:
     """Symmetric BNE effort of the termination-time strategy: p = F(T) is the
     probability an opponent joins in time, so the number of in-time
     opponents is Binomial(N-1, p)."""
@@ -462,7 +459,7 @@ def solve_bne_termination(n_players: int, p: float, b: float, e0: float,
     if b <= 0 or e0 < 0:
         raise InvalidInput("need b > 0 and e0 >= 0")
     pk = _binom_pmf(np.arange(n_players), n_players - 1, p)
-    return _termination_effort(pk, b, e0, settings)
+    return _termination_effort(pk, b, e0)
 
 
 def termination_effort_e0_zero(n_players: int, p: float, b: float) -> float:
@@ -493,9 +490,7 @@ def _termination_report(deadline: float, b: float, e0: float, e_star: float,
 
 
 def stage1_metrics_termination(config: BayesianConfig,
-                               e_star: float | None = None,
-                               settings: SolverSettings = TERMINATION_SETTINGS
-                               ) -> StageOneReport:
+                               e_star: float | None = None) -> StageOneReport:
     """Closed-form Stage-I metrics for the termination strategy: the in-time
     count is Binomial(N, p) with p = F(T), and the mean in-time weight comes
     from quantile-midpoint quadrature of w under F on [0, T]. This gives the
@@ -507,7 +502,7 @@ def stage1_metrics_termination(config: BayesianConfig,
     b, e0, n = config.max_reward, config.nature_effort, config.n_players
     p = float(config.join_model.cdf(t_end))
     if e_star is None:
-        e_star = solve_bne_termination(n, p, b, e0, settings)
+        e_star = solve_bne_termination(n, p, b, e0)
     us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
     w_bar = float(np.mean(config.weightfn(config.join_model.quantile(us))))
     pm = _binom_pmf(np.arange(1, n + 1), n, p)
@@ -556,15 +551,14 @@ def _mc_metrics(efforts: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
 
 
 def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
-                      mc_samples: int = 100_000, seed: RngSeed = 1,
-                      quad_points: int = QUAD_POINTS) -> StageOneReport:
+                      mc_samples: int = 100_000, seed: RngSeed = 1) -> StageOneReport:
     """Stage-I metrics by Monte Carlo over joint type draws.
 
     E[U] comes from 1-d quantile quadrature of N w(t) e*(t) f(t); the payment
     and efficiency expectations average the per-draw reward allocation.
     """
     n = config.n_players
-    us = (np.arange(quad_points) + 0.5) / quad_points
+    us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS
     ts = config.join_model.quantile(us)
     utility = n * float(np.mean(np.asarray(config.weightfn(ts)) * grid.interp(ts)))
 
@@ -680,8 +674,7 @@ def _payment_at(config, solve, stage1, rescale: bool):
 
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                       mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                      seed: RngSeed = 0, settings: SolverSettings = BNE_SETTINGS
-                      ) -> tuple[TypeGrid | float, StageOneReport]:
+                      seed: RngSeed = 0) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
     at the calibrated reward, together with the Stage-II solution there: the
     effort grid, or the flat in-time effort e* of a termination strategy.
@@ -702,7 +695,7 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     else:
         solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
         payment_at = _payment_at(
-            config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, settings),
+            config, lambda cfg: solve(cfg, grid_size, mc_samples, seed),
             lambda cfg, grid: stage1_metrics_mc(cfg, grid, stage1_samples, seed + 1),
             rescale=isinstance(s, EarliestN))
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward,

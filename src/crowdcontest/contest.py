@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleBudget, InvalidInput, NumericalError
-from .numerics import DEFAULT_SETTINGS, SolverSettings
 
 NE_RESIDUAL_TOL = 1e-7
+#: step cap and damping of the normalized stationarity map in `_ray_scale`
+RAY_STEPS = 10_000
+RAY_DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def _payment_e0_zero(b: np.ndarray) -> float:
     return float(np.sum(b)) - n * (n - 1) / float(np.sum(1.0 / b))
 
 
-def _ray_scale(w: np.ndarray, mu: float, settings: SolverSettings):
+def _ray_scale(w: np.ndarray, mu: float):
     """Converge the normalized stationarity map at multiplier mu.
 
     Returns (scale, direction): the direction is the max-normalized fixed ray
@@ -254,7 +256,7 @@ def _ray_scale(w: np.ndarray, mu: float, settings: SolverSettings):
     n = w.size
     b = np.ones(n, dtype=float)
     scale = math.nan
-    for _ in range(settings.max_iter):
+    for _ in range(RAY_STEPS):
         x = (n - 1) / float(np.sum(1.0 / b))
         p = float(np.sum(w * (1.0 - 2.0 * x / b)))
         inner = (p + mu * n) / (n - 1) + w
@@ -267,13 +269,12 @@ def _ray_scale(w: np.ndarray, mu: float, settings: SolverSettings):
         new_b = raw / scale
         if float(np.max(np.abs(new_b - b))) <= 1e-13:
             return scale, new_b
-        b = (1.0 - settings.damping) * b + settings.damping * new_b
+        b = (1.0 - RAY_DAMPING) * b + RAY_DAMPING * new_b
         b /= float(np.max(b))
     return scale, b
 
 
-def optimal_reward_vector(weights, budget: float, n_players: int,
-                          settings: SolverSettings = DEFAULT_SETTINGS) -> np.ndarray:
+def optimal_reward_vector(weights, budget: float, n_players: int) -> np.ndarray:
     """Reward vector maximizing sum_i w_i e_i* subject to full budget spend,
     for e0 = 0.
 
@@ -295,7 +296,7 @@ def optimal_reward_vector(weights, budget: float, n_players: int,
     best_b: np.ndarray | None = None
     best_utility = -math.inf
     for n in range(n_players, 1, -1):
-        direction = _solve_direction(w_all[order[:n]], settings)
+        direction = _solve_direction(w_all[order[:n]])
         if direction is None:
             continue
         payment_dir = _payment_e0_zero(direction)
@@ -317,12 +318,9 @@ def optimal_reward_vector(weights, budget: float, n_players: int,
     return best_b
 
 
-def _solve_direction(w: np.ndarray, settings: SolverSettings) -> np.ndarray | None:
-    inner = SolverSettings(abs_tol=settings.abs_tol, max_iter=settings.max_iter,
-                           damping=0.5)
-
+def _solve_direction(w: np.ndarray) -> np.ndarray | None:
     def scale_gap(mu: float) -> float | None:
-        out = _ray_scale(w, mu, inner)
+        out = _ray_scale(w, mu)
         if out is None or not math.isfinite(out[0]):
             return None
         return out[0] - 1.0
@@ -363,5 +361,5 @@ def _solve_direction(w: np.ndarray, settings: SolverSettings) -> np.ndarray | No
             lo = mid
         else:
             hi = mid
-    out = _ray_scale(w, 0.5 * (lo + hi), inner)
+    out = _ray_scale(w, 0.5 * (lo + hi))
     return None if out is None else out[1]

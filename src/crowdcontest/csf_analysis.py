@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numerics import DEFAULT_SETTINGS, SolverSettings, bisect, golden_section_max
+from .numerics import bisect, golden_section_max
 from .contest import symmetric_ne
 
 BETA_SEARCH_MAX = 50.0
@@ -47,8 +47,7 @@ def weight_discrim_ne(a: float, b: float, v: float,
 
 
 def exponent_discrim_ne(v1: float, v2: float, b: float,
-                        weights: tuple[float, float] = (1.0, 1.0),
-                        settings: SolverSettings = DEFAULT_SETTINGS) -> TwoPlayerResult:
+                        weights: tuple[float, float] = (1.0, 1.0)) -> TwoPlayerResult:
     """NE under exponent discrimination v1 >= v2. The FOCs force
     e1 : e2 = v1 : v2 and e2 solves
         (v1/v2)^{2 v1} e2^{v1-v2+1} + e2^{v2-v1+1} + 2 (v1/v2)^{v1} e2
@@ -65,7 +64,7 @@ def exponent_discrim_ne(v1: float, v2: float, b: float,
         return (rho ** (2 * v1) * e2 ** (v1 - v2 + 1) + e2 ** (v2 - v1 + 1)
                 + 2 * rho ** v1 * e2 - rhs)
 
-    e2 = bisect(gap, 1e-300, b, settings)
+    e2 = bisect(gap, 1e-300, b)
     e1 = rho * e2
     # identical b and e0 = 0: full reward is always paid out
     efficiency = (weights[0] * e1 + weights[1] * e2) / b
@@ -109,8 +108,7 @@ def reward_discrim_payment(beta: float, v: float, b: float) -> float:
     return b * (bv + 1.0 / beta) / (bv + 1.0)
 
 
-def optimal_beta_gain(v: float, u: float | None = None,
-                      settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+def optimal_beta_gain(v: float, u: float | None = None) -> float:
     """Reward ratio beta maximizing the discrimination gain.
 
     u = None (or inf) takes the asymptotic-u limit, where the maximizer is
@@ -121,7 +119,7 @@ def optimal_beta_gain(v: float, u: float | None = None,
         raise InvalidInput(f"v must lie in (0, 1], got {v}")
     if u is None or math.isinf(u):
         return bisect(lambda beta: v * beta ** (2 * v + 1) - beta ** v - (1 + v),
-                      1.0, BETA_SEARCH_MAX, settings)
+                      1.0, BETA_SEARCH_MAX)
     if u < 1:
         raise InvalidInput(f"u must be >= 1, got {u}")
     grid = np.geomspace(1.0, BETA_SEARCH_MAX, 400)
@@ -130,7 +128,7 @@ def optimal_beta_gain(v: float, u: float | None = None,
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
     return golden_section_max(lambda beta: reward_discrim_gain(beta, v, u),
-                              lo, hi, tol=settings.abs_tol)
+                              lo, hi, tol=1e-9)
 
 
 def efficiency_optimal_v(beta: float, u: float = 1.0, tol: float = 1e-10) -> float:
@@ -145,7 +143,7 @@ def efficiency_optimal_v(beta: float, u: float = 1.0, tol: float = 1e-10) -> flo
     return v_hat
 
 
-def efficiency_vmax_beta_threshold(settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+def efficiency_vmax_beta_threshold() -> float:
     """Ratio beta at which the efficiency-maximizing exponent departs from
     v = 1: below it max_v E sits on the boundary, above it the maximizer is
     interior. Located by bisecting the sign of dE/dv at v = 1."""
@@ -155,11 +153,10 @@ def efficiency_vmax_beta_threshold(settings: SolverSettings = DEFAULT_SETTINGS) 
         return (reward_discrim_efficiency(beta, 1.0, u=2.0)
                 - reward_discrim_efficiency(beta, 1.0 - h, u=2.0)) / h
 
-    return bisect(dv_at_one, 1.5, 20.0, settings)
+    return bisect(dv_at_one, 1.5, 20.0)
 
 
-def nature_symmetric_ne(b: float, e0: float, v: float,
-                        settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+def nature_symmetric_ne(b: float, e0: float, v: float) -> float:
     """Symmetric two-player NE against a nature player exerting e0:
     the root of (e0 + 2 e^v)^2 = v b e^{v-1} (e0 + e^v) on (0, b].
 
@@ -183,19 +180,18 @@ def nature_symmetric_ne(b: float, e0: float, v: float,
 
     # v < 1: the marginal product blows up at 0, so an interior root always
     # exists below e = b
-    return bisect(gap, 1e-300, b, settings)
+    return bisect(gap, 1e-300, b)
 
 
 def nature_efficiency(b: float, e0: float, v: float, u: float,
-                      w: float = 1.0,
-                      settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+                      w: float = 1.0) -> float:
     """Requester efficiency at the nature-player symmetric NE:
     E = v w (1+u) / (4u) * (1 + e0 / (e0 + 2 e*^v)); increasing in e0 and
     approaching v w (1+u) / (2u) in the large-e0 (v < 1) or e0 -> b (v = 1)
     limit."""
     if u < 1:
         raise InvalidInput(f"u must be >= 1, got {u}")
-    e_star = nature_symmetric_ne(b, e0, v, settings)
+    e_star = nature_symmetric_ne(b, e0, v)
     if e_star == 0.0:
         ratio = 1.0 if e0 > 0 else 0.0
     else:

@@ -11,6 +11,7 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from . import bayesian_closed as bc
 from . import open_system as osys
 from .contest import efficiency_identical
 from .csf_analysis import reward_discrim_efficiency, reward_discrim_gain
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, EmptyTrace, MalformedRecord, SolverError
 from .numerics import spawn_rng
 from .timing import (ConstantWeight, ExponentialJoinTimes, InversePowerWeight,
                      JoinTimeModel, PoissonModel, StepWeight, TableJoinTimes,
@@ -121,6 +122,23 @@ class ExperimentSpec:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
 
 
+@contextmanager
+def _field(name: str):
+    """Report a value met while building field `name` that does not parse,
+    breaks a model's invariant or names an unreadable trace as a ConfigError
+    naming that field."""
+    try:
+        yield
+    except (ValueError, OSError, EmptyTrace, MalformedRecord) as exc:
+        raise ConfigError(str(exc), name) from exc
+
+
+def _number(sec: configparser.SectionProxy, key: str, default, kind=int):
+    """sec[key] (or `default` when absent) converted by `kind`."""
+    with _field(f"{sec.name}.{key}"):
+        return kind(sec.get(key, default))
+
+
 def _floats(raw: str, fieldname: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in raw.split(",") if x.strip() != "")
@@ -172,25 +190,18 @@ def _build_weightfn(cfg: configparser.ConfigParser):
         return ConstantWeight(1.0)
     sec = cfg["weights"]
     kind = sec.get("kind", "constant").strip()
-    try:
-        if kind == "constant":
-            return ConstantWeight(sec.getfloat("value", 1.0))
-        if kind == "step":
-            return StepWeight(_floats(sec.get("breakpoints", ""), "weights.breakpoints"),
-                              _floats(sec.get("values", ""), "weights.values"))
-        if kind == "inverse_power":
-            return InversePowerWeight(power=sec.getfloat("power", 2.0),
-                                      scale=sec.getfloat("scale", 6.0),
-                                      t0=sec.getfloat("t0", 0.0))
-        if kind == "table":
-            return TableWeight(_floats(sec.get("times", ""), "weights.times"),
-                               _floats(sec.get("values", ""), "weights.values"))
-    except SolverError:
-        raise
-    except ConfigError:
-        raise
-    except Exception as exc:  # invariant violations surface as ConfigError
-        raise ConfigError(str(exc), "weights")
+    if kind == "constant":
+        return ConstantWeight(sec.getfloat("value", 1.0))
+    if kind == "step":
+        return StepWeight(_floats(sec.get("breakpoints", ""), "weights.breakpoints"),
+                          _floats(sec.get("values", ""), "weights.values"))
+    if kind == "inverse_power":
+        return InversePowerWeight(power=sec.getfloat("power", 2.0),
+                                  scale=sec.getfloat("scale", 6.0),
+                                  t0=sec.getfloat("t0", 0.0))
+    if kind == "table":
+        return TableWeight(_floats(sec.get("times", ""), "weights.times"),
+                           _floats(sec.get("values", ""), "weights.values"))
     raise ConfigError(f"unknown weight kind {kind!r}", "weights.kind")
 
 
@@ -215,37 +226,43 @@ def parse_spec(text: str) -> ExperimentSpec:
         if mode == "open" and strategy == "linear":
             raise ConfigError("linear decay is a closed-system strategy",
                               "experiment.strategy")
-    sweep = _sweep_values(exp.get("sweep", "")) if exp.get("sweep", "").strip() \
-        else tuple()
+    with _field("experiment.sweep"):
+        sweep = _sweep_values(exp.get("sweep", "")) if exp.get("sweep", "").strip() \
+            else tuple()
     if mode != "csf_surfaces" and not sweep:
         raise ConfigError("sweep must be nonempty", "experiment.sweep")
 
     poisson = None
     if mode == "open":
-        rate = exp.getfloat("rate", fallback=None)
-        if rate is None:
+        if "rate" not in exp:
             raise ConfigError("open mode needs an arrival rate", "experiment.rate")
-        poisson = PoissonModel(rate=rate, truncation=exp.getint("truncation", 30))
+        rate = _number(exp, "rate", None, float)
+        truncation = _number(exp, "truncation", 30)
+        with _field("experiment"):
+            poisson = PoissonModel(rate=rate, truncation=truncation)
 
-    join_model = _build_join_model(cfg)
+    with _field("join_model"):
+        join_model = _build_join_model(cfg)
     if mode == "closed" and join_model is None:
         raise ConfigError("closed mode needs a [join_model] section", "join_model")
 
+    with _field("weights"):
+        weightfn = _build_weightfn(cfg)
     spec = ExperimentSpec(
         name=exp.get("name", "experiment").strip(),
         mode=mode,
         strategy=strategy,
         sweep=sweep,
         e0_ratios=_floats(exp.get("e0_ratio", "0.5"), "experiment.e0_ratio"),
-        budget=exp.getfloat("budget", 1.0),
-        seed=exp.getint("seed", 0),
-        n_players=exp.getint("n_players", 20),
-        grid_size=exp.getint("grid_size", 64),
-        mc_samples=exp.getint("mc_samples", 20_000),
-        stage1_samples=exp.getint("stage1_samples", 100_000),
+        budget=_number(exp, "budget", 1.0, float),
+        seed=_number(exp, "seed", 0),
+        n_players=_number(exp, "n_players", 20),
+        grid_size=_number(exp, "grid_size", 64),
+        mc_samples=_number(exp, "mc_samples", 20_000),
+        stage1_samples=_number(exp, "stage1_samples", 100_000),
         join_model=join_model,
         poisson=poisson,
-        weightfn=_build_weightfn(cfg),
+        weightfn=weightfn,
         output=exp.get("output", "out.csv").strip(),
         raw_text=text,
     )
@@ -253,6 +270,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise ConfigError("budget must be > 0", "experiment.budget")
     if any(r < 0 for r in spec.e0_ratios):
         raise ConfigError("e0_ratio must be >= 0", "experiment.e0_ratio")
+    if mode in ("closed", "open"):
+        # build each sweep value's config now, so that a value its strategy
+        # rejects (say n outside [1, N], or [1, M] in open mode) fails here
+        with _field("experiment.sweep"):
+            for value in sweep:
+                (_closed_config if mode == "closed" else _open_config)(spec, value, 0.0)
     return spec
 
 
@@ -266,7 +289,7 @@ def _meta(spec: ExperimentSpec) -> dict:
         "mode": spec.mode,
         "seed": spec.seed,
         "spec_sha256": spec.spec_hash,
-        "abs_tol": bc.BNE_SETTINGS.abs_tol,
+        "abs_tol": bc.BNE_TOL,
         "budget": spec.budget,
     }
 

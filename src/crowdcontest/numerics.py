@@ -7,12 +7,17 @@ derives independent PCG64 streams from a 64-bit seed plus an integer key
 path. Each solver draws its whole Monte Carlo panel from one such stream,
 so two runs with the same seed produce bit-identical samples whatever the
 worker count.
+
+Solver tolerances are not model inputs: every equilibrium the package
+solves for is unique, so each solver runs with one tolerance and one step
+cap, kept as constants in its own module (here BISECT_STEPS and the
+FIXED_POINT_* values). Only the two tolerances that differ between callers
+are arguments: `bisect`'s and `fixed_point`'s `tol`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +25,12 @@ import numpy as np
 from .errors import BracketError, InvalidInput, NoConvergence, NumericalError
 
 RngSeed = int
+
+#: step cap of `bisect`
+BISECT_STEPS = 10_000
+#: step cap and damping of `fixed_point`
+FIXED_POINT_STEPS = 5000
+FIXED_POINT_DAMPING = 0.5
 
 
 def spawn_rng(seed: RngSeed, *key: int) -> np.random.Generator:
@@ -31,42 +42,13 @@ def spawn_rng(seed: RngSeed, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, *key))))
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Tolerances shared by the scalar and vector solvers.
-
-    abs_tol applies to residuals / bracket widths, damping to fixed-point
-    updates (x <- (1-damping) x + damping map(x)); the grid BNE kernel uses
-    damping as the mixing weight of its Anderson acceleration.
-    """
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    max_iter: int = 10_000
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise InvalidInput(f"abs_tol must be > 0, got {self.abs_tol}")
-        if not 0 < self.damping <= 1:
-            raise InvalidInput(f"damping must be in (0, 1], got {self.damping}")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be >= 1")
-
-
-DEFAULT_SETTINGS = SolverSettings()
-
-# Vector fixed points (NE / BNE searches) settle for a slightly looser
-# tolerance than scalar roots.
-FIXED_POINT_SETTINGS = SolverSettings(abs_tol=1e-7, max_iter=5000)
-
-
 def bisect(f: Callable[[float], float], lo: float, hi: float,
-           settings: SolverSettings = DEFAULT_SETTINGS) -> float:
+           tol: float = 1e-9) -> float:
     """Root of a continuous f on [lo, hi] by bisection.
 
-    Requires a sign change over the bracket. Stops when |f(mid)| <= abs_tol
-    or the bracket width falls below abs_tol.
+    Requires a sign change over the bracket. Stops when |f(mid)| <= tol or
+    the bracket width falls below tol; raises NoConvergence after
+    BISECT_STEPS midpoints.
     """
     if not lo <= hi:
         raise InvalidInput(f"empty bracket [{lo}, {hi}]")
@@ -79,19 +61,19 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0:
         raise BracketError(f"f({lo})={flo:g} and f({hi})={fhi:g} have the same sign")
-    for _ in range(settings.max_iter):
+    for _ in range(BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if not math.isfinite(fmid):
             raise NumericalError(f"f({mid}) is not finite")
-        if abs(fmid) <= settings.abs_tol or (hi - lo) * 0.5 <= settings.abs_tol:
+        if abs(fmid) <= tol or (hi - lo) * 0.5 <= tol:
             return mid
         if flo * fmid <= 0:
             hi = mid
         else:
             lo, flo = mid, fmid
     raise NoConvergence("bisection did not converge", last=0.5 * (lo + hi),
-                        residual=hi - lo, iterations=settings.max_iter)
+                        residual=hi - lo, iterations=BISECT_STEPS)
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
@@ -118,17 +100,19 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
 
 def fixed_point(map_fn: Callable[[np.ndarray], np.ndarray],
                 init: Sequence[float] | np.ndarray | float,
-                settings: SolverSettings = FIXED_POINT_SETTINGS,
+                tol: float = 1e-7,
                 callback: Callable[[np.ndarray, float], None] | None = None) -> np.ndarray:
-    """Damped fixed-point iteration x <- (1-damping) x + damping map(x).
+    """Damped fixed-point iteration x <- (1-d) x + d map(x) with d =
+    FIXED_POINT_DAMPING.
 
-    Returns x with ||x - map(x)||_inf <= abs_tol. The residual is measured
-    on the undamped map, so the returned point is a genuine fixed point of
-    `map_fn`, not of the damped update. `callback(x, residual)` is invoked
+    Returns x with ||x - map(x)||_inf <= tol. The residual is measured on the
+    undamped map, so the returned point is a genuine fixed point of `map_fn`,
+    not of the damped update; raises NoConvergence after FIXED_POINT_STEPS
+    updates. `callback(x, residual)` is invoked
     once per iteration (handy for convergence diagnostics in tests).
     """
     x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
-    for iteration in range(settings.max_iter + 1):
+    for _ in range(FIXED_POINT_STEPS + 1):
         fx = np.atleast_1d(np.asarray(map_fn(x), dtype=float))
         if fx.shape != x.shape:
             raise InvalidInput(f"map changed shape {x.shape} -> {fx.shape}")
@@ -137,8 +121,8 @@ def fixed_point(map_fn: Callable[[np.ndarray], np.ndarray],
         residual = float(np.max(np.abs(fx - x))) if x.size else 0.0
         if callback is not None:
             callback(x.copy(), residual)
-        if residual <= settings.abs_tol:
+        if residual <= tol:
             return x
-        x = (1.0 - settings.damping) * x + settings.damping * fx
+        x = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * fx
     raise NoConvergence("fixed-point iteration did not converge", last=x,
-                        residual=residual, iterations=settings.max_iter)
+                        residual=residual, iterations=FIXED_POINT_STEPS)

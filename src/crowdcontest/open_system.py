@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayesian_closed import (BNE_SETTINGS, TERMINATION_SETTINGS, StageOneReport,
-                              TypeGrid, calibrate_b, _iterate_grid_bne, _mc_metrics,
-                              _payment_at, _termination_effort, _termination_report)
+from .bayesian_closed import (StageOneReport, TypeGrid, calibrate_b, _iterate_grid_bne,
+                              _mc_metrics, _payment_at, _termination_effort,
+                              _termination_report)
 from .errors import InvalidInput, NoConvergence
-from .numerics import RngSeed, SolverSettings, bisect, golden_section_max, spawn_rng
+from .numerics import RngSeed, bisect, golden_section_max, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
                      sample_arrival_sequences)
 
@@ -104,13 +104,12 @@ def _open_grid_times(config: OpenConfig, n: int, grid_size: int) -> np.ndarray:
         hi *= 2.0
         if hi > 1e12 / rate:
             break
-    s_max = bisect(gap, 0.0, hi, SolverSettings(abs_tol=1e-10)) if gap(hi) <= 0 else hi
+    s_max = bisect(gap, 0.0, hi, 1e-10) if gap(hi) <= 0 else hi
     return np.linspace(0.0, 1.25 * s_max, grid_size)
 
 
 def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
-                              mc_samples: int = 20_000, seed: RngSeed = 0,
-                              settings: SolverSettings = BNE_SETTINGS
+                              mc_samples: int = 20_000, seed: RngSeed = 0
                               ) -> TypeGrid:
     """Stage-II BNE with b(s) = b P(N(s) <= n-1); after isolating the tagged
     contributor, opponents form a fresh (M-1)-epoch Poisson sequence."""
@@ -122,7 +121,7 @@ def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
     rng = spawn_rng(seed, 0x09e4)
     opp_epochs = sample_arrival_sequences(config.poisson, rng, mc_samples,
                                           config.poisson.truncation - 1)
-    return _iterate_grid_bne(times, b_t, opp_epochs, config.nature_effort, settings)
+    return _iterate_grid_bne(times, b_t, opp_epochs, config.nature_effort)
 
 
 def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
@@ -182,15 +181,13 @@ def _truncated_meeting_pmf(rate: float, deadline: float) -> np.ndarray:
     return np.asarray(pmf)
 
 
-def solve_bne_open_termination(config: OpenConfig,
-                               settings: SolverSettings = TERMINATION_SETTINGS
-                               ) -> float:
+def solve_bne_open_termination(config: OpenConfig) -> float:
     """Symmetric in-time effort against the truncated meeting-count pmf
     P(k, inf)."""
     if not isinstance(config.strategy, OpenTermination):
         raise InvalidInput("config.strategy must be OpenTermination")
     pk = _truncated_meeting_pmf(config.poisson.rate, config.strategy.deadline)
-    return _termination_effort(pk, config.max_reward, config.nature_effort, settings)
+    return _termination_effort(pk, config.max_reward, config.nature_effort)
 
 
 def open_termination_conditional_eff(m: int, e_star: float, b: float,
@@ -226,8 +223,7 @@ def stage1_open_termination(config: OpenConfig, e_star: float | None = None
 
 def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                           seed: RngSeed = 0, settings: SolverSettings = BNE_SETTINGS
-                           ) -> tuple[TypeGrid | float, StageOneReport]:
+                           seed: RngSeed = 0) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward: the effort grid, or the in-time effort e* of the
     termination strategy (both open strategies scale linearly in b because
@@ -238,8 +234,7 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
     else:
         payment_at = _payment_at(
             config,
-            lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,
-                                                  settings),
+            lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed),
             lambda cfg, grid: stage1_open_earliest_n(cfg, grid, stage1_samples,
                                                      seed + 1),
             rescale=True)

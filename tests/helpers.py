@@ -6,7 +6,7 @@ import numpy as np
 
 from crowdcontest.bayesian_closed import earliest_n_prob
 from crowdcontest.contest import ContestConfig, best_response
-from crowdcontest.numerics import SolverSettings, fixed_point
+from crowdcontest.numerics import fixed_point
 
 
 def best_response_map(config: ContestConfig):
@@ -18,11 +18,9 @@ def best_response_map(config: ContestConfig):
     return step
 
 
-def ne_by_iteration(config: ContestConfig, init, abs_tol: float = 1e-9,
-                    damping: float = 0.5) -> np.ndarray:
+def ne_by_iteration(config: ContestConfig, init, abs_tol: float = 1e-9) -> np.ndarray:
     """NE oracle: damped best-response dynamics from a given start."""
-    settings = SolverSettings(abs_tol=abs_tol, max_iter=100_000, damping=damping)
-    return fixed_point(best_response_map(config), init, settings)
+    return fixed_point(best_response_map(config), init, abs_tol)
 
 
 def bne_quadrature_oracle(b_of_t, times, n_players: int, e0: float,

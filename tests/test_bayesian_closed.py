@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from crowdcontest import bayesian_closed
-from crowdcontest.bayesian_closed import (BNE_SETTINGS, BayesianConfig,
-                                          EarliestN, LinearDecay, Termination,
+from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
+                                          LinearDecay, Termination,
                                           budget_tolerance, calibrate_b,
                                           calibrated_stage1, earliest_n_prob,
                                           effort_upper_bound, optimal_T,
@@ -22,7 +22,7 @@ from crowdcontest.bayesian_closed import (BNE_SETTINGS, BayesianConfig,
                                           threshold_analytic_bound)
 from crowdcontest.contest import symmetric_ne
 from crowdcontest.errors import InfeasibleBudget, InvalidInput, NoConvergence
-from crowdcontest.numerics import SolverSettings, spawn_rng
+from crowdcontest.numerics import spawn_rng
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, StepWeight,
                                  UniformJoinTimes)
 
@@ -540,11 +540,11 @@ class TestGridKernel:
         warm = bayesian_closed._expected_best_responses(a_samples, b_t, tol, start)
         assert np.max(np.abs(warm - cold)) <= 1e-3 * tol
 
-    def test_iteration_cap_raises_with_last_iterate(self):
+    def test_iteration_cap_raises_with_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(bayesian_closed, "BNE_STEPS", 3)
         cfg = en_config(6, 3, e0_ratio=0.3)
         with pytest.raises(NoConvergence) as err:
-            solve_bne_earliest_n(cfg, grid_size=16, mc_samples=1000, seed=0,
-                                 settings=SolverSettings(abs_tol=1e-8, max_iter=3))
+            solve_bne_earliest_n(cfg, grid_size=16, mc_samples=1000, seed=0)
         assert err.value.iterations == 3
         assert err.value.residual > 1e-8
         last = err.value.last

@@ -278,6 +278,24 @@ output = noisy.csv
                                                 "values = 0.2,0.6,1,1"))
         assert main(["run", str(spec_file), "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text, field", [
+        (SMALL_SPEC.replace("lo = 0\nhi = 6", "lo = 6\nhi = 0"), "join_model"),
+        (OPEN_SPEC.replace("rate = 5", "rate = -3"), "experiment"),
+        (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
+                            "kind = trace\npath = no/such/trace.csv\nwindow = 0,6"),
+         "join_model"),
+        (SMALL_SPEC.replace("n_players = 4", "n_players = abc"), "experiment.n_players"),
+        (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2,3,5"), "experiment.sweep"),
+        (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,7"), "experiment.sweep"),
+    ], ids=["lo-above-hi", "negative-rate", "missing-trace", "non-integer-N",
+            "n-above-N", "n-above-truncation"])
+    def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,
+                                                       field):
+        spec_file = tmp_path / "bad.ini"
+        spec_file.write_text(text)
+        assert main(["run", str(spec_file), "--out-dir", str(tmp_path)]) == 2
+        assert f"config error: [{field}]" in capsys.readouterr().err
+
     def test_unknown_preset_exit_code(self, tmp_path):
         assert main(["run", "definitely-not-a-preset",
                      "--out-dir", str(tmp_path)]) == 2

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from crowdcontest import numerics
 from crowdcontest.errors import BracketError, NoConvergence, NumericalError
-from crowdcontest.numerics import (SolverSettings, bisect, fixed_point,
-                                   golden_section_max, spawn_rng)
+from crowdcontest.numerics import bisect, fixed_point, golden_section_max, spawn_rng
 
 
 def test_bisect_linear_root():
@@ -34,10 +34,10 @@ def test_bisect_nonfinite_raises():
         bisect(lambda x: float("nan"), 0.0, 1.0)
 
 
-def test_bisect_iteration_budget():
+def test_bisect_iteration_budget(monkeypatch):
+    monkeypatch.setattr(numerics, "BISECT_STEPS", 3)
     with pytest.raises(NoConvergence):
-        bisect(lambda x: x - 0.123456789, 0.0, 1.0,
-               SolverSettings(abs_tol=1e-15, max_iter=3))
+        bisect(lambda x: x - 0.123456789, 0.0, 1.0, tol=1e-15)
 
 
 @given(root=st.floats(-5, 5), pad=st.floats(0.1, 3), width=st.floats(0.1, 3))
@@ -95,10 +95,10 @@ def test_fixed_point_residual_nonincreasing_tail():
     assert all(b <= a + 1e-15 for a, b in zip(tail, tail[1:]))
 
 
-def test_fixed_point_reports_divergence():
+def test_fixed_point_reports_divergence(monkeypatch):
+    monkeypatch.setattr(numerics, "FIXED_POINT_STEPS", 50)
     with pytest.raises(NoConvergence) as err:
-        fixed_point(lambda v: 2.0 * v + 1.0, 1.0,
-                    SolverSettings(abs_tol=1e-9, max_iter=50))
+        fixed_point(lambda v: 2.0 * v + 1.0, 1.0, tol=1e-9)
     assert err.value.residual is not None
     assert err.value.last is not None
 
@@ -114,10 +114,3 @@ def test_spawn_rng_streams_are_stable_and_distinct():
     c = spawn_rng(123, 1).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_solver_settings_validation():
-    with pytest.raises(Exception):
-        SolverSettings(abs_tol=0.0)
-    with pytest.raises(Exception):
-        SolverSettings(damping=1.5)
