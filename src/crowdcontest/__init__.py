@@ -11,14 +11,13 @@ from .contest import (ContestConfig, EffortProfile, MechanismReport,
 from .bayesian_closed import (BayesianConfig, EarliestN, LinearDecay,
                               StageOneReport, Termination, TypeGrid,
                               calibrate_b, calibrated_stage1, earliest_n_prob,
-                              effort_upper_bound, optimal_T, optimal_h,
-                              optimal_n, participation_threshold,
+                              effort_upper_bound, participation_threshold,
                               solve_bne_earliest_n, solve_bne_linear,
                               solve_bne_termination, stage1_metrics_mc,
                               stage1_metrics_termination)
 from .open_system import (OpenConfig, OpenEarliestN, OpenTermination,
                           calibrated_open_stage1, open_earliest_n_prob,
-                          open_optimal_T, open_termination_conditional_eff,
+                          open_termination_conditional_eff,
                           open_termination_prob, solve_bne_open_earliest_n,
                           solve_bne_open_termination, stage1_open_earliest_n,
                           stage1_open_termination)
@@ -32,6 +31,7 @@ from .timing import (ConstantWeight, EmpiricalJoinTimes, ExponentialJoinTimes,
                      ingest_trace, ingest_trace_file, parse_trace_file,
                      poisson_pmf, sample_arrival_sequences)
 from .numerics import bisect, fixed_point, golden_section_max, spawn_rng
+from .experiments import sweep
 from . import errors
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@ closed and open systems share lives here: the grid BNE kernel, the scalar
 termination-time BNE, the termination and Monte Carlo Stage-I reports and
 budget calibration. The closed system (a fixed population of N contributors
 with i.i.d. joining times) is built on it here, for the earliest-n,
-termination-time and linearly-decreasing reward strategies, with parameter
-sweeps; `open_system` builds the open system on it from a Poisson prior.
+termination-time and linearly-decreasing reward strategies; `open_system`
+builds the open system on it from a Poisson prior.
 
 Stage-II symmetry: one effort function e*(t) (sampled on a type grid) serves
 every player. The equilibrium condition at an active type t is
@@ -295,8 +295,10 @@ def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
     (near the participation cutoff the integrand is heavy-tailed and its
     relative error diverges even though the effort itself is ~0)."""
     active = grid.efforts > 1e-3 * float(np.max(grid.efforts, initial=0.0))
-    if not np.any(active) or a_samples.size == 0:
+    if not np.any(active):
         return 0.0
+    if a_samples.size < 2:
+        return math.inf     # no standard error from fewer than 2 draws
     a = a_samples[:, None]
     vals = a / (a + grid.efforts[active][None, :]) ** 2
     mean = np.mean(vals, axis=0)
@@ -357,7 +359,7 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
     grid = TypeGrid(times, br, b_t)
     noise = _bne_condition_noise(e0 + op @ br, grid)
-    if noise > MC_NOISE_LIMIT:
+    if not noise <= MC_NOISE_LIMIT:
         raise MonteCarloNoise(
             f"relative stderr {noise:.3f} of the BNE expectation exceeds "
             f"{MC_NOISE_LIMIT:.0%}; increase mc_samples")
@@ -537,8 +539,11 @@ def _mc_metrics(efforts: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
     """Payment and efficiency means with their standard errors over Monte
     Carlo draws (rows of `efforts`), as StageOneReport fields: a draw pays
     paid / (e0 + sum of efforts) and scores util_draw (e0 + sum of efforts) /
-    paid, with zero efficiency charged when nothing is paid out."""
+    paid, with zero efficiency charged when nothing is paid out. A standard
+    error needs at least 2 draws."""
     mc_samples = efforts.shape[0]
+    if mc_samples < 2:
+        raise InvalidInput(f"need at least 2 Monte Carlo draws, got {mc_samples}")
     denom = e0 + np.sum(efforts, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         payment = np.where(denom > 0, paid / denom, 0.0)
@@ -701,51 +706,3 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward,
                             assume_linear=scales_with_reward(s))
     return result
-
-
-# ---------------------------------------------------------------------------
-# Parameter sweeps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepResult:
-    parameters: np.ndarray
-    reports: tuple[StageOneReport, ...]
-    best_index: int
-
-    @property
-    def best_parameter(self) -> float:
-        return float(self.parameters[self.best_index])
-
-    @property
-    def best_report(self) -> StageOneReport:
-        return self.reports[self.best_index]
-
-
-def _sweep(config: BayesianConfig, strategies, **kwargs) -> SweepResult:
-    reports = []
-    for strat in strategies:
-        cfg = replace(config, strategy=strat)
-        _, rep = calibrated_stage1(cfg, **kwargs)
-        reports.append(rep)
-    values = [r.expected_efficiency for r in reports]
-    best = int(np.argmax(values))
-    return SweepResult(parameters=np.array([r.parameter for r in reports]),
-                       reports=tuple(reports), best_index=best)
-
-
-def optimal_n(config: BayesianConfig, n_values, **kwargs) -> SweepResult:
-    """Exhaustive earliest-n sweep; every candidate is budget-calibrated
-    before its expected efficiency is scored."""
-    n_values = [int(n) for n in n_values]
-    if any(not 1 <= n <= config.n_players for n in n_values):
-        raise InvalidInput("every n must satisfy 1 <= n <= N")
-    return _sweep(config, [EarliestN(n) for n in n_values], **kwargs)
-
-
-def optimal_T(config: BayesianConfig, t_values, **kwargs) -> SweepResult:
-    return _sweep(config, [Termination(float(t)) for t in t_values], **kwargs)
-
-
-def optimal_h(config: BayesianConfig, h_values, **kwargs) -> SweepResult:
-    return _sweep(config, [LinearDecay(float(h)) for h in h_values], **kwargs)

@@ -1,4 +1,5 @@
-"""Declarative experiment runner: INI specs (or named presets) describing a
+"""Budget-calibrated sweeps (`sweep`) and the declarative experiment runner
+built on them: INI specs (or named presets) describing a
 closed/open/complete-info/discrimination-surface sweep, executed into CSV tables with a
 metadata header. Identical spec text + seed reproduces byte-identical files.
 """
@@ -12,7 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,8 @@ from . import bayesian_closed as bc
 from . import open_system as osys
 from .contest import efficiency_identical
 from .csf_analysis import reward_discrim_efficiency, reward_discrim_gain
-from .errors import ConfigError, EmptyTrace, MalformedRecord, SolverError
-from .numerics import spawn_rng
+from .errors import ConfigError, EmptyTrace, InvalidInput, MalformedRecord, SolverError
+from .numerics import RngSeed, spawn_rng
 from .timing import (ConstantWeight, ExponentialJoinTimes, InversePowerWeight,
                      JoinTimeModel, PoissonModel, StepWeight, TableJoinTimes,
                      TableWeight, UniformJoinTimes, ingest_trace_file)
@@ -129,14 +130,20 @@ def _field(name: str):
     naming that field."""
     try:
         yield
-    except (ValueError, OSError, EmptyTrace, MalformedRecord) as exc:
+    except (ValueError, OverflowError, OSError, EmptyTrace, MalformedRecord) as exc:
         raise ConfigError(str(exc), name) from exc
 
 
-def _number(sec: configparser.SectionProxy, key: str, default, kind=int):
-    """sec[key] (or `default` when absent) converted by `kind`."""
-    with _field(f"{sec.name}.{key}"):
-        return kind(sec.get(key, default))
+def _number(sec: configparser.SectionProxy, key: str, default, kind=int,
+            low=-math.inf):
+    """sec[key] (or `default` when absent) converted by `kind`; it must be
+    finite and at least `low`."""
+    name = f"{sec.name}.{key}"
+    with _field(name):
+        value = kind(sec.get(key, default))
+    if not low <= value < math.inf:
+        raise ConfigError(f"must be finite and >= {low}, got {value!r}", name)
+    return value
 
 
 def _floats(raw: str, fieldname: str) -> tuple[float, ...]:
@@ -227,9 +234,9 @@ def parse_spec(text: str) -> ExperimentSpec:
             raise ConfigError("linear decay is a closed-system strategy",
                               "experiment.strategy")
     with _field("experiment.sweep"):
-        sweep = _sweep_values(exp.get("sweep", "")) if exp.get("sweep", "").strip() \
-            else tuple()
-    if mode != "csf_surfaces" and not sweep:
+        sweep_values = _sweep_values(exp.get("sweep", "")) \
+            if exp.get("sweep", "").strip() else tuple()
+    if mode != "csf_surfaces" and not sweep_values:
         raise ConfigError("sweep must be nonempty", "experiment.sweep")
 
     poisson = None
@@ -252,14 +259,14 @@ def parse_spec(text: str) -> ExperimentSpec:
         name=exp.get("name", "experiment").strip(),
         mode=mode,
         strategy=strategy,
-        sweep=sweep,
+        sweep=sweep_values,
         e0_ratios=_floats(exp.get("e0_ratio", "0.5"), "experiment.e0_ratio"),
         budget=_number(exp, "budget", 1.0, float),
-        seed=_number(exp, "seed", 0),
+        seed=_number(exp, "seed", 0, low=0),
         n_players=_number(exp, "n_players", 20),
-        grid_size=_number(exp, "grid_size", 64),
-        mc_samples=_number(exp, "mc_samples", 20_000),
-        stage1_samples=_number(exp, "stage1_samples", 100_000),
+        grid_size=_number(exp, "grid_size", 64, low=2),
+        mc_samples=_number(exp, "mc_samples", 20_000, low=2),
+        stage1_samples=_number(exp, "stage1_samples", 100_000, low=2),
         join_model=join_model,
         poisson=poisson,
         weightfn=weightfn,
@@ -268,14 +275,17 @@ def parse_spec(text: str) -> ExperimentSpec:
     )
     if spec.budget <= 0:
         raise ConfigError("budget must be > 0", "experiment.budget")
-    if any(r < 0 for r in spec.e0_ratios):
-        raise ConfigError("e0_ratio must be >= 0", "experiment.e0_ratio")
-    if mode in ("closed", "open"):
-        # build each sweep value's config now, so that a value its strategy
-        # rejects (say n outside [1, N], or [1, M] in open mode) fails here
-        with _field("experiment.sweep"):
-            for value in sweep:
-                (_closed_config if mode == "closed" else _open_config)(spec, value, 0.0)
+    if not all(0 <= r < math.inf for r in spec.e0_ratios):
+        raise ConfigError("e0_ratio must be finite and >= 0", "experiment.e0_ratio")
+    with _field("experiment.sweep"):
+        for value in sweep_values:
+            if mode == "complete_info" and not 1 <= int(round(value)) <= spec.n_players:
+                raise ConfigError("n must lie in [1, n_players]", "experiment.sweep")
+            if mode in ("closed", "open"):
+                # build each sweep value's config now, so that a value its
+                # strategy rejects (say n outside [1, N], or [1, M] in open
+                # mode) fails here
+                _config(spec, value, 0.0, spec.budget)
     return spec
 
 
@@ -306,19 +316,42 @@ def _strategy_obj(spec: ExperimentSpec, value: float):
     return osys.OpenTermination(value)
 
 
-def _closed_config(spec: ExperimentSpec, value: float, ratio: float) -> bc.BayesianConfig:
-    return bc.BayesianConfig(n_players=spec.n_players,
-                             strategy=_strategy_obj(spec, value),
-                             join_model=spec.join_model,
-                             weightfn=spec.weightfn,
-                             e0_ratio=ratio, budget=spec.budget)
+def _config(spec: ExperimentSpec, value: float, ratio: float,
+            budget: float) -> bc.BayesianConfig | osys.OpenConfig:
+    """The closed or open config of one sweep value at one e0 ratio."""
+    if spec.mode == "closed":
+        return bc.BayesianConfig(n_players=spec.n_players,
+                                 strategy=_strategy_obj(spec, value),
+                                 join_model=spec.join_model, weightfn=spec.weightfn,
+                                 e0_ratio=ratio, budget=budget)
+    return osys.OpenConfig(poisson=spec.poisson, strategy=_strategy_obj(spec, value),
+                           weightfn=spec.weightfn, e0_ratio=ratio, budget=budget)
 
 
-def _open_config(spec: ExperimentSpec, value: float, ratio: float) -> osys.OpenConfig:
-    return osys.OpenConfig(poisson=spec.poisson,
-                           strategy=_strategy_obj(spec, value),
-                           weightfn=spec.weightfn,
-                           e0_ratio=ratio, budget=spec.budget)
+def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
+          stage1_samples: int = 100_000, seed: RngSeed = 0
+          ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
+    """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
+    config of a sweep, with `CROWDCONTEST_THREADS` workers.
+
+    Returns the (Stage-II solution, StageOneReport) pair of each config, in
+    input order, and the index of the highest expected efficiency: the
+    sweep's optimum. The optimum is a swept point; nothing between the
+    points is searched.
+    """
+    configs = list(configs)
+    if not configs:
+        raise InvalidInput("sweep needs at least one config")
+
+    def calibrated(cfg):
+        calibrate = bc.calibrated_stage1 if isinstance(cfg, bc.BayesianConfig) \
+            else osys.calibrated_open_stage1
+        return calibrate(cfg, grid_size=grid_size, mc_samples=mc_samples,
+                         stage1_samples=stage1_samples, seed=seed)
+
+    points = _parallel_map(calibrated, configs)
+    best = int(np.argmax([rep.expected_efficiency for _, rep in points]))
+    return points, best
 
 
 def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
@@ -334,21 +367,16 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     contour = OutputTable(name=f"{spec.name}-contour",
                           columns=("budget", param_col, "e0_ratio", "calibrated_b"),
                           meta=_meta(spec))
-    tables = [main, effort, contour]
+    optimum = OutputTable(name=f"{spec.name}-optimum",
+                          columns=main.columns[:5], meta=_meta(spec))
+    tables = [main, effort, contour, optimum]
 
-    def calibrated(value: float, ratio: float, budget: float):
-        if spec.mode == "closed":
-            cfg = replace(_closed_config(spec, value, ratio), budget=budget)
-            calibrate = bc.calibrated_stage1
-        else:
-            cfg = replace(_open_config(spec, value, ratio), budget=budget)
-            calibrate = osys.calibrated_open_stage1
-        return calibrate(cfg, grid_size=spec.grid_size, mc_samples=spec.mc_samples,
-                         stage1_samples=spec.stage1_samples, seed=spec.seed)
+    def run(ratio: float, budget: float):
+        return sweep([_config(spec, value, ratio, budget) for value in spec.sweep],
+                     spec.grid_size, spec.mc_samples, spec.stage1_samples, spec.seed)
 
-    tasks = [(value, ratio) for ratio in spec.e0_ratios for value in spec.sweep]
     try:
-        results = _parallel_map(lambda task: calibrated(*task, spec.budget), tasks)
+        sweeps = [run(ratio, spec.budget) for ratio in spec.e0_ratios]
     except SolverError as exc:
         main.failure = str(exc)
         return tables
@@ -356,40 +384,41 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     def _param(value: float):
         return int(round(value)) if spec.strategy == "earliest_n" else value
 
-    for (value, ratio), (stage2, rep) in zip(tasks, results):
-        main.add(_param(value), ratio, rep.expected_efficiency,
-                 rep.efficiency_stderr, rep.calibrated_b,
-                 rep.expected_payment, rep.payment_stderr)
-        if isinstance(stage2, bc.TypeGrid):
-            for t, e, b_t in zip(stage2.times, stage2.efforts, stage2.b_values):
-                effort.add(float(t), _param(value), ratio, float(e), float(b_t))
-        else:
-            # termination: the in-time effort e* is flat, tabulate the step
-            effort.add(0.0, _param(value), ratio, stage2, rep.calibrated_b)
-            effort.add(float(value), _param(value), ratio, stage2, rep.calibrated_b)
+    for ratio, (points, best) in zip(spec.e0_ratios, sweeps):
+        for i, (value, (stage2, rep)) in enumerate(zip(spec.sweep, points)):
+            row = (_param(value), ratio, rep.expected_efficiency,
+                   rep.efficiency_stderr, rep.calibrated_b)
+            main.add(*row, rep.expected_payment, rep.payment_stderr)
+            if i == best:
+                optimum.add(*row)
+            if isinstance(stage2, bc.TypeGrid):
+                for t, e, b_t in zip(stage2.times, stage2.efforts, stage2.b_values):
+                    effort.add(float(t), _param(value), ratio, float(e), float(b_t))
+            else:
+                # termination: the in-time effort e* is flat, tabulate the step
+                effort.add(0.0, _param(value), ratio, stage2, rep.calibrated_b)
+                effort.add(float(value), _param(value), ratio, stage2, rep.calibrated_b)
 
     # contour lines: calibrated b over the sweep at reference budgets. Where
     # the model is homogeneous in b, b* is proportional to the budget, so the
     # row follows from the main table; linear decay is recalibrated at every
     # budget but the spec's own.
-    calibrated_b = {task: rep.calibrated_b for task, (_, rep) in zip(tasks, results)}
-
-    def contour_point(task):
-        budget, value, ratio = task
-        strategy = _strategy_obj(spec, value)
-        if budget == spec.budget or bc.scales_with_reward(strategy):
-            return budget / spec.budget * calibrated_b[value, ratio]
-        return calibrated(value, ratio, budget)[1].calibrated_b
-
-    ctasks = [(budget, value, ratio) for ratio in spec.e0_ratios
-              for budget in CONTOUR_BUDGETS for value in spec.sweep]
+    scales = bc.scales_with_reward(_strategy_obj(spec, spec.sweep[0]))
+    rows = []
     try:
-        cvals = _parallel_map(contour_point, ctasks)
+        for ratio, (points, _) in zip(spec.e0_ratios, sweeps):
+            for budget in CONTOUR_BUDGETS:
+                if budget == spec.budget or scales:
+                    factor, at_budget = budget / spec.budget, points
+                else:
+                    factor, (at_budget, _) = 1.0, run(ratio, budget)
+                rows += [(budget, _param(value), ratio, factor * rep.calibrated_b)
+                         for value, (_, rep) in zip(spec.sweep, at_budget)]
     except SolverError as exc:
         contour.failure = str(exc)
         return tables
-    for (budget, value, ratio), b_cal in zip(ctasks, cvals):
-        contour.add(budget, _param(value), ratio, b_cal)
+    for row in rows:
+        contour.add(*row)
     return tables
 
 
@@ -402,8 +431,6 @@ def _run_complete_info(spec: ExperimentSpec) -> list[OutputTable]:
     # requester valuations at the expected order statistics of the prior
     ranks = model.quantile((np.arange(1, n_total + 1)) / (n_total + 1.0))
     weights = np.asarray(spec.weightfn(ranks), dtype=float)
-    if any(int(round(v)) > n_total for v in spec.sweep):
-        raise ConfigError("sweep values exceed n_players", "experiment.sweep")
     for ratio in spec.e0_ratios:
         for value in spec.sweep:
             n = int(round(value))

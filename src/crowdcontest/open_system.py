@@ -17,7 +17,7 @@ from .bayesian_closed import (StageOneReport, TypeGrid, calibrate_b, _iterate_gr
                               _mc_metrics, _payment_at, _termination_effort,
                               _termination_report)
 from .errors import InvalidInput, NoConvergence
-from .numerics import RngSeed, bisect, golden_section_max, spawn_rng
+from .numerics import RngSeed, bisect, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
                      sample_arrival_sequences)
 
@@ -240,29 +240,3 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
             rescale=True)
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)
     return result
-
-
-def open_optimal_T(config: OpenConfig, t_grid, refine: bool = True,
-                   **kwargs) -> tuple[float, list[StageOneReport]]:
-    """Deadline maximizing the open-system expected efficiency: exhaustive
-    sweep over `t_grid` (each candidate budget-calibrated) plus golden-section
-    refinement between the best grid neighbours."""
-    t_grid = sorted(float(t) for t in t_grid)
-    if not t_grid:
-        raise InvalidInput("t_grid must be nonempty")
-    reports = []
-    for t in t_grid:
-        cfg = replace(config, strategy=OpenTermination(t))
-        _, rep = calibrated_open_stage1(cfg, **kwargs)
-        reports.append(rep)
-    values = [r.expected_efficiency for r in reports]
-    k = int(np.argmax(values))
-    t_best = t_grid[k]
-    if refine and 0 < k < len(t_grid) - 1:
-        def score(t: float) -> float:
-            cfg = replace(config, strategy=OpenTermination(t))
-            _, rep = calibrated_open_stage1(cfg, **kwargs)
-            return rep.expected_efficiency
-
-        t_best = golden_section_max(score, t_grid[k - 1], t_grid[k + 1], tol=1e-4)
-    return t_best, reports

@@ -11,8 +11,8 @@ import pytest
 from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           Termination, budget_tolerance,
                                           calibrated_stage1,
-                                          effort_upper_bound, optimal_T,
-                                          optimal_n, participation_threshold,
+                                          effort_upper_bound,
+                                          participation_threshold,
                                           solve_bne_earliest_n,
                                           solve_bne_termination,
                                           stage1_metrics_mc,
@@ -22,6 +22,7 @@ from crowdcontest.contest import (ContestConfig, efficiency_identical,
 from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
                                        optimal_beta_gain)
 from crowdcontest.errors import NoConvergence
+from crowdcontest.experiments import gen_trace_preset, sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
                                       OpenTermination, calibrated_open_stage1,
@@ -30,7 +31,6 @@ from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
                                       stage1_open_earliest_n)
 from crowdcontest.timing import (ConstantWeight, PoissonModel, StepWeight,
                                  UniformJoinTimes, ingest_trace_file)
-from crowdcontest.experiments import gen_trace_preset
 
 from helpers import ne_by_iteration, single_peaked
 
@@ -219,34 +219,36 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
     n_values = [2, 3, 4, 6, 8, 10, 12, 14, 17, 20]
     sweeps = {}
     for ratio in ratios:
-        cfg = BayesianConfig(n_players=20, strategy=EarliestN(2),
-                             join_model=model, weightfn=PAPER_STEP,
-                             e0_ratio=ratio, budget=1.0)
-        sweeps[ratio] = optimal_n(cfg, n_values, grid_size=33,
-                                  mc_samples=2500, stage1_samples=20_000,
-                                  seed=5)
+        points, _ = sweep([BayesianConfig(n_players=20, strategy=EarliestN(n),
+                                          join_model=model, weightfn=PAPER_STEP,
+                                          e0_ratio=ratio, budget=1.0)
+                           for n in n_values],
+                          grid_size=33, mc_samples=2500, stage1_samples=20_000,
+                          seed=5)
+        sweeps[ratio] = [rep for _, rep in points]
 
     # (a) efficiency-vs-n single-peaked up to Monte Carlo noise
     for ratio in ratios:
-        effs = [r.expected_efficiency for r in sweeps[ratio].reports]
-        tol = 3 * max(r.efficiency_stderr for r in sweeps[ratio].reports)
+        effs = [r.expected_efficiency for r in sweeps[ratio]]
+        tol = 3 * max(r.efficiency_stderr for r in sweeps[ratio])
         assert single_peaked(effs, tol=tol), f"ratio {ratio}: {effs}"
 
     # (a) efficiency-vs-T single-peaked (closed-form stage 1)
     t_curves = {}
     for ratio in ratios:
-        cfg_t = BayesianConfig(n_players=20, strategy=Termination(1.0),
-                               join_model=model, weightfn=PAPER_STEP,
-                               e0_ratio=ratio, budget=1.0)
-        sweep_t = optimal_T(cfg_t, np.arange(0.25, 6.01, 0.25))
-        t_curves[ratio] = [r.expected_efficiency for r in sweep_t.reports]
+        points_t, _ = sweep([BayesianConfig(n_players=20,
+                                            strategy=Termination(float(t)),
+                                            join_model=model, weightfn=PAPER_STEP,
+                                            e0_ratio=ratio, budget=1.0)
+                             for t in np.arange(0.25, 6.01, 0.25)])
+        t_curves[ratio] = [r.expected_efficiency for _, r in points_t]
         assert single_peaked(t_curves[ratio], tol=1e-9)
 
     # (b) more nature effort lifts the efficiency pointwise (except possibly
     # at the smallest sweep value)
     for i, n in enumerate(n_values):
-        noise = 3 * max(sweeps[r].reports[i].efficiency_stderr for r in ratios)
-        e2, e5, e8 = (sweeps[r].reports[i].expected_efficiency for r in ratios)
+        noise = 3 * max(sweeps[r][i].efficiency_stderr for r in ratios)
+        e2, e5, e8 = (sweeps[r][i].expected_efficiency for r in ratios)
         if n > 2:
             assert e2 <= e5 + noise and e5 <= e8 + noise
     for i in range(len(t_curves[0.2])):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           LinearDecay, Termination,
                                           budget_tolerance, calibrate_b,
                                           calibrated_stage1, earliest_n_prob,
-                                          effort_upper_bound, optimal_T,
-                                          optimal_h, optimal_n,
+                                          effort_upper_bound,
                                           participation_threshold,
                                           reward_schedule,
                                           solve_bne_earliest_n,
@@ -21,7 +21,9 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           termination_effort_e0_zero,
                                           threshold_analytic_bound)
 from crowdcontest.contest import symmetric_ne
-from crowdcontest.errors import InfeasibleBudget, InvalidInput, NoConvergence
+from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise,
+                                 NoConvergence)
+from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, StepWeight,
                                  UniformJoinTimes)
@@ -276,6 +278,12 @@ class TestStage1EarliestN:
         assert rep.expected_efficiency == pytest.approx(0.5, abs=1e-6)
         assert rep.expected_utility == pytest.approx(0.5, abs=1e-6)
 
+    def test_one_draw_gives_no_standard_error(self):
+        cfg = en_config(4, 2, e0_ratio=0.5)
+        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=1)
+        with pytest.raises(InvalidInput):
+            stage1_metrics_mc(cfg, grid, mc_samples=1, seed=2)
+
     def test_single_player_payment(self):
         cfg = en_config(1, 1, e0_ratio=0.25)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=64, seed=0)
@@ -438,42 +446,50 @@ class TestLinearDecay:
                            [1.0, 0.5, 0.0])
 
 
+def swept(config, strategies, **kwargs):
+    """Reports of `config` under each strategy, and the best one."""
+    points, best = sweep([replace(config, strategy=s) for s in strategies], **kwargs)
+    return [rep for _, rep in points], points[best][1]
+
+
 class TestSweeps:
     def test_flat_weights_prefer_full_quota(self):
         cfg = en_config(5, 5, e0_ratio=0.5, budget=1.0,
                         weightfn=ConstantWeight(1.0))
-        sweep = optimal_n(cfg, [2, 3, 4, 5], grid_size=16, mc_samples=1500,
-                          stage1_samples=15_000, seed=8)
-        assert sweep.best_parameter == 5
+        _, best = swept(cfg, [EarliestN(n) for n in (2, 3, 4, 5)], grid_size=16,
+                        mc_samples=1500, stage1_samples=15_000, seed=8)
+        assert best.parameter == 5
 
     def test_two_slot_weights_prefer_two(self):
         # requester valuing only the two earliest contributions
         w = StepWeight((0.0, 0.35), (1.0, 0.0))
         cfg = en_config(5, 5, e0_ratio=0.2, budget=1.0, weightfn=w)
-        sweep = optimal_n(cfg, [2, 3, 5], grid_size=21, mc_samples=3000,
-                          stage1_samples=20_000, seed=9)
-        assert sweep.best_parameter == 2
+        _, best = swept(cfg, [EarliestN(n) for n in (2, 3, 5)], grid_size=21,
+                        mc_samples=3000, stage1_samples=20_000, seed=9)
+        assert best.parameter == 2
 
-    def test_optimal_T_unimodal_curve(self):
+    def test_termination_sweep_unimodal_curve(self):
         w = StepWeight((0.0, 0.3, 0.6, 1.0), (1.0, 0.6, 0.2, 0.0))
         cfg = BayesianConfig(n_players=10, strategy=Termination(0.5),
                              join_model=UNIFORM01, weightfn=w, e0_ratio=0.5,
                              budget=1.0)
-        sweep = optimal_T(cfg, np.linspace(0.1, 1.0, 10))
-        values = [r.expected_efficiency for r in sweep.reports]
+        reports, best = swept(cfg, [Termination(float(t))
+                                    for t in np.linspace(0.1, 1.0, 10)])
+        values = [r.expected_efficiency for r in reports]
         assert single_peaked(values, tol=1e-12)
-        assert 0.1 < sweep.best_parameter < 1.0
+        assert 0.1 < best.parameter < 1.0
 
-    def test_optimal_h_scores_calibrated_candidates(self):
+    def test_linear_sweep_scores_calibrated_candidates(self):
         cfg = BayesianConfig(n_players=3, strategy=LinearDecay(0.1),
                              join_model=UNIFORM01, e0_ratio=0.5, budget=0.6,
                              weightfn=StepWeight((0.0, 0.5), (1.0, 0.2)))
-        sweep = optimal_h(cfg, [0.05, 0.4], grid_size=16, mc_samples=1500,
-                          stage1_samples=10_000, seed=10)
-        for rep in sweep.reports:
+        reports, best = swept(cfg, [LinearDecay(0.05), LinearDecay(0.4)],
+                              grid_size=16, mc_samples=1500,
+                              stage1_samples=10_000, seed=10)
+        for rep in reports:
             assert abs(rep.expected_payment - 0.6) <= budget_tolerance(
                 0.6, rep.payment_stderr)
-        assert sweep.best_parameter in (0.05, 0.4)
+        assert best.parameter in (0.05, 0.4)
 
 
 class TestConfigValidation:
@@ -549,6 +565,12 @@ class TestGridKernel:
         assert err.value.residual > 1e-8
         last = err.value.last
         assert last.shape == (16,) and np.all(last >= 0)
+
+    def test_one_draw_panel_fails_the_noise_check(self):
+        # one opponent draw leaves the noise of the BNE expectation unknown
+        with pytest.raises(MonteCarloNoise):
+            solve_bne_earliest_n(en_config(4, 2, e0_ratio=0.5), grid_size=12,
+                                 mc_samples=1, seed=0)
 
     def test_outer_iterations_at_n_near_N(self, monkeypatch):
         calls = []

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crowdcontest.bayesian_closed import BayesianConfig, EarliestN, calibrated_stage1
+from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN, Termination,
+                                          TypeGrid, calibrated_stage1)
 from crowdcontest.cli import main
-from crowdcontest.errors import ConfigError
+from crowdcontest.errors import ConfigError, InvalidInput
 from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, gen_trace_preset,
-                                      load_spec, parse_spec, run_spec)
-from crowdcontest.open_system import OpenConfig, OpenEarliestN, calibrated_open_stage1
+                                      load_spec, parse_spec, run_spec, sweep)
+from crowdcontest.open_system import (OpenConfig, OpenEarliestN, OpenTermination,
+                                      calibrated_open_stage1)
 from crowdcontest.timing import UniformJoinTimes, ingest_trace_file
 
 SMALL_SPEC = """
@@ -62,6 +64,14 @@ hi = 6
 kind = step
 breakpoints = 0,1.5,3,6
 values = 1,0.6,0.2,0
+"""
+
+COMPLETE_INFO_SPEC = """
+[experiment]
+name = ci
+mode = complete_info
+sweep = 1:4:1
+n_players = 4
 """
 
 
@@ -133,7 +143,7 @@ class TestRunSpec:
         spec = parse_spec(SMALL_SPEC)
         paths = run_spec(spec, out_dir=tmp_path)
         assert [p.name for p in paths] == ["tiny.csv", "tiny_effort.csv",
-                                           "tiny_contour.csv"]
+                                           "tiny_contour.csv", "tiny_optimum.csv"]
         header, rows = _read_rows(paths[0])
         assert header == ["n", "e0_ratio", "efficiency", "efficiency_stderr",
                           "calibrated_b", "expected_payment", "payment_stderr"]
@@ -202,6 +212,20 @@ scale = 1
                            stage1_samples=spec.stage1_samples, seed=spec.seed)
         assert float(row["calibrated_b"]) == pytest.approx(rep.calibrated_b, rel=1e-12)
 
+    @pytest.mark.parametrize("text", [SMALL_SPEC, OPEN_SPEC, TERMINATION_SPEC],
+                             ids=["closed", "open", "termination"])
+    def test_optimum_row_is_the_best_main_row(self, tmp_path, text):
+        spec = parse_spec(text)
+        paths = run_spec(spec, out_dir=tmp_path)
+        header, rows = _read_rows(paths[0])
+        opt_header, optimum = _read_rows(paths[3])
+        assert opt_header == header[:5]
+        assert [r["e0_ratio"] for r in optimum] == [repr(x) for x in spec.e0_ratios]
+        for opt in optimum:
+            curve = [r for r in rows if r["e0_ratio"] == opt["e0_ratio"]]
+            best = max(curve, key=lambda r: float(r["efficiency"]))
+            assert opt == {k: best[k] for k in opt_header}
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = parse_spec(SMALL_SPEC)
         first = run_spec(spec, out_dir=tmp_path / "a")
@@ -239,6 +263,42 @@ scale = 1
         paths = run_spec(load_spec("complete-info-efficiency"), out_dir=tmp_path)
         _, rows = _read_rows(paths[0])
         assert len(rows) == 4 * 49
+
+
+class TestSweep:
+    def test_points_match_separate_calibrations(self, monkeypatch):
+        spec = parse_spec(SMALL_SPEC)
+        poisson = parse_spec(OPEN_SPEC).poisson
+        configs = [
+            BayesianConfig(n_players=4, strategy=EarliestN(3), join_model=spec.join_model,
+                           weightfn=spec.weightfn, e0_ratio=0.5),
+            BayesianConfig(n_players=4, strategy=Termination(2.0),
+                           join_model=spec.join_model, weightfn=spec.weightfn,
+                           e0_ratio=0.2, budget=2.0),
+            OpenConfig(poisson=poisson, strategy=OpenEarliestN(2),
+                       weightfn=spec.weightfn, e0_ratio=0.5),
+            OpenConfig(poisson=poisson, strategy=OpenTermination(0.5),
+                       weightfn=spec.weightfn, e0_ratio=0.8)]
+        sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
+        monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
+        points, best = sweep(configs, **sizes)
+        assert len(points) == len(configs)
+        for cfg, (solution, rep) in zip(configs, points):
+            calibrate = calibrated_stage1 if isinstance(cfg, BayesianConfig) \
+                else calibrated_open_stage1
+            alone, alone_rep = calibrate(cfg, **sizes)
+            assert rep == alone_rep
+            if isinstance(alone, TypeGrid):
+                for field in ("times", "efforts", "b_values"):
+                    assert np.array_equal(getattr(solution, field), getattr(alone, field))
+            else:
+                assert solution == alone
+        effs = [rep.expected_efficiency for _, rep in points]
+        assert best == effs.index(max(effs))
+
+    def test_empty_sweep_is_invalid(self):
+        with pytest.raises(InvalidInput):
+            sweep([])
 
 
 class TestCliEntry:
@@ -287,8 +347,21 @@ output = noisy.csv
         (SMALL_SPEC.replace("n_players = 4", "n_players = abc"), "experiment.n_players"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2,3,5"), "experiment.sweep"),
         (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,7"), "experiment.sweep"),
+        (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2,inf"), "experiment.sweep"),
+        (SMALL_SPEC.replace("grid_size = 17", "grid_size = 1"), "experiment.grid_size"),
+        (SMALL_SPEC.replace("seed = 7", "seed = -1"), "experiment.seed"),
+        (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 0"), "experiment.sweep"),
+        (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 1:5:1"), "experiment.sweep"),
+        (SMALL_SPEC.replace("e0_ratio = 0.5", "e0_ratio = nan"), "experiment.e0_ratio"),
+        (SMALL_SPEC.replace("budget = 1.0", "budget = nan"), "experiment.budget"),
+        (SMALL_SPEC.replace("mc_samples = 1200", "mc_samples = 1"),
+         "experiment.mc_samples"),
+        (SMALL_SPEC.replace("stage1_samples = 6000", "stage1_samples = 1"),
+         "experiment.stage1_samples"),
     ], ids=["lo-above-hi", "negative-rate", "missing-trace", "non-integer-N",
-            "n-above-N", "n-above-truncation"])
+            "n-above-N", "n-above-truncation", "infinite-n", "grid-size-1", "negative-seed",
+            "complete-info-n-0", "complete-info-n-above-N", "nan-e0-ratio",
+            "nan-budget", "one-mc-sample", "one-stage1-sample"])
     def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,
                                                        field):
         spec_file = tmp_path / "bad.ini"

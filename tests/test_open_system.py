@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crowdcontest.bayesian_closed import budget_tolerance, effort_upper_bound
 from crowdcontest.errors import InvalidInput
+from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
                                       OpenTermination, calibrated_open_stage1,
-                                      open_earliest_n_prob, open_optimal_T,
+                                      open_earliest_n_prob,
                                       open_termination_conditional_eff,
                                       open_termination_prob,
                                       solve_bne_open_earliest_n,
@@ -242,11 +244,18 @@ class TestOpenTerminationStage1:
         assert e_star == solve_bne_open_termination(cfg.with_reward(rep.calibrated_b))
 
 
+def deadline_sweep(config, t_grid):
+    """Reports of `config` at each deadline of `t_grid`, and the best deadline."""
+    points, best = sweep([replace(config, strategy=OpenTermination(float(t)))
+                          for t in t_grid])
+    return float(t_grid[best]), [rep for _, rep in points]
+
+
 class TestOpenOptimalT:
-    def test_curve_single_peaked_and_refined(self):
+    def test_curve_single_peaked(self):
         w = StepWeight((0.0, 0.25, 0.5, 1.0), (1.0, 0.6, 0.2, 0.0))
         cfg = open_tt(9.0, 0.5, e0_ratio=0.8, truncation=40, weightfn=w)
-        t_star, reports = open_optimal_T(cfg, np.linspace(0.1, 1.4, 14))
+        t_star, reports = deadline_sweep(cfg, np.linspace(0.1, 1.4, 14))
         values = [r.expected_efficiency for r in reports]
         assert single_peaked(values, tol=1e-9)
         assert 0.1 <= t_star <= 1.4
@@ -256,7 +265,7 @@ class TestOpenOptimalT:
         w = StepWeight((0.0, 0.5), (1.0, 0.0))
         cfg = open_tt(6.0, 0.4, e0_ratio=0.5, truncation=40, weightfn=w)
         grid = np.linspace(0.1, 1.2, 12)
-        t_star, reports = open_optimal_T(cfg, grid, refine=False)
+        t_star, reports = deadline_sweep(cfg, grid)
         assert t_star <= 0.5 + (grid[1] - grid[0]) + 1e-9
 
     def test_vanishing_window_scores_zero(self):
