@@ -9,15 +9,15 @@ from .contest import (ContestConfig, EffortProfile, MechanismReport,
                       efficiency_identical, optimal_reward_vector, payoff,
                       report, solve_ne, symmetric_ne)
 from .bayesian_closed import (BayesianConfig, EarliestN, LinearDecay,
-                              StageOneReport, Termination, TypeGrid,
+                              Stage1Panel, StageOneReport, Termination, TypeGrid,
                               calibrate_b, calibrated_stage1, earliest_n_prob,
                               effort_upper_bound, participation_threshold,
                               solve_bne_earliest_n, solve_bne_linear,
                               solve_bne_termination, stage1_metrics_mc,
-                              stage1_metrics_termination)
+                              stage1_metrics_termination, stage1_panel)
 from .open_system import (OpenConfig, OpenEarliestN, OpenTermination,
                           calibrated_open_stage1, open_earliest_n_prob,
-                          open_termination_conditional_eff,
+                          open_stage1_panel, open_termination_conditional_eff,
                           open_termination_prob, solve_bne_open_earliest_n,
                           solve_bne_open_termination, stage1_open_earliest_n,
                           stage1_open_termination)

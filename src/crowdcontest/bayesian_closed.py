@@ -1,7 +1,8 @@
 """Stackelberg Bayesian crowdsensing games. The two-stage pipeline that
 closed and open systems share lives here: the grid BNE kernel, the scalar
-termination-time BNE, the termination and Monte Carlo Stage-I reports and
-budget calibration. The closed system (a fixed population of N contributors
+termination-time BNE, the termination and Monte Carlo Stage-I reports, the
+Stage-I panel of sorted type draws those reports share, and budget
+calibration. The closed system (a fixed population of N contributors
 with i.i.d. joining times) is built on it here, for the earliest-n,
 termination-time and linearly-decreasing reward strategies; `open_system`
 builds the open system on it from a Poisson prior.
@@ -137,6 +138,30 @@ class TypeGrid:
 
     def scaled(self, factor: float) -> "TypeGrid":
         return TypeGrid(self.times, self.efforts * factor, self.b_values * factor)
+
+
+@dataclass(frozen=True)
+class Stage1Panel:
+    """Monte Carlo types of Stage I (common random numbers), drawn once per
+    prior and shared by every evaluation of a sweep: `types` holds one draw
+    per row with the row sorted ascending, so the n earliest joiners of a
+    draw are its first n columns, and `weights` holds the requester's
+    valuations w(types). The panel takes its arrays over read-only."""
+
+    types: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.types, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        if t.ndim != 2 or t.shape != w.shape:
+            raise InvalidInput("panel types and weights must be matching 2-d arrays")
+        if np.any(t[:, 1:] < t[:, :-1]):
+            raise InvalidInput("panel rows must be sorted ascending")
+        t.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "types", t)
+        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -515,23 +540,27 @@ def stage1_metrics_termination(config: BayesianConfig,
 # Stage-I Monte Carlo metrics (earliest-n / linear decay)
 # ---------------------------------------------------------------------------
 
-def _realized_rewards(config: BayesianConfig, draws: np.ndarray) -> np.ndarray:
-    """Per-draw, per-player realized maximum rewards. Earliest-n rewards the
-    n smallest joining times of each draw (order statistics); linear decay
-    evaluates b(t) directly."""
-    s = config.strategy
-    b = config.max_reward
-    if isinstance(s, EarliestN):
-        out = np.zeros_like(draws)
-        if s.n >= config.n_players:
-            out[:] = b
-        else:
-            idx = np.argpartition(draws, s.n - 1, axis=1)[:, :s.n]
-            np.put_along_axis(out, idx, b, axis=1)
-        return out
-    if isinstance(s, LinearDecay):
-        return np.maximum(b - s.velocity * draws, 0.0)
-    return np.where(draws <= s.deadline, b, 0.0)
+def stage1_panel(config: BayesianConfig, mc_samples: int = 100_000,
+                 seed: RngSeed = 1) -> Stage1Panel:
+    """Stage-I panel of a closed config's prior: mc_samples draws of the N
+    joining times from the stream (seed, 0x51a6e1), each row sorted once,
+    with their weights. It depends only on N, the join model and the weight
+    function, so one panel serves every n, velocity and reward of a sweep."""
+    n = config.n_players
+    rng = spawn_rng(seed, 0x51a6e1)
+    draws = config.join_model.sample(rng, mc_samples * n).reshape(mc_samples, n)
+    types = np.sort(draws, axis=1)
+    return Stage1Panel(types, config.weightfn(types))
+
+
+def _check_panel(panel: Stage1Panel, columns: int, what: str) -> None:
+    """InvalidInput unless the panel has `columns` types per draw (the
+    config's `what`) and the 2 draws a standard error needs."""
+    rows, cols = panel.types.shape
+    if cols != columns:
+        raise InvalidInput(f"panel has {cols} types per draw, {what} is {columns}")
+    if rows < 2:
+        raise InvalidInput(f"need at least 2 Monte Carlo draws, got {rows}")
 
 
 def _mc_metrics(efforts: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
@@ -539,11 +568,9 @@ def _mc_metrics(efforts: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
     """Payment and efficiency means with their standard errors over Monte
     Carlo draws (rows of `efforts`), as StageOneReport fields: a draw pays
     paid / (e0 + sum of efforts) and scores util_draw (e0 + sum of efforts) /
-    paid, with zero efficiency charged when nothing is paid out. A standard
-    error needs at least 2 draws."""
+    paid, with zero efficiency charged when nothing is paid out. The caller
+    has checked that there are the 2 draws a standard error needs."""
     mc_samples = efforts.shape[0]
-    if mc_samples < 2:
-        raise InvalidInput(f"need at least 2 Monte Carlo draws, got {mc_samples}")
     denom = e0 + np.sum(efforts, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         payment = np.where(denom > 0, paid / denom, 0.0)
@@ -556,22 +583,28 @@ def _mc_metrics(efforts: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
 
 
 def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
-                      mc_samples: int = 100_000, seed: RngSeed = 1) -> StageOneReport:
-    """Stage-I metrics by Monte Carlo over joint type draws.
+                      panel: Stage1Panel) -> StageOneReport:
+    """Stage-I metrics by Monte Carlo over the joint type draws of `panel`
+    (`stage1_panel` of the config's prior).
 
     E[U] comes from 1-d quantile quadrature of N w(t) e*(t) f(t); the payment
-    and efficiency expectations average the per-draw reward allocation.
+    and efficiency expectations average the per-draw reward allocation. The
+    panel's rows are sorted, so earliest-n pays b times the sum of a draw's
+    first n efforts; the other strategies pay each effort its b(t).
     """
     n = config.n_players
+    _check_panel(panel, n, "n_players")
     us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS
     ts = config.join_model.quantile(us)
     utility = n * float(np.mean(np.asarray(config.weightfn(ts)) * grid.interp(ts)))
 
-    rng = spawn_rng(seed, 0x51a6e1)
-    draws = config.join_model.sample(rng, mc_samples * n).reshape(mc_samples, n)
-    efforts = grid.interp(draws)
-    paid = np.sum(efforts * _realized_rewards(config, draws), axis=1)
-    util_draw = np.sum(np.asarray(config.weightfn(draws)) * efforts, axis=1)
+    efforts = grid.interp(panel.types)
+    s = config.strategy
+    if isinstance(s, EarliestN):
+        paid = config.max_reward * np.sum(efforts[:, :s.n], axis=1)
+    else:
+        paid = np.sum(efforts * reward_schedule(config, panel.types), axis=1)
+    util_draw = np.einsum("ij,ij->i", panel.weights, efforts)
     return StageOneReport(parameter=_strategy_parameter(config.strategy),
                           calibrated_b=config.max_reward, expected_utility=utility,
                           **_mc_metrics(efforts, paid, util_draw,
@@ -679,7 +712,8 @@ def _payment_at(config, solve, stage1, rescale: bool):
 
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                       mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                      seed: RngSeed = 0) -> tuple[TypeGrid | float, StageOneReport]:
+                      seed: RngSeed = 0, panel: Stage1Panel | None = None
+                      ) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
     at the calibrated reward, together with the Stage-II solution there: the
     effort grid, or the flat in-time effort e* of a termination strategy.
@@ -688,6 +722,11 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     e0_ratio ties the nature effort to b); the earliest-n grid is solved once
     and rescaled. Linear decay re-solves per candidate because a fixed
     velocity breaks the scaling.
+
+    Every Stage-I evaluation of the calibration runs on one `panel`, by
+    default `stage1_panel(config, stage1_samples, seed + 1)`, built here; a
+    sweep passes the panel it shares across its configs. The closed-form
+    termination report takes no panel.
     """
     s = config.strategy
     if isinstance(s, Termination):
@@ -699,9 +738,11 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
             stage1_metrics_termination, rescale=False)
     else:
         solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
+        if panel is None:
+            panel = stage1_panel(config, stage1_samples, seed + 1)
         payment_at = _payment_at(
             config, lambda cfg: solve(cfg, grid_size, mc_samples, seed),
-            lambda cfg, grid: stage1_metrics_mc(cfg, grid, stage1_samples, seed + 1),
+            lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel),
             rescale=isinstance(s, EarliestN))
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward,
                             assume_linear=scales_with_reward(s))

@@ -154,17 +154,25 @@ def _floats(raw: str, fieldname: str) -> tuple[float, ...]:
 
 
 def _sweep_values(raw: str) -> tuple[float, ...]:
-    """Either an explicit comma list or an inclusive start:stop:step range."""
+    """Either an explicit comma list or an inclusive start:stop:step range.
+    A range is counted and stepped in decimal arithmetic on the spec text,
+    so 0.1:1.5:0.1 gives 0.3 and ends at 1.5 without binary rounding noise."""
     raw = raw.strip()
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {raw!r}", "sweep")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
+        import decimal      # only range sweeps need it; importing the package does not
+        try:
+            start, stop, step = (decimal.Decimal(p) for p in parts)
+        except decimal.InvalidOperation:
+            raise ValueError(f"range bounds must be numbers, got {raw!r}")
+        if not all(math.isfinite(float(x)) for x in (start, stop, step)):
+            raise ValueError(f"range bounds must be finite, got {raw!r}")
+        if not float(step) > 0:
             raise ConfigError("sweep step must be > 0", "sweep")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
+        count = math.floor((stop - start) / step) + 1
+        return tuple(float(start + i * step) for i in range(count))
     return _floats(raw, "sweep")
 
 
@@ -334,6 +342,11 @@ def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
     """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
     config of a sweep, with `CROWDCONTEST_THREADS` workers.
 
+    The Stage-I panel depends only on the prior, so it is built once per
+    distinct prior of the sweep (N, join model and weights of a closed
+    config; Poisson model and weights of an open one) and shared read-only
+    by every config and worker; termination strategies need none.
+
     Returns the (Stage-II solution, StageOneReport) pair of each config, in
     input order, and the index of the highest expected efficiency: the
     sweep's optimum. The optimum is a swept point; nothing between the
@@ -342,14 +355,27 @@ def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
     configs = list(configs)
     if not configs:
         raise InvalidInput("sweep needs at least one config")
+    panels = {}
 
-    def calibrated(cfg):
+    def panel_of(cfg):
+        if isinstance(cfg.strategy, (bc.Termination, osys.OpenTermination)):
+            return None
+        if isinstance(cfg, bc.BayesianConfig):
+            key, build = (cfg.n_players, cfg.join_model, cfg.weightfn), bc.stage1_panel
+        else:
+            key, build = (cfg.poisson, cfg.weightfn), osys.open_stage1_panel
+        if key not in panels:
+            panels[key] = build(cfg, stage1_samples, seed + 1)
+        return panels[key]
+
+    def calibrated(item):
+        cfg, panel = item
         calibrate = bc.calibrated_stage1 if isinstance(cfg, bc.BayesianConfig) \
             else osys.calibrated_open_stage1
         return calibrate(cfg, grid_size=grid_size, mc_samples=mc_samples,
-                         stage1_samples=stage1_samples, seed=seed)
+                         stage1_samples=stage1_samples, seed=seed, panel=panel)
 
-    points = _parallel_map(calibrated, configs)
+    points = _parallel_map(calibrated, [(cfg, panel_of(cfg)) for cfg in configs])
     best = int(np.argmax([rep.expected_efficiency for _, rep in points]))
     return points, best
 

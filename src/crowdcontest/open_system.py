@@ -2,8 +2,8 @@
 compete under the earliest-n or termination-time strategy. The game and its
 two-stage pipeline are those of the closed system (`bayesian_closed`); this
 module supplies only the open system's prior: the Poisson type grid, the
-arrival-sequence panels, the meeting-count and in-time count pmfs and the
-mean in-time weight.
+arrival-sequence panels (the Stage-I one sorted by construction), the
+meeting-count and in-time count pmfs and the mean in-time weight.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayesian_closed import (StageOneReport, TypeGrid, calibrate_b, _iterate_grid_bne,
-                              _mc_metrics, _payment_at, _termination_effort,
-                              _termination_report)
+from .bayesian_closed import (Stage1Panel, StageOneReport, TypeGrid, calibrate_b,
+                              _check_panel, _iterate_grid_bne, _mc_metrics, _payment_at,
+                              _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
@@ -124,19 +124,29 @@ def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
     return _iterate_grid_bne(times, b_t, opp_epochs, config.nature_effort)
 
 
+def open_stage1_panel(config: OpenConfig, mc_samples: int = 100_000,
+                      seed: RngSeed = 1) -> Stage1Panel:
+    """Stage-I panel of an open config's prior: mc_samples full M-epoch
+    arrival sequences from the stream (seed, 0x07e4), sorted as they arrive,
+    with their weights. It depends only on the Poisson model and the weight
+    function, so one panel serves every n and reward of a sweep."""
+    epochs = sample_arrival_sequences(config.poisson, spawn_rng(seed, 0x07e4),
+                                      mc_samples)
+    return Stage1Panel(epochs, config.weightfn(epochs))
+
+
 def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
-                           mc_samples: int = 100_000, seed: RngSeed = 1
-                           ) -> StageOneReport:
-    """Stage-I metrics by Monte Carlo over full M-epoch arrival sequences.
-    The earliest-n subset of a sequence is simply its first n epochs."""
+                           panel: Stage1Panel) -> StageOneReport:
+    """Stage-I metrics by Monte Carlo over the arrival sequences of `panel`
+    (`open_stage1_panel` of the config's prior). The earliest-n subset of a
+    sequence is simply its first n epochs."""
     if not isinstance(config.strategy, OpenEarliestN):
         raise InvalidInput("config.strategy must be OpenEarliestN")
+    _check_panel(panel, config.poisson.truncation, "poisson.truncation")
     n = config.strategy.n
     b = config.max_reward
-    rng = spawn_rng(seed, 0x07e4)
-    epochs = sample_arrival_sequences(config.poisson, rng, mc_samples)
-    efforts = np.interp(epochs, grid.times, grid.efforts)
-    util_draw = np.sum(np.asarray(config.weightfn(epochs)) * efforts, axis=1)
+    efforts = grid.interp(panel.types)
+    util_draw = np.einsum("ij,ij->i", panel.weights, efforts)
     paid = b * np.sum(efforts[:, :n], axis=1)
     return StageOneReport(parameter=float(n), calibrated_b=b,
                           expected_utility=float(np.mean(util_draw)),
@@ -223,20 +233,24 @@ def stage1_open_termination(config: OpenConfig, e_star: float | None = None
 
 def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                           seed: RngSeed = 0) -> tuple[TypeGrid | float, StageOneReport]:
+                           seed: RngSeed = 0, panel: Stage1Panel | None = None
+                           ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward: the effort grid, or the in-time effort e* of the
     termination strategy (both open strategies scale linearly in b because
-    e0 tracks b)."""
+    e0 tracks b). Both earliest-n Stage-I evaluations run on one `panel`, by
+    default `open_stage1_panel(config, stage1_samples, seed + 1)`, built
+    here; the closed-form termination report takes no panel."""
     if isinstance(config.strategy, OpenTermination):
         payment_at = _payment_at(config, solve_bne_open_termination,
                                  stage1_open_termination, rescale=False)
     else:
+        if panel is None:
+            panel = open_stage1_panel(config, stage1_samples, seed + 1)
         payment_at = _payment_at(
             config,
             lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed),
-            lambda cfg, grid: stage1_open_earliest_n(cfg, grid, stage1_samples,
-                                                     seed + 1),
+            lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel),
             rescale=True)
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)
     return result

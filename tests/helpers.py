@@ -80,3 +80,21 @@ def single_peaked(values, tol: float = 0.0) -> bool:
     rising = np.all(np.diff(values[: k + 1]) >= -tol)
     falling = np.all(np.diff(values[k:]) <= tol)
     return bool(rising and falling)
+
+
+def argpartition_payment(draws: np.ndarray, efforts: np.ndarray, n: int, b: float,
+                         e0: float) -> float:
+    """Expected earliest-n payment share over unsorted type draws: each row
+    rewards its n smallest joining times, picked by `np.argpartition` and
+    put into a reward matrix, as Stage I did before its panel rows were
+    sorted."""
+    rewards = np.zeros_like(draws)
+    if n >= draws.shape[1]:
+        rewards[:] = b
+    else:
+        idx = np.argpartition(draws, n - 1, axis=1)[:, :n]
+        np.put_along_axis(rewards, idx, b, axis=1)
+    paid = np.sum(efforts * rewards, axis=1)
+    denom = e0 + np.sum(efforts, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.mean(np.where(denom > 0, paid / denom, 0.0)))

@@ -15,7 +15,7 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           participation_threshold,
                                           solve_bne_earliest_n,
                                           solve_bne_termination,
-                                          stage1_metrics_mc,
+                                          stage1_metrics_mc, stage1_panel,
                                           termination_effort_e0_zero)
 from crowdcontest.contest import (ContestConfig, efficiency_identical,
                                   solve_ne, symmetric_ne)
@@ -26,6 +26,7 @@ from crowdcontest.experiments import gen_trace_preset, sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
                                       OpenTermination, calibrated_open_stage1,
+                                      open_stage1_panel,
                                       open_termination_conditional_eff,
                                       solve_bne_open_termination,
                                       stage1_open_earliest_n)
@@ -173,7 +174,7 @@ def test_criterion_08_budget_balance_across_ratios():
         grid, rep = calibrated_stage1(cfg, grid_size=25, mc_samples=3000,
                                       stage1_samples=40_000, seed=88)
         fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), grid,
-                                  mc_samples=40_000, seed=4242)
+                                  stage1_panel(cfg, 40_000, 4242))
         assert abs(fresh.expected_payment - 1.0) <= budget_tolerance(
             1.0, fresh.payment_stderr)
 
@@ -192,7 +193,7 @@ def test_criterion_08_budget_balance_across_ratios():
                                                mc_samples=3000,
                                                stage1_samples=40_000, seed=89)
         fresh_o = stage1_open_earliest_n(cfg_o.with_reward(rep_o.calibrated_b),
-                                         grid_o, mc_samples=40_000, seed=4243)
+                                         grid_o, open_stage1_panel(cfg_o, 40_000, 4243))
         assert abs(fresh_o.expected_payment - 1.0) <= budget_tolerance(
             1.0, fresh_o.payment_stderr)
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from crowdcontest import bayesian_closed
 from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
-                                          LinearDecay, Termination,
+                                          LinearDecay, Stage1Panel, Termination,
+                                          TypeGrid,
                                           budget_tolerance, calibrate_b,
                                           calibrated_stage1, earliest_n_prob,
                                           effort_upper_bound,
@@ -16,7 +17,7 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           solve_bne_earliest_n,
                                           solve_bne_linear,
                                           solve_bne_termination,
-                                          stage1_metrics_mc,
+                                          stage1_metrics_mc, stage1_panel,
                                           stage1_metrics_termination,
                                           termination_effort_e0_zero,
                                           threshold_analytic_bound)
@@ -28,7 +29,7 @@ from crowdcontest.numerics import spawn_rng
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, StepWeight,
                                  UniformJoinTimes)
 
-from helpers import bne_quadrature_oracle, single_peaked
+from helpers import argpartition_payment, bne_quadrature_oracle, single_peaked
 
 GOLDEN = (math.sqrt(5) - 1) / 8
 UNIFORM01 = UniformJoinTimes(0.0, 1.0)
@@ -227,7 +228,7 @@ class TestTerminationStage1:
         step_grid = TypeGrid(times=np.array([0.0, 0.6, 0.6 + 1e-12, 1.0]),
                              efforts=np.array([e_star, e_star, 0.0, 0.0]),
                              b_values=np.array([1.0, 1.0, 0.0, 0.0]))
-        mc = stage1_metrics_mc(cfg, step_grid, mc_samples=200_000, seed=21)
+        mc = stage1_metrics_mc(cfg, step_grid, stage1_panel(cfg, 200_000, 21))
         assert abs(mc.expected_payment - rep.expected_payment) <= \
             3 * mc.payment_stderr + 1e-9
         assert abs(mc.expected_efficiency - rep.expected_efficiency) <= \
@@ -272,7 +273,7 @@ class TestStage1EarliestN:
     def test_full_quota_no_nature_spends_everything(self):
         cfg = en_config(2, 2, e0_ratio=0.0)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
-        rep = stage1_metrics_mc(cfg, grid, mc_samples=4000, seed=2)
+        rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 4000, 2))
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == pytest.approx(0.0, abs=1e-12)
         assert rep.expected_efficiency == pytest.approx(0.5, abs=1e-6)
@@ -282,12 +283,46 @@ class TestStage1EarliestN:
         cfg = en_config(4, 2, e0_ratio=0.5)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=1)
         with pytest.raises(InvalidInput):
-            stage1_metrics_mc(cfg, grid, mc_samples=1, seed=2)
+            stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 1, 2))
+
+    def test_panel_of_another_prior_is_invalid(self):
+        cfg = en_config(4, 2, e0_ratio=0.5)
+        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=1)
+        with pytest.raises(InvalidInput, match="n_players"):
+            stage1_metrics_mc(cfg, grid, stage1_panel(en_config(5, 2, 0.5), 100, 2))
+
+    def test_panel_is_sorted_and_read_only(self):
+        panel = stage1_panel(en_config(6, 2, 0.5), 50, 3)
+        assert np.all(np.diff(panel.types, axis=1) >= 0)
+        with pytest.raises(ValueError):
+            panel.types[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            panel.weights[0, 0] = 0.0
+        with pytest.raises(InvalidInput):
+            Stage1Panel(np.array([[0.2, 0.1]]), np.ones((1, 2)))
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(n_players=st.integers(1, 12), data=st.data(), rows=st.integers(2, 30),
+           seed=st.integers(0, 2**32 - 1), e0_ratio=st.floats(0.0, 1.0),
+           b=st.floats(0.1, 10.0))
+    def test_sorted_prefix_pays_the_n_earliest(self, n_players, data, rows, seed,
+                                               e0_ratio, b):
+        n = data.draw(st.integers(1, n_players))
+        rng = np.random.default_rng(seed)
+        draws = rng.random((rows, n_players))
+        grid = TypeGrid(np.linspace(0.0, 1.0, 9), 0.25 * b * rng.random(9),
+                        np.full(9, b))
+        cfg = en_config(n_players, n, e0_ratio, max_reward=b)
+        panel = Stage1Panel(np.sort(draws, axis=1), np.ones_like(draws))
+        rep = stage1_metrics_mc(cfg, grid, panel)
+        oracle = argpartition_payment(draws, grid.interp(draws), n, b,
+                                      cfg.nature_effort)
+        assert rep.expected_payment == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_single_player_payment(self):
         cfg = en_config(1, 1, e0_ratio=0.25)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=64, seed=0)
-        rep = stage1_metrics_mc(cfg, grid, mc_samples=2000, seed=3)
+        rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 2000, 3))
         assert rep.expected_payment == pytest.approx(0.5, abs=1e-12)
 
     def test_stage1_mc_matches_tensor_quadrature(self):
@@ -297,7 +332,7 @@ class TestStage1EarliestN:
         w = StepWeight((0.0, 0.5), (1.0, 0.4))
         cfg = en_config(2, 1, e0_ratio=0.3, weightfn=w)
         grid = solve_bne_earliest_n(cfg, grid_size=25, mc_samples=20_000, seed=13)
-        rep = stage1_metrics_mc(cfg, grid, mc_samples=150_000, seed=14)
+        rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 150_000, 14))
 
         nodes = UNIFORM01.quantile((np.arange(600) + 0.5) / 600)
         e = grid.interp(nodes)
@@ -354,7 +389,7 @@ class TestCalibration:
         grid, rep = calibrated_stage1(cfg, grid_size=25, mc_samples=4000,
                                       stage1_samples=40_000, seed=11)
         fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), grid,
-                                  mc_samples=40_000, seed=777)
+                                  stage1_panel(cfg, 40_000, 777))
         tol = budget_tolerance(cfg.budget, fresh.payment_stderr)
         assert abs(fresh.expected_payment - cfg.budget) <= tol
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from crowdcontest import bayesian_closed as bc
+from crowdcontest import open_system as osys
 from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN, Termination,
                                           TypeGrid, calibrated_stage1)
 from crowdcontest.cli import main
@@ -100,6 +102,17 @@ class TestSpecParsing:
         assert len(spec.sweep) == 12
         assert spec.sweep[0] == 0.5
         assert spec.sweep[-1] == 6.0
+
+    def test_range_sweep_has_no_float_noise(self):
+        spec = parse_spec(TERMINATION_SPEC.replace("sweep = 0.5:6:0.5",
+                                                   "sweep = 0.1:1.5:0.1"))
+        assert len(spec.sweep) == 15
+        assert spec.sweep[2] == 0.3
+        assert spec.sweep[-1] == 1.5
+        assert load_spec("closed-earliestn-step").sweep == \
+            tuple(float(n) for n in range(2, 21))
+        assert load_spec("closed-termination-step").sweep == \
+            tuple(0.25 * k for k in range(1, 25))
 
     def test_increasing_step_weights_name_the_invariant(self):
         bad = SMALL_SPEC.replace("values = 1,0.6,0.2,0", "values = 0.2,0.6,1,1")
@@ -295,6 +308,30 @@ class TestSweep:
                 assert solution == alone
         effs = [rep.expected_efficiency for _, rep in points]
         assert best == effs.index(max(effs))
+
+    def test_sweep_builds_one_stage1_panel(self, monkeypatch):
+        spec = parse_spec(SMALL_SPEC)
+        poisson = parse_spec(OPEN_SPEC).poisson
+        built = []
+
+        def counting(build):
+            def counted(*args):
+                built.append(build.__name__)
+                return build(*args)
+            return counted
+
+        monkeypatch.setattr(bc, "stage1_panel", counting(bc.stage1_panel))
+        monkeypatch.setattr(osys, "open_stage1_panel", counting(osys.open_stage1_panel))
+        monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
+        sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
+        sweep([BayesianConfig(n_players=4, strategy=EarliestN(n),
+                              join_model=spec.join_model, weightfn=spec.weightfn,
+                              e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
+        assert built == ["stage1_panel"]
+        sweep([OpenConfig(poisson=poisson, strategy=OpenEarliestN(n),
+                          weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
+              **sizes)
+        assert built == ["stage1_panel", "open_stage1_panel"]
 
     def test_empty_sweep_is_invalid(self):
         with pytest.raises(InvalidInput):

@@ -10,7 +10,7 @@ from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
                                       OpenTermination, calibrated_open_stage1,
-                                      open_earliest_n_prob,
+                                      open_earliest_n_prob, open_stage1_panel,
                                       open_termination_conditional_eff,
                                       open_termination_prob,
                                       solve_bne_open_earliest_n,
@@ -164,16 +164,26 @@ class TestOpenStage1:
     def test_full_quota_no_nature_spends_everything(self):
         cfg = open_en(2.0, 5, 5, e0_ratio=0.0)
         grid = solve_bne_open_earliest_n(cfg, grid_size=40, mc_samples=8000, seed=0)
-        rep = stage1_open_earliest_n(cfg, grid, mc_samples=4000, seed=1)
+        rep = stage1_open_earliest_n(cfg, grid, open_stage1_panel(cfg, 4000, 1))
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == 0.0
+
+    def test_panel_of_another_prior_is_invalid(self):
+        cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
+        grid = solve_bne_open_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=0)
+        with pytest.raises(InvalidInput, match="truncation"):
+            stage1_open_earliest_n(cfg, grid,
+                                   open_stage1_panel(open_en(2.0, 6, 2, 0.5), 100, 1))
+        with pytest.raises(InvalidInput, match="2 Monte Carlo draws"):
+            stage1_open_earliest_n(cfg, grid, open_stage1_panel(cfg, 1, 1))
 
     def test_reward_scaling_moves_utility_not_efficiency(self):
         cfg1 = open_en(2.0, 6, 3, e0_ratio=0.5, max_reward=1.0)
         cfg2 = open_en(2.0, 6, 3, e0_ratio=0.5, max_reward=2.0)
         g1 = solve_bne_open_earliest_n(cfg1, grid_size=25, mc_samples=4000, seed=4)
-        rep1 = stage1_open_earliest_n(cfg1, g1, mc_samples=10_000, seed=5)
-        rep2 = stage1_open_earliest_n(cfg2, g1.scaled(2.0), mc_samples=10_000, seed=5)
+        rep1 = stage1_open_earliest_n(cfg1, g1, open_stage1_panel(cfg1, 10_000, 5))
+        rep2 = stage1_open_earliest_n(cfg2, g1.scaled(2.0),
+                                      open_stage1_panel(cfg2, 10_000, 5))
         assert rep2.expected_utility == pytest.approx(2 * rep1.expected_utility,
                                                       rel=1e-9)
         assert rep2.expected_efficiency == pytest.approx(rep1.expected_efficiency,
@@ -184,7 +194,7 @@ class TestOpenStage1:
         grid, rep = calibrated_open_stage1(cfg, grid_size=25, mc_samples=4000,
                                            stage1_samples=30_000, seed=6)
         fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), grid,
-                                       mc_samples=30_000, seed=909)
+                                       open_stage1_panel(cfg, 30_000, 909))
         tol = budget_tolerance(cfg.budget, fresh.payment_stderr)
         assert abs(fresh.expected_payment - cfg.budget) <= tol
 
