@@ -27,10 +27,9 @@ from .errors import InfeasibleBudget, InvalidInput, MonteCarloNoise, NoConvergen
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 
-#: tolerance, best-response cap and Anderson mixing weight of the grid BNE
+#: tolerance and best-response cap of the grid BNE
 BNE_TOL = 1e-8
 BNE_STEPS = 2000
-ANDERSON_WEIGHT = 0.5
 #: bisection tolerance of the scalar termination-time BNE
 TERMINATION_TOL = 1e-12
 #: nodes of the 1-d quantile-midpoint quadratures of Stage I
@@ -241,6 +240,27 @@ def _grid_times(model: JoinTimeModel, grid_size: int) -> np.ndarray:
     return ts
 
 
+def _condition_means(a_samples: np.ndarray, size: int):
+    """means(x) -> (E[A/(A+x)^2], E[A/(A+x)^3]) over the draws `a_samples`
+    for an x of `size` points, as BLAS products w @ inv^2 and w @ inv^3 with
+    inv = 1/(A+x) in reused buffers and w = A/mc over the draws with A > 0;
+    the draws with A = 0 add nothing, and leaving them out keeps inv^3
+    finite for x near 0."""
+    a = a_samples[a_samples > 0]
+    w = a / a_samples.size
+    a = a[:, None]
+    inv = np.empty((a.size, size))
+    power = np.empty_like(inv)
+
+    def means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.reciprocal(np.add(a, x, out=inv), out=inv)
+        np.multiply(inv, inv, out=power)
+        square = w @ power
+        np.multiply(power, inv, out=power)
+        return square, w @ power
+    return means
+
+
 def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
                              tol: float, start: np.ndarray | None = None
                              ) -> np.ndarray:
@@ -251,9 +271,12 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     [0, b(t)/4]; a safeguarded Newton iteration stays inside that bracket
     and raises NoConvergence if it has not settled after NEWTON_STEPS steps.
     Each point starts from `start` (the previous best response) where that
-    lies strictly inside its bracket, else from the bracket midpoint.
+    lies strictly inside its bracket, else from the bracket midpoint. When
+    no draw has A > 0 (e0 = 0 against zero opposition) any e > 0 wins b(t):
+    the condition has no root, and the best response is returned as 0.
     """
-    if np.all(a_samples > 0):
+    positive = a_samples > 0
+    if np.all(positive):
         participation = b_t * float(np.mean(1.0 / a_samples)) > 1.0
     else:
         # samples with zero opposition and e0 = 0 offer an unbounded marginal
@@ -261,7 +284,7 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
         participation = b_t > 0
     active = participation & (b_t > 0)
     e = np.zeros_like(b_t)
-    if not np.any(active):
+    if not np.any(active) or not np.any(positive):
         return e
     b_act = b_t[active]
     lo = np.zeros(b_act.size)
@@ -270,17 +293,11 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     if start is not None:
         warm = start[active]
         x = np.where((warm > 0) & (warm < hi), warm, x)
-    a = a_samples[:, None]
-    # two mc x active buffers: 1/(A+x), then A/(A+x)^2 and A/(A+x)^3
-    inv = np.empty((a.size, x.size))
-    term = np.empty_like(inv)
+    means = _condition_means(a_samples, x.size)
     for _ in range(NEWTON_STEPS):
-        np.reciprocal(np.add(a, x, out=inv), out=inv)
-        np.multiply(inv, inv, out=term)
-        term *= a
-        g = b_act * term.mean(axis=0) - 1.0
-        term *= inv
-        gp = -2.0 * b_act * term.mean(axis=0)
+        square, cube = means(x)
+        g = b_act * square - 1.0
+        gp = -2.0 * b_act * cube
         lo = np.where(g > 0, x, lo)
         hi = np.where(g < 0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -341,17 +358,18 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
     The panel enters G only through the opponent aggregates A = e0 + M e,
     which are linear in the effort grid e; the interpolation operator M is
-    built once. The fixed point is found by depth-1 Anderson mixing (Walker
-    & Ni, SIAM J. Numer. Anal. 49(4), 2011) with mixing weight
-    beta = ANDERSON_WEIGHT: with the residual f = G(x) - x and the changes
-    dx, df since the previous iterate,
+    built once. The fixed point is found by undamped depth-1 Anderson mixing
+    (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011): with the residual
+    f = G(x) - x and its change df since the previous iterate,
 
-        x <- max(x + beta f - gamma (dx + beta df), 0),
+        x <- max(G(x) - gamma (G(x) - G(x_prev)), 0),
         gamma = (df . f) / (df . df),
 
-    which is the plain damped step x + beta f when df . df = 0 (and at the
-    first iterate). Each best response warm-starts its Newton solve from the
-    previous one. Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises
+    which is the plain best response G(x) when df . df = 0 (and at the first
+    iterate). At e0 = 0, G maps the zero grid to itself although it is no
+    equilibrium (a lone positive effort wins b(t)), so a step onto it halves
+    the iterate instead. Each best response warm-starts its Newton solve from
+    the previous one. Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises
     NoConvergence with the last iterate after BNE_STEPS best responses and
     MonteCarloNoise when the panel is too small for the result. A panel
     without opponent columns leaves a lone contributor against nature, whose
@@ -360,9 +378,8 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     if opp_panel.shape[1] == 0:
         return TypeGrid(times, np.maximum(np.sqrt(b_t * e0) - e0, 0.0), b_t)
     op = _interp_operator(opp_panel, times)
-    beta = ANDERSON_WEIGHT
     x = np.where(b_t > e0, 0.25 * b_t, 0.0)
-    br = x_prev = f_prev = None
+    br = br_prev = f_prev = None
     residual = math.inf
     for _ in range(BNE_STEPS):
         br = _expected_best_responses(e0 + op @ x, b_t, BNE_TOL, br)
@@ -370,14 +387,15 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
         residual = float(np.max(np.abs(f)))
         if residual <= BNE_TOL:
             break
-        step = beta * f
+        x_new = br
         if f_prev is not None:
             df = f - f_prev
             df_df = float(df @ df)
             if df_df > 0:
-                step -= float(df @ f) / df_df * (x - x_prev + beta * df)
-        x_prev, f_prev = x, f
-        x = np.maximum(x + step, 0.0)
+                x_new = br - float(df @ f) / df_df * (br - br_prev)
+        br_prev, f_prev = br, f
+        x_new = np.maximum(x_new, 0.0)
+        x = 0.5 * x if e0 == 0 and not np.any(x_new > 0) else x_new
     else:
         raise NoConvergence("grid BNE iteration stalled", last=x,
                             residual=residual, iterations=BNE_STEPS)

@@ -336,27 +336,12 @@ def _config(spec: ExperimentSpec, value: float, ratio: float,
                            weightfn=spec.weightfn, e0_ratio=ratio, budget=budget)
 
 
-def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
-          stage1_samples: int = 100_000, seed: RngSeed = 0
-          ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
-    """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
-    config of a sweep, with `CROWDCONTEST_THREADS` workers.
-
-    The Stage-I panel depends only on the prior, so it is built once per
-    distinct prior of the sweep (N, join model and weights of a closed
-    config; Poisson model and weights of an open one) and shared read-only
-    by every config and worker; termination strategies need none.
-
-    Returns the (Stage-II solution, StageOneReport) pair of each config, in
-    input order, and the index of the highest expected efficiency: the
-    sweep's optimum. The optimum is a swept point; nothing between the
-    points is searched.
-    """
-    configs = list(configs)
-    if not configs:
-        raise InvalidInput("sweep needs at least one config")
-    panels = {}
-
+def _calibrate_all(configs, panels: dict, grid_size: int, mc_samples: int,
+                   stage1_samples: int, seed: RngSeed
+                   ) -> list[tuple[bc.TypeGrid | float, bc.StageOneReport]]:
+    """`sweep`'s calibrated points, with the Stage-I panels kept in the
+    caller's `panels`: one per prior (N, join model and weights of a closed
+    config; Poisson model and weights of an open one), built on first use."""
     def panel_of(cfg):
         if isinstance(cfg.strategy, (bc.Termination, osys.OpenTermination)):
             return None
@@ -375,9 +360,27 @@ def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
         return calibrate(cfg, grid_size=grid_size, mc_samples=mc_samples,
                          stage1_samples=stage1_samples, seed=seed, panel=panel)
 
-    points = _parallel_map(calibrated, [(cfg, panel_of(cfg)) for cfg in configs])
-    best = int(np.argmax([rep.expected_efficiency for _, rep in points]))
-    return points, best
+    return _parallel_map(calibrated, [(cfg, panel_of(cfg)) for cfg in configs])
+
+
+def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
+          stage1_samples: int = 100_000, seed: RngSeed = 0
+          ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
+    """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
+    config of a sweep, with `CROWDCONTEST_THREADS` workers. The Stage-I panel
+    depends only on the prior, so one per distinct prior is shared read-only
+    by every config and worker; termination strategies need none.
+
+    Returns the (Stage-II solution, StageOneReport) pair of each config, in
+    input order, and the index of the highest expected efficiency: the
+    sweep's optimum. The optimum is a swept point; nothing between the
+    points is searched.
+    """
+    configs = list(configs)
+    if not configs:
+        raise InvalidInput("sweep needs at least one config")
+    points = _calibrate_all(configs, {}, grid_size, mc_samples, stage1_samples, seed)
+    return points, int(np.argmax([rep.expected_efficiency for _, rep in points]))
 
 
 def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
@@ -396,13 +399,21 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     optimum = OutputTable(name=f"{spec.name}-optimum",
                           columns=main.columns[:5], meta=_meta(spec))
     tables = [main, effort, contour, optimum]
+    # the Stage-I panel does not depend on e0 or the budget: one per prior
+    # serves every e0 ratio and every recalibrated contour row of the spec
+    panels = {}
+    width = len(spec.sweep)
 
-    def run(ratio: float, budget: float):
-        return sweep([_config(spec, value, ratio, budget) for value in spec.sweep],
-                     spec.grid_size, spec.mc_samples, spec.stage1_samples, spec.seed)
+    def run(cases):
+        # the sweep's calibrated points at each (e0 ratio, budget) case
+        configs = [_config(spec, value, ratio, budget)
+                   for ratio, budget in cases for value in spec.sweep]
+        points = _calibrate_all(configs, panels, spec.grid_size, spec.mc_samples,
+                                spec.stage1_samples, spec.seed)
+        return [points[i:i + width] for i in range(0, len(points), width)]
 
     try:
-        sweeps = [run(ratio, spec.budget) for ratio in spec.e0_ratios]
+        sweeps = run([(ratio, spec.budget) for ratio in spec.e0_ratios])
     except SolverError as exc:
         main.failure = str(exc)
         return tables
@@ -410,7 +421,8 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     def _param(value: float):
         return int(round(value)) if spec.strategy == "earliest_n" else value
 
-    for ratio, (points, best) in zip(spec.e0_ratios, sweeps):
+    for ratio, points in zip(spec.e0_ratios, sweeps):
+        best = int(np.argmax([rep.expected_efficiency for _, rep in points]))
         for i, (value, (stage2, rep)) in enumerate(zip(spec.sweep, points)):
             row = (_param(value), ratio, rep.expected_efficiency,
                    rep.efficiency_stderr, rep.calibrated_b)
@@ -430,21 +442,22 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     # row follows from the main table; linear decay is recalibrated at every
     # budget but the spec's own.
     scales = bc.scales_with_reward(_strategy_obj(spec, spec.sweep[0]))
-    rows = []
+    off_budget = [] if scales else [(ratio, budget) for ratio in spec.e0_ratios
+                                    for budget in CONTOUR_BUDGETS
+                                    if budget != spec.budget]
     try:
-        for ratio, (points, _) in zip(spec.e0_ratios, sweeps):
-            for budget in CONTOUR_BUDGETS:
-                if budget == spec.budget or scales:
-                    factor, at_budget = budget / spec.budget, points
-                else:
-                    factor, (at_budget, _) = 1.0, run(ratio, budget)
-                rows += [(budget, _param(value), ratio, factor * rep.calibrated_b)
-                         for value, (_, rep) in zip(spec.sweep, at_budget)]
+        recalibrated = dict(zip(off_budget, run(off_budget)))
     except SolverError as exc:
         contour.failure = str(exc)
         return tables
-    for row in rows:
-        contour.add(*row)
+    for ratio, points in zip(spec.e0_ratios, sweeps):
+        for budget in CONTOUR_BUDGETS:
+            if (ratio, budget) in recalibrated:
+                factor, at_budget = 1.0, recalibrated[ratio, budget]
+            else:
+                factor, at_budget = budget / spec.budget, points
+            for value, (_, rep) in zip(spec.sweep, at_budget):
+                contour.add(budget, _param(value), ratio, factor * rep.calibrated_b)
     return tables
 
 

@@ -618,7 +618,49 @@ class TestGridKernel:
         monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
         solve_bne_earliest_n(en_config(20, 19, e0_ratio=0.5), mc_samples=4000,
                              seed=0)
-        assert len(calls) <= 60
+        assert len(calls) <= 25
+
+    def test_condition_means_match_numpy(self):
+        rng = spawn_rng(11)
+        a_samples = rng.exponential(size=500)
+        a_samples[::7] = 0.0            # draws facing no opposition at e0 = 0
+        x = np.concatenate([[1e-6, 1e-3], rng.uniform(0.0, 2.0, size=30)])
+        square, cube = bayesian_closed._condition_means(a_samples, x.size)(x)
+        a = a_samples[:, None]
+        np.testing.assert_allclose(square, np.mean(a / (a + x) ** 2, axis=0),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cube, np.mean(a / (a + x) ** 3, axis=0),
+                                   rtol=1e-12, atol=0.0)
+        # 1/x^3 overflows here; the draws with A = 0 must not enter
+        tiny = np.array([1e-120, 1e-300])
+        square, cube = bayesian_closed._condition_means(a_samples, tiny.size)(tiny)
+        assert np.all(np.isfinite(square)) and np.all(np.isfinite(cube))
+
+    @staticmethod
+    def _opposition(cfg, grid):
+        """E_-i of each opponent draw of a seed-0, 4000-draw solve of cfg."""
+        n_opp = cfg.n_players - 1
+        opp = cfg.join_model.sample(spawn_rng(0, 0x5e11), 4000 * n_opp) \
+            .reshape(4000, n_opp)
+        return bayesian_closed._interp_operator(opp, grid.times) @ grid.efforts
+
+    def test_e0_zero_matches_a_vanishing_nature_effort(self):
+        # at e0 = 0 the zero grid maps to itself, but it is no equilibrium: a
+        # lone positive effort wins b(t)
+        cfg = en_config(20, 10, e0_ratio=0.0)
+        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        near = solve_bne_earliest_n(replace(cfg, e0_ratio=1e-6), 64, 4000, 0)
+        noise = bayesian_closed._bne_condition_noise(self._opposition(cfg, near), near)
+        assert grid.efforts.max() > 0.1
+        assert np.max(np.abs(grid.efforts - near.efforts)) <= noise * near.efforts.max()
+
+    def test_e0_zero_at_n_near_N_is_a_fixed_point(self):
+        cfg = en_config(20, 19, e0_ratio=0.0)
+        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        again = bayesian_closed._expected_best_responses(
+            self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
+        assert grid.efforts.max() > 0.01
+        assert np.max(np.abs(again - grid.efforts)) <= 1e-7
 
     def test_large_contest_converges_under_the_cap(self):
         cfg = en_config(100, 99, e0_ratio=0.2)

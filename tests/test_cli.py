@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -332,6 +334,26 @@ class TestSweep:
                           weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
               **sizes)
         assert built == ["stage1_panel", "open_stage1_panel"]
+
+    @pytest.mark.parametrize("preset", ["closed-earliestn-step", "closed-linear-step"])
+    def test_spec_builds_one_stage1_panel(self, tmp_path, monkeypatch, preset):
+        # three e0 ratios, and for linear decay the recalibrated contour rows,
+        # all share the spec's one prior
+        text = PRESETS[preset]
+        for key, value in (("sweep", "2,3"), ("e0_ratio", "0.2,0.5,0.8"),
+                           ("n_players", "4"), ("grid_size", "12"),
+                           ("mc_samples", "600"), ("stage1_samples", "2000")):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        built, panel = [], bc.stage1_panel
+
+        def counted(*args):
+            built.append(args)
+            return panel(*args)
+
+        monkeypatch.setattr(bc, "stage1_panel", counted)
+        monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
+        run_spec(parse_spec(text), out_dir=tmp_path)
+        assert len(built) == 1
 
     def test_empty_sweep_is_invalid(self):
         with pytest.raises(InvalidInput):

@@ -1,3 +1,4 @@
+import bisect
 import math
 import time
 
@@ -267,3 +268,20 @@ def test_random_step_weights_nonincreasing(breaks):
     w = StepWeight(tuple(breaks), tuple(values))
     grid = np.linspace(0.0, 12.0, 500)
     assert np.all(np.diff(np.asarray(w(grid))) <= 1e-12)
+
+
+@given(breaks=st.lists(st.floats(-5.0, 10.0), min_size=1, max_size=6, unique=True),
+       t=st.lists(st.floats(-10.0, 20.0), min_size=0, max_size=40),
+       rows=st.integers(1, 3))
+@hyp_settings(max_examples=80, deadline=None)
+def test_step_weight_values_match_a_scalar_search(breaks, t, rows):
+    breaks = sorted(breaks)
+    values = np.linspace(1.0, 0.1, len(breaks))
+    w = StepWeight(tuple(breaks), tuple(values))
+    # the knots themselves, besides arbitrary points, in a 2-d panel
+    t = np.tile(np.concatenate([t, breaks]), (rows, 1))
+    expect = [[w.values[max(bisect.bisect_right(w.breakpoints, x) - 1, 0)]
+               for x in row] for row in t.tolist()]
+    assert np.array_equal(w(t), np.array(expect).reshape(t.shape))
+    for scalar in (float(t[0, 0]), breaks[0] - 1.0, breaks[-1] + 1.0):
+        assert w(scalar) == w.values[max(bisect.bisect_right(w.breakpoints, scalar) - 1, 0)]
