@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,10 @@ QUAD_POINTS = 4096
 MC_NOISE_LIMIT = 0.10
 #: step cap of the safeguarded Newton best response
 NEWTON_STEPS = 100
+#: panel rows that Stage I and the interpolation operator take at a time:
+#: their blocks of efforts or weights stay within the L2 cache instead of
+#: filling an array over the whole panel
+BLOCK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +150,13 @@ class Stage1Panel:
     prior and shared by every evaluation of a sweep: `types` holds one draw
     per row with the row sorted ascending, so the n earliest joiners of a
     draw are its first n columns, and `weights` holds the requester's
-    valuations w(types). The panel takes its arrays over read-only."""
+    valuations w(types). `knots`, set by `with_knots`, holds a type grid and
+    the `_knots` positions of `types` on it. The panel takes its arrays over
+    read-only."""
 
     types: np.ndarray
     weights: np.ndarray
+    knots: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         t = np.asarray(self.types, dtype=float)
@@ -157,10 +165,17 @@ class Stage1Panel:
             raise InvalidInput("panel types and weights must be matching 2-d arrays")
         if np.any(t[:, 1:] < t[:, :-1]):
             raise InvalidInput("panel rows must be sorted ascending")
-        t.setflags(write=False)
-        w.setflags(write=False)
+        for a in (t, w, *(self.knots or ())):
+            a.setflags(write=False)
         object.__setattr__(self, "types", t)
         object.__setattr__(self, "weights", w)
+
+    def with_knots(self, times: np.ndarray) -> "Stage1Panel":
+        """This panel with its types' knot positions on the grid `times`
+        kept beside them: an evaluation on an effort grid over the same
+        times then gathers each effort instead of searching the grid."""
+        times = np.array(times, dtype=float)
+        return replace(self, knots=(times, *_knots(self.types, times)))
 
 
 @dataclass(frozen=True)
@@ -314,19 +329,48 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     return e
 
 
-def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _knots(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot positions of `types` on the strictly increasing grid `times`, as
+    np.interp finds them: the index j with times[j] <= t < times[j+1], in
+    the smallest integer type that holds it, and the offset t - times[j]. A
+    type left of the grid gets (0, 0), and a type at or right of its end gets
+    (last, 0), where np.interp returns the end values. Linear interpolation
+    of efforts e on the grid is then the gather slope[j] * offset + e[j],
+    with slope[j] = (e[j+1] - e[j]) / (times[j+1] - times[j]) and
+    slope[last] = 0: np.interp's own arithmetic."""
+    last = times.size - 1
+    index = np.searchsorted(times, types, side="right") - 1
+    index = np.clip(index, 0, last, out=index).astype(np.min_scalar_type(last))
+    offset = np.clip(types, times[0], times[-1])
+    offset -= np.take(times, index)
+    return index, offset
+
+
+def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray | None:
     """Dense M (mc x grid) with M @ e == np.interp(panel, times, e).sum(axis=1)
-    for every effort grid e: row i holds the linear-interpolation weights of
-    draw i's opponents, clamped to the end values outside the grid. Built
-    one opponent column at a time from each draw's fractional knot position;
-    within a column every draw has its own row, so no index repeats."""
-    op = np.zeros((panel.shape[0], times.size))
-    rows = np.arange(panel.shape[0])
-    for col in panel.T:
-        pos = np.interp(col, times, np.arange(times.size))
-        k = np.minimum(pos.astype(int), times.size - 2)
-        op[rows, k] += k + 1 - pos
-        op[rows, k + 1] += pos - k
+    for every effort grid e, or None for a panel without opponent columns:
+    row i holds the linear-interpolation weights of draw i's opponents,
+    clamped to the end values outside the grid. Each opponent at fractional
+    grid position pos (np.interp of the grid indices) adds k + 1 - pos to
+    cell k = min(floor(pos), grid - 2) of its row and pos - k to cell k + 1;
+    a bincount per block of BLOCK_ROWS rows sums them per cell in
+    opponent-column order. M is returned read-only."""
+    if panel.shape[1] == 0:
+        return None
+    size = times.size
+    inverse_width = np.append(1.0 / np.diff(times), 0.0)
+    op = np.empty((panel.shape[0], size))
+    for lo in range(0, panel.shape[0], BLOCK_ROWS):
+        block = op[lo:lo + BLOCK_ROWS]
+        index, offset = _knots(panel[lo:lo + BLOCK_ROWS], times)
+        pos = np.take(inverse_width, index) * offset + index
+        k = np.minimum(pos.astype(int), size - 2)
+        cells = np.stack([k, k + 1], axis=-1) \
+            + (size * np.arange(block.shape[0]))[:, None, None]
+        weights = np.stack([k + 1 - pos, pos - k], axis=-1)
+        block[:] = np.bincount(cells.ravel(), weights.ravel(),
+                               minlength=block.size).reshape(block.shape)
+    op.setflags(write=False)
     return op
 
 
@@ -351,14 +395,15 @@ def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
 
 
 def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
-                      opp_panel: np.ndarray, e0: float) -> TypeGrid:
+                      op: np.ndarray | None, e0: float) -> TypeGrid:
     """Best-response iteration on the type grid against a fixed panel of
     opponent draws (common random numbers, so the best-response map G is
     deterministic).
 
     The panel enters G only through the opponent aggregates A = e0 + M e,
-    which are linear in the effort grid e; the interpolation operator M is
-    built once. The fixed point is found by undamped depth-1 Anderson mixing
+    which are linear in the effort grid e; `op` is their interpolation
+    operator M (`_interp_operator`), built by the caller. The fixed point is
+    found by undamped depth-1 Anderson mixing
     (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011): with the residual
     f = G(x) - x and its change df since the previous iterate,
 
@@ -372,12 +417,11 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     the previous one. Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises
     NoConvergence with the last iterate after BNE_STEPS best responses and
     MonteCarloNoise when the panel is too small for the result. A panel
-    without opponent columns leaves a lone contributor against nature, whose
-    effort max(sqrt(b(t) e0) - e0, 0) is returned in closed form.
+    without opponent columns (op None) leaves a lone contributor against
+    nature, whose effort max(sqrt(b(t) e0) - e0, 0) is returned in closed form.
     """
-    if opp_panel.shape[1] == 0:
+    if op is None:
         return TypeGrid(times, np.maximum(np.sqrt(b_t * e0) - e0, 0.0), b_t)
-    op = _interp_operator(opp_panel, times)
     x = np.where(b_t > e0, 0.25 * b_t, 0.0)
     br = br_prev = f_prev = None
     residual = math.inf
@@ -409,34 +453,64 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     return grid
 
 
-def _solve_grid_bne(config: BayesianConfig, grid_size: int, mc_samples: int,
-                    seed: RngSeed) -> TypeGrid:
-    """Grid BNE of a closed config on a quantile-spaced grid, against a panel
-    of N-1 opponent types drawn from the prior."""
+class Stage2Opponents(NamedTuple):
+    """Stage-II opponents of a closed prior (`stage2_opponents`): the
+    quantile-spaced type grid `times` and the interpolation operator
+    `operator` (`_interp_operator`) of the N-1 opponent types of each Monte
+    Carlo draw on it, None when N = 1 leaves no opponents."""
+
+    times: np.ndarray
+    operator: np.ndarray | None
+
+
+def stage2_opponents(config: BayesianConfig, grid_size: int = 64,
+                     mc_samples: int = 20_000, seed: RngSeed = 0) -> Stage2Opponents:
+    """Stage-II opponents of a closed config's prior: mc_samples draws of the
+    N-1 opponent types from the stream (seed, 0x5e11), placed on the
+    quantile-spaced grid of grid_size points. Grid and draws depend only on N
+    and the join model, so one serves every n, velocity and reward of a
+    sweep."""
     times = _grid_times(config.join_model, grid_size)
     n_opp = config.n_players - 1
     rng = spawn_rng(seed, 0x5e11)
     opp_types = config.join_model.sample(rng, mc_samples * n_opp) \
         .reshape(mc_samples, n_opp)
-    return _iterate_grid_bne(times, reward_schedule(config, times), opp_types,
+    return Stage2Opponents(times, _interp_operator(opp_types, times))
+
+
+def _solve_grid_bne(config: BayesianConfig, grid_size: int, mc_samples: int,
+                    seed: RngSeed, opponents: Stage2Opponents | None) -> TypeGrid:
+    """Grid BNE of a closed config on a quantile-spaced grid, against
+    `opponents`, by default `stage2_opponents(config, grid_size, mc_samples,
+    seed)`, built here; a sweep passes the one it shares across its
+    configs."""
+    if opponents is None:
+        opponents = stage2_opponents(config, grid_size, mc_samples, seed)
+    elif not np.array_equal(opponents.times, _grid_times(config.join_model, grid_size)):
+        raise InvalidInput("opponents were placed on another type grid")
+    times = opponents.times
+    return _iterate_grid_bne(times, reward_schedule(config, times), opponents.operator,
                              config.nature_effort)
 
 
 def solve_bne_earliest_n(config: BayesianConfig, grid_size: int = 64,
-                         mc_samples: int = 20_000, seed: RngSeed = 0) -> TypeGrid:
-    """Stage-II BNE of the earliest-n strategy on a quantile-spaced grid."""
+                         mc_samples: int = 20_000, seed: RngSeed = 0,
+                         opponents: Stage2Opponents | None = None) -> TypeGrid:
+    """Stage-II BNE of the earliest-n strategy on a quantile-spaced grid,
+    against `opponents` (`stage2_opponents`, built here when None)."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    return _solve_grid_bne(config, grid_size, mc_samples, seed)
+    return _solve_grid_bne(config, grid_size, mc_samples, seed, opponents)
 
 
 def solve_bne_linear(config: BayesianConfig, grid_size: int = 64,
-                     mc_samples: int = 20_000, seed: RngSeed = 0) -> TypeGrid:
+                     mc_samples: int = 20_000, seed: RngSeed = 0,
+                     opponents: Stage2Opponents | None = None) -> TypeGrid:
     """Stage-II BNE of the linearly-decreasing strategy (same machinery as
     earliest-n with b(t) = max(0, b - h t))."""
     if not isinstance(config.strategy, LinearDecay):
         raise InvalidInput("config.strategy must be LinearDecay")
-    return _solve_grid_bne(config, grid_size, mc_samples, seed)
+    return _solve_grid_bne(config, grid_size, mc_samples, seed, opponents)
 
 
 def participation_threshold(grid: TypeGrid, config: BayesianConfig) -> float:
@@ -581,15 +655,50 @@ def _check_panel(panel: Stage1Panel, columns: int, what: str) -> None:
         raise InvalidInput(f"need at least 2 Monte Carlo draws, got {rows}")
 
 
-def _mc_metrics(efforts: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
+def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
+    """efforts(rows) -> the efforts e*(types) of the panel rows `rows` on
+    `grid`: gathered through the panel's knots when they lie on grid's
+    times, else interpolated."""
+    times, e = grid.times, grid.efforts
+    if panel.knots is None or not np.array_equal(panel.knots[0], times):
+        return lambda rows: grid.interp(panel.types[rows])
+    _, index, offset = panel.knots
+    slope = np.append(np.diff(e) / np.diff(times), 0.0)
+
+    def efforts(rows: slice) -> np.ndarray:
+        j = index[rows]
+        return np.take(slope, j) * offset[rows] + np.take(e, j)
+    return efforts
+
+
+def _stage1_sums(panel: Stage1Panel, grid: TypeGrid, paid_of
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-draw sums of the efforts e*(types) of `panel` on `grid`: their row
+    sums, their w-weighted row sums (the requester utility of a draw) and
+    the payments paid_of(efforts, rows) of the draws `rows`. The panel is
+    streamed in blocks of BLOCK_ROWS rows, so no mc x N effort array
+    exists; every sum is row-local, so the blocks change no bit."""
+    efforts = _panel_efforts(panel, grid)
+    draws = panel.types.shape[0]
+    total, util_draw, paid = np.empty(draws), np.empty(draws), np.empty(draws)
+    for lo in range(0, draws, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        block = efforts(rows)
+        np.sum(block, axis=1, out=total[rows])
+        np.einsum("ij,ij->i", panel.weights[rows], block, out=util_draw[rows])
+        paid[rows] = paid_of(block, rows)
+    return total, util_draw, paid
+
+
+def _mc_metrics(total: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
                 e0: float) -> dict:
     """Payment and efficiency means with their standard errors over Monte
-    Carlo draws (rows of `efforts`), as StageOneReport fields: a draw pays
-    paid / (e0 + sum of efforts) and scores util_draw (e0 + sum of efforts) /
+    Carlo draws, as StageOneReport fields: a draw whose efforts sum to
+    `total` pays paid / (e0 + total) and scores util_draw (e0 + total) /
     paid, with zero efficiency charged when nothing is paid out. The caller
     has checked that there are the 2 draws a standard error needs."""
-    mc_samples = efforts.shape[0]
-    denom = e0 + np.sum(efforts, axis=1)
+    mc_samples = total.size
+    denom = e0 + total
     with np.errstate(divide="ignore", invalid="ignore"):
         payment = np.where(denom > 0, paid / denom, 0.0)
         eff = np.where(paid > 0, util_draw * denom / paid, 0.0)
@@ -616,17 +725,17 @@ def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
     ts = config.join_model.quantile(us)
     utility = n * float(np.mean(np.asarray(config.weightfn(ts)) * grid.interp(ts)))
 
-    efforts = grid.interp(panel.types)
     s = config.strategy
     if isinstance(s, EarliestN):
-        paid = config.max_reward * np.sum(efforts[:, :s.n], axis=1)
+        def paid_of(efforts, rows):
+            return config.max_reward * np.sum(efforts[:, :s.n], axis=1)
     else:
-        paid = np.sum(efforts * reward_schedule(config, panel.types), axis=1)
-    util_draw = np.einsum("ij,ij->i", panel.weights, efforts)
+        def paid_of(efforts, rows):
+            return np.sum(efforts * reward_schedule(config, panel.types[rows]), axis=1)
+    total, util_draw, paid = _stage1_sums(panel, grid, paid_of)
     return StageOneReport(parameter=_strategy_parameter(config.strategy),
                           calibrated_b=config.max_reward, expected_utility=utility,
-                          **_mc_metrics(efforts, paid, util_draw,
-                                        config.nature_effort))
+                          **_mc_metrics(total, paid, util_draw, config.nature_effort))
 
 
 def _strategy_parameter(s: Strategy) -> float:
@@ -730,7 +839,8 @@ def _payment_at(config, solve, stage1, rescale: bool):
 
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                       mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                      seed: RngSeed = 0, panel: Stage1Panel | None = None
+                      seed: RngSeed = 0, panel: Stage1Panel | None = None,
+                      opponents: Stage2Opponents | None = None
                       ) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
     at the calibrated reward, together with the Stage-II solution there: the
@@ -742,9 +852,11 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     velocity breaks the scaling.
 
     Every Stage-I evaluation of the calibration runs on one `panel`, by
-    default `stage1_panel(config, stage1_samples, seed + 1)`, built here; a
-    sweep passes the panel it shares across its configs. The closed-form
-    termination report takes no panel.
+    default `stage1_panel(config, stage1_samples, seed + 1)` with its knots
+    on the Stage-II grid, and every Stage-II solve against one `opponents`,
+    by default `stage2_opponents(config, grid_size, mc_samples, seed)`; both
+    are built here when None, and a sweep passes the ones it shares across
+    its configs. The closed-form termination report takes neither.
     """
     s = config.strategy
     if isinstance(s, Termination):
@@ -756,10 +868,13 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
             stage1_metrics_termination, rescale=False)
     else:
         solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
+        if opponents is None:
+            opponents = stage2_opponents(config, grid_size, mc_samples, seed)
         if panel is None:
-            panel = stage1_panel(config, stage1_samples, seed + 1)
+            panel = stage1_panel(config, stage1_samples, seed + 1) \
+                .with_knots(opponents.times)
         payment_at = _payment_at(
-            config, lambda cfg: solve(cfg, grid_size, mc_samples, seed),
+            config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, opponents),
             lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel),
             rescale=isinstance(s, EarliestN))
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward,

@@ -24,9 +24,9 @@ from .contest import efficiency_identical
 from .csf_analysis import reward_discrim_efficiency, reward_discrim_gain
 from .errors import ConfigError, EmptyTrace, InvalidInput, MalformedRecord, SolverError
 from .numerics import RngSeed, spawn_rng
-from .timing import (ConstantWeight, ExponentialJoinTimes, InversePowerWeight,
-                     JoinTimeModel, PoissonModel, StepWeight, TableJoinTimes,
-                     TableWeight, UniformJoinTimes, ingest_trace_file)
+from .timing import (TRACE_UNITS, ConstantWeight, ExponentialJoinTimes,
+                     InversePowerWeight, JoinTimeModel, PoissonModel, StepWeight,
+                     TableJoinTimes, TableWeight, UniformJoinTimes, ingest_trace_file)
 
 THREADS_ENV = "CROWDCONTEST_THREADS"
 CONTOUR_BUDGETS = (0.5, 1.0, 2.0)
@@ -196,7 +196,11 @@ def _build_join_model(cfg: configparser.ConfigParser) -> JoinTimeModel | None:
         window = _floats(sec.get("window", ""), "join_model.window")
         if len(window) != 2:
             raise ConfigError("window must be start,end", "join_model.window")
-        return ingest_trace_file(path, (window[0], window[1]))
+        unit = sec.get("unit", "").strip()
+        if unit not in TRACE_UNITS:
+            raise ConfigError(f"unit must be one of {sorted(TRACE_UNITS)}, got {unit!r}",
+                              "join_model.unit")
+        return ingest_trace_file(path, (window[0], window[1]), unit)
     raise ConfigError(f"unknown join model kind {kind!r}", "join_model.kind")
 
 
@@ -339,28 +343,36 @@ def _config(spec: ExperimentSpec, value: float, ratio: float,
 def _calibrate_all(configs, panels: dict, grid_size: int, mc_samples: int,
                    stage1_samples: int, seed: RngSeed
                    ) -> list[tuple[bc.TypeGrid | float, bc.StageOneReport]]:
-    """`sweep`'s calibrated points, with the Stage-I panels kept in the
-    caller's `panels`: one per prior (N, join model and weights of a closed
-    config; Poisson model and weights of an open one), built on first use."""
-    def panel_of(cfg):
+    """`sweep`'s calibrated points, with the panels kept in the caller's
+    `panels`: one Stage-I panel and one set of Stage-II opponents per prior
+    (N, join model and weights of a closed config, with the panel's knots on
+    the opponents' grid; Poisson model and weights of an open one), built on
+    first use."""
+    def panels_of(cfg):
         if isinstance(cfg.strategy, (bc.Termination, osys.OpenTermination)):
-            return None
+            return None, None
         if isinstance(cfg, bc.BayesianConfig):
-            key, build = (cfg.n_players, cfg.join_model, cfg.weightfn), bc.stage1_panel
+            key = (cfg.n_players, cfg.join_model, cfg.weightfn)
+            if key not in panels:
+                opponents = bc.stage2_opponents(cfg, grid_size, mc_samples, seed)
+                panels[key] = (bc.stage1_panel(cfg, stage1_samples, seed + 1)
+                               .with_knots(opponents.times), opponents)
         else:
-            key, build = (cfg.poisson, cfg.weightfn), osys.open_stage1_panel
-        if key not in panels:
-            panels[key] = build(cfg, stage1_samples, seed + 1)
+            key = (cfg.poisson, cfg.weightfn)
+            if key not in panels:
+                panels[key] = (osys.open_stage1_panel(cfg, stage1_samples, seed + 1),
+                               osys.open_stage2_opponents(cfg, mc_samples, seed))
         return panels[key]
 
     def calibrated(item):
-        cfg, panel = item
+        cfg, (panel, opponents) = item
         calibrate = bc.calibrated_stage1 if isinstance(cfg, bc.BayesianConfig) \
             else osys.calibrated_open_stage1
         return calibrate(cfg, grid_size=grid_size, mc_samples=mc_samples,
-                         stage1_samples=stage1_samples, seed=seed, panel=panel)
+                         stage1_samples=stage1_samples, seed=seed, panel=panel,
+                         opponents=opponents)
 
-    return _parallel_map(calibrated, [(cfg, panel_of(cfg)) for cfg in configs])
+    return _parallel_map(calibrated, [(cfg, panels_of(cfg)) for cfg in configs])
 
 
 def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
@@ -368,8 +380,9 @@ def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
           ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
     """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
     config of a sweep, with `CROWDCONTEST_THREADS` workers. The Stage-I panel
-    depends only on the prior, so one per distinct prior is shared read-only
-    by every config and worker; termination strategies need none.
+    and the Stage-II opponents depend only on the prior (and the sweep's
+    sizes and seed), so one of each per distinct prior is shared read-only by
+    every config and worker; termination strategies need neither.
 
     Returns the (Stage-II solution, StageOneReport) pair of each config, in
     input order, and the index of the highest expected efficiency: the
@@ -399,8 +412,8 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     optimum = OutputTable(name=f"{spec.name}-optimum",
                           columns=main.columns[:5], meta=_meta(spec))
     tables = [main, effort, contour, optimum]
-    # the Stage-I panel does not depend on e0 or the budget: one per prior
-    # serves every e0 ratio and every recalibrated contour row of the spec
+    # the panels do not depend on e0 or the budget: one per prior serves
+    # every e0 ratio and every recalibrated contour row of the spec
     panels = {}
     width = len(spec.sweep)
 

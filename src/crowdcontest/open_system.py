@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bayesian_closed import (Stage1Panel, StageOneReport, TypeGrid, calibrate_b,
-                              _check_panel, _iterate_grid_bne, _mc_metrics, _payment_at,
+                              _check_panel, _interp_operator, _iterate_grid_bne,
+                              _mc_metrics, _payment_at, _stage1_sums,
                               _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
@@ -108,20 +109,37 @@ def _open_grid_times(config: OpenConfig, n: int, grid_size: int) -> np.ndarray:
     return np.linspace(0.0, 1.25 * s_max, grid_size)
 
 
+def open_stage2_opponents(config: OpenConfig, mc_samples: int = 20_000,
+                          seed: RngSeed = 0) -> np.ndarray:
+    """Stage-II opponents of an open config's prior: mc_samples (M-1)-epoch
+    arrival sequences from the stream (seed, 0x09e4), read-only. They depend
+    only on the Poisson model, so one panel serves every n and reward of a
+    sweep; the type grid changes with n, so each solve places them on its
+    own."""
+    epochs = sample_arrival_sequences(config.poisson, spawn_rng(seed, 0x09e4),
+                                      mc_samples, config.poisson.truncation - 1)
+    epochs.setflags(write=False)
+    return epochs
+
+
 def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
-                              mc_samples: int = 20_000, seed: RngSeed = 0
-                              ) -> TypeGrid:
+                              mc_samples: int = 20_000, seed: RngSeed = 0,
+                              opponents: np.ndarray | None = None) -> TypeGrid:
     """Stage-II BNE with b(s) = b P(N(s) <= n-1); after isolating the tagged
-    contributor, opponents form a fresh (M-1)-epoch Poisson sequence."""
+    contributor, opponents form a fresh (M-1)-epoch Poisson sequence, the
+    rows of `opponents` (`open_stage2_opponents`, built here when None)."""
     if not isinstance(config.strategy, OpenEarliestN):
         raise InvalidInput("config.strategy must be OpenEarliestN")
+    if opponents is None:
+        opponents = open_stage2_opponents(config, mc_samples, seed)
+    elif opponents.shape != (mc_samples, config.poisson.truncation - 1):
+        raise InvalidInput(f"opponent panel of shape {opponents.shape} does not hold "
+                           f"{mc_samples} sequences of truncation - 1 epochs")
     n = config.strategy.n
     times = _open_grid_times(config, n, grid_size)
     b_t = config.max_reward * open_earliest_n_prob(config.poisson.rate, times, n)
-    rng = spawn_rng(seed, 0x09e4)
-    opp_epochs = sample_arrival_sequences(config.poisson, rng, mc_samples,
-                                          config.poisson.truncation - 1)
-    return _iterate_grid_bne(times, b_t, opp_epochs, config.nature_effort)
+    return _iterate_grid_bne(times, b_t, _interp_operator(opponents, times),
+                             config.nature_effort)
 
 
 def open_stage1_panel(config: OpenConfig, mc_samples: int = 100_000,
@@ -145,13 +163,13 @@ def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
     _check_panel(panel, config.poisson.truncation, "poisson.truncation")
     n = config.strategy.n
     b = config.max_reward
-    efforts = grid.interp(panel.types)
-    util_draw = np.einsum("ij,ij->i", panel.weights, efforts)
-    paid = b * np.sum(efforts[:, :n], axis=1)
+
+    def paid_of(efforts, rows):
+        return b * np.sum(efforts[:, :n], axis=1)
+    total, util_draw, paid = _stage1_sums(panel, grid, paid_of)
     return StageOneReport(parameter=float(n), calibrated_b=b,
                           expected_utility=float(np.mean(util_draw)),
-                          **_mc_metrics(efforts, paid, util_draw,
-                                        config.nature_effort))
+                          **_mc_metrics(total, paid, util_draw, config.nature_effort))
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +251,17 @@ def stage1_open_termination(config: OpenConfig, e_star: float | None = None
 
 def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                           seed: RngSeed = 0, panel: Stage1Panel | None = None
+                           seed: RngSeed = 0, panel: Stage1Panel | None = None,
+                           opponents: np.ndarray | None = None
                            ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward: the effort grid, or the in-time effort e* of the
     termination strategy (both open strategies scale linearly in b because
     e0 tracks b). Both earliest-n Stage-I evaluations run on one `panel`, by
-    default `open_stage1_panel(config, stage1_samples, seed + 1)`, built
-    here; the closed-form termination report takes no panel."""
+    default `open_stage1_panel(config, stage1_samples, seed + 1)`, and the
+    Stage-II solve against `opponents`, by default
+    `open_stage2_opponents(config, mc_samples, seed)`; the solve builds them
+    when None. The closed-form termination report takes neither."""
     if isinstance(config.strategy, OpenTermination):
         payment_at = _payment_at(config, solve_bne_open_termination,
                                  stage1_open_termination, rescale=False)
@@ -249,7 +270,8 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
             panel = open_stage1_panel(config, stage1_samples, seed + 1)
         payment_at = _payment_at(
             config,
-            lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed),
+            lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,
+                                                  opponents),
             lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel),
             rescale=True)
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)

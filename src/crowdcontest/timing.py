@@ -18,6 +18,9 @@ from .errors import EmptyTrace, InvalidInput, MalformedRecord
 from .numerics import RngSeed, spawn_rng
 
 _TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
+#: units a trace's timestamps and window may be given in, with the span of
+#: one hour in each
+TRACE_UNITS = {"seconds": 3600.0, "hours": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +212,20 @@ def parse_trace_file(path) -> list[tuple[str, float]]:
     return records
 
 
-def ingest_trace(records, window: tuple[float, float]) -> EmpiricalJoinTimes:
+def ingest_trace(records, window: tuple[float, float], unit: str) -> EmpiricalJoinTimes:
     """Empirical joining-time model from (user_id, timestamp) records.
 
     Only the first in-window timestamp per user counts (that is the joining
-    time); duplicates are dropped. Times are rebased to fractional hours from
-    the window start when the window spans more than 24 units (heuristically,
-    epoch seconds); already-dimensionless records pass through unscaled.
+    time); duplicates are dropped. The timestamps and the window are in
+    `unit`, "seconds" (epoch seconds, as `parse_trace_file` reads them) or
+    "hours"; times are rebased to fractional hours from the window start.
     """
+    if unit not in TRACE_UNITS:
+        raise InvalidInput(f"unit must be one of {sorted(TRACE_UNITS)}, got {unit!r}")
     start, end = float(window[0]), float(window[1])
     if not end > start:
         raise InvalidInput(f"empty window [{start}, {end}]")
-    scale = 3600.0 if (end - start) > 24.0 else 1.0
+    scale = TRACE_UNITS[unit]
     first: dict[str, float] = {}
     for user_id, ts in records:
         ts = float(ts)
@@ -235,8 +240,8 @@ def ingest_trace(records, window: tuple[float, float]) -> EmpiricalJoinTimes:
     return EmpiricalJoinTimes(join_hours, window_width=(end - start) / scale)
 
 
-def ingest_trace_file(path, window: tuple[float, float]) -> EmpiricalJoinTimes:
-    return ingest_trace(parse_trace_file(path), window)
+def ingest_trace_file(path, window: tuple[float, float], unit: str) -> EmpiricalJoinTimes:
+    return ingest_trace(parse_trace_file(path), window, unit)
 
 
 # ---------------------------------------------------------------------------

@@ -98,3 +98,40 @@ def argpartition_payment(draws: np.ndarray, efforts: np.ndarray, n: int, b: floa
     denom = e0 + np.sum(efforts, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(np.mean(np.where(denom > 0, paid / denom, 0.0)))
+
+
+def unblocked_stage1(types: np.ndarray, weights: np.ndarray, times: np.ndarray,
+                     efforts: np.ndarray, e0: float, paid_of) -> dict:
+    """Monte Carlo Stage-I results over a whole panel at once, as Stage I
+    computed them before it streamed the panel in row blocks: one mc x N
+    array of np.interp efforts, its row sums and w-weighted row sums, and
+    paid_of(efforts) per draw. Returns the StageOneReport payment and
+    efficiency fields and the mean weighted row sum."""
+    e = np.interp(types, times, efforts)
+    paid = paid_of(e)
+    util_draw = np.einsum("ij,ij->i", weights, e)
+    denom = e0 + np.sum(e, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        payment = np.where(denom > 0, paid / denom, 0.0)
+        eff = np.where(paid > 0, util_draw * denom / paid, 0.0)
+    root = np.sqrt(types.shape[0])
+    return dict(expected_payment=float(np.mean(payment)),
+                payment_stderr=float(np.std(payment, ddof=1) / root),
+                expected_efficiency=float(np.mean(eff)),
+                efficiency_stderr=float(np.std(eff, ddof=1) / root),
+                mean_utility=float(np.mean(util_draw)))
+
+
+def interp_operator_by_columns(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Interpolation operator M of the grid BNE kernel (M @ e ==
+    np.interp(panel, times, e).sum(axis=1)), built as the kernel built it
+    before its bincount: one opponent column at a time, from np.interp of
+    the grid indices."""
+    op = np.zeros((panel.shape[0], times.size))
+    rows = np.arange(panel.shape[0])
+    for col in panel.T:
+        pos = np.interp(col, times, np.arange(times.size))
+        k = np.minimum(pos.astype(int), times.size - 2)
+        op[rows, k] += k + 1 - pos
+        op[rows, k + 1] += pos - k
+    return op

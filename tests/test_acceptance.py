@@ -211,7 +211,7 @@ def test_criterion_08_budget_balance_across_ratios():
 @pytest.fixture(scope="module")
 def synthetic_trace_model(tmp_path_factory):
     path = gen_trace_preset("uniform200", 12, tmp_path_factory.mktemp("trace") / "t.csv")
-    return ingest_trace_file(path, (0.0, 6.0 * 3600.0))
+    return ingest_trace_file(path, (0.0, 6.0 * 3600.0), "seconds")
 
 
 def test_criterion_09_figure_shape_properties(synthetic_trace_model):

@@ -29,7 +29,8 @@ from crowdcontest.numerics import spawn_rng
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, StepWeight,
                                  UniformJoinTimes)
 
-from helpers import argpartition_payment, bne_quadrature_oracle, single_peaked
+from helpers import (argpartition_payment, bne_quadrature_oracle,
+                     interp_operator_by_columns, single_peaked, unblocked_stage1)
 
 GOLDEN = (math.sqrt(5) - 1) / 8
 UNIFORM01 = UniformJoinTimes(0.0, 1.0)
@@ -577,6 +578,12 @@ class TestGridKernel:
         expect = np.interp(panel, times, efforts).sum(axis=1)
         assert np.max(np.abs(op @ efforts - expect)) <= 1e-13
 
+    def test_opponents_of_another_grid_are_invalid(self):
+        cfg = en_config(4, 2, e0_ratio=0.5)
+        opponents = bayesian_closed.stage2_opponents(cfg, 12, 200, 0)
+        with pytest.raises(InvalidInput, match="grid"):
+            solve_bne_earliest_n(cfg, 16, 200, 0, opponents)
+
     def test_warm_newton_matches_cold(self):
         rng = spawn_rng(5)
         a_samples = rng.exponential(size=3000) + 0.05
@@ -668,3 +675,84 @@ class TestGridKernel:
         cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
         assert np.any(grid.efforts > 0)
         assert np.all(grid.efforts <= cap + 1e-12)
+
+
+BLOCK = bayesian_closed.BLOCK_ROWS
+#: panel row counts around the Stage-I block size
+BLOCK_EDGES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+#: report fields of the Monte Carlo Stage-I pass
+MC_FIELDS = ("expected_payment", "payment_stderr", "expected_efficiency",
+             "efficiency_stderr")
+
+
+class TestBlockedStageOne:
+    @staticmethod
+    def _grid(cfg, size=17, seed=0):
+        times = bayesian_closed._grid_times(cfg.join_model, size)
+        efforts = spawn_rng(seed).uniform(0.0, 0.2, size=times.size)
+        return TypeGrid(times, efforts, reward_schedule(cfg, times))
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    @pytest.mark.parametrize("strategy", [EarliestN(3), LinearDecay(0.2)],
+                             ids=["earliest-n", "linear"])
+    def test_closed_blocks_match_the_unblocked_pass(self, rows, strategy):
+        cfg = BayesianConfig(n_players=6, strategy=strategy,
+                             join_model=UniformJoinTimes(0.0, 6.0),
+                             weightfn=StepWeight((0, 1.5, 3, 6), (1, 0.6, 0.2, 0)),
+                             e0_ratio=0.5, max_reward=1.3)
+        grid = self._grid(cfg)
+        panel = stage1_panel(cfg, rows, 5)
+        if isinstance(strategy, EarliestN):
+            def paid_of(efforts):
+                return cfg.max_reward * np.sum(efforts[:, :3], axis=1)
+        else:
+            def paid_of(efforts):
+                return np.sum(efforts * reward_schedule(cfg, panel.types), axis=1)
+        expect = unblocked_stage1(panel.types, panel.weights, grid.times, grid.efforts,
+                                  cfg.nature_effort, paid_of)
+        interpolated = stage1_metrics_mc(cfg, grid, panel)
+        gathered = stage1_metrics_mc(cfg, grid, panel.with_knots(grid.times))
+        for field in MC_FIELDS:
+            assert getattr(interpolated, field) == expect[field]
+            assert getattr(gathered, field) == pytest.approx(expect[field], rel=1e-15,
+                                                             abs=0.0)
+
+    def test_knots_of_another_grid_are_not_used(self):
+        cfg = en_config(5, 2, e0_ratio=0.5)
+        grid = self._grid(cfg)
+        panel = stage1_panel(cfg, 300, 2)
+        elsewhere = panel.with_knots(np.linspace(0.0, 1.0, 5))
+        assert stage1_metrics_mc(cfg, grid, elsewhere) == stage1_metrics_mc(cfg, grid,
+                                                                            panel)
+
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(size=st.integers(2, 40), quantile_spaced=st.booleans(),
+           cols=st.integers(1, 8), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_knot_gather_matches_interp(self, size, quantile_spaced, cols, rows, seed):
+        if quantile_spaced:
+            times = bayesian_closed._grid_times(ExponentialJoinTimes(0.7), size)
+        else:
+            times = np.linspace(0.0, 3.0, size)
+        rng = spawn_rng(seed)
+        lo, hi = times[0], times[-1]
+        # types left of, inside and right of the grid, and the knots themselves
+        types = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), size=(rows, cols))
+        on_knots = rng.choice(times, size=(rows, cols))
+        types = np.sort(np.vstack([types, on_knots]), axis=1)
+        efforts = rng.uniform(0.0, 1.0, size=times.size)
+        grid = TypeGrid(times, efforts, np.ones(times.size))
+        panel = Stage1Panel(types, np.ones_like(types)).with_knots(times)
+        gathered = bayesian_closed._panel_efforts(panel, grid)(slice(None))
+        expect = np.interp(types, times, efforts)
+        assert np.max(np.abs(gathered - expect)) <= 1e-15 * np.max(np.abs(efforts))
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    def test_operator_matches_the_column_loop(self, rows):
+        times = bayesian_closed._grid_times(ExponentialJoinTimes(0.7), 20)
+        rng = spawn_rng(rows)
+        panel = rng.uniform(-0.5, 1.5 * times[-1], size=(rows, 7))
+        panel[::9] = times[rng.integers(0, times.size, size=7)]
+        op = bayesian_closed._interp_operator(panel, times)
+        expect = interp_operator_by_columns(panel, times)
+        assert np.max(np.abs(op - expect)) <= 1e-15 * panel.shape[1]

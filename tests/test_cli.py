@@ -335,6 +335,49 @@ class TestSweep:
               **sizes)
         assert built == ["stage1_panel", "open_stage1_panel"]
 
+    def test_sweep_builds_one_opponent_panel(self, monkeypatch):
+        spec = parse_spec(SMALL_SPEC)
+        poisson = parse_spec(OPEN_SPEC).poisson
+        built = []
+
+        def counting(build):
+            def counted(*args):
+                built.append(build.__name__)
+                return build(*args)
+            return counted
+
+        monkeypatch.setattr(bc, "stage2_opponents", counting(bc.stage2_opponents))
+        monkeypatch.setattr(osys, "open_stage2_opponents",
+                            counting(osys.open_stage2_opponents))
+        monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
+        sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
+        sweep([BayesianConfig(n_players=4, strategy=EarliestN(n),
+                              join_model=spec.join_model, weightfn=spec.weightfn,
+                              e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
+        assert built == ["stage2_opponents"]
+        sweep([OpenConfig(poisson=poisson, strategy=OpenEarliestN(n),
+                          weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
+              **sizes)
+        assert built == ["stage2_opponents", "open_stage2_opponents"]
+
+    def test_standalone_solves_match_the_shared_sweep(self, monkeypatch):
+        spec = parse_spec(SMALL_SPEC)
+        poisson = parse_spec(OPEN_SPEC).poisson
+        configs = [BayesianConfig(n_players=4, strategy=EarliestN(n),
+                                  join_model=spec.join_model, weightfn=spec.weightfn,
+                                  e0_ratio=0.5) for n in (2, 3, 4)]
+        configs += [OpenConfig(poisson=poisson, strategy=OpenEarliestN(n),
+                               weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)]
+        monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
+        points, _ = sweep(configs, grid_size=17, mc_samples=1200, stage1_samples=6000,
+                          seed=7)
+        for cfg, (grid, rep) in zip(configs, points):
+            solve = bc.solve_bne_earliest_n if isinstance(cfg, BayesianConfig) \
+                else osys.solve_bne_open_earliest_n
+            alone = solve(cfg, 17, 1200, 7).scaled(rep.calibrated_b / cfg.max_reward)
+            for field in ("times", "efforts", "b_values"):
+                assert np.array_equal(getattr(grid, field), getattr(alone, field))
+
     @pytest.mark.parametrize("preset", ["closed-earliestn-step", "closed-linear-step"])
     def test_spec_builds_one_stage1_panel(self, tmp_path, monkeypatch, preset):
         # three e0 ratios, and for linear decay the recalibrated contour rows,
@@ -401,8 +444,16 @@ output = noisy.csv
         (SMALL_SPEC.replace("lo = 0\nhi = 6", "lo = 6\nhi = 0"), "join_model"),
         (OPEN_SPEC.replace("rate = 5", "rate = -3"), "experiment"),
         (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
-                            "kind = trace\npath = no/such/trace.csv\nwindow = 0,6"),
+                            "kind = trace\npath = no/such/trace.csv\nwindow = 0,6\n"
+                            "unit = hours"),
          "join_model"),
+        (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
+                            "kind = trace\npath = no/such/trace.csv\nwindow = 0,6"),
+         "join_model.unit"),
+        (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
+                            "kind = trace\npath = no/such/trace.csv\nwindow = 0,6\n"
+                            "unit = minutes"),
+         "join_model.unit"),
         (SMALL_SPEC.replace("n_players = 4", "n_players = abc"), "experiment.n_players"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2,3,5"), "experiment.sweep"),
         (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,7"), "experiment.sweep"),
@@ -417,7 +468,8 @@ output = noisy.csv
          "experiment.mc_samples"),
         (SMALL_SPEC.replace("stage1_samples = 6000", "stage1_samples = 1"),
          "experiment.stage1_samples"),
-    ], ids=["lo-above-hi", "negative-rate", "missing-trace", "non-integer-N",
+    ], ids=["lo-above-hi", "negative-rate", "missing-trace", "missing-trace-unit",
+            "unknown-trace-unit", "non-integer-N",
             "n-above-N", "n-above-truncation", "infinite-n", "grid-size-1", "negative-seed",
             "complete-info-n-0", "complete-info-n-above-N", "nan-e0-ratio",
             "nan-budget", "one-mc-sample", "one-stage1-sample"])
@@ -443,7 +495,7 @@ output = noisy.csv
     def test_trace_gen_roundtrip(self, tmp_path):
         out = tmp_path / "trace.csv"
         assert main(["trace-gen", "uniform20", "11", str(out)]) == 0
-        model = ingest_trace_file(out, (0.0, 6.0 * 3600.0))
+        model = ingest_trace_file(out, (0.0, 6.0 * 3600.0), "seconds")
         assert model.n_users == 20
         truth = UniformJoinTimes(0.0, 6.0)
         result = stats.kstest(model.sample_times, lambda x: truth.cdf(x))
@@ -472,7 +524,7 @@ class TestTraceGeneration:
                                    duplicates=True)
         lines = path.read_text().strip().splitlines()
         assert len(lines) > 15
-        model = ingest_trace_file(path, (0.0, 6.0 * 3600.0))
+        model = ingest_trace_file(path, (0.0, 6.0 * 3600.0), "seconds")
         assert model.n_users == 15
 
     def test_uniform_ks_mostly_passes(self, tmp_path):
@@ -480,14 +532,14 @@ class TestTraceGeneration:
         passes = 0
         for seed in range(30):
             path = gen_trace_preset("uniform20", seed, tmp_path / f"k{seed}.csv")
-            model = ingest_trace_file(path, (0.0, 6.0 * 3600.0))
+            model = ingest_trace_file(path, (0.0, 6.0 * 3600.0), "seconds")
             passes += stats.kstest(model.sample_times,
                                    lambda x: truth.cdf(x)).pvalue > 0.05
         assert passes >= 27
 
     def test_bimodal_trace_has_two_modes(self, tmp_path):
         path = gen_trace_preset("bimodal60", 2, tmp_path / "bi.csv")
-        model = ingest_trace_file(path, (0.0, 6.0 * 3600.0))
+        model = ingest_trace_file(path, (0.0, 6.0 * 3600.0), "seconds")
         grid = np.linspace(0.0, 6.0, 301)
         dens = model.smoothed_pdf(grid)
         interior = (dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:])

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crowdcontest.bayesian_closed import budget_tolerance, effort_upper_bound
+from crowdcontest.bayesian_closed import (BLOCK_ROWS, TypeGrid, budget_tolerance,
+                                          effort_upper_bound)
 from crowdcontest.errors import InvalidInput
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
                                       OpenTermination, calibrated_open_stage1,
                                       open_earliest_n_prob, open_stage1_panel,
+                                      open_stage2_opponents,
                                       open_termination_conditional_eff,
                                       open_termination_prob,
                                       solve_bne_open_earliest_n,
@@ -19,7 +22,7 @@ from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
                                       stage1_open_termination)
 from crowdcontest.timing import ConstantWeight, PoissonModel, StepWeight
 
-from helpers import bne_quadrature_oracle, single_peaked
+from helpers import bne_quadrature_oracle, single_peaked, unblocked_stage1
 
 
 def open_en(rate, truncation, n, e0_ratio, **kw):
@@ -168,6 +171,12 @@ class TestOpenStage1:
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == 0.0
 
+    def test_opponents_of_another_prior_are_invalid(self):
+        cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
+        opponents = open_stage2_opponents(open_en(2.0, 6, 2, 0.5), 200, 0)
+        with pytest.raises(InvalidInput, match="truncation"):
+            solve_bne_open_earliest_n(cfg, 12, 200, 0, opponents)
+
     def test_panel_of_another_prior_is_invalid(self):
         cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
         grid = solve_bne_open_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=0)
@@ -176,6 +185,37 @@ class TestOpenStage1:
                                    open_stage1_panel(open_en(2.0, 6, 2, 0.5), 100, 1))
         with pytest.raises(InvalidInput, match="2 Monte Carlo draws"):
             stage1_open_earliest_n(cfg, grid, open_stage1_panel(cfg, 1, 1))
+
+    @pytest.mark.parametrize("rows", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      3 * BLOCK_ROWS + 7])
+    def test_blocks_match_the_unblocked_pass(self, rows):
+        cfg = open_en(5.0, 6, 3, e0_ratio=0.5, max_reward=1.3,
+                      weightfn=StepWeight((0, 0.5, 1, 2), (1, 0.6, 0.2, 0)))
+        times = np.linspace(0.0, 1.2, 17)
+        grid = TypeGrid(times, spawn_rng(1).uniform(0.0, 0.2, size=17), np.ones(17))
+        panel = open_stage1_panel(cfg, rows, 3)
+        rep = stage1_open_earliest_n(cfg, grid, panel)
+        expect = unblocked_stage1(panel.types, panel.weights, times, grid.efforts,
+                                  cfg.nature_effort,
+                                  lambda efforts: 1.3 * np.sum(efforts[:, :3], axis=1))
+        assert rep.expected_utility == expect.pop("mean_utility")
+        for field, value in expect.items():
+            assert getattr(rep, field) == value
+
+    def test_one_pass_allocates_no_panel_sized_array(self):
+        # a 10 000 x 30 effort array alone takes 2.3 MiB
+        cfg = open_en(9.0, 30, 10, e0_ratio=0.5,
+                      weightfn=StepWeight((0, 1.5, 3, 6), (1, 0.6, 0.2, 0)))
+        times = np.linspace(0.0, 3.0, 24)
+        grid = TypeGrid(times, spawn_rng(2).uniform(0.0, 0.2, size=24), np.ones(24))
+        panel = open_stage1_panel(cfg, 10_000, 1)
+        tracemalloc.start()
+        try:
+            stage1_open_earliest_n(cfg, grid, panel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_reward_scaling_moves_utility_not_efficiency(self):
         cfg1 = open_en(2.0, 6, 3, e0_ratio=0.5, max_reward=1.0)

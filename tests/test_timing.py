@@ -26,7 +26,7 @@ ALL_MODELS = [
 
 class TestIngestTrace:
     def test_ecdf_anchor_points(self):
-        m = ingest_trace([("a", 1.0), ("b", 2.0), ("c", 3.0)], (0.0, 6.0))
+        m = ingest_trace([("a", 1.0), ("b", 2.0), ("c", 3.0)], (0.0, 6.0), "hours")
         assert m.cdf(0.0) == 0.0
         assert m.cdf(2.0) == pytest.approx(2 / 3)
         assert m.cdf(3.0) == pytest.approx(1.0)
@@ -34,21 +34,21 @@ class TestIngestTrace:
 
     def test_duplicate_users_keep_first(self):
         m = ingest_trace([("a", 2.0), ("a", 1.0), ("a", 5.0), ("b", 3.0)],
-                         (0.0, 6.0))
+                         (0.0, 6.0), "hours")
         assert m.n_users == 2
         assert m.sample_times[0] == pytest.approx(1.0)
 
     def test_out_of_window_dropped(self):
-        m = ingest_trace([("a", 1.0), ("b", 9.0)], (0.0, 6.0))
+        m = ingest_trace([("a", 1.0), ("b", 9.0)], (0.0, 6.0), "hours")
         assert m.n_users == 1
 
     def test_empty_after_filtering(self):
         with pytest.raises(EmptyTrace):
-            ingest_trace([("a", 9.0)], (0.0, 6.0))
+            ingest_trace([("a", 9.0)], (0.0, 6.0), "hours")
 
     def test_user_joining_at_window_start(self):
         # an atom at the origin is smeared over a negligible width
-        m = ingest_trace([("a", 0.0), ("b", 3.0)], (0.0, 6.0))
+        m = ingest_trace([("a", 0.0), ("b", 3.0)], (0.0, 6.0), "hours")
         assert m.cdf(0.0) == 0.0
         assert m.cdf(1e-6) == pytest.approx(0.5)
         assert m.cdf(3.0) == pytest.approx(1.0)
@@ -56,9 +56,19 @@ class TestIngestTrace:
     def test_epoch_second_windows_rebased_to_hours(self):
         base = 1_600_000_000.0
         m = ingest_trace([("a", base + 3600.0), ("b", base + 7200.0)],
-                         (base, base + 6 * 3600.0))
+                         (base, base + 6 * 3600.0), "seconds")
         assert m.support == (0.0, 6.0)
         assert m.cdf(1.0) == pytest.approx(0.5)
+
+    def test_long_window_in_hours_stays_in_hours(self):
+        # a 30-hour window is longer than any day, yet its unit is hours
+        m = ingest_trace([("a", 5.0), ("b", 20.0), ("c", 29.0)], (0.0, 30.0), "hours")
+        assert m.support == (0.0, 30.0)
+        assert m.cdf(20.0) == pytest.approx(2 / 3)
+
+    def test_unknown_unit_is_invalid(self):
+        with pytest.raises(InvalidInput, match="unit"):
+            ingest_trace([("a", 1.0)], (0.0, 6.0), "minutes")
 
     def test_uniform_trace_passes_ks_in_most_seeds(self):
         passes = 0
@@ -67,7 +77,7 @@ class TestIngestTrace:
             rng = spawn_rng(seed, 99)
             times = rng.uniform(0.0, 6.0, size=20)
             m = ingest_trace([(f"u{i}", t) for i, t in enumerate(times)],
-                             (0.0, 6.0))
+                             (0.0, 6.0), "hours")
             stat = stats.kstest(m.sample_times, lambda x: x / 6.0)
             passes += stat.pvalue > 0.05
         assert passes >= 0.9 * len(seeds)
@@ -131,7 +141,7 @@ class TestJoinModels:
         assert ExponentialJoinTimes(2.0).cdf(1.0) == pytest.approx(1 - math.exp(-2))
 
     def test_table_cdf_from_ingest_example(self):
-        m = ingest_trace([("a", 1.0), ("b", 2.0), ("c", 3.0)], (0.0, 6.0))
+        m = ingest_trace([("a", 1.0), ("b", 2.0), ("c", 3.0)], (0.0, 6.0), "hours")
         assert m.cdf(2.0) == pytest.approx(2 / 3)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
