@@ -31,7 +31,12 @@ from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 #: tolerance and best-response cap of the grid BNE
 BNE_TOL = 1e-8
 BNE_STEPS = 2000
-#: bisection tolerance of the scalar termination-time BNE
+#: evaluation cap of `calibrate_b`'s bracketing search, and the reward scale
+#: beyond which its doubling gives up on reaching the budget
+CALIBRATION_STEPS = 200
+CALIBRATION_B_MAX = 1e9
+#: bisection tolerance of the scalar termination-time BNE, in units of the
+#: reward b
 TERMINATION_TOL = 1e-12
 #: nodes of the 1-d quantile-midpoint quadratures of Stage I
 QUAD_POINTS = 4096
@@ -549,22 +554,23 @@ def _binom_pmf(k: np.ndarray, m: int, p: float) -> np.ndarray:
 
 
 def _termination_effort(pk: np.ndarray, b: float, e0: float) -> float:
-    """Symmetric in-time effort against k in-time opponents, k ~ pk[k]: the
-    root of
-        sum_k pk[k] b (e0 + k e) / (e0 + (k+1) e)^2 = 1,
-    whose left side is strictly decreasing in e, by bisection on
-    [1e-12 b, b]. Returns 0 when even effort 1e-12 b cannot break even: when
-    b <= e0, when e0 = 0 and no opponent is ever in time (any positive
-    effort then wins b), and when the root lies below 1e-12 b."""
+    """Symmetric in-time effort against k in-time opponents, k ~ pk[k]: b x,
+    where x = e / b is the root of
+        sum_k pk[k] (r + k x) / (r + (k+1) x)^2 = 1,   r = e0 / b,
+    whose left side is strictly decreasing in x, by bisection on [1e-12, 1].
+    Solving for e / b keeps the same relative precision at any reward scale.
+    Returns 0 when even x = 1e-12 cannot break even: when b <= e0, when
+    e0 = 0 and no opponent is ever in time (any positive effort then wins b),
+    and when the root lies below 1e-12."""
     k = np.arange(pk.size)
+    r = e0 / b
 
-    def lhs_minus_one(e: float) -> float:
-        return float(np.sum(pk * b * (e0 + k * e) / (e0 + (k + 1) * e) ** 2)) - 1.0
+    def lhs_minus_one(x: float) -> float:
+        return float(np.sum(pk * (r + k * x) / (r + (k + 1) * x) ** 2)) - 1.0
 
-    lo = 1e-12 * b
-    if lhs_minus_one(lo) < 0:
+    if lhs_minus_one(1e-12) < 0:
         return 0.0
-    return bisect(lhs_minus_one, lo, b, TERMINATION_TOL)
+    return b * bisect(lhs_minus_one, 1e-12, 1.0, TERMINATION_TOL)
 
 
 def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> float:
@@ -763,8 +769,7 @@ def scales_with_reward(strategy) -> bool:
 
 
 def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
-                assume_linear: bool = True, b_max: float = 1e9,
-                max_steps: int = 200) -> tuple[float, object]:
+                assume_linear: bool = True) -> tuple[float, object]:
     """Reward scale b* with |E[R](b*) - B| <= max(1e-3 B, 2 stderr), and the
     caller's result at b*.
 
@@ -775,7 +780,9 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
     evaluation at b* checks it: InfeasibleBudget if E[R](b_hint) <= 0,
     NoConvergence (with b* and the residual) if the check misses. Otherwise
     a bracketing search (doubling or halving, then secant steps safeguarded
-    by bisection) runs until an evaluation meets the tolerance.
+    by bisection) runs until an evaluation meets the tolerance: InfeasibleBudget
+    once doubling passes CALIBRATION_B_MAX, NoConvergence after
+    CALIBRATION_STEPS evaluations.
     """
     if not budget > 0:
         raise InvalidInput("budget must be > 0")
@@ -795,7 +802,7 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
     lo, lo_val = None, None
     hi, hi_val = None, None
     b = b_hint
-    for _ in range(max_steps):
+    for _ in range(CALIBRATION_STEPS):
         mean, se, result = payment_at(b)
         if abs(mean - budget) <= budget_tolerance(budget, se):
             return b, result
@@ -803,7 +810,7 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
             lo, lo_val = b, mean
             if hi is None:
                 b *= 2.0
-                if b > b_max:
+                if b > CALIBRATION_B_MAX:
                     raise InfeasibleBudget(
                         f"expected payment {mean:.4g} at b={b / 2:.4g} still below "
                         f"budget {budget:.4g}")
@@ -817,7 +824,7 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
         if not lo < b < hi:
             b = 0.5 * (lo + hi)
     raise NoConvergence("budget calibration stalled", last=b, residual=None,
-                        iterations=max_steps)
+                        iterations=CALIBRATION_STEPS)
 
 
 def _payment_at(config, solve, stage1, rescale: bool):

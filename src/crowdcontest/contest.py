@@ -15,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBudget, InvalidInput, NumericalError
+from .errors import InfeasibleBudget, InvalidInput, NoConvergence, NumericalError
+from .numerics import bisect
 
 NE_RESIDUAL_TOL = 1e-7
-#: step cap and damping of the normalized stationarity map in `_ray_scale`
-RAY_STEPS = 10_000
-RAY_DAMPING = 0.5
+#: step cap of the Dinkelbach iteration in `optimal_reward_vector`, which
+#: stops when its ratio moves by at most 4 ulp; and the bisection tolerance
+#: of its shares' sum
+_DINKELBACH_STEPS = 100
+_SHARE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -86,14 +89,11 @@ class MechanismReport:
     degenerate: bool = False
 
 
-def validate_weight_vector(weights, *, time_ordered: bool = False) -> np.ndarray:
-    """Check a requester weight vector: nonnegative, and nonincreasing when
-    the indices follow joining-time order."""
+def validate_weight_vector(weights) -> np.ndarray:
+    """Check a requester weight vector: finite and nonnegative."""
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise InvalidInput("weights must be finite and >= 0")
-    if time_ordered and np.any(np.diff(w) > 1e-12):
-        raise InvalidInput("time-ordered weights must be nonincreasing")
     return w
 
 
@@ -228,138 +228,53 @@ def discrimination_gain_case2(n_players: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Optimal reward discrimination (e0 = 0), Lagrangian with multiplier search
+# Optimal reward discrimination (e0 = 0)
 # ---------------------------------------------------------------------------
-#
-# With e0 = 0 the NE utility and payment are both homogeneous of degree 1 in
-# the reward vector, so the stationarity system
-#     b_i = X * sqrt(((P + mu n)/(n-1) + w_i) / mu),
-#     X = (n-1)/sum_j 1/b_j,   P = sum_j w_j (1 - 2 X / b_j),
-# pins only the *direction* of b; Euler's identity forces the multiplier to
-# equal the achieved efficiency. We therefore iterate the map on max-
-# normalized vectors, bisect mu until the map's scale factor is exactly 1,
-# and let the budget constraint set the physical scale afterwards.
 
-
-def _payment_e0_zero(b: np.ndarray) -> float:
-    n = b.size
-    return float(np.sum(b)) - n * (n - 1) / float(np.sum(1.0 / b))
-
-
-def _ray_scale(w: np.ndarray, mu: float):
-    """Converge the normalized stationarity map at multiplier mu.
-
-    Returns (scale, direction): the direction is the max-normalized fixed ray
-    and `scale` is the factor the raw map applies to it (1 at the true
-    multiplier). None when the iteration leaves the positive orthant.
-    """
-    n = w.size
-    b = np.ones(n, dtype=float)
-    scale = math.nan
-    for _ in range(RAY_STEPS):
-        x = (n - 1) / float(np.sum(1.0 / b))
-        p = float(np.sum(w * (1.0 - 2.0 * x / b)))
-        inner = (p + mu * n) / (n - 1) + w
-        if np.any(inner <= 0) or mu <= 0:
-            return None
-        raw = x * np.sqrt(inner / mu)
-        if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
-            return None
-        scale = float(np.max(raw))
-        new_b = raw / scale
-        if float(np.max(np.abs(new_b - b))) <= 1e-13:
-            return scale, new_b
-        b = (1.0 - RAY_DAMPING) * b + RAY_DAMPING * new_b
-        b /= float(np.max(b))
-    return scale, b
-
-
-def optimal_reward_vector(weights, budget: float, n_players: int) -> np.ndarray:
+def optimal_reward_vector(weights, budget: float) -> np.ndarray:
     """Reward vector maximizing sum_i w_i e_i* subject to full budget spend,
-    for e0 = 0.
+    for e0 = 0; one weight per player.
 
-    For each candidate participant count n (N down to 2) the Lagrange
-    multiplier is found by bisection, the optimal direction comes from the
-    stationarity fixed point, and the budget constraint sets the scale.
-    Candidates failing the individual-rationality re-check through solve_ne
-    are discarded; excluded players receive reward 0.
+    At an e0 = 0 equilibrium with total effort X, player i wins the share
+    p_i = e_i / X = 1 - X / b_i, so b_i = X / (1 - p_i) with p on the simplex,
+    U = X w.p and R = X g(p), g(p) = sum_i p_i / (1 - p_i). Spending the budget
+    sets X = B / g(p), so the design maximizes the ratio E(p) = w.p / g(p) of
+    a linear and a convex function. Dinkelbach's method solves it globally
+    from uniform shares: lambda <- E(p), then p maximizes w.p - lambda g(p),
+    p_i = max(0, 1 - sqrt(lambda / (w_i - nu))) with nu set by sum p = 1.
+    Players with p_i = 0 (b_i <= X: not individually rational) get reward 0.
+    Raises InfeasibleBudget when every weight is zero, and NoConvergence
+    with lambda and its last change after _DINKELBACH_STEPS steps.
     """
-    w_all = validate_weight_vector(weights)
-    if n_players < 2:
-        raise InvalidInput("n_players must be >= 2")
-    if w_all.size != n_players:
-        raise InvalidInput("one weight per player required")
+    w = validate_weight_vector(weights)
+    if w.size < 2:
+        raise InvalidInput("need at least two players")
     if not budget > 0:
         raise InvalidInput("budget must be > 0")
+    top = float(np.max(w))
+    if not top > 0:
+        raise InfeasibleBudget("all weights are zero: no reward vector yields utility")
+    w = w / top
+    second = float(np.sort(w)[-2])
 
-    order = np.argsort(-w_all, kind="stable")
-    best_b: np.ndarray | None = None
-    best_utility = -math.inf
-    for n in range(n_players, 1, -1):
-        direction = _solve_direction(w_all[order[:n]])
-        if direction is None:
-            continue
-        payment_dir = _payment_e0_zero(direction)
-        if payment_dir <= 0:
-            continue
-        b_full = np.zeros(n_players)
-        b_full[order[:n]] = direction * (budget / payment_dir)
-        profile = solve_ne(ContestConfig(max_rewards=b_full, nature_effort=0.0,
-                                         budget=budget))
-        # individual rationality: exactly the intended n players active
-        if profile.participants.size != n:
-            continue
-        utility = float(np.dot(w_all, profile.efforts))
-        if utility > best_utility:
-            best_utility, best_b = utility, b_full
-    if best_b is None:
-        raise InfeasibleBudget(
-            f"no participant count in [2, {n_players}] admits a feasible reward vector")
-    return best_b
+    def ratio(p: np.ndarray) -> float:
+        return float(w @ p) / float(np.sum(p / (1.0 - p)))
 
+    def shares(nu: float, lam: float) -> np.ndarray:
+        return 1.0 - np.sqrt(lam / np.maximum(w - nu, lam))
 
-def _solve_direction(w: np.ndarray) -> np.ndarray | None:
-    def scale_gap(mu: float) -> float | None:
-        out = _ray_scale(w, mu)
-        if out is None or not math.isfinite(out[0]):
-            return None
-        return out[0] - 1.0
-
-    # scale factor decreases in mu; expand a bracket around mu ~ max(w)
-    mu_mid = max(float(np.max(w)), 1e-9)
-    lo = hi = None
-    mu = mu_mid
-    for _ in range(200):
-        gap = scale_gap(mu)
-        if gap is not None and gap > 0:
-            lo = mu
-            break
-        mu /= 1.7
-        if mu < 1e-14 * mu_mid:
-            break
-    mu = mu_mid
-    for _ in range(200):
-        gap = scale_gap(mu)
-        if gap is not None and gap < 0:
-            hi = mu
-            break
-        mu *= 1.7
-        if mu > 1e14 * mu_mid:
-            break
-    if lo is None or hi is None:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gap = scale_gap(mid)
-        if gap is None:
-            # inner solve failed in the middle; shrink toward the good side
-            hi = mid
-            continue
-        if abs(gap) <= 1e-13 or (hi - lo) <= 1e-14 * mu_mid:
-            break
-        if gap > 0:
-            lo = mid
-        else:
-            hi = mid
-    out = _ray_scale(w, 0.5 * (lo + hi))
-    return None if out is None else out[1]
+    p = np.full(w.size, 1.0 / w.size)
+    lam = ratio(p)
+    for _ in range(_DINKELBACH_STEPS):
+        # the top two shares are >= 1/2 at the left end, all zero at the right
+        nu = bisect(lambda nu: float(np.sum(shares(nu, lam))) - 1.0,
+                    second - 4.0 * lam, 1.0 - lam, _SHARE_TOL)
+        p = shares(nu, lam)
+        p /= float(np.sum(p))
+        new = ratio(p)
+        change, lam = new - lam, new
+        if abs(change) <= 4.0 * math.ulp(lam):
+            x = budget / float(np.sum(p / (1.0 - p)))
+            return np.where(p > 0, x / (1.0 - p), 0.0)
+    raise NoConvergence("Dinkelbach iteration of the reward design did not converge",
+                        last=lam, residual=change, iterations=_DINKELBACH_STEPS)

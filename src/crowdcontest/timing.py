@@ -128,8 +128,8 @@ class TableJoinTimes(JoinTimeModel):
 class EmpiricalJoinTimes(TableJoinTimes):
     """Linearly-interpolated empirical CDF of per-user first-arrival times,
     anchored at F(window start) = 0. Also carries a Gaussian-kernel smoothed
-    density (Silverman bandwidth) for reporting; solver code consumes the
-    exact cdf/pdf pair.
+    density (Silverman bandwidth) for reporting. Solvers read `cdf`,
+    `quantile` and `sample`; the package itself never calls `pdf`.
     """
 
     def __init__(self, join_times, window_width: float):

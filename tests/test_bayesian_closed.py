@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from crowdcontest import bayesian_closed
 from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
@@ -406,7 +406,7 @@ class TestCalibration:
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleBudget):
             calibrate_b(lambda b: (0.0, 0.0, None), budget=1.0,
-                        assume_linear=False, b_max=1e3)
+                        assume_linear=False)
         evals = []
         with pytest.raises(InfeasibleBudget):
             calibrate_b(lambda b: evals.append(b) or (0.0, 0.0, None), budget=1.0)
@@ -441,6 +441,9 @@ class TestCalibration:
     @given(n_players=st.integers(2, 25), deadline=st.floats(0.05, 1.0),
            e0_ratio=st.floats(0.0, 0.9), budget=st.floats(0.1, 10.0),
            scale=st.floats(1e-2, 1e2))
+    # at a configured reward of 1/64, an absolute tolerance on e (not on e / b)
+    # moved b* by 1.25e-9 relative
+    @example(n_players=7, deadline=1.0, e0_ratio=0.75, budget=1.0, scale=1 / 64)
     def test_termination_invariant_under_reward_rescaling(self, n_players, deadline,
                                                           e0_ratio, budget, scale):
         cfg = BayesianConfig(n_players=n_players, strategy=Termination(deadline),

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
+from crowdcontest import contest
 from crowdcontest.contest import (ContestConfig, EffortProfile, best_response,
                                   csf_reward, discrimination_gain_case2,
                                   efficiency_identical, optimal_reward_vector,
                                   payoff, report, solve_ne, symmetric_ne)
-from crowdcontest.errors import InvalidInput
+from crowdcontest.errors import InfeasibleBudget, InvalidInput, NoConvergence
 from crowdcontest.numerics import spawn_rng
 
 from helpers import ne_by_iteration
@@ -252,12 +253,12 @@ def test_oracle_equivalence_small_instances():
 
 class TestOptimalRewardVector:
     def test_symmetric_weights_collapse_to_budget(self):
-        b = optimal_reward_vector([1.0, 1.0], budget=0.7, n_players=2)
+        b = optimal_reward_vector([1.0, 1.0], budget=0.7)
         assert np.allclose(b, 0.7, atol=1e-9)
 
     def test_exclusionary_weights_beat_ratio_grid(self):
         budget = 0.7
-        b = optimal_reward_vector([1.0, 0.0], budget=budget, n_players=2)
+        b = optimal_reward_vector([1.0, 0.0], budget=budget)
         util = float(np.dot([1.0, 0.0], solve_ne(cfg(b)).efforts))
         # exact-budget oracle: sweep the reward ratio, scale each direction
         # onto the budget constraint, take the best utility
@@ -274,13 +275,13 @@ class TestOptimalRewardVector:
         assert util == pytest.approx(0.19386723, abs=1e-6)
 
     def test_budget_scaling(self):
-        small = optimal_reward_vector([1.0, 0.4, 0.2], budget=0.01, n_players=3)
-        large = optimal_reward_vector([1.0, 0.4, 0.2], budget=1.0, n_players=3)
+        small = optimal_reward_vector([1.0, 0.4, 0.2], budget=0.01)
+        large = optimal_reward_vector([1.0, 0.4, 0.2], budget=1.0)
         assert np.allclose(small, large * 0.01, rtol=1e-6)
 
     def test_budget_is_spent(self):
         budget = 1.3
-        b = optimal_reward_vector([1.0, 0.7, 0.1, 0.1], budget=budget, n_players=4)
+        b = optimal_reward_vector([1.0, 0.7, 0.1, 0.1], budget=budget)
         c = cfg(b)
         p = solve_ne(c)
         paid = sum(csf_reward(c, p, i) for i in range(4))
@@ -288,6 +289,61 @@ class TestOptimalRewardVector:
 
     def test_input_validation(self):
         with pytest.raises(InvalidInput):
-            optimal_reward_vector([1.0], budget=1.0, n_players=1)
+            optimal_reward_vector([1.0], budget=1.0)
         with pytest.raises(InvalidInput):
-            optimal_reward_vector([1.0, 1.0], budget=-1.0, n_players=2)
+            optimal_reward_vector([1.0, 1.0], budget=-1.0)
+        with pytest.raises(InfeasibleBudget):
+            optimal_reward_vector([0.0, 0.0], budget=1.0)
+
+    # reference vectors from an independent design: for each participant count
+    # n, a bisection on the Lagrange multiplier around a damped stationarity map
+    @pytest.mark.parametrize("weights, budget, expected", [
+        ([1.0, 0.7, 0.1, 0.1], 1.3,
+         [1.46437747125331, 1.30432148689198, 0.902751830170309, 0.902751830170309]),
+        ([1.0, 0.0], 0.7, [0.810108674296868, 0.532482897381586]),
+        ([0.3, 1.0, 0.0, 0.6, 0.0], 2.5,
+         [2.01752028906707, 2.82029797642937, 0.0, 2.39475004644815, 0.0]),
+        (np.linspace(1.0, 0.025, 40), 1.0,
+         [1.04658611469454, 1.03470488583193, 1.02268563403301, 1.01052343434012,
+          0.998213061747638, 0.985748964968586, 0.973125237176429, 0.960335583284679,
+          0.947373283249939, 0.934231150791287, 0.920901486806193, 0.907376026625621]
+         + [0.0] * 28),
+    ])
+    def test_matches_the_multiplier_design(self, weights, budget, expected):
+        b = optimal_reward_vector(weights, budget=budget)
+        assert np.max(np.abs(b - expected)) <= 1e-9 * budget
+
+    def test_tiny_weights_are_rescaled(self):
+        b = optimal_reward_vector([1e-300, 0.0], budget=0.7)
+        assert np.max(np.abs(b - [0.810108674296868, 0.532482897381586])) <= 1e-9
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(contest, "_DINKELBACH_STEPS", 1)
+        with pytest.raises(NoConvergence) as err:
+            optimal_reward_vector([1.0, 0.7, 0.1, 0.1], budget=1.3)
+        assert err.value.last > 0
+        assert err.value.residual > 0
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+           budget=st.floats(0.1, 3.0), w_scale=st.floats(1e-3, 1e3),
+           b_scale=st.floats(1e-2, 1e2), seed=st.integers(0, 2**32 - 1))
+    def test_optimum_properties(self, weights, budget, w_scale, b_scale, seed):
+        assume(max(weights) > 1e-6)
+        w = np.asarray(weights)
+        b = optimal_reward_vector(w, budget=budget)
+        c = cfg(b)
+        rep = report(c, solve_ne(c), w)
+        assert rep.payment == pytest.approx(budget, rel=1e-9)
+        assert np.allclose(optimal_reward_vector(w * w_scale, budget=budget), b,
+                           rtol=1e-9, atol=1e-12)
+        assert np.allclose(optimal_reward_vector(w, budget=budget * b_scale),
+                           b * b_scale, rtol=1e-9, atol=1e-12)
+        # no nearby direction, scaled onto the budget, gets more utility
+        rng = spawn_rng(seed)
+        for _ in range(20):
+            trial = b * np.exp(rng.uniform(-0.3, 0.3, size=b.size))
+            pay = report(cfg(trial), solve_ne(cfg(trial)), w).payment
+            trial *= budget / pay
+            utility = report(cfg(trial), solve_ne(cfg(trial)), w).utility
+            assert utility <= rep.utility * (1.0 + 1e-9)
