@@ -30,7 +30,7 @@ from .timing import (ConstantWeight, EmpiricalJoinTimes, ExponentialJoinTimes,
                      StepWeight, TableJoinTimes, TableWeight, UniformJoinTimes,
                      ingest_trace, ingest_trace_file, parse_trace_file,
                      poisson_pmf, sample_arrival_sequences)
-from .numerics import bisect, fixed_point, golden_section_max, spawn_rng
+from .numerics import bisect, golden_section_max, spawn_rng
 from .experiments import sweep
 from . import errors
 

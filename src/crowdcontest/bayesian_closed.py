@@ -195,6 +195,14 @@ class StageOneReport:
     expected_efficiency: float
     efficiency_stderr: float
 
+    def scaled(self, factor: float) -> "StageOneReport":
+        """This report at `factor` times the reward of a model homogeneous in
+        b: reward, utility and payment scale, efficiency does not."""
+        return replace(self, calibrated_b=self.calibrated_b * factor,
+                       expected_utility=self.expected_utility * factor,
+                       expected_payment=self.expected_payment * factor,
+                       payment_stderr=self.payment_stderr * factor)
+
 
 # ---------------------------------------------------------------------------
 # Reward schedules
@@ -518,7 +526,7 @@ def solve_bne_linear(config: BayesianConfig, grid_size: int = 64,
     return _solve_grid_bne(config, grid_size, mc_samples, seed, opponents)
 
 
-def participation_threshold(grid: TypeGrid, config: BayesianConfig) -> float:
+def participation_threshold(grid: TypeGrid) -> float:
     """Earliest grid time beyond which equilibrium effort is identically 0
     (the support maximum when every type stays active)."""
     active = grid.efforts > 0
@@ -773,31 +781,30 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
     """Reward scale b* with |E[R](b*) - B| <= max(1e-3 B, 2 stderr), and the
     caller's result at b*.
 
-    payment_at(b) -> (mean, stderr, result); returns (b*, result) of the
-    evaluation that met the tolerance, so that evaluation is both the check
-    and the report. With assume_linear (a model homogeneous in b) the
-    evaluation at b_hint pins b* = b_hint B / E[R](b_hint) and one more
-    evaluation at b* checks it: InfeasibleBudget if E[R](b_hint) <= 0,
-    NoConvergence (with b* and the residual) if the check misses. Otherwise
-    a bracketing search (doubling or halving, then secant steps safeguarded
-    by bisection) runs until an evaluation meets the tolerance: InfeasibleBudget
-    once doubling passes CALIBRATION_B_MAX, NoConvergence after
-    CALIBRATION_STEPS evaluations.
+    payment_at(b) -> (mean, stderr, result). With assume_linear (a model
+    homogeneous of degree 1 in b) it is evaluated once, at b_hint, and its
+    result must be a (solution, report) pair: the solution a TypeGrid or a
+    flat effort e*, the report a StageOneReport. With factor = B /
+    E[R](b_hint), b* = b_hint factor and the pair is scaled to b* rather
+    than evaluated again, so E[R](b*) = B up to rounding; InfeasibleBudget if
+    E[R](b_hint) <= 0. Otherwise a bracketing search (doubling or halving,
+    then secant steps safeguarded by bisection) runs until an evaluation
+    meets the tolerance and returns (b*, result) of that evaluation:
+    InfeasibleBudget once doubling passes CALIBRATION_B_MAX, NoConvergence
+    after CALIBRATION_STEPS evaluations.
     """
     if not budget > 0:
         raise InvalidInput("budget must be > 0")
     if assume_linear:
-        mean, _, _ = payment_at(b_hint)
+        mean, _, result = payment_at(b_hint)
         if not mean > 0:
             raise InfeasibleBudget(f"expected payment {mean:.4g} at b={b_hint:.4g} "
                                    f"cannot be scaled to budget {budget:.4g}")
-        b_star = b_hint * budget / mean
-        mean, se, result = payment_at(b_star)
-        if abs(mean - budget) > budget_tolerance(budget, se):
-            raise NoConvergence("expected payment does not scale linearly in b",
-                                last=b_star, residual=abs(mean - budget),
-                                iterations=2)
-        return b_star, result
+        factor = budget / mean
+        solution, report = result
+        solution = solution.scaled(factor) if isinstance(solution, TypeGrid) \
+            else solution * factor
+        return b_hint * factor, (solution, report.scaled(factor))
 
     lo, lo_val = None, None
     hi, hi_val = None, None
@@ -827,18 +834,14 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
                         iterations=CALIBRATION_STEPS)
 
 
-def _payment_at(config, solve, stage1, rescale: bool):
+def _payment_at(config, solve, stage1):
     """calibrate_b's payment_at(b) -> (E[R], stderr, (solution, report)) for a
     closed or open config: solve(cfg) is the Stage-II solution at cfg's
-    reward and stage1(cfg, solution) its Stage-I report. With `rescale` (the
-    earliest-n grids, homogeneous in b) Stage II is solved once at the
-    configured reward and scaled to each candidate b; otherwise it is
-    re-solved at each candidate."""
-    base = solve(config) if rescale else None
-
+    reward and stage1(cfg, solution) its Stage-I report, both computed at
+    each b asked for."""
     def payment_at(b: float):
         cfg = config.with_reward(b)
-        solution = base.scaled(b / config.max_reward) if rescale else solve(cfg)
+        solution = solve(cfg)
         report = stage1(cfg, solution)
         return report.expected_payment, report.payment_stderr, (solution, report)
     return payment_at
@@ -854,8 +857,9 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     effort grid, or the flat in-time effort e* of a termination strategy.
 
     Earliest-n and termination systems scale linearly in b (the stored
-    e0_ratio ties the nature effort to b); the earliest-n grid is solved once
-    and rescaled. Linear decay re-solves per candidate because a fixed
+    e0_ratio ties the nature effort to b), so Stage II and Stage I run once,
+    at the configured reward, and their results are scaled to b*. Linear
+    decay solves both stages at each candidate of its search because a fixed
     velocity breaks the scaling.
 
     Every Stage-I evaluation of the calibration runs on one `panel`, by
@@ -872,7 +876,7 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
             config,
             lambda cfg: solve_bne_termination(cfg.n_players, p, cfg.max_reward,
                                               cfg.nature_effort),
-            stage1_metrics_termination, rescale=False)
+            stage1_metrics_termination)
     else:
         solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
         if opponents is None:
@@ -882,8 +886,7 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                 .with_knots(opponents.times)
         payment_at = _payment_at(
             config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, opponents),
-            lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel),
-            rescale=isinstance(s, EarliestN))
+            lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel))
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward,
                             assume_linear=scales_with_reward(s))
     return result

@@ -1,6 +1,5 @@
-"""Deterministic numerical kernel: seeded RNG streams, bisection,
-golden-section search and damped fixed-point iteration. Every solver module
-builds on these primitives.
+"""Deterministic numerical kernel: seeded RNG streams, bisection and
+golden-section search.
 
 Reproducibility contract: all randomness flows through `spawn_rng`, which
 derives independent PCG64 streams from a 64-bit seed plus an integer key
@@ -10,15 +9,14 @@ worker count.
 
 Solver tolerances are not model inputs: every equilibrium the package
 solves for is unique, so each solver runs with one tolerance and one step
-cap, kept as constants in its own module (here BISECT_STEPS and the
-FIXED_POINT_* values). Only the two tolerances that differ between callers
-are arguments: `bisect`'s and `fixed_point`'s `tol`.
+cap, kept as constants in its own module (here BISECT_STEPS). Only the
+tolerance that differs between callers is an argument: `bisect`'s `tol`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -28,9 +26,6 @@ RngSeed = int
 
 #: step cap of `bisect`
 BISECT_STEPS = 10_000
-#: step cap and damping of `fixed_point`
-FIXED_POINT_STEPS = 5000
-FIXED_POINT_DAMPING = 0.5
 
 
 def spawn_rng(seed: RngSeed, *key: int) -> np.random.Generator:
@@ -96,33 +91,3 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
             d = a + inv_phi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
-
-
-def fixed_point(map_fn: Callable[[np.ndarray], np.ndarray],
-                init: Sequence[float] | np.ndarray | float,
-                tol: float = 1e-7,
-                callback: Callable[[np.ndarray, float], None] | None = None) -> np.ndarray:
-    """Damped fixed-point iteration x <- (1-d) x + d map(x) with d =
-    FIXED_POINT_DAMPING.
-
-    Returns x with ||x - map(x)||_inf <= tol. The residual is measured on the
-    undamped map, so the returned point is a genuine fixed point of `map_fn`,
-    not of the damped update; raises NoConvergence after FIXED_POINT_STEPS
-    updates. `callback(x, residual)` is invoked
-    once per iteration (handy for convergence diagnostics in tests).
-    """
-    x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
-    for _ in range(FIXED_POINT_STEPS + 1):
-        fx = np.atleast_1d(np.asarray(map_fn(x), dtype=float))
-        if fx.shape != x.shape:
-            raise InvalidInput(f"map changed shape {x.shape} -> {fx.shape}")
-        if not np.all(np.isfinite(fx)):
-            raise NumericalError("map produced non-finite values")
-        residual = float(np.max(np.abs(fx - x))) if x.size else 0.0
-        if callback is not None:
-            callback(x.copy(), residual)
-        if residual <= tol:
-            return x
-        x = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * fx
-    raise NoConvergence("fixed-point iteration did not converge", last=x,
-                        residual=residual, iterations=FIXED_POINT_STEPS)

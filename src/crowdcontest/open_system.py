@@ -256,15 +256,16 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward: the effort grid, or the in-time effort e* of the
-    termination strategy (both open strategies scale linearly in b because
-    e0 tracks b). Both earliest-n Stage-I evaluations run on one `panel`, by
-    default `open_stage1_panel(config, stage1_samples, seed + 1)`, and the
-    Stage-II solve against `opponents`, by default
-    `open_stage2_opponents(config, mc_samples, seed)`; the solve builds them
+    termination strategy. Both open strategies scale linearly in b because
+    e0 tracks b, so each stage runs once, at the configured reward, and its
+    result is scaled to b*. The earliest-n Stage-I evaluation runs on
+    `panel`, by default `open_stage1_panel(config, stage1_samples, seed + 1)`,
+    and the Stage-II solve against `opponents`, by default
+    `open_stage2_opponents(config, mc_samples, seed)`, which the solve builds
     when None. The closed-form termination report takes neither."""
     if isinstance(config.strategy, OpenTermination):
         payment_at = _payment_at(config, solve_bne_open_termination,
-                                 stage1_open_termination, rescale=False)
+                                 stage1_open_termination)
     else:
         if panel is None:
             panel = open_stage1_panel(config, stage1_samples, seed + 1)
@@ -272,7 +273,6 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
             config,
             lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,
                                                   opponents),
-            lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel),
-            rescale=True)
+            lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel))
     _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)
     return result

@@ -2,11 +2,46 @@
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from crowdcontest.bayesian_closed import earliest_n_prob
 from crowdcontest.contest import ContestConfig, best_response
-from crowdcontest.numerics import fixed_point
+from crowdcontest.errors import InvalidInput, NoConvergence, NumericalError
+
+#: step cap and damping of `fixed_point`
+FIXED_POINT_STEPS = 5000
+FIXED_POINT_DAMPING = 0.5
+
+
+def fixed_point(map_fn: Callable[[np.ndarray], np.ndarray],
+                init: Sequence[float] | np.ndarray | float,
+                tol: float = 1e-7,
+                callback: Callable[[np.ndarray, float], None] | None = None) -> np.ndarray:
+    """Damped fixed-point iteration x <- (1-d) x + d map(x) with d =
+    FIXED_POINT_DAMPING.
+
+    Returns x with ||x - map(x)||_inf <= tol. The residual is measured on the
+    undamped map, so the returned point is a genuine fixed point of `map_fn`,
+    not of the damped update; raises NoConvergence after FIXED_POINT_STEPS
+    updates. `callback(x, residual)` is invoked once per iteration.
+    """
+    x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
+    for _ in range(FIXED_POINT_STEPS + 1):
+        fx = np.atleast_1d(np.asarray(map_fn(x), dtype=float))
+        if fx.shape != x.shape:
+            raise InvalidInput(f"map changed shape {x.shape} -> {fx.shape}")
+        if not np.all(np.isfinite(fx)):
+            raise NumericalError("map produced non-finite values")
+        residual = float(np.max(np.abs(fx - x))) if x.size else 0.0
+        if callback is not None:
+            callback(x.copy(), residual)
+        if residual <= tol:
+            return x
+        x = (1.0 - FIXED_POINT_DAMPING) * x + FIXED_POINT_DAMPING * fx
+    raise NoConvergence("fixed-point iteration did not converge", last=x,
+                        residual=residual, iterations=FIXED_POINT_STEPS)
 
 
 def best_response_map(config: ContestConfig):

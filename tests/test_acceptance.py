@@ -262,7 +262,7 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
                            e0_ratio=0.5, budget=1.0)
     grid = solve_bne_earliest_n(cfg_e, grid_size=49, mc_samples=2500, seed=6)
     assert np.all(np.diff(grid.efforts) <= 1e-12)
-    cutoff = participation_threshold(grid, cfg_e)
+    cutoff = participation_threshold(grid)
     assert cutoff < grid.times[-1]
     assert np.all(grid.efforts[grid.times > cutoff] == 0.0)
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from crowdcontest import bayesian_closed
+from crowdcontest import bayesian_closed, open_system
 from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
-                                          LinearDecay, Stage1Panel, Termination,
-                                          TypeGrid,
+                                          LinearDecay, Stage1Panel, StageOneReport,
+                                          Termination, TypeGrid,
                                           budget_tolerance, calibrate_b,
                                           calibrated_stage1, earliest_n_prob,
                                           effort_upper_bound,
@@ -26,8 +26,11 @@ from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise
                                  NoConvergence)
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
-from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, StepWeight,
-                                 UniformJoinTimes)
+from crowdcontest.open_system import (OpenConfig, OpenEarliestN, OpenTermination,
+                                      calibrated_open_stage1, open_stage1_panel,
+                                      stage1_open_earliest_n, stage1_open_termination)
+from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
+                                 StepWeight, UniformJoinTimes)
 
 from helpers import (argpartition_payment, bne_quadrature_oracle,
                      interp_operator_by_columns, single_peaked, unblocked_stage1)
@@ -91,7 +94,7 @@ class TestEarliestNSolver:
         assert e_at(0.55) == 0.0
         assert e_at(0.9) == 0.0
         assert np.all(np.diff(grid.efforts) <= 1e-12)
-        t_bar = participation_threshold(grid, cfg)
+        t_bar = participation_threshold(grid)
         assert 0.4 < t_bar <= threshold_analytic_bound(cfg) + 0.04
 
     def test_matches_quadrature_oracle_two_players(self):
@@ -136,12 +139,12 @@ class TestParticipationThreshold:
     def test_full_quota_everyone_active(self):
         cfg = en_config(2, 2, e0_ratio=0.5)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
-        assert participation_threshold(grid, cfg) == pytest.approx(1.0)
+        assert participation_threshold(grid) == pytest.approx(1.0)
 
     def test_priced_out_everywhere(self):
         cfg = en_config(2, 2, e0_ratio=1.5)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
-        assert participation_threshold(grid, cfg) == pytest.approx(0.0)
+        assert participation_threshold(grid) == pytest.approx(0.0)
 
     def test_binding_threshold_near_analytic_bound(self):
         # with one opponent slot the bound b(t) = e0 pins the cutoff to
@@ -149,7 +152,7 @@ class TestParticipationThreshold:
         cfg = en_config(3, 1, e0_ratio=0.2)
         grid = solve_bne_earliest_n(cfg, grid_size=65, mc_samples=8000, seed=7)
         bound = threshold_analytic_bound(cfg)
-        assert participation_threshold(grid, cfg) <= bound + 1e-9
+        assert participation_threshold(grid) <= bound + 1e-9
 
 
 class TestTerminationSolver:
@@ -420,22 +423,82 @@ class TestCalibration:
         assert math.sqrt(b_star) == pytest.approx(3.0, rel=1e-3)
         assert result == b_star
 
-    def test_linear_assumption_is_checked(self):
-        # scaling from b = 1 predicts b* = 3, where sqrt(b) pays 1.73, not 3
-        with pytest.raises(NoConvergence) as err:
-            calibrate_b(lambda b: (math.sqrt(b), 0.0, None), budget=3.0)
-        assert err.value.last == pytest.approx(3.0)
-        assert err.value.residual == pytest.approx(3.0 - math.sqrt(3.0))
-
     def test_linear_calibration_reports_its_check(self):
+        # one evaluation at the hint, its point scaled by B / E[R] = 16
         evals = []
+
+        def report_at(b):
+            return StageOneReport(parameter=2.0, calibrated_b=b,
+                                  expected_utility=0.3 * b, expected_payment=0.25 * b,
+                                  payment_stderr=0.01 * b, expected_efficiency=0.6,
+                                  efficiency_stderr=0.02)
 
         def payment_at(b):
             evals.append(b)
-            return 0.25 * b, 0.0, f"report at {b}"
+            return 0.25 * b, 0.01 * b, (0.1 * b, report_at(b))
 
-        assert calibrate_b(payment_at, budget=2.0, b_hint=0.5) == (8.0, "report at 8.0")
-        assert evals == [0.5, 8.0]
+        assert calibrate_b(payment_at, budget=2.0, b_hint=0.5) \
+            == (8.0, (0.1 * 8.0, report_at(8.0)))
+        assert evals == [0.5]
+
+    @pytest.mark.parametrize("system", ["closed-earliest-n", "open-earliest-n",
+                                        "closed-termination", "open-termination"])
+    def test_scaled_report_matches_fresh_evaluation(self, system):
+        # the homogeneous calibration scales its one evaluation to b*; Stage I
+        # evaluated afresh at b* on the returned solution gives the same report
+        kw = dict(grid_size=25, mc_samples=4000, seed=3)
+        if system == "closed-earliest-n":
+            cfg = en_config(5, 2, e0_ratio=0.4, budget=1.7)
+            panel = stage1_panel(cfg, 20_000, 4)
+            solution, rep = calibrated_stage1(cfg, panel=panel, **kw)
+            fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), solution, panel)
+        elif system == "open-earliest-n":
+            cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
+                             strategy=OpenEarliestN(3), e0_ratio=0.4, budget=1.7)
+            panel = open_stage1_panel(cfg, 20_000, 4)
+            solution, rep = calibrated_open_stage1(cfg, panel=panel, **kw)
+            fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), solution,
+                                           panel)
+        elif system == "closed-termination":
+            cfg = BayesianConfig(n_players=6, strategy=Termination(0.6),
+                                 join_model=UNIFORM01, e0_ratio=0.4, budget=1.7)
+            solution, rep = calibrated_stage1(cfg)
+            fresh = stage1_metrics_termination(cfg.with_reward(rep.calibrated_b),
+                                               solution)
+        else:
+            cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
+                             strategy=OpenTermination(0.8), e0_ratio=0.4, budget=1.7)
+            solution, rep = calibrated_open_stage1(cfg)
+            fresh = stage1_open_termination(cfg.with_reward(rep.calibrated_b), solution)
+        assert rep.calibrated_b != cfg.max_reward
+        assert rep.expected_payment == pytest.approx(cfg.budget, rel=1e-12)
+        for field in ("expected_payment", "payment_stderr", "expected_utility",
+                      "expected_efficiency", "efficiency_stderr"):
+            assert getattr(rep, field) == pytest.approx(getattr(fresh, field),
+                                                        rel=1e-12), field
+
+    def test_homogeneous_calibration_evaluates_each_stage_once(self, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("solve_bne_earliest_n", "stage1_metrics_mc"):
+            counted(bayesian_closed, name)
+        for name in ("solve_bne_open_earliest_n", "stage1_open_earliest_n"):
+            counted(open_system, name)
+        kw = dict(grid_size=16, mc_samples=2000, stage1_samples=4000, seed=2)
+        calibrated_stage1(en_config(4, 2, e0_ratio=0.5), **kw)
+        calibrated_open_stage1(OpenConfig(poisson=PoissonModel(rate=4.0, truncation=8),
+                                          strategy=OpenEarliestN(2), e0_ratio=0.5),
+                               **kw)
+        assert sorted(calls) == ["solve_bne_earliest_n", "solve_bne_open_earliest_n",
+                                 "stage1_metrics_mc", "stage1_open_earliest_n"]
 
     @hyp_settings(max_examples=40, deadline=None)
     @given(n_players=st.integers(2, 25), deadline=st.floats(0.05, 1.0),

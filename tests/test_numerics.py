@@ -6,7 +6,10 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from crowdcontest import numerics
 from crowdcontest.errors import BracketError, NoConvergence, NumericalError
-from crowdcontest.numerics import bisect, fixed_point, golden_section_max, spawn_rng
+from crowdcontest.numerics import bisect, golden_section_max, spawn_rng
+
+import helpers
+from helpers import fixed_point
 
 
 def test_bisect_linear_root():
@@ -96,7 +99,7 @@ def test_fixed_point_residual_nonincreasing_tail():
 
 
 def test_fixed_point_reports_divergence(monkeypatch):
-    monkeypatch.setattr(numerics, "FIXED_POINT_STEPS", 50)
+    monkeypatch.setattr(helpers, "FIXED_POINT_STEPS", 50)
     with pytest.raises(NoConvergence) as err:
         fixed_point(lambda v: 2.0 * v + 1.0, 1.0, tol=1e-9)
     assert err.value.residual is not None
