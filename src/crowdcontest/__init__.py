@@ -15,8 +15,7 @@ from .bayesian_closed import (BayesianConfig, EarliestN, LinearDecay,
                               solve_bne_earliest_n, solve_bne_linear,
                               solve_bne_termination, stage1_metrics_mc,
                               stage1_metrics_termination, stage1_panel)
-from .open_system import (OpenConfig, OpenEarliestN, OpenTermination,
-                          calibrated_open_stage1, open_earliest_n_prob,
+from .open_system import (OpenConfig, calibrated_open_stage1, open_earliest_n_prob,
                           open_stage1_panel, open_termination_conditional_eff,
                           open_termination_prob, solve_bne_open_earliest_n,
                           solve_bne_open_termination, stage1_open_earliest_n,

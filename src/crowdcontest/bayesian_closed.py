@@ -211,18 +211,22 @@ class StageOneReport:
 def earliest_n_prob(p, n_players: int, n_rewarded: int):
     """Probability that a contributor joining at the F-quantile p is among
     the n earliest of N: the Binomial(N-1, p) CDF at n-1 (at most n-1 of the
-    opponents arrive earlier)."""
+    opponents arrive earlier), exactly 1 at n = N, where it sums the whole
+    pmf and rounding would leave it a few ulps short."""
     if not 1 <= n_rewarded <= n_players:
         raise InvalidInput(f"need 1 <= n <= N, got n={n_rewarded}, N={n_players}")
     p_arr = np.asarray(p, dtype=float)
     if np.any((p_arr < -1e-12) | (p_arr > 1 + 1e-12)):
         raise InvalidInput("p must lie in [0, 1]")
     p_arr = np.clip(p_arr, 0.0, 1.0)
-    m = n_players - 1
-    total = np.zeros_like(p_arr)
-    for k in range(n_rewarded):
-        total += math.comb(m, k) * p_arr ** k * (1.0 - p_arr) ** (m - k)
-    out = np.clip(total, 0.0, 1.0)
+    if n_rewarded == n_players:
+        out = np.ones_like(p_arr)
+    else:
+        m = n_players - 1
+        total = np.zeros_like(p_arr)
+        for k in range(n_rewarded):
+            total += math.comb(m, k) * p_arr ** k * (1.0 - p_arr) ** (m - k)
+        out = np.clip(total, 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
@@ -359,17 +363,15 @@ def _knots(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return index, offset
 
 
-def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray | None:
+def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Dense M (mc x grid) with M @ e == np.interp(panel, times, e).sum(axis=1)
-    for every effort grid e, or None for a panel without opponent columns:
-    row i holds the linear-interpolation weights of draw i's opponents,
-    clamped to the end values outside the grid. Each opponent at fractional
-    grid position pos (np.interp of the grid indices) adds k + 1 - pos to
-    cell k = min(floor(pos), grid - 2) of its row and pos - k to cell k + 1;
-    a bincount per block of BLOCK_ROWS rows sums them per cell in
-    opponent-column order. M is returned read-only."""
-    if panel.shape[1] == 0:
-        return None
+    for every effort grid e: row i holds the linear-interpolation weights of
+    draw i's opponents, clamped to the end values outside the grid, and is
+    all zeros for a panel without opponent columns. Each opponent at
+    fractional grid position pos (np.interp of the grid indices) adds
+    k + 1 - pos to cell k = min(floor(pos), grid - 2) of its row and pos - k
+    to cell k + 1; a bincount per block of BLOCK_ROWS rows sums them per cell
+    in opponent-column order. M is returned read-only."""
     size = times.size
     inverse_width = np.append(1.0 / np.diff(times), 0.0)
     op = np.empty((panel.shape[0], size))
@@ -408,7 +410,7 @@ def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
 
 
 def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
-                      op: np.ndarray | None, e0: float) -> TypeGrid:
+                      op: np.ndarray, e0: float) -> TypeGrid:
     """Best-response iteration on the type grid against a fixed panel of
     opponent draws (common random numbers, so the best-response map G is
     deterministic).
@@ -430,11 +432,10 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     the previous one. Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises
     NoConvergence with the last iterate after BNE_STEPS best responses and
     MonteCarloNoise when the panel is too small for the result. A panel
-    without opponent columns (op None) leaves a lone contributor against
-    nature, whose effort max(sqrt(b(t) e0) - e0, 0) is returned in closed form.
+    without opponent columns (an all-zero op) leaves a lone contributor
+    against nature, A = e0 on every draw, and the iteration settles on
+    max(sqrt(b(t) e0) - e0, 0).
     """
-    if op is None:
-        return TypeGrid(times, np.maximum(np.sqrt(b_t * e0) - e0, 0.0), b_t)
     x = np.where(b_t > e0, 0.25 * b_t, 0.0)
     br = br_prev = f_prev = None
     residual = math.inf
@@ -470,10 +471,10 @@ class Stage2Opponents(NamedTuple):
     """Stage-II opponents of a closed prior (`stage2_opponents`): the
     quantile-spaced type grid `times` and the interpolation operator
     `operator` (`_interp_operator`) of the N-1 opponent types of each Monte
-    Carlo draw on it, None when N = 1 leaves no opponents."""
+    Carlo draw on it, all zeros when N = 1 leaves no opponents."""
 
     times: np.ndarray
-    operator: np.ndarray | None
+    operator: np.ndarray
 
 
 def stage2_opponents(config: BayesianConfig, grid_size: int = 64,
@@ -711,16 +712,22 @@ def _mc_metrics(total: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
     `total` pays paid / (e0 + total) and scores util_draw (e0 + total) /
     paid, with zero efficiency charged when nothing is paid out. The caller
     has checked that there are the 2 draws a standard error needs."""
-    mc_samples = total.size
     denom = e0 + total
     with np.errstate(divide="ignore", invalid="ignore"):
         payment = np.where(denom > 0, paid / denom, 0.0)
         eff = np.where(paid > 0, util_draw * denom / paid, 0.0)
-    return dict(
-        expected_payment=float(np.mean(payment)),
-        payment_stderr=float(np.std(payment, ddof=1) / math.sqrt(mc_samples)),
-        expected_efficiency=float(np.mean(eff)),
-        efficiency_stderr=float(np.std(eff, ddof=1) / math.sqrt(mc_samples)))
+    return dict(expected_payment=float(np.mean(payment)),
+                payment_stderr=_stderr(payment),
+                expected_efficiency=float(np.mean(eff)),
+                efficiency_stderr=_stderr(eff))
+
+
+def _stderr(draws: np.ndarray) -> float:
+    """Standard error of the mean of `draws`: exactly 0 when every draw is
+    the same, where np.std would keep the rounding of np.mean."""
+    if np.all(draws == draws[0]):
+        return 0.0
+    return float(np.std(draws, ddof=1) / math.sqrt(draws.size))
 
 
 def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,

@@ -80,12 +80,11 @@ class EffortProfile:
 
 @dataclass(frozen=True)
 class MechanismReport:
-    """Requester-side metrics: utility U, payment R, efficiency U/R, gain."""
+    """Requester-side metrics: utility U, payment R, efficiency U/R."""
 
     utility: float
     payment: float
     efficiency: float
-    gain: float | None = None
     degenerate: bool = False
 
 

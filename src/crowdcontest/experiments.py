@@ -316,16 +316,12 @@ def _meta(spec: ExperimentSpec) -> dict:
     }
 
 
-def _strategy_obj(spec: ExperimentSpec, value: float):
-    if spec.mode == "closed":
-        if spec.strategy == "earliest_n":
-            return bc.EarliestN(int(round(value)))
-        if spec.strategy == "termination":
-            return bc.Termination(value)
-        return bc.LinearDecay(value)
+def _strategy_obj(spec: ExperimentSpec, value: float) -> bc.Strategy:
     if spec.strategy == "earliest_n":
-        return osys.OpenEarliestN(int(round(value)))
-    return osys.OpenTermination(value)
+        return bc.EarliestN(int(round(value)))
+    if spec.strategy == "termination":
+        return bc.Termination(value)
+    return bc.LinearDecay(value)
 
 
 def _config(spec: ExperimentSpec, value: float, ratio: float,
@@ -349,7 +345,7 @@ def _calibrate_all(configs, panels: dict, grid_size: int, mc_samples: int,
     the opponents' grid; Poisson model and weights of an open one), built on
     first use."""
     def panels_of(cfg):
-        if isinstance(cfg.strategy, (bc.Termination, osys.OpenTermination)):
+        if isinstance(cfg.strategy, bc.Termination):
             return None, None
         if isinstance(cfg, bc.BayesianConfig):
             key = (cfg.n_players, cfg.join_model, cfg.weightfn)

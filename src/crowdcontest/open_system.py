@@ -1,9 +1,10 @@
 """Open crowdsensing system: contributors arrive as a Poisson process and
-compete under the earliest-n or termination-time strategy. The game and its
-two-stage pipeline are those of the closed system (`bayesian_closed`); this
-module supplies only the open system's prior: the Poisson type grid, the
-arrival-sequence panels (the Stage-I one sorted by construction), the
-meeting-count and in-time count pmfs and the mean in-time weight.
+compete under the earliest-n or termination-time strategy. The game, its
+two-stage pipeline and its strategy types (`EarliestN`, `Termination`) are
+those of the closed system (`bayesian_closed`); this module supplies only the
+open system's prior: the Poisson type grid, the arrival-sequence panels (the
+Stage-I one sorted by construction), the meeting-count and in-time count
+pmfs and the mean in-time weight.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayesian_closed import (Stage1Panel, StageOneReport, TypeGrid, calibrate_b,
-                              _check_panel, _interp_operator, _iterate_grid_bne,
-                              _mc_metrics, _payment_at, _stage1_sums,
-                              _termination_effort, _termination_report)
+from .bayesian_closed import (EarliestN, Stage1Panel, StageOneReport, Termination,
+                              TypeGrid, calibrate_b, _check_panel, _interp_operator,
+                              _iterate_grid_bne, _mc_metrics, _payment_at,
+                              _stage1_sums, _termination_effort,
+                              _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
@@ -26,21 +28,11 @@ _TAIL_MASS = 1e-10
 
 
 @dataclass(frozen=True)
-class OpenEarliestN:
-    n: int
-
-
-@dataclass(frozen=True)
-class OpenTermination:
-    deadline: float
-
-
-@dataclass(frozen=True)
 class OpenConfig:
     """Open-system instance: Poisson arrivals truncated at M contributors."""
 
     poisson: PoissonModel
-    strategy: OpenEarliestN | OpenTermination
+    strategy: EarliestN | Termination
     weightfn: WeightFunction = ConstantWeight()
     max_reward: float = 1.0
     e0_ratio: float = 0.0
@@ -48,14 +40,14 @@ class OpenConfig:
 
     def __post_init__(self):
         s = self.strategy
-        if isinstance(s, OpenEarliestN):
+        if isinstance(s, EarliestN):
             if not 1 <= s.n <= self.poisson.truncation:
                 raise InvalidInput("need 1 <= n <= truncation M")
-        elif isinstance(s, OpenTermination):
+        elif isinstance(s, Termination):
             if not s.deadline > 0:
                 raise InvalidInput("deadline must be > 0")
         else:
-            raise InvalidInput(f"unknown strategy {s!r}")
+            raise InvalidInput(f"open systems take EarliestN or Termination, got {s!r}")
         if not self.max_reward > 0 or self.e0_ratio < 0 or not self.budget > 0:
             raise InvalidInput("need max_reward > 0, e0_ratio >= 0, budget > 0")
 
@@ -128,8 +120,8 @@ def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
     """Stage-II BNE with b(s) = b P(N(s) <= n-1); after isolating the tagged
     contributor, opponents form a fresh (M-1)-epoch Poisson sequence, the
     rows of `opponents` (`open_stage2_opponents`, built here when None)."""
-    if not isinstance(config.strategy, OpenEarliestN):
-        raise InvalidInput("config.strategy must be OpenEarliestN")
+    if not isinstance(config.strategy, EarliestN):
+        raise InvalidInput("config.strategy must be EarliestN")
     if opponents is None:
         opponents = open_stage2_opponents(config, mc_samples, seed)
     elif opponents.shape != (mc_samples, config.poisson.truncation - 1):
@@ -158,8 +150,8 @@ def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
     """Stage-I metrics by Monte Carlo over the arrival sequences of `panel`
     (`open_stage1_panel` of the config's prior). The earliest-n subset of a
     sequence is simply its first n epochs."""
-    if not isinstance(config.strategy, OpenEarliestN):
-        raise InvalidInput("config.strategy must be OpenEarliestN")
+    if not isinstance(config.strategy, EarliestN):
+        raise InvalidInput("config.strategy must be EarliestN")
     _check_panel(panel, config.poisson.truncation, "poisson.truncation")
     n = config.strategy.n
     b = config.max_reward
@@ -212,8 +204,8 @@ def _truncated_meeting_pmf(rate: float, deadline: float) -> np.ndarray:
 def solve_bne_open_termination(config: OpenConfig) -> float:
     """Symmetric in-time effort against the truncated meeting-count pmf
     P(k, inf)."""
-    if not isinstance(config.strategy, OpenTermination):
-        raise InvalidInput("config.strategy must be OpenTermination")
+    if not isinstance(config.strategy, Termination):
+        raise InvalidInput("config.strategy must be Termination")
     pk = _truncated_meeting_pmf(config.poisson.rate, config.strategy.deadline)
     return _termination_effort(pk, config.max_reward, config.nature_effort)
 
@@ -238,8 +230,8 @@ def stage1_open_termination(config: OpenConfig, e_star: float | None = None
     in-time count is Poisson(rate T), truncated at M, and in-time joining
     epochs are uniform on [0, T], so the mean in-time weight is
     integral_0^T w(x) dx / T."""
-    if not isinstance(config.strategy, OpenTermination):
-        raise InvalidInput("config.strategy must be OpenTermination")
+    if not isinstance(config.strategy, Termination):
+        raise InvalidInput("config.strategy must be Termination")
     t_end = config.strategy.deadline
     if e_star is None:
         e_star = solve_bne_open_termination(config)
@@ -263,7 +255,7 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
     and the Stage-II solve against `opponents`, by default
     `open_stage2_opponents(config, mc_samples, seed)`, which the solve builds
     when None. The closed-form termination report takes neither."""
-    if isinstance(config.strategy, OpenTermination):
+    if isinstance(config.strategy, Termination):
         payment_at = _payment_at(config, solve_bne_open_termination,
                                  stage1_open_termination)
     else:

@@ -255,12 +255,8 @@ class WeightFunction:
         raise NotImplementedError
 
     def integral(self, lo: float, hi: float) -> float:
-        """Plain integral of w over [lo, hi] (midpoint rule fallback)."""
-        if hi <= lo:
-            return 0.0
-        xs = np.linspace(lo, hi, 200_001)
-        mids = 0.5 * (xs[1:] + xs[:-1])
-        return float(np.sum(self(mids)) * (hi - lo) / mids.size)
+        """Plain integral of w over [lo, hi]."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

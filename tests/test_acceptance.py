@@ -24,8 +24,7 @@ from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
 from crowdcontest.errors import NoConvergence
 from crowdcontest.experiments import gen_trace_preset, sweep
 from crowdcontest.numerics import spawn_rng
-from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
-                                      OpenTermination, calibrated_open_stage1,
+from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
                                       open_stage1_panel,
                                       open_termination_conditional_eff,
                                       solve_bne_open_termination,
@@ -187,7 +186,7 @@ def test_criterion_08_budget_balance_across_ratios():
 
         # open earliest-n, fresh-seed re-measurement
         cfg_o = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=20),
-                           strategy=OpenEarliestN(4), weightfn=PAPER_STEP,
+                           strategy=EarliestN(4), weightfn=PAPER_STEP,
                            e0_ratio=ratio, budget=1.0)
         grid_o, rep_o = calibrated_open_stage1(cfg_o, grid_size=25,
                                                mc_samples=3000,
@@ -199,7 +198,7 @@ def test_criterion_08_budget_balance_across_ratios():
 
         # open termination (exact stage 1)
         cfg_ot = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=40),
-                            strategy=OpenTermination(0.5), weightfn=PAPER_STEP,
+                            strategy=Termination(0.5), weightfn=PAPER_STEP,
                             e0_ratio=ratio, budget=1.0)
         _, rep_ot = calibrated_open_stage1(cfg_ot)
         assert abs(rep_ot.expected_payment - 1.0) <= budget_tolerance(1.0, 0.0)
@@ -307,7 +306,7 @@ def test_criterion_10_effort_cap_on_all_grids(synthetic_trace_model):
     # open system instances
     for ratio in (0.2, 0.8):
         cfg_o = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=20),
-                           strategy=OpenEarliestN(5), weightfn=PAPER_STEP,
+                           strategy=EarliestN(5), weightfn=PAPER_STEP,
                            e0_ratio=ratio, budget=1.0)
         from crowdcontest.open_system import solve_bne_open_earliest_n
         grid_o = solve_bne_open_earliest_n(cfg_o, grid_size=33,

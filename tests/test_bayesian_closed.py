@@ -26,8 +26,8 @@ from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise
                                  NoConvergence)
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
-from crowdcontest.open_system import (OpenConfig, OpenEarliestN, OpenTermination,
-                                      calibrated_open_stage1, open_stage1_panel,
+from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
+                                      open_stage1_panel,
                                       stage1_open_earliest_n, stage1_open_termination)
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
                                  StepWeight, UniformJoinTimes)
@@ -79,10 +79,18 @@ class TestEarliestNSolver:
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=64, seed=0)
         assert np.allclose(grid.efforts, 0.25, atol=1e-12)
 
-    def test_full_quota_reduces_to_complete_info(self):
-        cfg = en_config(2, 2, e0_ratio=0.5)
+    @pytest.mark.parametrize("e0_ratio", [0.1, 0.5])
+    @pytest.mark.parametrize("n_players", [2, 5, 10, 20, 40])
+    def test_full_quota_reduces_to_complete_info(self, n_players, e0_ratio):
+        # n = N rewards every joiner: b(t) is exactly flat, so is the BNE, at
+        # the complete-information symmetric NE, and every draw pays the same
+        cfg = en_config(n_players, n_players, e0_ratio=e0_ratio)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
-        assert np.allclose(grid.efforts, GOLDEN, atol=1e-6)
+        assert np.unique(grid.efforts).size == 1
+        expect = symmetric_ne(n_players, 1.0, cfg.nature_effort)
+        assert np.max(np.abs(grid.efforts - expect)) <= 1e-8
+        panel = stage1_panel(cfg, 256, seed=2).with_knots(grid.times)
+        assert stage1_metrics_mc(cfg, grid, panel).payment_stderr == 0.0
 
     def test_three_player_selective_case(self):
         # N=3, n=1, uniform prior, e0 = 0.2 b: early types fight, late types
@@ -454,7 +462,7 @@ class TestCalibration:
             fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), solution, panel)
         elif system == "open-earliest-n":
             cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
-                             strategy=OpenEarliestN(3), e0_ratio=0.4, budget=1.7)
+                             strategy=EarliestN(3), e0_ratio=0.4, budget=1.7)
             panel = open_stage1_panel(cfg, 20_000, 4)
             solution, rep = calibrated_open_stage1(cfg, panel=panel, **kw)
             fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), solution,
@@ -467,7 +475,7 @@ class TestCalibration:
                                                solution)
         else:
             cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
-                             strategy=OpenTermination(0.8), e0_ratio=0.4, budget=1.7)
+                             strategy=Termination(0.8), e0_ratio=0.4, budget=1.7)
             solution, rep = calibrated_open_stage1(cfg)
             fresh = stage1_open_termination(cfg.with_reward(rep.calibrated_b), solution)
         assert rep.calibrated_b != cfg.max_reward
@@ -495,7 +503,7 @@ class TestCalibration:
         kw = dict(grid_size=16, mc_samples=2000, stage1_samples=4000, seed=2)
         calibrated_stage1(en_config(4, 2, e0_ratio=0.5), **kw)
         calibrated_open_stage1(OpenConfig(poisson=PoissonModel(rate=4.0, truncation=8),
-                                          strategy=OpenEarliestN(2), e0_ratio=0.5),
+                                          strategy=EarliestN(2), e0_ratio=0.5),
                                **kw)
         assert sorted(calls) == ["solve_bne_earliest_n", "solve_bne_open_earliest_n",
                                  "stage1_metrics_mc", "stage1_open_earliest_n"]
@@ -623,7 +631,7 @@ def test_newton_step_cap_raises(monkeypatch):
 class TestGridKernel:
     @hyp_settings(max_examples=60, deadline=None)
     @given(size=st.integers(2, 40), quantile_spaced=st.booleans(),
-           n_opp=st.integers(1, 6), mc=st.integers(1, 50),
+           n_opp=st.integers(0, 6), mc=st.integers(1, 50),
            seed=st.integers(0, 2**32 - 1))
     def test_interp_operator_matches_interp(self, size, quantile_spaced, n_opp,
                                             mc, seed):
@@ -641,8 +649,39 @@ class TestGridKernel:
         efforts = rng.uniform(0.0, 1.0, size=times.size)
         op = bayesian_closed._interp_operator(panel, times)
         assert op.shape == (panel.shape[0], times.size)
+        assert not op.flags.writeable
         expect = np.interp(panel, times, efforts).sum(axis=1)
         assert np.max(np.abs(op @ efforts - expect)) <= 1e-13
+
+    def test_operator_without_opponents_is_zero(self):
+        # N = 1 leaves no opponent columns: every draw's aggregate is e0
+        opponents = bayesian_closed.stage2_opponents(en_config(1, 1, e0_ratio=0.5),
+                                                     grid_size=9, mc_samples=5)
+        op = opponents.operator
+        assert op.shape == (5, 9) and not np.any(op)
+        assert not op.flags.writeable
+
+    @pytest.mark.parametrize("e0_ratio", [0.0, 0.25, 2.0])
+    @pytest.mark.parametrize("system", ["closed-earliest-n", "closed-linear",
+                                        "open-earliest-n"])
+    def test_lone_contributor_meets_its_closed_form(self, system, e0_ratio):
+        # without opponents (N = 1, or truncation M = 1) the general kernel
+        # settles on the effort of a lone contributor against nature
+        if system == "open-earliest-n":
+            cfg = OpenConfig(poisson=PoissonModel(rate=3.0, truncation=1),
+                             strategy=EarliestN(1), e0_ratio=e0_ratio)
+            grid = open_system.solve_bne_open_earliest_n(cfg, grid_size=16,
+                                                         mc_samples=32)
+        elif system == "closed-linear":
+            cfg = BayesianConfig(n_players=1, strategy=LinearDecay(1.0),
+                                 join_model=UNIFORM01, e0_ratio=e0_ratio)
+            grid = solve_bne_linear(cfg, grid_size=16, mc_samples=32)
+        else:
+            cfg = en_config(1, 1, e0_ratio=e0_ratio)
+            grid = solve_bne_earliest_n(cfg, grid_size=16, mc_samples=32)
+        e0 = cfg.nature_effort
+        expect = np.maximum(np.sqrt(grid.b_values * e0) - e0, 0.0)
+        assert np.max(np.abs(grid.efforts - expect)) <= 1e-12
 
     def test_opponents_of_another_grid_are_invalid(self):
         cfg = en_config(4, 2, e0_ratio=0.5)
@@ -678,6 +717,10 @@ class TestGridKernel:
         # one opponent draw leaves the noise of the BNE expectation unknown
         with pytest.raises(MonteCarloNoise):
             solve_bne_earliest_n(en_config(4, 2, e0_ratio=0.5), grid_size=12,
+                                 mc_samples=1, seed=0)
+        # a lone contributor runs the same kernel and the same check
+        with pytest.raises(MonteCarloNoise):
+            solve_bne_earliest_n(en_config(1, 1, e0_ratio=0.5), grid_size=12,
                                  mc_samples=1, seed=0)
 
     def test_outer_iterations_at_n_near_N(self, monkeypatch):

@@ -12,8 +12,7 @@ from crowdcontest.cli import main
 from crowdcontest.errors import ConfigError, InvalidInput
 from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, gen_trace_preset,
                                       load_spec, parse_spec, run_spec, sweep)
-from crowdcontest.open_system import (OpenConfig, OpenEarliestN, OpenTermination,
-                                      calibrated_open_stage1)
+from crowdcontest.open_system import OpenConfig, calibrated_open_stage1
 from crowdcontest.timing import UniformJoinTimes, ingest_trace_file
 
 SMALL_SPEC = """
@@ -220,7 +219,7 @@ scale = 1
                                  e0_ratio=0.5, budget=2.0)
             calibrate = calibrated_stage1
         else:
-            cfg = OpenConfig(poisson=spec.poisson, strategy=OpenEarliestN(3),
+            cfg = OpenConfig(poisson=spec.poisson, strategy=EarliestN(3),
                              weightfn=spec.weightfn, e0_ratio=0.5, budget=2.0)
             calibrate = calibrated_open_stage1
         _, rep = calibrate(cfg, grid_size=spec.grid_size, mc_samples=spec.mc_samples,
@@ -290,9 +289,9 @@ class TestSweep:
             BayesianConfig(n_players=4, strategy=Termination(2.0),
                            join_model=spec.join_model, weightfn=spec.weightfn,
                            e0_ratio=0.2, budget=2.0),
-            OpenConfig(poisson=poisson, strategy=OpenEarliestN(2),
+            OpenConfig(poisson=poisson, strategy=EarliestN(2),
                        weightfn=spec.weightfn, e0_ratio=0.5),
-            OpenConfig(poisson=poisson, strategy=OpenTermination(0.5),
+            OpenConfig(poisson=poisson, strategy=Termination(0.5),
                        weightfn=spec.weightfn, e0_ratio=0.8)]
         sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
@@ -330,7 +329,7 @@ class TestSweep:
                               join_model=spec.join_model, weightfn=spec.weightfn,
                               e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
         assert built == ["stage1_panel"]
-        sweep([OpenConfig(poisson=poisson, strategy=OpenEarliestN(n),
+        sweep([OpenConfig(poisson=poisson, strategy=EarliestN(n),
                           weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
               **sizes)
         assert built == ["stage1_panel", "open_stage1_panel"]
@@ -355,7 +354,7 @@ class TestSweep:
                               join_model=spec.join_model, weightfn=spec.weightfn,
                               e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
         assert built == ["stage2_opponents"]
-        sweep([OpenConfig(poisson=poisson, strategy=OpenEarliestN(n),
+        sweep([OpenConfig(poisson=poisson, strategy=EarliestN(n),
                           weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
               **sizes)
         assert built == ["stage2_opponents", "open_stage2_opponents"]
@@ -366,7 +365,7 @@ class TestSweep:
         configs = [BayesianConfig(n_players=4, strategy=EarliestN(n),
                                   join_model=spec.join_model, weightfn=spec.weightfn,
                                   e0_ratio=0.5) for n in (2, 3, 4)]
-        configs += [OpenConfig(poisson=poisson, strategy=OpenEarliestN(n),
+        configs += [OpenConfig(poisson=poisson, strategy=EarliestN(n),
                                weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)]
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         points, _ = sweep(configs, grid_size=17, mc_samples=1200, stage1_samples=6000,

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crowdcontest.bayesian_closed import (BLOCK_ROWS, TypeGrid, budget_tolerance,
+from crowdcontest.bayesian_closed import (BLOCK_ROWS, EarliestN, LinearDecay,
+                                          Termination, TypeGrid, budget_tolerance,
                                           effort_upper_bound)
 from crowdcontest.errors import InvalidInput
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
-from crowdcontest.open_system import (OpenConfig, OpenEarliestN,
-                                      OpenTermination, calibrated_open_stage1,
+from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
                                       open_earliest_n_prob, open_stage1_panel,
                                       open_stage2_opponents,
                                       open_termination_conditional_eff,
@@ -27,12 +27,12 @@ from helpers import bne_quadrature_oracle, single_peaked, unblocked_stage1
 
 def open_en(rate, truncation, n, e0_ratio, **kw):
     return OpenConfig(poisson=PoissonModel(rate=rate, truncation=truncation),
-                      strategy=OpenEarliestN(n), e0_ratio=e0_ratio, **kw)
+                      strategy=EarliestN(n), e0_ratio=e0_ratio, **kw)
 
 
 def open_tt(rate, deadline, e0_ratio, truncation=40, **kw):
     return OpenConfig(poisson=PoissonModel(rate=rate, truncation=truncation),
-                      strategy=OpenTermination(deadline), e0_ratio=e0_ratio, **kw)
+                      strategy=Termination(deadline), e0_ratio=e0_ratio, **kw)
 
 
 class TestOpenEarliestNProb:
@@ -296,7 +296,7 @@ class TestOpenTerminationStage1:
 
 def deadline_sweep(config, t_grid):
     """Reports of `config` at each deadline of `t_grid`, and the best deadline."""
-    points, best = sweep([replace(config, strategy=OpenTermination(float(t)))
+    points, best = sweep([replace(config, strategy=Termination(float(t)))
                           for t in t_grid])
     return float(t_grid[best]), [rep for _, rep in points]
 
@@ -327,5 +327,10 @@ class TestOpenOptimalT:
 def test_config_validation():
     with pytest.raises(InvalidInput):
         open_en(1.0, 4, 9, e0_ratio=0.5)
+    # open systems take the closed system's earliest-n and termination types,
+    # not linear decay
+    with pytest.raises(InvalidInput, match="EarliestN or Termination"):
+        OpenConfig(poisson=PoissonModel(rate=1.0, truncation=4),
+                   strategy=LinearDecay(0.5))
     with pytest.raises(InvalidInput):
         open_tt(1.0, -1.0, e0_ratio=0.5)
