@@ -35,8 +35,8 @@ BNE_STEPS = 2000
 #: beyond which its doubling gives up on reaching the budget
 CALIBRATION_STEPS = 200
 CALIBRATION_B_MAX = 1e9
-#: bisection tolerance of the scalar termination-time BNE, in units of the
-#: reward b
+#: root-finder tolerance of the scalar termination-time BNE, in units of
+#: the reward b
 TERMINATION_TOL = 1e-12
 #: nodes of the 1-d quantile-midpoint quadratures of Stage I
 QUAD_POINTS = 4096
@@ -530,28 +530,18 @@ def solve_bne_linear(config: BayesianConfig, grid_size: int = 64,
 def participation_threshold(grid: TypeGrid) -> float:
     """Earliest grid time beyond which equilibrium effort is identically 0
     (the support maximum when every type stays active)."""
-    active = grid.efforts > 0
-    if not np.any(active):
+    active = np.flatnonzero(grid.efforts > 0)
+    if not active.size:
         return float(grid.times[0])
-    last_active = int(np.max(np.flatnonzero(active)))
-    if last_active == grid.times.size - 1:
-        return float(grid.times[-1])
-    return float(grid.times[last_active + 1])
+    return float(grid.times[min(int(active[-1]) + 1, grid.times.size - 1)])
 
 
 def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> float:
     """Upper bound on the participation threshold: the time where the reward
     schedule b(t) falls to the nature effort e0."""
     times = _grid_times(config.join_model, grid_size)
-    b_t = reward_schedule(config, times)
-    e0 = config.nature_effort
-    below = b_t <= e0
-    if below[0]:
-        return float(times[0])
-    if not np.any(below):
-        return float(times[-1])
-    k = int(np.argmax(below))
-    return float(times[k])
+    below = reward_schedule(config, times) <= config.nature_effort
+    return float(times[int(np.argmax(below)) if np.any(below) else -1])
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +552,16 @@ def _binom_pmf(k: np.ndarray, m: int, p: float) -> np.ndarray:
     return np.array([math.comb(m, int(j)) for j in k]) * p ** k * (1 - p) ** (m - k)
 
 
-def _termination_effort(pk: np.ndarray, b: float, e0: float) -> float:
-    """Symmetric in-time effort against k in-time opponents, k ~ pk[k]: b x,
-    where x = e / b is the root of
-        sum_k pk[k] (r + k x) / (r + (k+1) x)^2 = 1,   r = e0 / b,
-    whose left side is strictly decreasing in x, by bisection on [1e-12, 1].
-    Solving for e / b keeps the same relative precision at any reward scale.
-    Returns 0 when even x = 1e-12 cannot break even: when b <= e0, when
-    e0 = 0 and no opponent is ever in time (any positive effort then wins b),
-    and when the root lies below 1e-12."""
+def _termination_effort(pk: np.ndarray, b: float, r: float) -> float:
+    """Symmetric in-time effort against k in-time opponents, k ~ pk[k], at
+    reward b and nature effort r b: b x, where x = e / b is the root of
+        sum_k pk[k] (r + k x) / (r + (k+1) x)^2 = 1
+    (left side strictly decreasing in x) by Brent's method on [1e-12, 1]. x
+    depends on r alone, so e is exactly b times the effort at b = 1. Returns
+    0 when even x = 1e-12 cannot break even: when r >= 1, when r = 0 and no
+    opponent is ever in time (any positive effort then wins b), and when the
+    root lies below 1e-12."""
     k = np.arange(pk.size)
-    r = e0 / b
 
     def lhs_minus_one(x: float) -> float:
         return float(np.sum(pk * (r + k * x) / (r + (k + 1) * x) ** 2)) - 1.0
@@ -593,7 +582,7 @@ def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> floa
     if b <= 0 or e0 < 0:
         raise InvalidInput("need b > 0 and e0 >= 0")
     pk = _binom_pmf(np.arange(n_players), n_players - 1, p)
-    return _termination_effort(pk, b, e0)
+    return _termination_effort(pk, b, e0 / b)
 
 
 def termination_effort_e0_zero(n_players: int, p: float, b: float) -> float:
@@ -879,10 +868,10 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     s = config.strategy
     if isinstance(s, Termination):
         p = float(config.join_model.cdf(s.deadline))
+        # the effort at b is b times the effort at b = 1, e0 = e0_ratio
         payment_at = _payment_at(
-            config,
-            lambda cfg: solve_bne_termination(cfg.n_players, p, cfg.max_reward,
-                                              cfg.nature_effort),
+            config, lambda cfg: cfg.max_reward * solve_bne_termination(
+                cfg.n_players, p, 1.0, cfg.e0_ratio),
             stage1_metrics_termination)
     else:
         solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear

@@ -20,8 +20,8 @@ from .numerics import bisect
 
 NE_RESIDUAL_TOL = 1e-7
 #: step cap of the Dinkelbach iteration in `optimal_reward_vector`, which
-#: stops when its ratio moves by at most 4 ulp; and the bisection tolerance
-#: of its shares' sum
+#: stops when its ratio moves by at most 4 ulp; and the root-finder
+#: tolerance of its shares' sum
 _DINKELBACH_STEPS = 100
 _SHARE_TOL = 1e-15
 
@@ -183,24 +183,27 @@ def symmetric_ne(n: int, b: float, e0: float) -> float:
     return max(((n - 1) * b - 2.0 * e0 * n + root) / (2.0 * n * n), 0.0)
 
 
-def efficiency_identical(n: int, b: float, e0: float, weights) -> float:
+def efficiency_identical(n, b: float, e0: float, weights):
     """Requester efficiency with n identical-reward participants:
     E(n) = (sum_{i<=n} w_i) / (2 n^2) * (n - 1 + sqrt((n-1)^2 + 4 e0 n / b)).
 
     `weights` may be longer than n; only the first n entries (the rewarded,
-    i.e. earliest, contributors) enter the sum.
+    i.e. earliest, contributors) enter the sum. An integer array n gives an
+    array of efficiencies, each equal to the float of its scalar n.
     """
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise InvalidInput("n must be >= 1")
     if not b > 0:
         raise InvalidInput("b must be > 0")
     if e0 < 0:
         raise InvalidInput("e0 must be >= 0")
     w = validate_weight_vector(weights)
-    if w.size < n:
-        raise InvalidInput(f"need at least n={n} weights, got {w.size}")
-    w_sum = float(np.sum(w[:n]))
-    return w_sum / (2.0 * n * n) * ((n - 1) + math.sqrt((n - 1) ** 2 + 4.0 * e0 * n / b))
+    if w.size < np.max(n, initial=1):
+        raise InvalidInput(f"need at least n={np.max(n)} weights, got {w.size}")
+    w_sum = np.array([np.sum(w[:k]) for k in n.flat]).reshape(n.shape)
+    out = w_sum / (2.0 * n * n) * ((n - 1) + np.sqrt((n - 1) ** 2 + 4.0 * e0 * n / b))
+    return out if out.ndim else float(out)
 
 
 def report(config: ContestConfig, profile: EffortProfile, weights) -> MechanismReport:

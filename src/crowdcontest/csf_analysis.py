@@ -52,7 +52,7 @@ def exponent_discrim_ne(v1: float, v2: float, b: float,
     e1 : e2 = v1 : v2 and e2 solves
         (v1/v2)^{2 v1} e2^{v1-v2+1} + e2^{v2-v1+1} + 2 (v1/v2)^{v1} e2
             = b v2 (v1/v2)^{v1},
-    found here by bisection on (0, b]."""
+    found here by Brent's method on (0, b]."""
     if not 0 < v2 <= v1 <= 1:
         raise InvalidInput(f"need 0 < v2 <= v1 <= 1, got v1={v1}, v2={v2}")
     if b <= 0:
@@ -146,7 +146,7 @@ def efficiency_optimal_v(beta: float, u: float = 1.0, tol: float = 1e-10) -> flo
 def efficiency_vmax_beta_threshold() -> float:
     """Ratio beta at which the efficiency-maximizing exponent departs from
     v = 1: below it max_v E sits on the boundary, above it the maximizer is
-    interior. Located by bisecting the sign of dE/dv at v = 1."""
+    interior. Located as the root of dE/dv at v = 1."""
     h = 1e-6
 
     def dv_at_one(beta: float) -> float:

@@ -79,16 +79,10 @@ class OutputTable:
             buf.write(f"# {key}={self.meta[key]}\n")
         buf.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
+            buf.write(",".join(map(str, row)) + "\n")
         if self.failure is not None:
             buf.write(f"# FAILED: {self.failure}\n")
         return buf.getvalue()
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +473,11 @@ def _run_complete_info(spec: ExperimentSpec) -> list[OutputTable]:
     # requester valuations at the expected order statistics of the prior
     ranks = model.quantile((np.arange(1, n_total + 1)) / (n_total + 1.0))
     weights = np.asarray(spec.weightfn(ranks), dtype=float)
+    ns = np.array([round(value) for value in spec.sweep], dtype=int)
     for ratio in spec.e0_ratios:
-        for value in spec.sweep:
-            n = int(round(value))
-            table.add(n, ratio, efficiency_identical(n, 1.0, ratio, weights))
+        efficiency = efficiency_identical(ns, 1.0, ratio, weights)
+        for n, value in zip(ns.tolist(), efficiency.tolist()):
+            table.add(n, ratio, value)
     return [table]
 
 

@@ -186,28 +186,22 @@ def open_termination_prob(rate: float, deadline: float, k) -> float | np.ndarray
     return out if out.ndim else float(out)
 
 
-def _truncated_meeting_pmf(rate: float, deadline: float) -> np.ndarray:
-    """P(k, inf) for k = 0.. until the tail mass drops below 1e-10."""
-    pmf = []
-    total = 0.0
-    k = 0
-    while total < 1.0 - _TAIL_MASS:
-        pmf.append(float(open_termination_prob(rate, deadline, k)))
-        total += pmf[-1]
-        k += 1
-        if k > 100_000:
-            raise NoConvergence("meeting-count pmf failed to accumulate mass",
-                                residual=1.0 - total, iterations=k)
-    return np.asarray(pmf)
-
-
 def solve_bne_open_termination(config: OpenConfig) -> float:
-    """Symmetric in-time effort against the truncated meeting-count pmf
-    P(k, inf)."""
+    """Symmetric in-time effort against the meeting-count pmf P(k, inf), cut
+    at the first k where its mass summed in order reaches 1 - _TAIL_MASS:
+    within the first 2 rate T + 64 terms by a Chernoff bound, and within
+    100 001 terms or NoConvergence."""
     if not isinstance(config.strategy, Termination):
         raise InvalidInput("config.strategy must be Termination")
-    pk = _truncated_meeting_pmf(config.poisson.rate, config.strategy.deadline)
-    return _termination_effort(pk, config.max_reward, config.nature_effort)
+    rate, deadline = config.poisson.rate, config.strategy.deadline
+    size = min(int(2.0 * rate * deadline) + 64, 100_001)
+    pk = open_termination_prob(rate, deadline, np.arange(size))
+    mass = np.cumsum(pk)
+    if not mass[-1] >= 1.0 - _TAIL_MASS:
+        raise NoConvergence("meeting-count pmf failed to accumulate mass",
+                            residual=1.0 - mass[-1], iterations=size)
+    pk = pk[:int(np.argmax(mass >= 1.0 - _TAIL_MASS)) + 1]
+    return _termination_effort(pk, config.max_reward, config.e0_ratio)
 
 
 def open_termination_conditional_eff(m: int, e_star: float, b: float,

@@ -21,13 +21,11 @@ from crowdcontest.contest import (ContestConfig, efficiency_identical,
                                   solve_ne, symmetric_ne)
 from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
                                        optimal_beta_gain)
-from crowdcontest.errors import NoConvergence
 from crowdcontest.experiments import gen_trace_preset, sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
                                       open_stage1_panel,
                                       open_termination_conditional_eff,
-                                      solve_bne_open_termination,
                                       stage1_open_earliest_n)
 from crowdcontest.timing import (ConstantWeight, PoissonModel, StepWeight,
                                  UniformJoinTimes, ingest_trace_file)

@@ -25,7 +25,7 @@ from crowdcontest.contest import symmetric_ne
 from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise,
                                  NoConvergence)
 from crowdcontest.experiments import sweep
-from crowdcontest.numerics import spawn_rng
+from crowdcontest.numerics import bisect, spawn_rng
 from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
                                       open_stage1_panel,
                                       stage1_open_earliest_n, stage1_open_termination)
@@ -197,6 +197,22 @@ class TestTerminationSolver:
 
     def test_nonparticipation(self):
         assert solve_bne_termination(3, 0.5, 1.0, 1.2) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 20, 40])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("ratio", [0.2, 0.5, 0.8])
+    def test_root_evaluation_budget(self, monkeypatch, n, p, ratio):
+        # Brent's method solves the smooth BNE equation in a handful of
+        # evaluations where bisection took about 42
+        evals = []
+
+        def counted(f, lo, hi, tol):
+            return bisect(lambda x: evals.append(x) or f(x), lo, hi, tol)
+        monkeypatch.setattr(bayesian_closed, "bisect", counted)
+        e = solve_bne_termination(n, p, 3.0, 3.0 * ratio)
+        assert e > 0
+        # the root search, plus the break-even check at x = 1e-12
+        assert len(evals) + 1 <= 16
 
     def test_root_below_the_bracket_reads_zero(self):
         # the effort tends to 0 as e0 nears b, or as opponents are almost

@@ -10,8 +10,9 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN, Termination
                                           TypeGrid, calibrated_stage1)
 from crowdcontest.cli import main
 from crowdcontest.errors import ConfigError, InvalidInput
-from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, gen_trace_preset,
-                                      load_spec, parse_spec, run_spec, sweep)
+from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, OutputTable,
+                                      gen_trace_preset, load_spec, parse_spec,
+                                      run_spec, sweep)
 from crowdcontest.open_system import OpenConfig, calibrated_open_stage1
 from crowdcontest.timing import UniformJoinTimes, ingest_trace_file
 
@@ -153,6 +154,17 @@ class TestSpecParsing:
 
 
 class TestRunSpec:
+    def test_rendered_cells(self):
+        # a float cell is its shortest round-trip repr; a numpy scalar
+        # renders as the number it holds
+        table = OutputTable(name="cells", columns=("i", "x", "s"), meta={"k": 1})
+        table.add(3, 0.1, "step")
+        table.add(-2, -0.0, "a b")
+        table.add(0, 1e-300, "")
+        table.add(np.int64(7), np.float64(2.5e16), "x")
+        assert table.render() == ("# table=cells\n# k=1\ni,x,s\n3,0.1,step\n"
+                                  "-2,-0.0,a b\n0,1e-300,\n7,2.5e+16,x\n")
+
     def test_small_run_tables(self, tmp_path):
         spec = parse_spec(SMALL_SPEC)
         paths = run_spec(spec, out_dir=tmp_path)

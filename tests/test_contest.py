@@ -137,6 +137,20 @@ class TestEfficiencyIdentical:
     def test_hundred_players(self):
         assert efficiency_identical(100, 1, 0, np.ones(100)) == pytest.approx(0.99, abs=1e-12)
 
+    def test_array_n_equals_scalar_calls(self):
+        w = np.linspace(1.0, 0.1, 40)
+        ns = np.array([2, 7, 1, 40, 7, 19])
+        for ratio in (0.0, 0.2, 0.5, 0.8):
+            got = efficiency_identical(ns, 1.0, ratio, w)
+            assert got.shape == ns.shape
+            assert got.tolist() == [efficiency_identical(int(n), 1.0, ratio, w)
+                                    for n in ns]
+        assert isinstance(efficiency_identical(3, 1.0, 0.5, w), float)
+        with pytest.raises(InvalidInput):
+            efficiency_identical(np.array([2, 0]), 1.0, 0.5, w)
+        with pytest.raises(InvalidInput):
+            efficiency_identical(np.array([2, 41]), 1.0, 0.5, w)
+
     def test_bounds_grid(self):
         # (n-1)/n^2 sum(w) <= eff < sum(w)/n for every e0/b in [0, 1)
         for n in range(2, 51):

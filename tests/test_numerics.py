@@ -38,9 +38,11 @@ def test_bisect_nonfinite_raises():
 
 
 def test_bisect_iteration_budget(monkeypatch):
+    # a secant step lands on a linear root at once; a cube root's infinite
+    # slope at the root keeps the search going past 3 evaluations
     monkeypatch.setattr(numerics, "BISECT_STEPS", 3)
     with pytest.raises(NoConvergence):
-        bisect(lambda x: x - 0.123456789, 0.0, 1.0, tol=1e-15)
+        bisect(lambda x: np.cbrt(x - 0.123456789), 0.0, 1.0, tol=1e-15)
 
 
 @given(root=st.floats(-5, 5), pad=st.floats(0.1, 3), width=st.floats(0.1, 3))
@@ -48,6 +50,37 @@ def test_bisect_iteration_budget(monkeypatch):
 def test_bisect_finds_planted_linear_root(root, pad, width):
     found = bisect(lambda x: x - root, root - pad, root + width)
     assert abs(found - root) <= 1e-8
+
+
+@given(root=st.floats(-5, 5), pad=st.floats(0.01, 3), width=st.floats(0.01, 3),
+       slope=st.floats(1, 10), cubic=st.floats(0, 50), bend=st.floats(0, 5),
+       sign=st.sampled_from((-1.0, 1.0)), tol=st.sampled_from((1e-12, 1e-9, 1e-6)))
+@hyp_settings(max_examples=100, deadline=None)
+def test_bisect_smooth_monotone_root_within_tol(root, pad, width, slope, cubic,
+                                                bend, sign, tol):
+    # every term has the sign of x - root, so |f(x)| >= |x - root|: an
+    # iterate accepted on |f| <= tol is within tol of the root as well
+    lo, hi = root - pad, root + width
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        d = x - root
+        return sign * (slope * d + cubic * d ** 3 + bend * math.atan(10.0 * d))
+
+    found = bisect(f, lo, hi, tol)
+    assert abs(found - root) <= tol + 1e-14
+    assert all(lo <= x <= hi for x in evals)
+
+
+@pytest.mark.parametrize("f, lo, hi, root", [
+    (lambda x: math.sqrt(x) * (0.5 - x), 1e-300, 1.0, 0.5),
+    (lambda x: math.sqrt(-x) * (x + 0.5), -1.0, -1e-300, -0.5),
+])
+def test_bisect_small_endpoint_value_does_not_stop(f, lo, hi, root):
+    # |f| <= tol at an end of the bracket says nothing of the root's place
+    assert abs(f(lo) * f(hi)) <= 1e-140
+    assert bisect(f, lo, hi) == pytest.approx(root, abs=1e-9)
 
 
 def test_bisect_bracket_always_contains_sign_change():
@@ -59,8 +92,7 @@ def test_bisect_bracket_always_contains_sign_change():
 
     root = bisect(f, -1.0, 1.0)
     assert root == pytest.approx(0.3, abs=1e-9)
-    # every midpoint stays inside the original bracket and homes in on a
-    # sign change: values at successive brackets alternate around the root
+    # every iterate stays inside the original bracket
     assert all(-1.0 <= x <= 1.0 for x in evals)
 
 
