@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleBudget, InvalidInput, MonteCarloNoise, NoConvergence
+from .errors import (BracketError, InfeasibleBudget, InvalidInput, MonteCarloNoise,
+                     NoConvergence)
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 
@@ -549,7 +550,7 @@ def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> f
 # ---------------------------------------------------------------------------
 
 def _binom_pmf(k: np.ndarray, m: int, p: float) -> np.ndarray:
-    return np.array([math.comb(m, int(j)) for j in k]) * p ** k * (1 - p) ** (m - k)
+    return np.array([math.comb(m, j) for j in k.tolist()]) * p ** k * (1 - p) ** (m - k)
 
 
 def _termination_effort(pk: np.ndarray, b: float, r: float) -> float:
@@ -557,18 +558,21 @@ def _termination_effort(pk: np.ndarray, b: float, r: float) -> float:
     reward b and nature effort r b: b x, where x = e / b is the root of
         sum_k pk[k] (r + k x) / (r + (k+1) x)^2 = 1
     (left side strictly decreasing in x) by Brent's method on [1e-12, 1]. x
-    depends on r alone, so e is exactly b times the effort at b = 1. Returns
-    0 when even x = 1e-12 cannot break even: when r >= 1, when r = 0 and no
-    opponent is ever in time (any positive effort then wins b), and when the
-    root lies below 1e-12."""
-    k = np.arange(pk.size)
+    depends on r alone, so e is exactly b times the effort at b = 1. The left
+    side is below 1 at x = 1, so 0 is returned when the search's first
+    evaluation finds that even x = 1e-12 cannot break even: when r >= 1,
+    when r = 0 and no opponent is ever in time (any positive effort then
+    wins b), and when the root lies below 1e-12."""
+    k = np.arange(pk.size, dtype=float)
+    k1 = k + 1.0
 
     def lhs_minus_one(x: float) -> float:
-        return float(np.sum(pk * (r + k * x) / (r + (k + 1) * x) ** 2)) - 1.0
+        return float((pk * (r + k * x) / (r + k1 * x) ** 2).sum()) - 1.0
 
-    if lhs_minus_one(1e-12) < 0:
+    try:
+        return b * bisect(lhs_minus_one, 1e-12, 1.0, TERMINATION_TOL)
+    except BracketError:
         return 0.0
-    return b * bisect(lhs_minus_one, 1e-12, 1.0, TERMINATION_TOL)
 
 
 def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> float:

@@ -188,15 +188,16 @@ def efficiency_identical(n, b: float, e0: float, weights):
     E(n) = (sum_{i<=n} w_i) / (2 n^2) * (n - 1 + sqrt((n-1)^2 + 4 e0 n / b)).
 
     `weights` may be longer than n; only the first n entries (the rewarded,
-    i.e. earliest, contributors) enter the sum. An integer array n gives an
-    array of efficiencies, each equal to the float of its scalar n.
+    i.e. earliest, contributors) enter the sum. An integer array n and an
+    array e0 broadcast against each other and give an array of efficiencies,
+    each equal bit for bit to the float of its scalar call.
     """
     n = np.asarray(n)
     if np.any(n < 1):
         raise InvalidInput("n must be >= 1")
     if not b > 0:
         raise InvalidInput("b must be > 0")
-    if e0 < 0:
+    if np.any(np.asarray(e0) < 0):
         raise InvalidInput("e0 must be >= 0")
     w = validate_weight_vector(weights)
     if w.size < np.max(n, initial=1):

@@ -71,15 +71,26 @@ def exponent_discrim_ne(v1: float, v2: float, b: float,
     return TwoPlayerResult(efforts=(e1, e2), efficiency=efficiency)
 
 
-def reward_discrim_efficiency(beta: float, v: float, u: float, w: float = 1.0) -> float:
-    """E = v w (beta^{v+1} + beta^v / u) / ((1 + beta^{v+1})(1 + beta^v))."""
-    bv = beta ** v
+def _pow(beta, v: float):
+    """beta ** v by libm's pow: one Python `**` per element of an array beta."""
+    if np.ndim(beta) == 0:
+        return beta ** v
+    return np.array([x ** v for x in np.ravel(beta).tolist()]).reshape(np.shape(beta))
+
+
+def reward_discrim_efficiency(beta, v: float, u, w: float = 1.0):
+    """E = v w (beta^{v+1} + beta^v / u) / ((1 + beta^{v+1})(1 + beta^v)).
+    Arrays beta and u broadcast; each element equals its scalar call bit for
+    bit, since beta^v is libm's pow (numpy's array power may use a vector
+    pow that rounds differently, machine by machine)."""
+    bv = _pow(beta, v)
     return v * w * (bv * beta + bv / u) / ((1.0 + bv * beta) * (1.0 + bv))
 
 
-def reward_discrim_gain(beta: float, v: float, u: float) -> float:
-    """G = 4 (u beta^{v+1} + beta^v) / ((1 + beta^{v+1})(1 + beta^v)(1 + u))."""
-    bv = beta ** v
+def reward_discrim_gain(beta, v: float, u):
+    """G = 4 (u beta^{v+1} + beta^v) / ((1 + beta^{v+1})(1 + beta^v)(1 + u)).
+    Arrays beta and u broadcast as in `reward_discrim_efficiency`."""
+    bv = _pow(beta, v)
     return 4.0 * (u * bv * beta + bv) / ((1.0 + bv * beta) * (1.0 + bv) * (1.0 + u))
 
 
@@ -123,8 +134,7 @@ def optimal_beta_gain(v: float, u: float | None = None) -> float:
     if u < 1:
         raise InvalidInput(f"u must be >= 1, got {u}")
     grid = np.geomspace(1.0, BETA_SEARCH_MAX, 400)
-    gains = [reward_discrim_gain(beta, v, u) for beta in grid]
-    k = int(np.argmax(gains))
+    k = int(np.argmax(reward_discrim_gain(grid, v, u)))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]
     return golden_section_max(lambda beta: reward_discrim_gain(beta, v, u),

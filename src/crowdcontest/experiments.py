@@ -14,6 +14,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,29 @@ def _parallel_map(fn, items):
 # Output tables
 # ---------------------------------------------------------------------------
 
+def _column_cells(column) -> list[str]:
+    """str(x) per value, formatted once per distinct (type, value); falsy
+    values (0.0 == -0.0) and NaN (never equal) are formatted every time."""
+    memo = {}
+    cells = []
+    for x in column:
+        if not x or x != x:
+            cells.append(str(x))
+            continue
+        key = (type(x), x)
+        cell = memo.get(key)
+        if cell is None:
+            cell = memo[key] = str(x)
+        cells.append(cell)
+    return cells
+
+
 @dataclass
 class OutputTable:
+    """A CSV table: `#` metadata lines, a header and one line per row, each
+    cell `str(value)`. `add` appends one row, `extend` one row per index of
+    equally long columns."""
+
     name: str
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
@@ -65,6 +87,11 @@ class OutputTable:
         if len(values) != len(self.columns):
             raise ConfigError(f"row width {len(values)} != {len(self.columns)}")
         self.rows.append(tuple(values))
+
+    def extend(self, *columns) -> None:
+        if len(columns) != len(self.columns):
+            raise ConfigError(f"row width {len(columns)} != {len(self.columns)}")
+        self.rows.extend(zip(*columns, strict=True))
 
     def write(self, path) -> None:
         path = Path(path)
@@ -78,8 +105,9 @@ class OutputTable:
         for key in sorted(self.meta):
             buf.write(f"# {key}={self.meta[key]}\n")
         buf.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            buf.write(",".join(map(str, row)) + "\n")
+        if self.rows:
+            cells = [_column_cells(column) for column in zip(*self.rows)]
+            buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
         if self.failure is not None:
             buf.write(f"# FAILED: {self.failure}\n")
         return buf.getvalue()
@@ -473,11 +501,13 @@ def _run_complete_info(spec: ExperimentSpec) -> list[OutputTable]:
     # requester valuations at the expected order statistics of the prior
     ranks = model.quantile((np.arange(1, n_total + 1)) / (n_total + 1.0))
     weights = np.asarray(spec.weightfn(ranks), dtype=float)
-    ns = np.array([round(value) for value in spec.sweep], dtype=int)
-    for ratio in spec.e0_ratios:
-        efficiency = efficiency_identical(ns, 1.0, ratio, weights)
-        for n, value in zip(ns.tolist(), efficiency.tolist()):
-            table.add(n, ratio, value)
+    ns = [round(value) for value in spec.sweep]
+    # one row per (e0 ratio, n), ratio-major
+    efficiency = efficiency_identical(np.array(ns), 1.0,
+                                      np.array(spec.e0_ratios)[:, None], weights)
+    table.extend(ns * len(spec.e0_ratios),
+                 [ratio for ratio in spec.e0_ratios for _ in ns],
+                 efficiency.ravel().tolist())
     return [table]
 
 
@@ -489,12 +519,11 @@ def _run_csf_surfaces(spec: ExperimentSpec) -> list[OutputTable]:
     us = (1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
     betas = np.geomspace(1.0, 10.0, 41)
     vs = (0.25, 0.5, 1.0)
-    for u in us:
-        for v in vs:
-            for beta in betas:
-                gain.add(u, float(beta), v, reward_discrim_gain(float(beta), v, u))
-                eff.add(u, float(beta), v,
-                        reward_discrim_efficiency(float(beta), v, u))
+    # rows run u-major, then v, then beta; one (u, beta) surface per v
+    u_col, v_col, beta_col = zip(*product(us, vs, betas.tolist()))
+    for table, surface in ((gain, reward_discrim_gain), (eff, reward_discrim_efficiency)):
+        values = np.stack([surface(betas, v, np.array(us)[:, None]) for v in vs], axis=1)
+        table.extend(u_col, beta_col, v_col, values.ravel().tolist())
     return [gain, eff]
 
 

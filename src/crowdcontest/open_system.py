@@ -180,7 +180,7 @@ def open_termination_prob(rate: float, deadline: float, k) -> float | np.ndarray
     if np.any(k_arr < 0):
         raise InvalidInput("k must be >= 0")
     log_p = (k_arr + 1.0) * math.log(lam_t) - lam_t \
-        - np.array([math.lgamma(j + 2.0) for j in np.atleast_1d(k_arr)]
+        - np.array([math.lgamma(j + 2.0) for j in np.ravel(k_arr).tolist()]
                    ).reshape(k_arr.shape) - math.log(-math.expm1(-lam_t))
     out = np.exp(log_p)
     return out if out.ndim else float(out)

@@ -406,7 +406,7 @@ def poisson_pmf(model: PoissonModel, t: float, m) -> float | np.ndarray:
         out = np.where(m_arr == 0, 1.0, 0.0)
     else:
         log_pmf = m_arr * math.log(lam_t) - lam_t - \
-            np.array([math.lgamma(k + 1.0) for k in np.atleast_1d(m_arr)]).reshape(m_arr.shape)
+            np.array([math.lgamma(k + 1.0) for k in np.ravel(m_arr).tolist()]).reshape(m_arr.shape)
         out = np.exp(log_pmf)
     return out if out.ndim else float(out)
 

@@ -204,15 +204,29 @@ class TestTerminationSolver:
     def test_root_evaluation_budget(self, monkeypatch, n, p, ratio):
         # Brent's method solves the smooth BNE equation in a handful of
         # evaluations where bisection took about 42
-        evals = []
+        evals, searched = [], []
+
+        class Pmf(np.ndarray):
+            # each evaluation of the BNE equation, inside the root search or
+            # not, multiplies the pmf once
+            def __mul__(self, other):
+                evals.append(other)
+                return np.asarray(self) * other
 
         def counted(f, lo, hi, tol):
-            return bisect(lambda x: evals.append(x) or f(x), lo, hi, tol)
+            return bisect(lambda x: searched.append(x) or f(x), lo, hi, tol)
+        binom_pmf = bayesian_closed._binom_pmf
+        monkeypatch.setattr(bayesian_closed, "_binom_pmf",
+                            lambda *args: binom_pmf(*args).view(Pmf))
         monkeypatch.setattr(bayesian_closed, "bisect", counted)
         e = solve_bne_termination(n, p, 3.0, 3.0 * ratio)
         assert e > 0
-        # the root search, plus the break-even check at x = 1e-12
-        assert len(evals) + 1 <= 16
+        # the break-even check at x = 1e-12 is the search's first evaluation:
+        # no point is evaluated twice, and none outside the search
+        assert searched[0] == 1e-12
+        assert len(set(searched)) == len(searched) == len(evals) <= 16
+        if (n, p, ratio) == (20, 0.5, 0.5):
+            assert len(evals) == 12
 
     def test_root_below_the_bracket_reads_zero(self):
         # the effort tends to 0 as e0 nears b, or as opponents are almost

@@ -1,7 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 from scipy import stats
 
 from crowdcontest import bayesian_closed as bc
@@ -162,8 +164,21 @@ class TestRunSpec:
         table.add(-2, -0.0, "a b")
         table.add(0, 1e-300, "")
         table.add(np.int64(7), np.float64(2.5e16), "x")
+        # bulk rows, one sequence per column
+        table.extend([True, 1], [0.0, 1.0], ["step", "step"])
         assert table.render() == ("# table=cells\n# k=1\ni,x,s\n3,0.1,step\n"
-                                  "-2,-0.0,a b\n0,1e-300,\n7,2.5e+16,x\n")
+                                  "-2,-0.0,a b\n0,1e-300,\n7,2.5e+16,x\n"
+                                  "True,0.0,step\n1,1.0,step\n")
+        with pytest.raises(ConfigError):
+            table.extend([1], [2.0])
+        with pytest.raises(ValueError):
+            table.extend([1, 2], [2.0], ["a"])
+
+    def test_complete_info_without_e0_ratios_has_no_rows(self, tmp_path):
+        spec = parse_spec("[experiment]\nname = ci\nmode = complete_info\n"
+                          "sweep = 2,3\ne0_ratio =\nn_players = 4\noutput = ci.csv\n")
+        (path,) = run_spec(spec, out_dir=tmp_path)
+        assert path.read_text().splitlines()[-1] == "n,e0_ratio,efficiency"
 
     def test_small_run_tables(self, tmp_path):
         spec = parse_spec(SMALL_SPEC)
@@ -289,6 +304,42 @@ scale = 1
         paths = run_spec(load_spec("complete-info-efficiency"), out_dir=tmp_path)
         _, rows = _read_rows(paths[0])
         assert len(rows) == 4 * 49
+
+
+#: values that print alike, or compare equal and print differently,
+#: mixed with arbitrary ints, floats, strings and numpy scalars
+_CELL_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, False, math.nan, math.inf,
+                     -math.inf, "", np.int64(0), np.int64(1), np.float64(-0.0),
+                     np.float64(1.0), np.float64(math.nan)]),
+    st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+
+
+@st.composite
+def _tables(draw):
+    """Rows drawn from a few values per column, so values repeat heavily;
+    the first `split` rows are added one by one, the rest by `extend`."""
+    pools = draw(st.lists(st.lists(_CELL_VALUES, min_size=1, max_size=5),
+                          min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=40))
+    return len(pools), rows, draw(st.integers(0, len(rows)))
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(_tables())
+def test_render_matches_rowwise_str(table_rows):
+    width, rows, split = table_rows
+    table = OutputTable(name="t", columns=tuple(f"c{i}" for i in range(width)))
+    for row in rows[:split]:
+        table.add(*row)
+    if rows[split:]:
+        table.extend(*zip(*rows[split:]))
+    body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    assert table.render() == f"# table=t\n{','.join(table.columns)}\n{body}"
 
 
 class TestSweep:

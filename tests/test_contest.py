@@ -151,6 +151,17 @@ class TestEfficiencyIdentical:
         with pytest.raises(InvalidInput):
             efficiency_identical(np.array([2, 41]), 1.0, 0.5, w)
 
+    def test_array_e0_broadcasts_against_n(self):
+        w = np.linspace(1.0, 0.1, 40)
+        ns = np.array([2, 7, 1, 40, 19])
+        e0s = np.array([0.0, 0.2, 0.5, 0.8, 1e-300, 3.0])
+        got = efficiency_identical(ns, 2.5, e0s[:, None], w)
+        assert got.shape == (e0s.size, ns.size)
+        assert got.tolist() == [[efficiency_identical(n, 2.5, e0, w) for n in ns.tolist()]
+                                for e0 in e0s.tolist()]
+        with pytest.raises(InvalidInput):
+            efficiency_identical(ns, 1.0, np.array([0.5, -0.1])[:, None], w)
+
     def test_bounds_grid(self):
         # (n-1)/n^2 sum(w) <= eff < sum(w)/n for every e0/b in [0, 1)
         for n in range(2, 51):

@@ -106,6 +106,21 @@ class TestRewardDiscrimination:
         with pytest.raises(InvalidInput):
             reward_discrim_ne(2.0, 1.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("v", [0.25, 0.5, 1.0])
+    def test_array_surface_equals_scalar_calls(self, v):
+        # the (u, beta) grid of the csf-gain-surface preset; beta^v goes
+        # through libm's pow element by element, so no element may differ
+        us = [1.0, 2.0, 4.0, 8.0, 16.0, 64.0]
+        betas = np.geomspace(1.0, 10.0, 41)
+        gain = reward_discrim_gain(betas, v, np.array(us)[:, None])
+        eff = reward_discrim_efficiency(betas, v, np.array(us)[:, None], w=0.7)
+        assert gain.shape == eff.shape == (len(us), betas.size)
+        assert gain.tolist() == [[reward_discrim_gain(beta, v, u) for beta in betas.tolist()]
+                                 for u in us]
+        assert eff.tolist() == [[reward_discrim_efficiency(beta, v, u, w=0.7)
+                                 for beta in betas.tolist()] for u in us]
+        assert reward_discrim_gain(list(betas), v, 2.0).tolist() == gain[1].tolist()
+
 
 class TestOptimalBetaGain:
     def test_asymptotic_v_one(self):

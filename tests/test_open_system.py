@@ -80,6 +80,17 @@ class TestOpenTerminationProb:
         with pytest.raises(InvalidInput):
             open_termination_prob(1.0, 0.0, 1)
 
+    @pytest.mark.parametrize("rate, deadline", [(0.1, 0.3), (9.0, 0.7), (9.0, 1.5),
+                                                (50.0, 6.0)])
+    def test_array_equals_scalar_calls(self, rate, deadline):
+        ks = np.arange(int(2.0 * rate * deadline) + 64)
+        pmf = open_termination_prob(rate, deadline, ks)
+        assert pmf.tolist() == [open_termination_prob(rate, deadline, k)
+                                for k in ks.tolist()]
+        grid = ks[:60].reshape(6, 10)
+        assert open_termination_prob(rate, deadline, grid).tolist() == \
+            pmf[:60].reshape(6, 10).tolist()
+
 
 class TestOpenTerminationSolver:
     def test_e0_zero_matches_direct_summation(self):

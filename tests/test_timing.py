@@ -238,6 +238,16 @@ class TestPoisson:
         total = float(np.sum(poisson_pmf(m, 20.0, np.arange(201))))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("rate, t", [(0.1, 0.3), (1.0, 1.0), (9.0, 1.5),
+                                         (50.0, 6.0)])
+    def test_pmf_array_equals_scalar_calls(self, rate, t):
+        m = PoissonModel(rate=rate)
+        ks = np.arange(int(2.0 * rate * t) + 64)
+        pmf = poisson_pmf(m, t, ks)
+        assert pmf.tolist() == [poisson_pmf(m, t, k) for k in ks.tolist()]
+        assert poisson_pmf(m, t, ks[:60].reshape(6, 10)).tolist() == \
+            pmf[:60].reshape(6, 10).tolist()
+
     def test_pmf_validation(self):
         with pytest.raises(InvalidInput):
             poisson_pmf(PoissonModel(rate=1.0), -1.0, 2)
