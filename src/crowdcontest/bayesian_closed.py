@@ -19,6 +19,7 @@ the strategy's effective maximum reward at joining time t.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -39,7 +40,8 @@ CALIBRATION_B_MAX = 1e9
 #: root-finder tolerance of the scalar termination-time BNE, in units of
 #: the reward b
 TERMINATION_TOL = 1e-12
-#: nodes of the 1-d quantile-midpoint quadratures of Stage I
+#: nodes of the quantile-midpoint quadrature of the termination report's
+#: mean in-time weight
 QUAD_POINTS = 4096
 #: maximum relative Monte Carlo standard error tolerated in the BNE condition
 MC_NOISE_LIMIT = 0.10
@@ -55,10 +57,21 @@ BLOCK_ROWS = 1024
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _check_finite(**fields: float) -> None:
+    """InvalidInput naming the first of `fields` that is not a finite number."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EarliestN:
     """Only the n earliest joiners can be rewarded."""
     n: int
+
+    def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise InvalidInput(f"earliest-n needs an integer n, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +79,17 @@ class Termination:
     """Only joiners before the deadline can be rewarded."""
     deadline: float
 
+    def __post_init__(self):
+        _check_finite(deadline=self.deadline)
+
 
 @dataclass(frozen=True)
 class LinearDecay:
     """Maximum reward decays linearly: b(t) = max(0, b - velocity * t)."""
     velocity: float
+
+    def __post_init__(self):
+        _check_finite(velocity=self.velocity)
 
 
 Strategy = EarliestN | Termination | LinearDecay
@@ -90,8 +109,12 @@ class BayesianConfig:
     budget: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.n_players, numbers.Integral):
+            raise InvalidInput(f"n_players must be an integer, got {self.n_players!r}")
         if self.n_players < 1:
             raise InvalidInput("n_players must be >= 1")
+        _check_finite(max_reward=self.max_reward, e0_ratio=self.e0_ratio,
+                      budget=self.budget)
         if not self.max_reward > 0:
             raise InvalidInput("max_reward must be > 0")
         if not 0 <= self.e0_ratio:
@@ -118,6 +141,20 @@ class BayesianConfig:
 
     def with_reward(self, b: float) -> "BayesianConfig":
         return replace(self, max_reward=b)
+
+    @property
+    def prior(self) -> tuple:
+        """What `draws` depends on besides its sizes and seed."""
+        return self.n_players, self.join_model, self.weightfn
+
+    def draws(self, grid_size: int = 64, mc_samples: int = 20_000,
+              stage1_samples: int = 100_000, seed: RngSeed = 0
+              ) -> tuple[Stage1Panel, Stage2Opponents]:
+        """The prior's Stage-I panel, from seed + 1 and with its knots on the
+        Stage-II grid, and its Stage-II opponents, from seed."""
+        opponents = stage2_opponents(self, grid_size, mc_samples, seed)
+        panel = stage1_panel(self, stage1_samples, seed + 1).with_knots(opponents.times)
+        return panel, opponents
 
 
 @dataclass(frozen=True)
@@ -549,8 +586,25 @@ def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> f
 # Termination-time strategy (scalar symmetric BNE, closed-form Stage I)
 # ---------------------------------------------------------------------------
 
-def _binom_pmf(k: np.ndarray, m: int, p: float) -> np.ndarray:
-    return np.array([math.comb(m, j) for j in k.tolist()]) * p ** k * (1 - p) ** (m - k)
+def _binom_pmf(m: int, p: float) -> np.ndarray:
+    """Binomial(m, p) pmf on k = 0, ..., m in float64 at any m: the ratios
+    P(k+1)/P(k) = (m-k) p / ((k+1)(1-p)), multiplied out from the mode, where
+    the term is largest, so that none overflows and only the tails
+    underflow, and scaled to unit mass. Each term lies within about m ulps
+    of its exact value; lgamma terms would lose about 1e-12 relative at
+    m = 1000 to the rounding of logs near 6000. Exact 0/1 masses at p = 0
+    and p = 1."""
+    if p == 0.0 or p == 1.0:
+        return (np.arange(m + 1) == (0 if p == 0.0 else m)).astype(float)
+    odds = p / (1.0 - p)
+    mode = min(int((m + 1) * p), m)
+    terms = [1.0] * (m + 1)
+    for k in range(mode, m):
+        terms[k + 1] = terms[k] * (m - k) / (k + 1) * odds
+    for k in range(mode, 0, -1):
+        terms[k - 1] = terms[k] * k / (m - k + 1) / odds
+    pmf = np.array(terms)
+    return pmf / pmf.sum()
 
 
 def _termination_effort(pk: np.ndarray, b: float, r: float) -> float:
@@ -585,15 +639,13 @@ def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> floa
         raise InvalidInput("p must lie in [0, 1]")
     if b <= 0 or e0 < 0:
         raise InvalidInput("need b > 0 and e0 >= 0")
-    pk = _binom_pmf(np.arange(n_players), n_players - 1, p)
-    return _termination_effort(pk, b, e0 / b)
+    return _termination_effort(_binom_pmf(n_players - 1, p), b, e0 / b)
 
 
 def termination_effort_e0_zero(n_players: int, p: float, b: float) -> float:
     """Closed form at e0 = 0: e* = sum_k P(k, N-1) k b / (k+1)^2."""
     k = np.arange(n_players)
-    pk = _binom_pmf(k, n_players - 1, p)
-    return float(np.sum(pk * k * b / (k + 1) ** 2))
+    return float(np.sum(_binom_pmf(n_players - 1, p) * k * b / (k + 1) ** 2))
 
 
 def _termination_report(deadline: float, b: float, e0: float, e_star: float,
@@ -632,7 +684,7 @@ def stage1_metrics_termination(config: BayesianConfig,
         e_star = solve_bne_termination(n, p, b, e0)
     us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
     w_bar = float(np.mean(config.weightfn(config.join_model.quantile(us))))
-    pm = _binom_pmf(np.arange(1, n + 1), n, p)
+    pm = _binom_pmf(n, p)[1:]
     return _termination_report(t_end, b, e0, e_star, pm, w_bar)
 
 
@@ -679,40 +731,36 @@ def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
     return efforts
 
 
-def _stage1_sums(panel: Stage1Panel, grid: TypeGrid, paid_of
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-draw sums of the efforts e*(types) of `panel` on `grid`: their row
-    sums, their w-weighted row sums (the requester utility of a draw) and
-    the payments paid_of(efforts, rows) of the draws `rows`. The panel is
-    streamed in blocks of BLOCK_ROWS rows, so no mc x N effort array
-    exists; every sum is row-local, so the blocks change no bit."""
+def _mc_report(config, grid: TypeGrid, panel: Stage1Panel, paid_of) -> StageOneReport:
+    """Monte Carlo Stage-I report of a closed or open config on `grid` over
+    the draws of `panel`, whose shape the caller has checked. The panel is
+    streamed in blocks of BLOCK_ROWS rows, keeping three numbers per draw:
+    its effort sum, its w-weighted effort sum (the requester utility of the
+    draw) and its payout paid_of(efforts, rows) for the draws `rows`. No
+    mc x N effort array exists, and every sum is row-local, so the blocks
+    change no bit. E[U] is the mean utility; a draw pays paid / (e0 + sum)
+    and scores utility (e0 + sum) / paid, with zero efficiency charged when
+    nothing is paid out."""
     efforts = _panel_efforts(panel, grid)
-    draws = panel.types.shape[0]
-    total, util_draw, paid = np.empty(draws), np.empty(draws), np.empty(draws)
-    for lo in range(0, draws, BLOCK_ROWS):
+    count = panel.types.shape[0]
+    total, utility, paid = np.empty(count), np.empty(count), np.empty(count)
+    for lo in range(0, count, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
         block = efforts(rows)
         np.sum(block, axis=1, out=total[rows])
-        np.einsum("ij,ij->i", panel.weights[rows], block, out=util_draw[rows])
+        np.einsum("ij,ij->i", panel.weights[rows], block, out=utility[rows])
         paid[rows] = paid_of(block, rows)
-    return total, util_draw, paid
-
-
-def _mc_metrics(total: np.ndarray, paid: np.ndarray, util_draw: np.ndarray,
-                e0: float) -> dict:
-    """Payment and efficiency means with their standard errors over Monte
-    Carlo draws, as StageOneReport fields: a draw whose efforts sum to
-    `total` pays paid / (e0 + total) and scores util_draw (e0 + total) /
-    paid, with zero efficiency charged when nothing is paid out. The caller
-    has checked that there are the 2 draws a standard error needs."""
-    denom = e0 + total
+    denom = config.nature_effort + total
     with np.errstate(divide="ignore", invalid="ignore"):
         payment = np.where(denom > 0, paid / denom, 0.0)
-        eff = np.where(paid > 0, util_draw * denom / paid, 0.0)
-    return dict(expected_payment=float(np.mean(payment)),
-                payment_stderr=_stderr(payment),
-                expected_efficiency=float(np.mean(eff)),
-                efficiency_stderr=_stderr(eff))
+        eff = np.where(paid > 0, utility * denom / paid, 0.0)
+    return StageOneReport(parameter=_strategy_parameter(config.strategy),
+                          calibrated_b=config.max_reward,
+                          expected_utility=float(np.mean(utility)),
+                          expected_payment=float(np.mean(payment)),
+                          payment_stderr=_stderr(payment),
+                          expected_efficiency=float(np.mean(eff)),
+                          efficiency_stderr=_stderr(eff))
 
 
 def _stderr(draws: np.ndarray) -> float:
@@ -726,19 +774,12 @@ def _stderr(draws: np.ndarray) -> float:
 def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
                       panel: Stage1Panel) -> StageOneReport:
     """Stage-I metrics by Monte Carlo over the joint type draws of `panel`
-    (`stage1_panel` of the config's prior).
-
-    E[U] comes from 1-d quantile quadrature of N w(t) e*(t) f(t); the payment
-    and efficiency expectations average the per-draw reward allocation. The
-    panel's rows are sorted, so earliest-n pays b times the sum of a draw's
-    first n efforts; the other strategies pay each effort its b(t).
+    (`stage1_panel` of the config's prior): the per-draw utility, payment
+    and efficiency averaged over the draws (`_mc_report`). The panel's rows
+    are sorted, so earliest-n pays b times the sum of a draw's first n
+    efforts; the other strategies pay each effort its b(t).
     """
-    n = config.n_players
-    _check_panel(panel, n, "n_players")
-    us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS
-    ts = config.join_model.quantile(us)
-    utility = n * float(np.mean(np.asarray(config.weightfn(ts)) * grid.interp(ts)))
-
+    _check_panel(panel, config.n_players, "n_players")
     s = config.strategy
     if isinstance(s, EarliestN):
         def paid_of(efforts, rows):
@@ -746,10 +787,7 @@ def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
     else:
         def paid_of(efforts, rows):
             return np.sum(efforts * reward_schedule(config, panel.types[rows]), axis=1)
-    total, util_draw, paid = _stage1_sums(panel, grid, paid_of)
-    return StageOneReport(parameter=_strategy_parameter(config.strategy),
-                          calibrated_b=config.max_reward, expected_utility=utility,
-                          **_mc_metrics(total, paid, util_draw, config.nature_effort))
+    return _mc_report(config, grid, panel, paid_of)
 
 
 def _strategy_parameter(s: Strategy) -> float:
@@ -849,8 +887,8 @@ def _payment_at(config, solve, stage1):
 
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                       mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                      seed: RngSeed = 0, panel: Stage1Panel | None = None,
-                      opponents: Stage2Opponents | None = None
+                      seed: RngSeed = 0,
+                      draws: tuple[Stage1Panel, Stage2Opponents] | None = None
                       ) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
     at the calibrated reward, together with the Stage-II solution there: the
@@ -862,12 +900,11 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     decay solves both stages at each candidate of its search because a fixed
     velocity breaks the scaling.
 
-    Every Stage-I evaluation of the calibration runs on one `panel`, by
-    default `stage1_panel(config, stage1_samples, seed + 1)` with its knots
-    on the Stage-II grid, and every Stage-II solve against one `opponents`,
-    by default `stage2_opponents(config, grid_size, mc_samples, seed)`; both
-    are built here when None, and a sweep passes the ones it shares across
-    its configs. The closed-form termination report takes neither.
+    Every Stage-I evaluation of the calibration runs on one panel and every
+    Stage-II solve against one set of opponents: the pair `draws`, by
+    default `config.draws(grid_size, mc_samples, stage1_samples, seed)`,
+    built here; a sweep passes the pair it shares across the configs of a
+    prior. The closed-form termination report takes none.
     """
     s = config.strategy
     if isinstance(s, Termination):
@@ -879,11 +916,8 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
             stage1_metrics_termination)
     else:
         solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
-        if opponents is None:
-            opponents = stage2_opponents(config, grid_size, mc_samples, seed)
-        if panel is None:
-            panel = stage1_panel(config, stage1_samples, seed + 1) \
-                .with_knots(opponents.times)
+        panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
+            if draws is None else draws
         payment_at = _payment_at(
             config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, opponents),
             lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel))

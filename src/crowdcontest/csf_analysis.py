@@ -21,6 +21,8 @@ from .numerics import bisect, golden_section_max
 from .contest import symmetric_ne
 
 BETA_SEARCH_MAX = 50.0
+#: golden-section tolerance of `efficiency_optimal_v`, in units of v
+EFFICIENCY_V_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,11 @@ def optimal_beta_gain(v: float, u: float | None = None) -> float:
                               lo, hi, tol=1e-9)
 
 
-def efficiency_optimal_v(beta: float, u: float = 1.0, tol: float = 1e-10) -> float:
+def efficiency_optimal_v(beta: float, u: float = 1.0) -> float:
     """argmax over v in (0, 1] of the reward-discrimination efficiency at a
     fixed ratio beta (the maximizer does not depend on u)."""
     v_hat = golden_section_max(lambda v: reward_discrim_efficiency(v=v, beta=beta, u=u),
-                               1e-9, 1.0, tol=tol)
+                               1e-9, 1.0, tol=EFFICIENCY_V_TOL)
     # golden section cannot land exactly on the boundary; snap when the
     # efficiency is still rising at v = 1
     if reward_discrim_efficiency(beta, 1.0, u) >= reward_discrim_efficiency(beta, v_hat, u):

@@ -169,10 +169,14 @@ def _number(sec: configparser.SectionProxy, key: str, default, kind=int,
 
 
 def _floats(raw: str, fieldname: str) -> tuple[float, ...]:
+    """The comma-separated finite numbers of `raw`."""
     try:
-        return tuple(float(x) for x in raw.split(",") if x.strip() != "")
+        values = tuple(float(x) for x in raw.split(",") if x.strip() != "")
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {raw!r}", fieldname)
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"expected finite numbers, got {raw!r}", fieldname)
+    return values
 
 
 def _sweep_values(raw: str) -> tuple[float, ...]:
@@ -183,7 +187,8 @@ def _sweep_values(raw: str) -> tuple[float, ...]:
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"range must be start:stop:step, got {raw!r}", "sweep")
+            raise ConfigError(f"range must be start:stop:step, got {raw!r}",
+                              "experiment.sweep")
         import decimal      # only range sweeps need it; importing the package does not
         try:
             start, stop, step = (decimal.Decimal(p) for p in parts)
@@ -192,10 +197,10 @@ def _sweep_values(raw: str) -> tuple[float, ...]:
         if not all(math.isfinite(float(x)) for x in (start, stop, step)):
             raise ValueError(f"range bounds must be finite, got {raw!r}")
         if not float(step) > 0:
-            raise ConfigError("sweep step must be > 0", "sweep")
+            raise ConfigError("sweep step must be > 0", "experiment.sweep")
         count = math.floor((stop - start) / step) + 1
         return tuple(float(start + i * step) for i in range(count))
-    return _floats(raw, "sweep")
+    return _floats(raw, "experiment.sweep")
 
 
 def _build_join_model(cfg: configparser.ConfigParser) -> JoinTimeModel | None:
@@ -309,8 +314,8 @@ def parse_spec(text: str) -> ExperimentSpec:
     )
     if spec.budget <= 0:
         raise ConfigError("budget must be > 0", "experiment.budget")
-    if not all(0 <= r < math.inf for r in spec.e0_ratios):
-        raise ConfigError("e0_ratio must be finite and >= 0", "experiment.e0_ratio")
+    if not all(r >= 0 for r in spec.e0_ratios):
+        raise ConfigError("e0_ratio must be >= 0", "experiment.e0_ratio")
     with _field("experiment.sweep"):
         for value in sweep_values:
             if mode == "complete_info" and not 1 <= int(round(value)) <= spec.n_players:
@@ -358,49 +363,38 @@ def _config(spec: ExperimentSpec, value: float, ratio: float,
                            weightfn=spec.weightfn, e0_ratio=ratio, budget=budget)
 
 
-def _calibrate_all(configs, panels: dict, grid_size: int, mc_samples: int,
+def _calibrate_all(configs, draws: dict, grid_size: int, mc_samples: int,
                    stage1_samples: int, seed: RngSeed
                    ) -> list[tuple[bc.TypeGrid | float, bc.StageOneReport]]:
-    """`sweep`'s calibrated points, with the panels kept in the caller's
-    `panels`: one Stage-I panel and one set of Stage-II opponents per prior
-    (N, join model and weights of a closed config, with the panel's knots on
-    the opponents' grid; Poisson model and weights of an open one), built on
-    first use."""
-    def panels_of(cfg):
+    """`sweep`'s calibrated points. Each prior's Monte Carlo draws
+    (`config.draws`) are built on first use and kept in the caller's `draws`
+    by `config.prior`; termination strategies need none."""
+    def draws_of(cfg):
         if isinstance(cfg.strategy, bc.Termination):
-            return None, None
-        if isinstance(cfg, bc.BayesianConfig):
-            key = (cfg.n_players, cfg.join_model, cfg.weightfn)
-            if key not in panels:
-                opponents = bc.stage2_opponents(cfg, grid_size, mc_samples, seed)
-                panels[key] = (bc.stage1_panel(cfg, stage1_samples, seed + 1)
-                               .with_knots(opponents.times), opponents)
-        else:
-            key = (cfg.poisson, cfg.weightfn)
-            if key not in panels:
-                panels[key] = (osys.open_stage1_panel(cfg, stage1_samples, seed + 1),
-                               osys.open_stage2_opponents(cfg, mc_samples, seed))
-        return panels[key]
+            return None
+        if cfg.prior not in draws:
+            draws[cfg.prior] = cfg.draws(grid_size, mc_samples, stage1_samples, seed)
+        return draws[cfg.prior]
 
     def calibrated(item):
-        cfg, (panel, opponents) = item
+        cfg, cfg_draws = item
         calibrate = bc.calibrated_stage1 if isinstance(cfg, bc.BayesianConfig) \
             else osys.calibrated_open_stage1
         return calibrate(cfg, grid_size=grid_size, mc_samples=mc_samples,
-                         stage1_samples=stage1_samples, seed=seed, panel=panel,
-                         opponents=opponents)
+                         stage1_samples=stage1_samples, seed=seed, draws=cfg_draws)
 
-    return _parallel_map(calibrated, [(cfg, panels_of(cfg)) for cfg in configs])
+    return _parallel_map(calibrated, [(cfg, draws_of(cfg)) for cfg in configs])
 
 
 def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
           stage1_samples: int = 100_000, seed: RngSeed = 0
           ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
     """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
-    config of a sweep, with `CROWDCONTEST_THREADS` workers. The Stage-I panel
-    and the Stage-II opponents depend only on the prior (and the sweep's
-    sizes and seed), so one of each per distinct prior is shared read-only by
-    every config and worker; termination strategies need neither.
+    config of a sweep, with `CROWDCONTEST_THREADS` workers. The Monte Carlo
+    draws (`config.draws`: the Stage-I panel and the Stage-II opponents)
+    depend only on `config.prior` and the sweep's sizes and seed, so one pair
+    per distinct prior is shared read-only by every config and worker;
+    termination strategies need none.
 
     Returns the (Stage-II solution, StageOneReport) pair of each config, in
     input order, and the index of the highest expected efficiency: the
@@ -430,16 +424,16 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     optimum = OutputTable(name=f"{spec.name}-optimum",
                           columns=main.columns[:5], meta=_meta(spec))
     tables = [main, effort, contour, optimum]
-    # the panels do not depend on e0 or the budget: one per prior serves
+    # the draws do not depend on e0 or the budget: one pair per prior serves
     # every e0 ratio and every recalibrated contour row of the spec
-    panels = {}
+    draws = {}
     width = len(spec.sweep)
 
     def run(cases):
         # the sweep's calibrated points at each (e0 ratio, budget) case
         configs = [_config(spec, value, ratio, budget)
                    for ratio, budget in cases for value in spec.sweep]
-        points = _calibrate_all(configs, panels, spec.grid_size, spec.mc_samples,
+        points = _calibrate_all(configs, draws, spec.grid_size, spec.mc_samples,
                                 spec.stage1_samples, spec.seed)
         return [points[i:i + width] for i in range(0, len(points), width)]
 

@@ -10,7 +10,8 @@ worker count.
 Solver tolerances are not model inputs: every equilibrium the package
 solves for is unique, so each solver runs with one tolerance and one step
 cap, kept as constants in its own module (here BISECT_STEPS). Only the
-tolerance that differs between callers is an argument: `bisect`'s `tol`.
+tolerances that differ between callers are arguments: `bisect`'s and
+`golden_section_max`'s `tol`.
 """
 
 from __future__ import annotations

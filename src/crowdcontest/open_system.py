@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bayesian_closed import (EarliestN, Stage1Panel, StageOneReport, Termination,
-                              TypeGrid, calibrate_b, _check_panel, _interp_operator,
-                              _iterate_grid_bne, _mc_metrics, _payment_at,
-                              _stage1_sums, _termination_effort,
-                              _termination_report)
+                              TypeGrid, calibrate_b, _check_finite, _check_panel,
+                              _interp_operator, _iterate_grid_bne, _mc_report,
+                              _payment_at, _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
@@ -48,6 +47,8 @@ class OpenConfig:
                 raise InvalidInput("deadline must be > 0")
         else:
             raise InvalidInput(f"open systems take EarliestN or Termination, got {s!r}")
+        _check_finite(max_reward=self.max_reward, e0_ratio=self.e0_ratio,
+                      budget=self.budget)
         if not self.max_reward > 0 or self.e0_ratio < 0 or not self.budget > 0:
             raise InvalidInput("need max_reward > 0, e0_ratio >= 0, budget > 0")
 
@@ -57,6 +58,20 @@ class OpenConfig:
 
     def with_reward(self, b: float) -> "OpenConfig":
         return replace(self, max_reward=b)
+
+    @property
+    def prior(self) -> tuple:
+        """What `draws` depends on besides its sizes and seed."""
+        return self.poisson, self.weightfn
+
+    def draws(self, grid_size: int = 64, mc_samples: int = 20_000,
+              stage1_samples: int = 100_000, seed: RngSeed = 0
+              ) -> tuple[Stage1Panel, np.ndarray]:
+        """The prior's Stage-I panel, from seed + 1, and its Stage-II arrival
+        sequences, from seed. The type grid changes with n, so the panel
+        keeps no knots and `grid_size` goes unused."""
+        return (open_stage1_panel(self, stage1_samples, seed + 1),
+                open_stage2_opponents(self, mc_samples, seed))
 
 
 def open_earliest_n_prob(rate: float, s, n: int):
@@ -153,15 +168,9 @@ def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
     _check_panel(panel, config.poisson.truncation, "poisson.truncation")
-    n = config.strategy.n
-    b = config.max_reward
-
-    def paid_of(efforts, rows):
-        return b * np.sum(efforts[:, :n], axis=1)
-    total, util_draw, paid = _stage1_sums(panel, grid, paid_of)
-    return StageOneReport(parameter=float(n), calibrated_b=b,
-                          expected_utility=float(np.mean(util_draw)),
-                          **_mc_metrics(total, paid, util_draw, config.nature_effort))
+    n, b = config.strategy.n, config.max_reward
+    return _mc_report(config, grid, panel,
+                      lambda efforts, rows: b * np.sum(efforts[:, :n], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +246,24 @@ def stage1_open_termination(config: OpenConfig, e_star: float | None = None
 
 def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                           seed: RngSeed = 0, panel: Stage1Panel | None = None,
-                           opponents: np.ndarray | None = None
+                           seed: RngSeed = 0,
+                           draws: tuple[Stage1Panel, np.ndarray] | None = None
                            ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward: the effort grid, or the in-time effort e* of the
     termination strategy. Both open strategies scale linearly in b because
     e0 tracks b, so each stage runs once, at the configured reward, and its
-    result is scaled to b*. The earliest-n Stage-I evaluation runs on
-    `panel`, by default `open_stage1_panel(config, stage1_samples, seed + 1)`,
-    and the Stage-II solve against `opponents`, by default
-    `open_stage2_opponents(config, mc_samples, seed)`, which the solve builds
-    when None. The closed-form termination report takes neither."""
+    result is scaled to b*. The earliest-n Stage-I evaluation runs on the
+    panel and the Stage-II solve against the arrival sequences of `draws`,
+    by default `config.draws(grid_size, mc_samples, stage1_samples, seed)`,
+    built here; a sweep passes the pair it shares across the configs of a
+    prior. The closed-form termination report takes none."""
     if isinstance(config.strategy, Termination):
         payment_at = _payment_at(config, solve_bne_open_termination,
                                  stage1_open_termination)
     else:
-        if panel is None:
-            panel = open_stage1_panel(config, stage1_samples, seed + 1)
+        panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
+            if draws is None else draws
         payment_at = _payment_at(
             config,
             lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,

@@ -1,5 +1,8 @@
 import math
+import operator
 from dataclasses import replace
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import bisect, spawn_rng
 from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
-                                      open_stage1_panel,
                                       stage1_open_earliest_n, stage1_open_termination)
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
                                  StepWeight, UniformJoinTimes)
@@ -197,6 +199,26 @@ class TestTerminationSolver:
 
     def test_nonparticipation(self):
         assert solve_bne_termination(3, 0.5, 1.0, 1.2) == 0.0
+
+    def test_pmf_is_float64_past_exact_integer_range(self):
+        # C(69, 34) > 2**63: exact binomial coefficients would make an
+        # object array
+        assert bayesian_closed._binom_pmf(69, 0.3).dtype == np.float64
+
+    @pytest.mark.parametrize("n", [20, 70, 1100])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_pmf_matches_exact_rationals(self, n, p):
+        # every term against C(m, k) a^k (d - a)^(m-k) / d^m with p = a / d
+        # exactly, correctly rounded by int division; terms that underflow
+        # past 1e-300 have no relative accuracy
+        m = n - 1
+        a, d = Fraction(p).as_integer_ratio()
+        up = list(accumulate([a] * m, operator.mul, initial=1))
+        down = list(accumulate([d - a] * m, operator.mul, initial=1))
+        scale = d ** m
+        exact = [math.comb(m, k) * up[k] * down[m - k] / scale for k in range(n)]
+        assert bayesian_closed._binom_pmf(m, p) == pytest.approx(exact, rel=1e-12,
+                                                                 abs=1e-300)
 
     @pytest.mark.parametrize("n", [2, 20, 40])
     @pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
@@ -487,16 +509,17 @@ class TestCalibration:
         kw = dict(grid_size=25, mc_samples=4000, seed=3)
         if system == "closed-earliest-n":
             cfg = en_config(5, 2, e0_ratio=0.4, budget=1.7)
-            panel = stage1_panel(cfg, 20_000, 4)
-            solution, rep = calibrated_stage1(cfg, panel=panel, **kw)
-            fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), solution, panel)
+            draws = cfg.draws(stage1_samples=20_000, **kw)
+            solution, rep = calibrated_stage1(cfg, draws=draws, **kw)
+            fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), solution,
+                                      draws[0])
         elif system == "open-earliest-n":
             cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
                              strategy=EarliestN(3), e0_ratio=0.4, budget=1.7)
-            panel = open_stage1_panel(cfg, 20_000, 4)
-            solution, rep = calibrated_open_stage1(cfg, panel=panel, **kw)
+            draws = cfg.draws(stage1_samples=20_000, **kw)
+            solution, rep = calibrated_open_stage1(cfg, draws=draws, **kw)
             fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), solution,
-                                           panel)
+                                           draws[0])
         elif system == "closed-termination":
             cfg = BayesianConfig(n_players=6, strategy=Termination(0.6),
                                  join_model=UNIFORM01, e0_ratio=0.4, budget=1.7)
@@ -644,6 +667,24 @@ class TestConfigValidation:
     def test_deadline_before_support(self):
         with pytest.raises(InvalidInput):
             BayesianConfig(n_players=2, strategy=Termination(-1.0),
+                           join_model=UNIFORM01)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["max_reward", "e0_ratio", "budget", "deadline",
+                                       "velocity"])
+    def test_non_finite_field(self, field, value):
+        strategy = {"deadline": Termination, "velocity": LinearDecay}.get(field)
+        with pytest.raises(InvalidInput, match=field):
+            if strategy is not None:
+                BayesianConfig(n_players=2, strategy=strategy(value),
+                               join_model=UNIFORM01)
+            else:
+                en_config(3, 2, **{"e0_ratio": 0.5, field: value})
+
+    @pytest.mark.parametrize("n_players, n", [(3, 2.5), (3, 2.0), (3.0, 2)])
+    def test_non_integer_n(self, n_players, n):
+        with pytest.raises(InvalidInput, match="integer"):
+            BayesianConfig(n_players=n_players, strategy=EarliestN(n),
                            join_model=UNIFORM01)
 
 
@@ -820,8 +861,8 @@ BLOCK = bayesian_closed.BLOCK_ROWS
 #: panel row counts around the Stage-I block size
 BLOCK_EDGES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 #: report fields of the Monte Carlo Stage-I pass
-MC_FIELDS = ("expected_payment", "payment_stderr", "expected_efficiency",
-             "efficiency_stderr")
+MC_FIELDS = ("expected_utility", "expected_payment", "payment_stderr",
+             "expected_efficiency", "efficiency_stderr")
 
 
 class TestBlockedStageOne:
@@ -851,6 +892,7 @@ class TestBlockedStageOne:
                                   cfg.nature_effort, paid_of)
         interpolated = stage1_metrics_mc(cfg, grid, panel)
         gathered = stage1_metrics_mc(cfg, grid, panel.with_knots(grid.times))
+        expect["expected_utility"] = expect.pop("mean_utility")
         for field in MC_FIELDS:
             assert getattr(interpolated, field) == expect[field]
             assert getattr(gathered, field) == pytest.approx(expect[field], rel=1e-15,

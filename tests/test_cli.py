@@ -524,7 +524,15 @@ output = noisy.csv
         (SMALL_SPEC.replace("seed = 7", "seed = -1"), "experiment.seed"),
         (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 0"), "experiment.sweep"),
         (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 1:5:1"), "experiment.sweep"),
+        (OPEN_TERMINATION_SPEC.replace("sweep = 0.2,0.5,1.0", "sweep = 1.0,inf"),
+         "experiment.sweep"),
+        (SMALL_SPEC.replace("strategy = earliest_n", "strategy = linear")
+         .replace("sweep = 2,3,4", "sweep = nan"), "experiment.sweep"),
+        (SMALL_SPEC.replace("values = 1,0.6,0.2,0", "values = 1,nan,0.2,0"),
+         "weights.values"),
         (SMALL_SPEC.replace("e0_ratio = 0.5", "e0_ratio = nan"), "experiment.e0_ratio"),
+        (SMALL_SPEC.replace("e0_ratio = 0.5", "e0_ratio = 0.5,inf"),
+         "experiment.e0_ratio"),
         (SMALL_SPEC.replace("budget = 1.0", "budget = nan"), "experiment.budget"),
         (SMALL_SPEC.replace("mc_samples = 1200", "mc_samples = 1"),
          "experiment.mc_samples"),
@@ -533,7 +541,8 @@ output = noisy.csv
     ], ids=["lo-above-hi", "negative-rate", "missing-trace", "missing-trace-unit",
             "unknown-trace-unit", "non-integer-N",
             "n-above-N", "n-above-truncation", "infinite-n", "grid-size-1", "negative-seed",
-            "complete-info-n-0", "complete-info-n-above-N", "nan-e0-ratio",
+            "complete-info-n-0", "complete-info-n-above-N", "infinite-deadline",
+            "nan-velocity", "nan-weight", "nan-e0-ratio", "infinite-e0-ratio",
             "nan-budget", "one-mc-sample", "one-stage1-sample"])
     def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,
                                                        field):
@@ -541,6 +550,16 @@ output = noisy.csv
         spec_file.write_text(text)
         assert main(["run", str(spec_file), "--out-dir", str(tmp_path)]) == 2
         assert f"config error: [{field}]" in capsys.readouterr().err
+
+    def test_large_closed_termination_contest(self, tmp_path):
+        # the termination pmf stays float64 past N ~ 1030, where exact
+        # binomial coefficients overflow a float
+        spec_file = tmp_path / "large.ini"
+        spec_file.write_text(TERMINATION_SPEC.replace("n_players = 12", "n_players = 1100")
+                             .replace("sweep = 0.5:6:0.5", "sweep = 1,6"))
+        assert main(["run", str(spec_file), "--out-dir", str(tmp_path)]) == 0
+        _, rows = _read_rows(tmp_path / "tt.csv")
+        assert len(rows) == 2 * 3
 
     def test_unknown_preset_exit_code(self, tmp_path):
         assert main(["run", "definitely-not-a-preset",

@@ -345,3 +345,18 @@ def test_config_validation():
                    strategy=LinearDecay(0.5))
     with pytest.raises(InvalidInput):
         open_tt(1.0, -1.0, e0_ratio=0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["max_reward", "e0_ratio", "budget", "deadline"])
+def test_non_finite_field(field, value):
+    with pytest.raises(InvalidInput, match=field):
+        if field == "deadline":
+            open_tt(1.0, value, e0_ratio=0.5)
+        else:
+            open_en(1.0, 4, 2, **{"e0_ratio": 0.5, field: value})
+
+
+def test_non_integer_n():
+    with pytest.raises(InvalidInput, match="integer"):
+        open_en(1.0, 4, 2.5, e0_ratio=0.5)
