@@ -21,10 +21,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
+from .contest import symmetric_ne
 from .errors import (BracketError, InfeasibleBudget, InvalidInput, MonteCarloNoise,
                      NoConvergence)
 from .numerics import RngSeed, bisect, spawn_rng
@@ -51,6 +53,11 @@ NEWTON_STEPS = 100
 #: their blocks of efforts or weights stay within the L2 cache instead of
 #: filling an array over the whole panel
 BLOCK_ROWS = 1024
+#: multiply-adds per matrix product of the grid BNE's Jacobian: OpenBLAS runs
+#: a product up to 2^18 of them on one thread, and its threads, woken for
+#: each larger product, made a bench pass's kernel 4x slower on a shared
+#: 2-core VM unless BLAS threads were pinned to 1
+JACOBIAN_BLOCK = 2 ** 18
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +253,25 @@ class StageOneReport:
 # Reward schedules
 # ---------------------------------------------------------------------------
 
+def _scaled_power(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, e) with x**k = f 2**e for x >= 0 and integers k >= 0: powers of
+    x's mantissa, taken at most 1000 at a time and renormalized, so none
+    leaves the float range; one np.power, as accurate as x**k, for k <= 1000."""
+    mantissa, exponent = np.frexp(x)
+    f, e = np.ones(np.broadcast(x, k).shape), exponent * k
+    while np.any(k > 0):
+        f, shift = np.frexp(f * np.power(mantissa, np.minimum(k, 1000)))
+        e, k = e + shift, k - np.minimum(k, 1000)
+    return f, e
+
+
 def earliest_n_prob(p, n_players: int, n_rewarded: int):
     """Probability that a contributor joining at the F-quantile p is among
     the n earliest of N: the Binomial(N-1, p) CDF at n-1 (at most n-1 of the
     opponents arrive earlier), exactly 1 at n = N, where it sums the whole
-    pmf and rounding would leave it a few ulps short."""
+    pmf and rounding would leave it a few ulps short. Each term multiplies
+    the mantissas of its exact coefficient and of its two powers and adds
+    their exponents, so it stays a float64 at any N."""
     if not 1 <= n_rewarded <= n_players:
         raise InvalidInput(f"need 1 <= n <= N, got n={n_rewarded}, N={n_players}")
     p_arr = np.asarray(p, dtype=float)
@@ -261,10 +282,15 @@ def earliest_n_prob(p, n_players: int, n_rewarded: int):
         out = np.ones_like(p_arr)
     else:
         m = n_players - 1
-        total = np.zeros_like(p_arr)
-        for k in range(n_rewarded):
-            total += math.comb(m, k) * p_arr ** k * (1.0 - p_arr) ** (m - k)
-        out = np.clip(total, 0.0, 1.0)
+        k = np.arange(n_rewarded).reshape((-1,) + (1,) * p_arr.ndim)
+        comb = list(accumulate(range(1, n_rewarded), lambda c, j: c * (m - j + 1) // j,
+                               initial=1))
+        c_exp = np.array([c.bit_length() for c in comb]).reshape(k.shape)
+        c_frac = np.array([c / (1 << c.bit_length()) for c in comb]).reshape(k.shape)
+        p_frac, p_exp = _scaled_power(p_arr, k)
+        q_frac, q_exp = _scaled_power(1.0 - p_arr, m - k)
+        terms = np.ldexp(c_frac * p_frac * q_frac, c_exp + p_exp + q_exp)
+        out = np.clip(terms.sum(axis=0), 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
@@ -313,34 +339,49 @@ def _grid_times(model: JoinTimeModel, grid_size: int) -> np.ndarray:
 def _condition_means(a_samples: np.ndarray, size: int):
     """means(x) -> (E[A/(A+x)^2], E[A/(A+x)^3]) over the draws `a_samples`
     for an x of `size` points, as BLAS products w @ inv^2 and w @ inv^3 with
-    inv = 1/(A+x) in reused buffers and w = A/mc over the draws with A > 0;
-    the draws with A = 0 add nothing, and leaving them out keeps inv^3
-    finite for x near 0."""
-    a = a_samples[a_samples > 0]
-    w = a / a_samples.size
-    a = a[:, None]
-    inv = np.empty((a.size, size))
+    inv = 1/(A+x) in reused buffers and w = A/mc; a draw with A = 0 adds
+    nothing, and its inv is held at 0 to keep inv^3 finite for x near 0.
+    slopes(op) -> D @ op at the last x, D[j, i] = (x_j - A_i)(A_i + x_j)^-3 /
+    (2 sum_i A_i (A_i + x_j)^-3) the derivative of the root x_j of
+    E[A/(A+x)^2] b_j = 1 in A_i, from the (A+x)^-3 buffer, in blocks of
+    draws of JACOBIAN_BLOCK multiply-adds; the draws with A = 0, which only
+    e0 = 0 allows, are left out of it too."""
+    w = a_samples / a_samples.size
+    a = a_samples[:, None]
+    inv_base = np.where(a > 0, a, np.inf)
+    inv = np.empty((a_samples.size, size))
     power = np.empty_like(inv)
+    last_x = last_cube = None
 
     def means(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        np.reciprocal(np.add(a, x, out=inv), out=inv)
+        nonlocal last_x, last_cube
+        np.reciprocal(np.add(inv_base, x, out=inv), out=inv)
         np.multiply(inv, inv, out=power)
         square = w @ power
         np.multiply(power, inv, out=power)
-        return square, w @ power
-    return means
+        last_x, last_cube = x, w @ power
+        return square, last_cube
+
+    def slopes(op: np.ndarray) -> np.ndarray:
+        np.multiply(np.subtract(last_x, a, out=inv), power, out=inv)
+        rows = max(JACOBIAN_BLOCK // (size * op.shape[1]), 1)
+        d_op = sum(inv[lo:lo + rows].T @ op[lo:lo + rows]
+                   for lo in range(0, a_samples.size, rows))
+        return d_op / (2.0 * a_samples.size * last_cube)[:, None]
+    return means, slopes
 
 
 def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
-                             tol: float, start: np.ndarray | None = None
-                             ) -> np.ndarray:
+                             tol: float, start: np.ndarray | None = None):
     """For each grid reward b(t), solve E[A/(A+e)^2] b(t) = 1 for e >= 0,
-    where A = e0 + E_-i ranges over the Monte Carlo opponent draws.
+    where A = e0 + E_-i ranges over the Monte Carlo opponent draws: the best
+    responses e, and slopes(op), the derivative of the positive ones in the
+    grid that A = e0 + op @ grid came from (`_condition_means`).
 
     E[A/(A+e)^2] <= 1/(4e) for any A-distribution, so every root lies in
     [0, b(t)/4]; a safeguarded Newton iteration stays inside that bracket
     and raises NoConvergence if it has not settled after NEWTON_STEPS steps.
-    Each point starts from `start` (the previous best response) where that
+    Each point starts from `start` (a guess of the root) where that
     lies strictly inside its bracket, else from the bracket midpoint. When
     no draw has A > 0 (e0 = 0 against zero opposition) any e > 0 wins b(t):
     the condition has no root, and the best response is returned as 0.
@@ -355,7 +396,7 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     active = participation & (b_t > 0)
     e = np.zeros_like(b_t)
     if not np.any(active) or not np.any(positive):
-        return e
+        return e, lambda op: np.zeros((0, op.shape[1]))
     b_act = b_t[active]
     lo = np.zeros(b_act.size)
     hi = 0.25 * b_act
@@ -363,7 +404,7 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     if start is not None:
         warm = start[active]
         x = np.where((warm > 0) & (warm < hi), warm, x)
-    means = _condition_means(a_samples, x.size)
+    means, slopes = _condition_means(a_samples, x.size)
     for _ in range(NEWTON_STEPS):
         square, cube = means(x)
         g = b_act * square - 1.0
@@ -381,7 +422,7 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
         raise NoConvergence("Newton best response did not converge", last=x,
                             residual=change, iterations=NEWTON_STEPS)
     e[active] = np.maximum(x, 0.0)
-    return e
+    return e, slopes
 
 
 def _knots(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,52 +490,56 @@ def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
 
 def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
                       op: np.ndarray, e0: float) -> TypeGrid:
-    """Best-response iteration on the type grid against a fixed panel of
-    opponent draws (common random numbers, so the best-response map G is
-    deterministic).
+    """Fixed point of the best-response map G on the type grid against a
+    fixed panel of opponent draws (common random numbers, so G is
+    deterministic). The panel enters G only through the opponent aggregates
+    A = e0 + M x, linear in the effort grid x; `op` is their interpolation
+    operator M (`_interp_operator`), built by the caller.
 
-    The panel enters G only through the opponent aggregates A = e0 + M e,
-    which are linear in the effort grid e; `op` is their interpolation
-    operator M (`_interp_operator`), built by the caller. The fixed point is
-    found by undamped depth-1 Anderson mixing
-    (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011): with the residual
-    f = G(x) - x and its change df since the previous iterate,
+    Each row of M sums to the opponent count, N - 1, and the iteration
+    starts at the complete-information NE x(t) = symmetric_ne(N, b(t), e0).
+    Newton's method on f = G(x) - x then solves (I - J) dx = f with J = D M
+    (D from `_condition_means`, zero rows where G(x) = 0), and takes
+    x <- max(x + lam dx, 0) for the first lam in 1, 1/2, 1/4 that lowers
+    ||f||_inf by the Armijo factor 1 - 1e-4 lam, else the plain best
+    response G(x) (Kelley, Solving Nonlinear Equations with Newton's Method,
+    SIAM 2003, ch. 1-2). A step onto the zero grid halves the iterate
+    instead: at e0 = 0, G maps it to itself although a lone positive effort
+    wins b(t), and at any e0 the clipping can hold Newton steps there. Each
+    best response starts its Newton solve at its own iterate, the value a
+    full step predicts for it: G(x + dx) = x + dx to first order.
 
-        x <- max(G(x) - gamma (G(x) - G(x_prev)), 0),
-        gamma = (df . f) / (df . df),
-
-    which is the plain best response G(x) when df . df = 0 (and at the first
-    iterate). At e0 = 0, G maps the zero grid to itself although it is no
-    equilibrium (a lone positive effort wins b(t)), so a step onto it halves
-    the iterate instead. Each best response warm-starts its Newton solve from
-    the previous one. Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises
-    NoConvergence with the last iterate after BNE_STEPS best responses and
-    MonteCarloNoise when the panel is too small for the result. A panel
-    without opponent columns (an all-zero op) leaves a lone contributor
-    against nature, A = e0 on every draw, and the iteration settles on
-    max(sqrt(b(t) e0) - e0, 0).
+    Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises NoConvergence with
+    the last iterate and its residual after BNE_STEPS best responses, those
+    of rejected steps included, and MonteCarloNoise when the panel is too
+    small for the result. Without opponent columns (an all-zero op) a lone
+    contributor faces A = e0 on every draw and gets max(sqrt(b(t) e0) - e0, 0).
     """
-    x = np.where(b_t > e0, 0.25 * b_t, 0.0)
-    br = br_prev = f_prev = None
-    residual = math.inf
-    for _ in range(BNE_STEPS):
-        br = _expected_best_responses(e0 + op @ x, b_t, BNE_TOL, br)
+    x = symmetric_ne(round(float(op[:1].sum())) + 1, b_t, e0)
+    br, slopes = _expected_best_responses(e0 + op @ x, b_t, BNE_TOL, x)
+    residual = float(np.max(np.abs(br - x)))
+    steps = 1
+    while residual > BNE_TOL:
         f = br - x
-        residual = float(np.max(np.abs(f)))
-        if residual <= BNE_TOL:
-            break
-        x_new = br
-        if f_prev is not None:
-            df = f - f_prev
-            df_df = float(df @ df)
-            if df_df > 0:
-                x_new = br - float(df @ f) / df_df * (br - br_prev)
-        br_prev, f_prev = br, f
-        x_new = np.maximum(x_new, 0.0)
-        x = 0.5 * x if e0 == 0 and not np.any(x_new > 0) else x_new
-    else:
-        raise NoConvergence("grid BNE iteration stalled", last=x,
-                            residual=residual, iterations=BNE_STEPS)
+        jac = np.zeros((x.size, x.size))
+        jac[br > 0] = slopes(op)
+        dx = np.linalg.solve(np.eye(x.size) - jac, f)
+        del slopes      # it holds mc x grid buffers: keep those of one trial only
+        for lam, step in ((1.0, dx), (0.5, 0.5 * dx), (0.25, 0.25 * dx), (None, f)):
+            if steps == BNE_STEPS:
+                raise NoConvergence("grid BNE iteration stalled", last=x,
+                                    residual=residual, iterations=BNE_STEPS)
+            trial = np.maximum(x + step, 0.0)
+            if not np.any(trial > 0):
+                trial = 0.5 * x
+            trial_br, slopes = _expected_best_responses(e0 + op @ trial, b_t,
+                                                        BNE_TOL, trial)
+            steps += 1
+            trial_residual = float(np.max(np.abs(trial_br - trial)))
+            if lam is None or trial_residual <= (1.0 - 1e-4 * lam) * residual:
+                break
+            del slopes
+        x, br, residual = trial, trial_br, trial_residual
 
     grid = TypeGrid(times, br, b_t)
     noise = _bne_condition_noise(e0 + op @ br, grid)

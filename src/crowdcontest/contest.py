@@ -168,19 +168,20 @@ def _check_ne_fixed_point(config: ContestConfig, profile: EffortProfile) -> None
                 f"NE verification failed at player {i}: |BR - e| = {abs(br - e[i]):.3e}")
 
 
-def symmetric_ne(n: int, b: float, e0: float) -> float:
+def symmetric_ne(n: int, b, e0: float):
     """NE effort when the n rewarded players share an identical max reward b:
-    e* = ((n-1)b - 2 e0 n + sqrt((n-1)^2 b^2 + 4 e0 b n)) / (2 n^2), floored at 0."""
+    e* = ((n-1)b - 2 e0 n + sqrt((n-1)^2 b^2 + 4 e0 b n)) / (2 n^2), floored at 0;
+    an array b gives each effort bit for bit as its scalar call does."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    if b < 0:
+    b = np.asarray(b, dtype=float)
+    if np.any(b < 0):
         raise InvalidInput("b must be >= 0")
     if e0 < 0:
         raise InvalidInput("e0 must be >= 0")
-    if b == 0.0:
-        return 0.0
-    root = math.sqrt((n - 1) ** 2 * b * b + 4.0 * e0 * b * n)
-    return max(((n - 1) * b - 2.0 * e0 * n + root) / (2.0 * n * n), 0.0)
+    root = np.sqrt((n - 1) ** 2 * b * b + 4.0 * e0 * b * n)
+    out = np.maximum(((n - 1) * b - 2.0 * e0 * n + root) / (2.0 * n * n), 0.0)
+    return out if out.ndim else float(out)
 
 
 def efficiency_identical(n, b: float, e0: float, weights):

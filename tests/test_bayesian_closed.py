@@ -46,6 +46,20 @@ def en_config(n_players, n, e0_ratio, join_model=UNIFORM01, **kw):
                           join_model=join_model, e0_ratio=e0_ratio, **kw)
 
 
+def count_best_responses(monkeypatch) -> list:
+    """A list that grows by one entry at each best response of the grid
+    kernel from here on."""
+    calls = []
+    inner = bayesian_closed._expected_best_responses
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
+    return calls
+
+
 class TestEarliestNProb:
     def test_two_players_first_place(self):
         assert earliest_n_prob(0.5, 2, 1) == pytest.approx(0.5)
@@ -62,6 +76,28 @@ class TestEarliestNProb:
             earliest_n_prob(0.5, 3, 0)
         with pytest.raises(InvalidInput):
             earliest_n_prob(1.5, 3, 1)
+
+    @pytest.mark.parametrize("n_players, eps", [(20, 8), (1031, 4096), (1100, 4096)])
+    def test_matches_exact_rationals(self, n_players, eps):
+        # the CDF at n - 1 against exact sums of C(m, k) a^k (d - a)^(m-k) / d^m
+        # with p = a / d, correctly rounded by int division, to eps units of
+        # 2^-52 relative (4096 is below 1e-12): at N = 20 the rounding of
+        # 1 - p, raised to the power m - k, sets the error. From N = 1031 on
+        # the coefficients leave the float range. Values that underflow past
+        # 1e-300 have no relative accuracy
+        m = n_players - 1
+        ps = [0.0, 0.3, 0.5, 1.0] if n_players > 20 else [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
+        exact = []
+        for p in ps:
+            a, d = Fraction(p).as_integer_ratio()
+            up = list(accumulate([a] * m, operator.mul, initial=1))
+            down = list(accumulate([d - a] * m, operator.mul, initial=1))
+            sums = accumulate(math.comb(m, k) * up[k] * down[m - k] for k in range(m))
+            exact.append([total / d ** m for total in sums])
+        for n in sorted({1, 2, m // 4, m // 2, 600, m} & set(range(1, n_players))):
+            expect = [row[n - 1] for row in exact]
+            assert earliest_n_prob(np.array(ps), n_players, n) == pytest.approx(
+                expect, rel=eps * 2.0 ** -52, abs=1e-300)
 
 
 class TestEffortUpperBound:
@@ -81,13 +117,18 @@ class TestEarliestNSolver:
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=64, seed=0)
         assert np.allclose(grid.efforts, 0.25, atol=1e-12)
 
-    @pytest.mark.parametrize("e0_ratio", [0.1, 0.5])
+    @pytest.mark.parametrize("e0_ratio", [1e-6, 1e-4, 1e-3, 0.1, 0.5])
     @pytest.mark.parametrize("n_players", [2, 5, 10, 20, 40])
-    def test_full_quota_reduces_to_complete_info(self, n_players, e0_ratio):
+    def test_full_quota_reduces_to_complete_info(self, monkeypatch, n_players,
+                                                 e0_ratio):
         # n = N rewards every joiner: b(t) is exactly flat, so is the BNE, at
-        # the complete-information symmetric NE, and every draw pays the same
+        # the complete-information symmetric NE, and every draw pays the same.
+        # The kernel starts there, so one best response confirms it, also at
+        # the small e0 where iterating from another start stalled
+        calls = count_best_responses(monkeypatch)
         cfg = en_config(n_players, n_players, e0_ratio=e0_ratio)
         grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
+        assert len(calls) == 1
         assert np.unique(grid.efforts).size == 1
         expect = symmetric_ne(n_players, 1.0, cfg.nature_effort)
         assert np.max(np.abs(grid.efforts - expect)) <= 1e-8
@@ -765,13 +806,13 @@ class TestGridKernel:
         a_samples = rng.exponential(size=3000) + 0.05
         b_t = np.linspace(0.0, 3.0, 24)
         tol = 1e-8
-        cold = bayesian_closed._expected_best_responses(a_samples, b_t, tol)
+        cold, _ = bayesian_closed._expected_best_responses(a_samples, b_t, tol)
         # near the root, at both bracket ends and outside the bracket
         start = cold * (1.0 + 0.05 * rng.standard_normal(b_t.size))
         start[::5] = 0.0
         start[1::5] = 0.25 * b_t[1::5]
         start[2::5] = b_t[2::5]
-        warm = bayesian_closed._expected_best_responses(a_samples, b_t, tol, start)
+        warm, _ = bayesian_closed._expected_best_responses(a_samples, b_t, tol, start)
         assert np.max(np.abs(warm - cold)) <= 1e-3 * tol
 
     def test_iteration_cap_raises_with_last_iterate(self, monkeypatch):
@@ -795,24 +836,72 @@ class TestGridKernel:
                                  mc_samples=1, seed=0)
 
     def test_outer_iterations_at_n_near_N(self, monkeypatch):
-        calls = []
-        inner = bayesian_closed._expected_best_responses
-
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
-
-        monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
+        # 4 best responses: the start and three Newton steps
+        calls = count_best_responses(monkeypatch)
         solve_bne_earliest_n(en_config(20, 19, e0_ratio=0.5), mc_samples=4000,
                              seed=0)
-        assert len(calls) <= 25
+        assert len(calls) <= 6
+
+    def test_jacobian_matches_finite_differences(self):
+        # J = D M against central differences of the best-response map G at
+        # a random iterate around the complete-information start; J has zero
+        # rows, and G zero derivatives, where G(x) = 0
+        cfg = en_config(4, 2, e0_ratio=0.3)
+        e0 = cfg.nature_effort
+        opponents = bayesian_closed.stage2_opponents(cfg, 12, 2000, 0)
+        op = opponents.operator
+        b_t = reward_schedule(cfg, opponents.times)
+        x = symmetric_ne(4, b_t, e0) * spawn_rng(3).uniform(0.5, 1.5, b_t.size)
+
+        def best_responses(x):
+            return bayesian_closed._expected_best_responses(e0 + op @ x, b_t, 1e-12)
+
+        br, slopes = best_responses(x)
+        assert np.any(br == 0) and np.any(br > 0)
+        jac = np.zeros((x.size, x.size))
+        jac[br > 0] = slopes(op)
+        h = 1e-6
+        diffs = np.column_stack([(best_responses(x + h * step)[0]
+                                  - best_responses(x - h * step)[0]) / (2 * h)
+                                 for step in np.eye(x.size)])
+        assert np.max(np.abs(jac - diffs)) <= 1e-3 * np.max(np.abs(diffs))
+
+    def test_two_players_without_nature_converge(self, monkeypatch):
+        # (N, n, e0) = (2, 1, 0), where the previous kernel needed its e0 = 0
+        # halving step and 12 best responses: from the complete-information
+        # start, Newton reaches the fixed point in 6
+        calls = count_best_responses(monkeypatch)
+        cfg = en_config(2, 1, e0_ratio=0.0)
+        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        again, _ = bayesian_closed._expected_best_responses(
+            self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
+        assert grid.efforts.max() > 0.1
+        assert np.max(np.abs(again - grid.efforts)) <= 1e-7
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("e0_ratio", [1e-6, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("n_players, n", [(N, n) for N in (5, 10, 20, 40)
+                                              for n in (N // 2, N - 1, N)])
+    def test_small_nature_effort_converges_or_flags_noise(self, n_players, n,
+                                                          e0_ratio):
+        # the band of small e0 where the grid BNE used to stall: uniform
+        # joining times on [0, 6], grid 64, 4000 draws. A panel too small for
+        # the result fails loudly, never by running out of steps
+        cfg = en_config(n_players, n, e0_ratio, join_model=UniformJoinTimes(0.0, 6.0))
+        try:
+            grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        except MonteCarloNoise:
+            return
+        assert np.any(grid.efforts > 0)
+        cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
+        assert np.all(grid.efforts <= cap + 1e-12)
 
     def test_condition_means_match_numpy(self):
         rng = spawn_rng(11)
         a_samples = rng.exponential(size=500)
         a_samples[::7] = 0.0            # draws facing no opposition at e0 = 0
         x = np.concatenate([[1e-6, 1e-3], rng.uniform(0.0, 2.0, size=30)])
-        square, cube = bayesian_closed._condition_means(a_samples, x.size)(x)
+        square, cube = bayesian_closed._condition_means(a_samples, x.size)[0](x)
         a = a_samples[:, None]
         np.testing.assert_allclose(square, np.mean(a / (a + x) ** 2, axis=0),
                                    rtol=1e-12, atol=0.0)
@@ -820,7 +909,7 @@ class TestGridKernel:
                                    rtol=1e-12, atol=0.0)
         # 1/x^3 overflows here; the draws with A = 0 must not enter
         tiny = np.array([1e-120, 1e-300])
-        square, cube = bayesian_closed._condition_means(a_samples, tiny.size)(tiny)
+        square, cube = bayesian_closed._condition_means(a_samples, tiny.size)[0](tiny)
         assert np.all(np.isfinite(square)) and np.all(np.isfinite(cube))
 
     @staticmethod
@@ -844,7 +933,7 @@ class TestGridKernel:
     def test_e0_zero_at_n_near_N_is_a_fixed_point(self):
         cfg = en_config(20, 19, e0_ratio=0.0)
         grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
-        again = bayesian_closed._expected_best_responses(
+        again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
         assert grid.efforts.max() > 0.01
         assert np.max(np.abs(again - grid.efforts)) <= 1e-7

@@ -124,6 +124,22 @@ class TestSymmetricNe:
             symmetric_ne(0, 1.0, 0.0)
         with pytest.raises(InvalidInput):
             symmetric_ne(2, -1.0, 0.0)
+        with pytest.raises(InvalidInput):
+            symmetric_ne(2, np.array([1.0, -1.0]), 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 1100])
+    @pytest.mark.parametrize("e0", [0.0, 1e-6, 0.3, 5.0])
+    def test_array_matches_scalar_calls_bit_for_bit(self, n, e0):
+        # each entry equals its scalar call, and the scalar call the closed
+        # form in plain float arithmetic
+        b = np.concatenate([[0.0, 1e-300, 1.0], spawn_rng(n).exponential(size=40)])
+        efforts = symmetric_ne(n, b, e0)
+        scalar = [symmetric_ne(n, float(v), e0) for v in b]
+        formula = [0.0 if v == 0 else max(((n - 1) * v - 2.0 * e0 * n + math.sqrt(
+            (n - 1) ** 2 * v * v + 4.0 * e0 * v * n)) / (2.0 * n * n), 0.0)
+            for v in b.tolist()]
+        assert efforts.shape == b.shape
+        assert efforts.tobytes() == np.array(scalar).tobytes() == np.array(formula).tobytes()
 
 
 class TestEfficiencyIdentical:
