@@ -372,17 +372,20 @@ def _condition_means(a_samples: np.ndarray, size: int):
 
 
 def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
-                             tol: float, start: np.ndarray | None = None):
-    """For each grid reward b(t), solve E[A/(A+e)^2] b(t) = 1 for e >= 0,
-    where A = e0 + E_-i ranges over the Monte Carlo opponent draws: the best
-    responses e, and slopes(op), the derivative of the positive ones in the
-    grid that A = e0 + op @ grid came from (`_condition_means`).
+                             tol: float, start: np.ndarray | None = None,
+                             one_step: bool = False):
+    """For each grid reward b(t), solve g(e) = E[A/(A+e)^2] b(t) - 1 = 0 for
+    e >= 0, where A = e0 + E_-i ranges over the Monte Carlo opponent draws:
+    the best responses e, and slopes(op), the derivative of the positive
+    ones in the grid that A = e0 + op @ grid came from (`_condition_means`).
 
     E[A/(A+e)^2] <= 1/(4e) for any A-distribution, so every root lies in
     [0, b(t)/4]; a safeguarded Newton iteration stays inside that bracket
     and raises NoConvergence if it has not settled after NEWTON_STEPS steps.
-    Each point starts from `start` (a guess of the root) where that
-    lies strictly inside its bracket, else from the bracket midpoint. When
+    Each point starts from `start` (a guess of the root) where that lies
+    strictly inside its bracket, else from the bracket midpoint. With
+    `one_step`, e is instead one Newton step from `start`, clipped to the
+    bracket: clip(start - g/g', 0, b(t)/4), slopes taken at `start`. When
     no draw has A > 0 (e0 = 0 against zero opposition) any e > 0 wins b(t):
     the condition has no root, and the best response is returned as 0.
     """
@@ -403,12 +406,15 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     x = 0.5 * hi
     if start is not None:
         warm = start[active]
-        x = np.where((warm > 0) & (warm < hi), warm, x)
+        x = warm if one_step else np.where((warm > 0) & (warm < hi), warm, x)
     means, slopes = _condition_means(a_samples, x.size)
     for _ in range(NEWTON_STEPS):
         square, cube = means(x)
         g = b_act * square - 1.0
         gp = -2.0 * b_act * cube
+        if one_step:
+            x = np.clip(x - g / gp, 0.0, hi)
+            break
         lo = np.where(g > 0, x, lo)
         hi = np.where(g < 0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -422,7 +428,7 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
         raise NoConvergence("Newton best response did not converge", last=x,
                             residual=change, iterations=NEWTON_STEPS)
     e[active] = np.maximum(x, 0.0)
-    return e, slopes
+    return e, lambda op: slopes(op)[x > 0]
 
 
 def _knots(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,48 +504,56 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
     Each row of M sums to the opponent count, N - 1, and the iteration
     starts at the complete-information NE x(t) = symmetric_ne(N, b(t), e0).
-    Newton's method on f = G(x) - x then solves (I - J) dx = f with J = D M
-    (D from `_condition_means`, zero rows where G(x) = 0), and takes
-    x <- max(x + lam dx, 0) for the first lam in 1, 1/2, 1/4 that lowers
-    ||f||_inf by the Armijo factor 1 - 1e-4 lam, else the plain best
-    response G(x) (Kelley, Solving Nonlinear Equations with Newton's Method,
-    SIAM 2003, ch. 1-2). A step onto the zero grid halves the iterate
-    instead: at e0 = 0, G maps it to itself although a lone positive effort
-    wins b(t), and at any e0 the clipping can hold Newton steps there. Each
-    best response starts its Newton solve at its own iterate, the value a
-    full step predicts for it: G(x + dx) = x + dx to first order.
+    Newton's method then solves the best-response conditions g(x) = 0 of all
+    points jointly. Their Jacobian is diag(g') (I - D M), D from
+    `_condition_means`, so with the one-step map N(x) of
+    `_expected_best_responses` (0 where a point sits out) each step solves
+    (I - D M) dx = f = N(x) - x, D zero where N(x) = 0 (Dembo, Eisenstat &
+    Steihaug, SIAM J. Numer. Anal. 19, 1982). It takes x <- max(x + lam dx,
+    0) for the first lam in 1, 1/2, 1/4 that lowers ||f||_inf by the Armijo
+    factor 1 - 1e-4 lam, else the plain best response G(x) (Kelley, SIAM
+    2003, ch. 1-2); a step onto the zero grid halves x instead (at e0 = 0, G
+    maps it to itself though a lone positive effort wins b(t)). Once
+    ||f||_inf <= BNE_TOL, G(x) is the result if ||G(x) - x||_inf <= BNE_TOL.
 
-    Returns G(x) once ||G(x) - x||_inf <= BNE_TOL; raises NoConvergence with
-    the last iterate and its residual after BNE_STEPS best responses, those
-    of rejected steps included, and MonteCarloNoise when the panel is too
-    small for the result. Without opponent columns (an all-zero op) a lone
-    contributor faces A = e0 on every draw and gets max(sqrt(b(t) e0) - e0, 0).
+    BNE_STEPS caps the kernel evaluations, one-step maps and best responses
+    alike; NoConvergence then carries the last iterate and its ||f||_inf.
+    MonteCarloNoise flags a panel too small for the result. Without opponent
+    columns (an all-zero op) a lone contributor faces A = e0 on every draw
+    and gets max(sqrt(b(t) e0) - e0, 0).
     """
+    budget = iter(range(BNE_STEPS))
+
+    def evaluate(point, one_step=True):
+        if next(budget, None) is None:
+            raise NoConvergence("grid BNE iteration stalled", last=x,
+                                residual=residual, iterations=BNE_STEPS)
+        return _expected_best_responses(e0 + op @ point, b_t, BNE_TOL, point,
+                                        one_step)
+
     x = symmetric_ne(round(float(op[:1].sum())) + 1, b_t, e0)
-    br, slopes = _expected_best_responses(e0 + op @ x, b_t, BNE_TOL, x)
-    residual = float(np.max(np.abs(br - x)))
-    steps = 1
-    while residual > BNE_TOL:
-        f = br - x
+    new, slopes = evaluate(x)
+    residual = float(np.max(np.abs(new - x)))
+    while True:
+        if residual <= BNE_TOL:
+            br = evaluate(x, one_step=False)[0]
+            if float(np.max(np.abs(br - x))) <= BNE_TOL:
+                break
         jac = np.zeros((x.size, x.size))
-        jac[br > 0] = slopes(op)
-        dx = np.linalg.solve(np.eye(x.size) - jac, f)
+        jac[new > 0] = slopes(op)
+        dx = np.linalg.solve(np.eye(x.size) - jac, new - x)
         del slopes      # it holds mc x grid buffers: keep those of one trial only
-        for lam, step in ((1.0, dx), (0.5, 0.5 * dx), (0.25, 0.25 * dx), (None, f)):
-            if steps == BNE_STEPS:
-                raise NoConvergence("grid BNE iteration stalled", last=x,
-                                    residual=residual, iterations=BNE_STEPS)
-            trial = np.maximum(x + step, 0.0)
+        for lam in (1.0, 0.5, 0.25, None):
+            trial = (np.maximum(x + lam * dx, 0.0) if lam else
+                     evaluate(x, one_step=False)[0])
             if not np.any(trial > 0):
                 trial = 0.5 * x
-            trial_br, slopes = _expected_best_responses(e0 + op @ trial, b_t,
-                                                        BNE_TOL, trial)
-            steps += 1
-            trial_residual = float(np.max(np.abs(trial_br - trial)))
+            trial_new, slopes = evaluate(trial)
+            trial_residual = float(np.max(np.abs(trial_new - trial)))
             if lam is None or trial_residual <= (1.0 - 1e-4 * lam) * residual:
                 break
             del slopes
-        x, br, residual = trial, trial_br, trial_residual
+        x, new, residual = trial, trial_new, trial_residual
 
     grid = TypeGrid(times, br, b_t)
     noise = _bne_condition_noise(e0 + op @ br, grid)
@@ -619,14 +633,6 @@ def participation_threshold(grid: TypeGrid) -> float:
     return float(grid.times[min(int(active[-1]) + 1, grid.times.size - 1)])
 
 
-def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> float:
-    """Upper bound on the participation threshold: the time where the reward
-    schedule b(t) falls to the nature effort e0."""
-    times = _grid_times(config.join_model, grid_size)
-    below = reward_schedule(config, times) <= config.nature_effort
-    return float(times[int(np.argmax(below)) if np.any(below) else -1])
-
-
 # ---------------------------------------------------------------------------
 # Termination-time strategy (scalar symmetric BNE, closed-form Stage I)
 # ---------------------------------------------------------------------------
@@ -685,12 +691,6 @@ def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> floa
     if b <= 0 or e0 < 0:
         raise InvalidInput("need b > 0 and e0 >= 0")
     return _termination_effort(_binom_pmf(n_players - 1, p), b, e0 / b)
-
-
-def termination_effort_e0_zero(n_players: int, p: float, b: float) -> float:
-    """Closed form at e0 = 0: e* = sum_k P(k, N-1) k b / (k+1)^2."""
-    k = np.arange(n_players)
-    return float(np.sum(_binom_pmf(n_players - 1, p) * k * b / (k + 1) ** 2))
 
 
 def _termination_report(deadline: float, b: float, e0: float, e_star: float,

@@ -41,8 +41,8 @@ class ContestConfig:
             raise InvalidInput("need at least one player")
         if np.any(b < 0) or not np.all(np.isfinite(b)):
             raise InvalidInput("max rewards must be finite and >= 0")
-        if self.nature_effort < 0:
-            raise InvalidInput("nature effort must be >= 0")
+        if not 0 <= self.nature_effort < np.inf:
+            raise InvalidInput("nature effort must be finite and >= 0")
         if not self.budget > 0:
             raise InvalidInput("budget must be > 0")
 
@@ -175,10 +175,10 @@ def symmetric_ne(n: int, b, e0: float):
     if n < 1:
         raise InvalidInput("n must be >= 1")
     b = np.asarray(b, dtype=float)
-    if np.any(b < 0):
+    if not np.all(b >= 0):
         raise InvalidInput("b must be >= 0")
-    if e0 < 0:
-        raise InvalidInput("e0 must be >= 0")
+    if not 0 <= e0 < np.inf:
+        raise InvalidInput("e0 must be finite and >= 0")
     root = np.sqrt((n - 1) ** 2 * b * b + 4.0 * e0 * b * n)
     out = np.maximum(((n - 1) * b - 2.0 * e0 * n + root) / (2.0 * n * n), 0.0)
     return out if out.ndim else float(out)

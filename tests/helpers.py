@@ -6,7 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from crowdcontest.bayesian_closed import earliest_n_prob
+from crowdcontest.bayesian_closed import (BayesianConfig, _binom_pmf, _grid_times,
+                                          earliest_n_prob, reward_schedule)
 from crowdcontest.contest import ContestConfig, best_response
 from crowdcontest.errors import InvalidInput, NoConvergence, NumericalError
 
@@ -104,6 +105,41 @@ def bne_quadrature_oracle(b_of_t, times, n_players: int, e0: float,
     raise AssertionError("quadrature oracle did not converge")
 
 
+def convolution_best_responses(b_of_t, times, n_players: int, e0: float,
+                               quantile_fn, efforts, n_nodes: int = 2 ** 14,
+                               cells: int = 256) -> np.ndarray:
+    """Best responses on the grid to opponents who play `efforts`, with the
+    opponent expectation taken by convolution instead of Monte Carlo: an
+    oracle for any player count.
+
+    The law of one opponent's effort e(T) comes from n_nodes quantile
+    midpoints of T, binned on a lattice of `cells` steps of width
+    h = max e / cells, each node split between its two lattice points so
+    that the mean is kept. The law of E_-i is its (N-1)-fold convolution,
+    one power of its np.fft, and E[A/(A+x)^2] with A = e0 + E_-i is a
+    lattice sum. A point whose b(t) E[1/A] <= 1 sits out; the others solve
+    b(t) E[A/(A+x)^2] = 1 by bisection on [0, b(t)/4].
+    """
+    b_t = np.asarray(b_of_t, dtype=float)
+    opp = np.interp(quantile_fn((np.arange(n_nodes) + 0.5) / n_nodes), times, efforts)
+    step = float(opp.max()) / cells
+    pos = opp / step
+    k = np.minimum(pos.astype(int), cells - 1)
+    law = (np.bincount(k, k + 1 - pos, cells + 1)
+           + np.bincount(k + 1, pos - k, cells + 1)) / n_nodes
+    size = (n_players - 1) * cells + 1
+    n_fft = 1 << (size - 1).bit_length()
+    mass = np.maximum(np.fft.irfft(np.fft.rfft(law, n_fft) ** (n_players - 1),
+                                   n_fft)[:size], 0.0)
+    a = e0 + step * np.arange(size)
+    lo, hi = np.zeros(b_t.size), 0.25 * b_t
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = b_t * (mass @ (a[:, None] / (a[:, None] + mid) ** 2)) > 1.0
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return np.where(b_t * float(mass @ (1.0 / a)) > 1.0, 0.5 * (lo + hi), 0.0)
+
+
 def earliest_n_schedule(model, times, b: float, n_players: int, n: int) -> np.ndarray:
     return b * earliest_n_prob(model.cdf(times), n_players, n)
 
@@ -170,3 +206,18 @@ def interp_operator_by_columns(panel: np.ndarray, times: np.ndarray) -> np.ndarr
         op[rows, k] += k + 1 - pos
         op[rows, k + 1] += pos - k
     return op
+
+
+def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> float:
+    """Upper bound on the participation threshold: the time where the reward
+    schedule b(t) falls to the nature effort e0."""
+    times = _grid_times(config.join_model, grid_size)
+    below = reward_schedule(config, times) <= config.nature_effort
+    return float(times[int(np.argmax(below)) if np.any(below) else -1])
+
+
+def termination_effort_e0_zero(n_players: int, p: float, b: float) -> float:
+    """Closed form of the termination BNE effort at e0 = 0:
+    e* = sum_k P(k, N-1) k b / (k+1)^2."""
+    k = np.arange(n_players)
+    return float(np.sum(_binom_pmf(n_players - 1, p) * k * b / (k + 1) ** 2))

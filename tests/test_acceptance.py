@@ -15,8 +15,7 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           participation_threshold,
                                           solve_bne_earliest_n,
                                           solve_bne_termination,
-                                          stage1_metrics_mc, stage1_panel,
-                                          termination_effort_e0_zero)
+                                          stage1_metrics_mc, stage1_panel)
 from crowdcontest.contest import (ContestConfig, efficiency_identical,
                                   solve_ne, symmetric_ne)
 from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
@@ -30,7 +29,7 @@ from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
 from crowdcontest.timing import (ConstantWeight, PoissonModel, StepWeight,
                                  UniformJoinTimes, ingest_trace_file)
 
-from helpers import ne_by_iteration, single_peaked
+from helpers import ne_by_iteration, single_peaked, termination_effort_e0_zero
 
 PAPER_STEP = StepWeight((0.0, 1.5, 3.0, 6.0), (1.0, 0.6, 0.2, 0.0))
 

@@ -106,6 +106,14 @@ class TestSolveNe:
         assert list(priced_out.participants) == [0]
 
 
+    @pytest.mark.parametrize("e0", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_nature_effort(self, e0):
+        # a NaN used to pass the >= 0 check, and solve_ne returned an
+        # all-zero profile for it in silence
+        with pytest.raises(InvalidInput):
+            cfg([1.0, 1.0], e0=e0)
+
+
 class TestSymmetricNe:
     def test_two_players(self):
         assert symmetric_ne(2, 1, 0) == pytest.approx(0.25)
@@ -126,6 +134,14 @@ class TestSymmetricNe:
             symmetric_ne(2, -1.0, 0.0)
         with pytest.raises(InvalidInput):
             symmetric_ne(2, np.array([1.0, -1.0]), 0.0)
+
+    @pytest.mark.parametrize("e0", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_nature_effort(self, e0):
+        # a NaN used to pass the e0 >= 0 check and come back as a NaN effort
+        with pytest.raises(InvalidInput):
+            symmetric_ne(2, 1.0, e0)
+        with pytest.raises(InvalidInput):
+            symmetric_ne(2, np.array([1.0, 2.0]), e0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40, 1100])
     @pytest.mark.parametrize("e0", [0.0, 1e-6, 0.3, 5.0])
