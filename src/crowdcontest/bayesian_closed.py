@@ -35,9 +35,8 @@ from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 #: tolerance and best-response cap of the grid BNE
 BNE_TOL = 1e-8
 BNE_STEPS = 2000
-#: evaluation cap of `calibrate_b`'s bracketing search, and the reward scale
-#: beyond which its doubling gives up on reaching the budget
-CALIBRATION_STEPS = 200
+#: reward scale beyond which `calibrate_b`'s doubling gives up on reaching
+#: the budget; its halving gives up below the reciprocal
 CALIBRATION_B_MAX = 1e9
 #: root-finder tolerance of the scalar termination-time BNE, in units of
 #: the reward b
@@ -272,6 +271,8 @@ def earliest_n_prob(p, n_players: int, n_rewarded: int):
     pmf and rounding would leave it a few ulps short. Each term multiplies
     the mantissas of its exact coefficient and of its two powers and adds
     their exponents, so it stays a float64 at any N."""
+    if not all(isinstance(v, numbers.Integral) for v in (n_players, n_rewarded)):
+        raise InvalidInput(f"need integers N, n, got N={n_players!r}, n={n_rewarded!r}")
     if not 1 <= n_rewarded <= n_players:
         raise InvalidInput(f"need 1 <= n <= N, got n={n_rewarded}, N={n_players}")
     p_arr = np.asarray(p, dtype=float)
@@ -514,7 +515,8 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     factor 1 - 1e-4 lam, else the plain best response G(x) (Kelley, SIAM
     2003, ch. 1-2); a step onto the zero grid halves x instead (at e0 = 0, G
     maps it to itself though a lone positive effort wins b(t)). Once
-    ||f||_inf <= BNE_TOL, G(x) is the result if ||G(x) - x||_inf <= BNE_TOL.
+    ||f||_inf <= BNE_TOL, G(x) is the result if ||G(x) - x||_inf <= BNE_TOL,
+    else it serves as that fallback: G is computed at most once per iterate.
 
     BNE_STEPS caps the kernel evaluations, one-step maps and best responses
     alike; NoConvergence then carries the last iterate and its ||f||_inf.
@@ -535,17 +537,16 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     new, slopes = evaluate(x)
     residual = float(np.max(np.abs(new - x)))
     while True:
-        if residual <= BNE_TOL:
-            br = evaluate(x, one_step=False)[0]
-            if float(np.max(np.abs(br - x))) <= BNE_TOL:
-                break
+        br = evaluate(x, one_step=False)[0] if residual <= BNE_TOL else None
+        if br is not None and float(np.max(np.abs(br - x))) <= BNE_TOL:
+            break
         jac = np.zeros((x.size, x.size))
         jac[new > 0] = slopes(op)
         dx = np.linalg.solve(np.eye(x.size) - jac, new - x)
         del slopes      # it holds mc x grid buffers: keep those of one trial only
         for lam in (1.0, 0.5, 0.25, None):
             trial = (np.maximum(x + lam * dx, 0.0) if lam else
-                     evaluate(x, one_step=False)[0])
+                     evaluate(x, one_step=False)[0] if br is None else br)
             if not np.any(trial > 0):
                 trial = 0.5 * x
             trial_new, slopes = evaluate(trial)
@@ -870,11 +871,11 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
     flat effort e*, the report a StageOneReport. With factor = B /
     E[R](b_hint), b* = b_hint factor and the pair is scaled to b* rather
     than evaluated again, so E[R](b*) = B up to rounding; InfeasibleBudget if
-    E[R](b_hint) <= 0. Otherwise a bracketing search (doubling or halving,
-    then secant steps safeguarded by bisection) runs until an evaluation
-    meets the tolerance and returns (b*, result) of that evaluation:
-    InfeasibleBudget once doubling passes CALIBRATION_B_MAX, NoConvergence
-    after CALIBRATION_STEPS evaluations.
+    E[R](b_hint) <= 0. Otherwise b doubles or halves from b_hint until E[R] -
+    B changes sign, then Brent's method (`numerics.bisect`) returns (b*,
+    result) of the first evaluation within the tolerance, each b evaluated
+    once: InfeasibleBudget once b leaves [1/CALIBRATION_B_MAX,
+    CALIBRATION_B_MAX], NoConvergence if the bracket closes first.
     """
     if not budget > 0:
         raise InvalidInput("budget must be > 0")
@@ -889,45 +890,45 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
             else solution * factor
         return b_hint * factor, (solution, report.scaled(factor))
 
-    lo, lo_val = None, None
-    hi, hi_val = None, None
-    b = b_hint
-    for _ in range(CALIBRATION_STEPS):
-        mean, se, result = payment_at(b)
-        if abs(mean - budget) <= budget_tolerance(budget, se):
-            return b, result
-        if mean < budget:
-            lo, lo_val = b, mean
-            if hi is None:
-                b *= 2.0
-                if b > CALIBRATION_B_MAX:
-                    raise InfeasibleBudget(
-                        f"expected payment {mean:.4g} at b={b / 2:.4g} still below "
-                        f"budget {budget:.4g}")
-                continue
-        else:
-            hi, hi_val = b, mean
-            if lo is None:
-                b /= 2.0
-                continue
-        b = lo + (hi - lo) * (budget - lo_val) / max(hi_val - lo_val, 1e-300)
-        if not lo < b < hi:
-            b = 0.5 * (lo + hi)
-    raise NoConvergence("budget calibration stalled", last=b, residual=None,
-                        iterations=CALIBRATION_STEPS)
+    evaluations = {}
+
+    def excess(b: float) -> float:     # E[R](b) - B, 0.0 within the tolerance
+        if b not in evaluations:
+            evaluations[b] = payment_at(b)
+        mean, se, _ = evaluations[b]
+        return 0.0 if abs(mean - budget) <= budget_tolerance(budget, se) \
+            else mean - budget
+
+    lo = hi = b_hint
+    while excess(hi) < 0:
+        lo, hi = hi, 2.0 * hi
+        if hi > CALIBRATION_B_MAX:
+            raise InfeasibleBudget(f"E[R] < budget {budget:.4g} up to b={lo:.4g}")
+    while excess(lo) > 0:
+        lo, hi = 0.5 * lo, lo
+        if lo < 1.0 / CALIBRATION_B_MAX:
+            raise InfeasibleBudget(f"E[R] > budget {budget:.4g} down to b={hi:.4g}")
+    b = bisect(excess, lo, hi, 0.0)
+    if excess(b) != 0.0:
+        raise NoConvergence("budget calibration stalled: E[R] jumps over B", last=b,
+                            residual=excess(b), iterations=len(evaluations))
+    return b, evaluations[b][2]
 
 
-def _payment_at(config, solve, stage1):
-    """calibrate_b's payment_at(b) -> (E[R], stderr, (solution, report)) for a
-    closed or open config: solve(cfg) is the Stage-II solution at cfg's
-    reward and stage1(cfg, solution) its Stage-I report, both computed at
-    each b asked for."""
+def _calibrated(config, solve, stage1) -> tuple[TypeGrid | float, StageOneReport]:
+    """(solution, report) of a closed or open config at its budget-calibrated
+    reward: calibrate_b from the configured reward, evaluating at each b the
+    Stage-II solution solve(cfg) and its Stage-I report stage1(cfg, solution)
+    of the config cfg at reward b; homogeneous models (`scales_with_reward`)
+    once, linear decay at each b of its root search."""
     def payment_at(b: float):
         cfg = config.with_reward(b)
         solution = solve(cfg)
         report = stage1(cfg, solution)
         return report.expected_payment, report.payment_stderr, (solution, report)
-    return payment_at
+
+    return calibrate_b(payment_at, config.budget, b_hint=config.max_reward,
+                       assume_linear=scales_with_reward(config.strategy))[1]
 
 
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
@@ -942,8 +943,8 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     Earliest-n and termination systems scale linearly in b (the stored
     e0_ratio ties the nature effort to b), so Stage II and Stage I run once,
     at the configured reward, and their results are scaled to b*. Linear
-    decay solves both stages at each candidate of its search because a fixed
-    velocity breaks the scaling.
+    decay solves both stages at each b of its root search (`calibrate_b`)
+    because a fixed velocity breaks the scaling.
 
     Every Stage-I evaluation of the calibration runs on one panel and every
     Stage-II solve against one set of opponents: the pair `draws`, by
@@ -955,17 +956,13 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     if isinstance(s, Termination):
         p = float(config.join_model.cdf(s.deadline))
         # the effort at b is b times the effort at b = 1, e0 = e0_ratio
-        payment_at = _payment_at(
+        return _calibrated(
             config, lambda cfg: cfg.max_reward * solve_bne_termination(
                 cfg.n_players, p, 1.0, cfg.e0_ratio),
             stage1_metrics_termination)
-    else:
-        solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
-        panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
-            if draws is None else draws
-        payment_at = _payment_at(
-            config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, opponents),
-            lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel))
-    _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward,
-                            assume_linear=scales_with_reward(s))
-    return result
+    solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
+    panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
+        if draws is None else draws
+    return _calibrated(
+        config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, opponents),
+        lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel))

@@ -14,10 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# calibrate_b is bound here too: the benchmark's call tracer wraps it by name
 from .bayesian_closed import (EarliestN, Stage1Panel, StageOneReport, Termination,
-                              TypeGrid, calibrate_b, _check_finite, _check_panel,
-                              _interp_operator, _iterate_grid_bne, _mc_report,
-                              _payment_at, _termination_effort, _termination_report)
+                              TypeGrid, calibrate_b, _calibrated, _check_finite,
+                              _check_panel, _interp_operator, _iterate_grid_bne,
+                              _mc_report, _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
@@ -250,24 +251,20 @@ def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            draws: tuple[Stage1Panel, np.ndarray] | None = None
                            ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
-    calibrated reward: the effort grid, or the in-time effort e* of the
-    termination strategy. Both open strategies scale linearly in b because
-    e0 tracks b, so each stage runs once, at the configured reward, and its
-    result is scaled to b*. The earliest-n Stage-I evaluation runs on the
-    panel and the Stage-II solve against the arrival sequences of `draws`,
-    by default `config.draws(grid_size, mc_samples, stage1_samples, seed)`,
-    built here; a sweep passes the pair it shares across the configs of a
-    prior. The closed-form termination report takes none."""
+    calibrated reward (`_calibrated`): the effort grid, or the in-time effort
+    e* of the termination strategy. Both open strategies scale linearly in b
+    (e0 tracks b), so each stage runs once, at the configured reward, and its
+    result is scaled to b*. Earliest-n runs Stage I on the panel and Stage II
+    against the arrival sequences of `draws`, by default `config.draws` with
+    these sizes and seed, built here; a sweep passes the pair it shares
+    across the configs of a prior. The closed-form termination report takes
+    none."""
     if isinstance(config.strategy, Termination):
-        payment_at = _payment_at(config, solve_bne_open_termination,
-                                 stage1_open_termination)
-    else:
-        panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
-            if draws is None else draws
-        payment_at = _payment_at(
-            config,
-            lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,
-                                                  opponents),
-            lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel))
-    _, result = calibrate_b(payment_at, config.budget, b_hint=config.max_reward)
-    return result
+        return _calibrated(config, solve_bne_open_termination, stage1_open_termination)
+    panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
+        if draws is None else draws
+    return _calibrated(
+        config,
+        lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,
+                                              opponents),
+        lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel))

@@ -8,6 +8,7 @@ start of the observation window; trace ingestion performs the conversion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -390,8 +391,10 @@ class PoissonModel:
     truncation: int = 30
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise InvalidInput("rate must be > 0")
+        if not 0 < self.rate < math.inf:
+            raise InvalidInput(f"rate must be finite and > 0, got {self.rate!r}")
+        if not isinstance(self.truncation, numbers.Integral):
+            raise InvalidInput(f"truncation must be an integer, got {self.truncation!r}")
         if self.truncation < 1:
             raise InvalidInput("truncation must be >= 1")
 

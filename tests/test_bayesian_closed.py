@@ -79,6 +79,16 @@ class TestEarliestNProb:
         with pytest.raises(InvalidInput):
             earliest_n_prob(1.5, 3, 1)
 
+    @pytest.mark.parametrize("n_players", [10.0, 10.5, None])
+    def test_player_count_must_be_an_integer(self, n_players):
+        with pytest.raises(InvalidInput):
+            earliest_n_prob(0.5, n_players, 3)
+
+    @pytest.mark.parametrize("n_rewarded", [3.0, 2.5, None])
+    def test_rewarded_count_must_be_an_integer(self, n_rewarded):
+        with pytest.raises(InvalidInput):
+            earliest_n_prob(0.5, 10, n_rewarded)
+
     @pytest.mark.parametrize("n_players, eps", [(20, 8), (1031, 4096), (1100, 4096)])
     def test_matches_exact_rationals(self, n_players, eps):
         # the CDF at n - 1 against exact sums of C(m, k) a^k (d - a)^(m-k) / d^m
@@ -546,6 +556,37 @@ class TestCalibration:
         assert math.sqrt(b_star) == pytest.approx(3.0, rel=1e-3)
         assert result == b_star
 
+    @pytest.mark.parametrize("power, budget", [(4, 3.0), (8, 100.0)])
+    def test_convex_payment_root_search(self, power, budget):
+        # E[R] = b^power is convex, where secant steps stall at one bracket
+        # end; Brent's method takes at most 8 evaluations, none repeated
+        evals = []
+        b_star, result = calibrate_b(
+            lambda b: evals.append(b) or (b ** power, 0.0, b), budget,
+            assume_linear=False)
+        assert abs(b_star ** power - budget) <= budget_tolerance(budget, 0.0)
+        assert result == b_star
+        assert len(evals) <= 8 and len(set(evals)) == len(evals)
+
+    def test_payment_jumping_over_the_budget_fails(self):
+        # E[R] jumps from 0.5 to 1.5 at b = 2, so no b meets B = 1: the
+        # bracket [1, 2] closes on b = 2 within 60 evaluations
+        evals = []
+        with pytest.raises(NoConvergence):
+            calibrate_b(lambda b: evals.append(b) or (0.5 if b < 2 else 1.5, 0.0, b),
+                        budget=1.0, assume_linear=False)
+        assert len(evals) <= 60
+
+    def test_payment_above_the_budget_at_every_scale(self):
+        # the halving gives up below 1 / CALIBRATION_B_MAX, as the doubling
+        # does above CALIBRATION_B_MAX
+        evals = []
+        with pytest.raises(InfeasibleBudget):
+            calibrate_b(lambda b: evals.append(b) or (2.0, 0.0, b), budget=1.0,
+                        assume_linear=False)
+        assert min(evals) >= 1.0 / bayesian_closed.CALIBRATION_B_MAX
+        assert len(evals) == len(set(evals))
+
     def test_linear_calibration_reports_its_check(self):
         # one evaluation at the hint, its point scaled by B / E[R] = 16
         evals = []
@@ -926,6 +967,25 @@ class TestGridKernel:
             self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
         assert grid.efforts.max() > 0.1
         assert np.max(np.abs(again - grid.efforts)) <= 1e-7
+
+    def test_one_exact_best_response_per_iterate(self, monkeypatch):
+        # (N, n, e0) = (8, 1, 0) on the stall grid's panel: at one iterate the
+        # certification fails and no Newton step passes Armijo, so the
+        # fallback takes the plain best response there; it reuses the
+        # certification's rather than computing G at that iterate again
+        exact = []
+        inner = bayesian_closed._expected_best_responses
+
+        def counted(a_samples, b_t, tol, start=None, one_step=False):
+            if not one_step:
+                exact.append(start.tobytes())
+            return inner(a_samples, b_t, tol, start, one_step)
+
+        monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
+        cfg = en_config(8, 1, e0_ratio=0.0, join_model=UniformJoinTimes(0.0, 6.0))
+        solve_bne_earliest_n(cfg, 64, 4000, 0)
+        assert len(exact) >= 3
+        assert len(set(exact)) == len(exact)
 
     @pytest.mark.parametrize("e0_ratio", [0.0, 1e-6, 1e-4, 1e-3, 1e-2])
     @pytest.mark.parametrize("n_players, n", [(N, n) for N in (5, 10, 20, 40)

@@ -248,6 +248,16 @@ class TestPoisson:
         assert poisson_pmf(m, t, ks[:60].reshape(6, 10)).tolist() == \
             pmf[:60].reshape(6, 10).tolist()
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(InvalidInput):
+            PoissonModel(rate=rate)
+
+    @pytest.mark.parametrize("truncation", [0, 2.5, 3.0, "3", None])
+    def test_truncation_must_be_a_positive_integer(self, truncation):
+        with pytest.raises(InvalidInput):
+            PoissonModel(rate=1.0, truncation=truncation)
+
     def test_pmf_validation(self):
         with pytest.raises(InvalidInput):
             poisson_pmf(PoissonModel(rate=1.0), -1.0, 2)
