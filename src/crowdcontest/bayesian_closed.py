@@ -149,15 +149,21 @@ class BayesianConfig:
         return replace(self, max_reward=b)
 
     @property
-    def prior(self) -> tuple:
-        """What `draws` depends on besides its sizes and seed."""
-        return self.n_players, self.join_model, self.weightfn
+    def draws_key(self) -> tuple:
+        """What `draws` depends on besides its sizes and seed: N, the join
+        model and the weights, and a termination strategy's deadline."""
+        key = self.n_players, self.join_model, self.weightfn
+        return (*key, self.strategy) if isinstance(self.strategy, Termination) else key
 
     def draws(self, grid_size: int = 64, mc_samples: int = 20_000,
               stage1_samples: int = 100_000, seed: RngSeed = 0
-              ) -> tuple[Stage1Panel, Stage2Opponents]:
+              ) -> tuple[Stage1Panel, Stage2Opponents] | TerminationTables:
         """The prior's Stage-I panel, from seed + 1 and with its knots on the
-        Stage-II grid, and its Stage-II opponents, from seed."""
+        Stage-II grid, and its Stage-II opponents, from seed; for a
+        termination strategy its exact tables (`termination_tables`), which
+        take no sizes or seed."""
+        if isinstance(self.strategy, Termination):
+            return termination_tables(self)
         opponents = stage2_opponents(self, grid_size, mc_samples, seed)
         panel = stage1_panel(self, stage1_samples, seed + 1).with_knots(opponents.times)
         return panel, opponents
@@ -694,44 +700,64 @@ def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> floa
     return _termination_effort(_binom_pmf(n_players - 1, p), b, e0 / b)
 
 
-def _termination_report(deadline: float, b: float, e0: float, e_star: float,
-                        pm: np.ndarray, w_bar: float) -> StageOneReport:
-    """Stage-I metrics of a termination strategy with in-time effort e*, from
-    the pmf pm[m-1] of the in-time count m = 1, 2, ... and the mean weight
-    w_bar of an in-time contributor:
+class TerminationTables(NamedTuple):
+    """What a termination config's solve and report take of its prior and
+    deadline: the in-time `opponents` of the solve (p = F(T) closed, the
+    meeting-count pmf open), the pmf in_time[m-1] of the in-time count
+    m = 1, 2, ... and the mean in-time weight `w_bar`."""
+
+    opponents: float | np.ndarray
+    in_time: np.ndarray
+    w_bar: float
+
+
+def _termination_report(config, e_star: float,
+                        tables: TerminationTables) -> StageOneReport:
+    """Stage-I metrics of a closed or open termination config with in-time
+    effort e*, from the in-time pmf P(m) and mean in-time weight w_bar of
+    its `tables`:
         E[U] = sum_m P(m) m e* w_bar,
         E[R] = sum_m P(m) b m e* / (e0 + m e*),
         E[Eff] = sum_m P(m) (e0 + m e*) w_bar / b.
     The empty contest (m = 0) pays nothing and counts as zero efficiency."""
+    b, e0 = config.max_reward, config.nature_effort
+    pm, w_bar = tables.in_time, tables.w_bar
     m = np.arange(1, pm.size + 1)
     utility = float(np.sum(pm * m * e_star)) * w_bar
     payment = float(np.sum(pm * b * m * e_star / (e0 + m * e_star))) \
         if e_star > 0 else 0.0
     efficiency = float(np.sum(pm * (e0 + m * e_star))) * w_bar / b
-    return StageOneReport(parameter=deadline, calibrated_b=b,
+    return StageOneReport(parameter=config.strategy.deadline, calibrated_b=b,
                           expected_utility=utility,
                           expected_payment=payment, payment_stderr=0.0,
                           expected_efficiency=efficiency, efficiency_stderr=0.0)
 
 
-def stage1_metrics_termination(config: BayesianConfig,
-                               e_star: float | None = None) -> StageOneReport:
-    """Closed-form Stage-I metrics for the termination strategy: the in-time
-    count is Binomial(N, p) with p = F(T), and the mean in-time weight comes
-    from quantile-midpoint quadrature of w under F on [0, T]. This gives the
-    paper's E[U] = e* N Iwf and E[Eff] = (e0/(b p) (1-(1-p)^N) + N e*/b) Iwf
-    with Iwf = int_0^T w f dt."""
-    if not isinstance(config.strategy, Termination):
-        raise InvalidInput("config.strategy must be Termination")
-    t_end = config.strategy.deadline
-    b, e0, n = config.max_reward, config.nature_effort, config.n_players
-    p = float(config.join_model.cdf(t_end))
-    if e_star is None:
-        e_star = solve_bne_termination(n, p, b, e0)
+def termination_tables(config: BayesianConfig) -> TerminationTables:
+    """Tables of a closed termination config, one for every e0 and b: p =
+    F(T), the Binomial(N, p) in-time pmf, and the mean in-time weight by
+    quantile-midpoint quadrature of w under F on [0, T]."""
+    p = float(config.join_model.cdf(config.strategy.deadline))
     us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
     w_bar = float(np.mean(config.weightfn(config.join_model.quantile(us))))
-    pm = _binom_pmf(n, p)[1:]
-    return _termination_report(t_end, b, e0, e_star, pm, w_bar)
+    return TerminationTables(p, _binom_pmf(config.n_players, p)[1:], w_bar)
+
+
+def stage1_metrics_termination(config: BayesianConfig, e_star: float | None = None,
+                               tables: TerminationTables | None = None
+                               ) -> StageOneReport:
+    """Closed-form Stage-I metrics for the termination strategy from its
+    `tables` (`termination_tables`, built here when None): this gives the
+    paper's E[U] = e* N Iwf and E[Eff] = (e0/(b p) (1-(1-p)^N) + N e*/b) Iwf
+    with Iwf = int_0^T w f dt. e* is solved here when None."""
+    if not isinstance(config.strategy, Termination):
+        raise InvalidInput("config.strategy must be Termination")
+    if tables is None:
+        tables = termination_tables(config)
+    if e_star is None:
+        e_star = solve_bne_termination(config.n_players, tables.opponents,
+                                       config.max_reward, config.nature_effort)
+    return _termination_report(config, e_star, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -934,8 +960,8 @@ def _calibrated(config, solve, stage1) -> tuple[TypeGrid | float, StageOneReport
 def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
                       mc_samples: int = 20_000, stage1_samples: int = 100_000,
                       seed: RngSeed = 0,
-                      draws: tuple[Stage1Panel, Stage2Opponents] | None = None
-                      ) -> tuple[TypeGrid | float, StageOneReport]:
+                      draws: tuple[Stage1Panel, Stage2Opponents] | TerminationTables
+                      | None = None) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
     at the calibrated reward, together with the Stage-II solution there: the
     effort grid, or the flat in-time effort e* of a termination strategy.
@@ -947,22 +973,23 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     because a fixed velocity breaks the scaling.
 
     Every Stage-I evaluation of the calibration runs on one panel and every
-    Stage-II solve against one set of opponents: the pair `draws`, by
+    Stage-II solve against one set of opponents, or, for a termination
+    strategy, on its exact tables (`termination_tables`): `draws`, by
     default `config.draws(grid_size, mc_samples, stage1_samples, seed)`,
-    built here; a sweep passes the pair it shares across the configs of a
-    prior. The closed-form termination report takes none.
+    built here; a sweep passes the draws it shares across the configs of a
+    prior, and the tables across the e0 ratios of a deadline.
     """
+    if draws is None:
+        draws = config.draws(grid_size, mc_samples, stage1_samples, seed)
     s = config.strategy
     if isinstance(s, Termination):
-        p = float(config.join_model.cdf(s.deadline))
         # the effort at b is b times the effort at b = 1, e0 = e0_ratio
         return _calibrated(
             config, lambda cfg: cfg.max_reward * solve_bne_termination(
-                cfg.n_players, p, 1.0, cfg.e0_ratio),
-            stage1_metrics_termination)
+                cfg.n_players, draws.opponents, 1.0, cfg.e0_ratio),
+            lambda cfg, e_star: stage1_metrics_termination(cfg, e_star, draws))
     solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
-    panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
-        if draws is None else draws
+    panel, opponents = draws
     return _calibrated(
         config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, opponents),
         lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel))

@@ -56,7 +56,14 @@ def _parallel_map(fn, items):
 
 def _column_cells(column) -> list[str]:
     """str(x) per value, formatted once per distinct (type, value); falsy
-    values (0.0 == -0.0) and NaN (never equal) are formatted every time."""
+    values (0.0 == -0.0) and NaN (never equal) are formatted every time.
+    A column of one type without a falsy value maps its distinct values
+    through one dict: equal nonzero values of one type share their bits, so
+    their strings are the same, and a NaN finds itself by identity."""
+    distinct = set(column)
+    if all(distinct) and len(set(map(type, column))) == 1:
+        memo = {x: str(x) for x in distinct}
+        return list(map(memo.__getitem__, column))
     memo = {}
     cells = []
     for x in column:
@@ -366,15 +373,14 @@ def _config(spec: ExperimentSpec, value: float, ratio: float,
 def _calibrate_all(configs, draws: dict, grid_size: int, mc_samples: int,
                    stage1_samples: int, seed: RngSeed
                    ) -> list[tuple[bc.TypeGrid | float, bc.StageOneReport]]:
-    """`sweep`'s calibrated points. Each prior's Monte Carlo draws
-    (`config.draws`) are built on first use and kept in the caller's `draws`
-    by `config.prior`; termination strategies need none."""
+    """`sweep`'s calibrated points. Each config's draws (`config.draws`:
+    a prior's Monte Carlo draws, a termination deadline's exact tables) are
+    built serially on first use and kept in the caller's `draws` by
+    `config.draws_key`."""
     def draws_of(cfg):
-        if isinstance(cfg.strategy, bc.Termination):
-            return None
-        if cfg.prior not in draws:
-            draws[cfg.prior] = cfg.draws(grid_size, mc_samples, stage1_samples, seed)
-        return draws[cfg.prior]
+        if cfg.draws_key not in draws:
+            draws[cfg.draws_key] = cfg.draws(grid_size, mc_samples, stage1_samples, seed)
+        return draws[cfg.draws_key]
 
     def calibrated(item):
         cfg, cfg_draws = item
@@ -390,11 +396,11 @@ def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
           stage1_samples: int = 100_000, seed: RngSeed = 0
           ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
     """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
-    config of a sweep, with `CROWDCONTEST_THREADS` workers. The Monte Carlo
-    draws (`config.draws`: the Stage-I panel and the Stage-II opponents)
-    depend only on `config.prior` and the sweep's sizes and seed, so one pair
-    per distinct prior is shared read-only by every config and worker;
-    termination strategies need none.
+    config of a sweep, with `CROWDCONTEST_THREADS` workers. The draws
+    (`config.draws`: the Stage-I panel and the Stage-II opponents, or a
+    termination strategy's exact tables) depend only on `config.draws_key`
+    and the sweep's sizes and seed, so one per distinct key (a prior, or a
+    prior and a deadline) is shared read-only by every config and worker.
 
     Returns the (Stage-II solution, StageOneReport) pair of each config, in
     input order, and the index of the highest expected efficiency: the
@@ -424,8 +430,8 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
     optimum = OutputTable(name=f"{spec.name}-optimum",
                           columns=main.columns[:5], meta=_meta(spec))
     tables = [main, effort, contour, optimum]
-    # the draws do not depend on e0 or the budget: one pair per prior serves
-    # every e0 ratio and every recalibrated contour row of the spec
+    # the draws do not depend on e0 or the budget: one per prior (and
+    # deadline) serves every e0 ratio and recalibrated contour row of the spec
     draws = {}
     width = len(spec.sweep)
 

@@ -10,15 +10,17 @@ pmfs and the mean in-time weight.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 # calibrate_b is bound here too: the benchmark's call tracer wraps it by name
 from .bayesian_closed import (EarliestN, Stage1Panel, StageOneReport, Termination,
-                              TypeGrid, calibrate_b, _calibrated, _check_finite,
-                              _check_panel, _interp_operator, _iterate_grid_bne,
-                              _mc_report, _termination_effort, _termination_report)
+                              TerminationTables, TypeGrid, calibrate_b, _calibrated,
+                              _check_finite, _check_panel, _interp_operator,
+                              _iterate_grid_bne, _mc_report, _termination_effort,
+                              _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
@@ -61,28 +63,42 @@ class OpenConfig:
         return replace(self, max_reward=b)
 
     @property
-    def prior(self) -> tuple:
-        """What `draws` depends on besides its sizes and seed."""
-        return self.poisson, self.weightfn
+    def draws_key(self) -> tuple:
+        """What `draws` depends on besides its sizes and seed: the Poisson
+        model and the weights, and a termination strategy's deadline."""
+        key = self.poisson, self.weightfn
+        return (*key, self.strategy) if isinstance(self.strategy, Termination) else key
 
     def draws(self, grid_size: int = 64, mc_samples: int = 20_000,
               stage1_samples: int = 100_000, seed: RngSeed = 0
-              ) -> tuple[Stage1Panel, np.ndarray]:
+              ) -> tuple[Stage1Panel, np.ndarray] | TerminationTables:
         """The prior's Stage-I panel, from seed + 1, and its Stage-II arrival
-        sequences, from seed. The type grid changes with n, so the panel
-        keeps no knots and `grid_size` goes unused."""
+        sequences, from seed; for a termination strategy its exact tables
+        (`open_termination_tables`), which take no sizes or seed. The type
+        grid changes with n, so the panel keeps no knots and `grid_size`
+        goes unused."""
+        if isinstance(self.strategy, Termination):
+            return open_termination_tables(self)
         return (open_stage1_panel(self, stage1_samples, seed + 1),
                 open_stage2_opponents(self, mc_samples, seed))
+
+
+def _check_rate(rate: float) -> None:
+    """InvalidInput unless the arrival rate is finite and positive."""
+    _check_finite(rate=rate)
+    if not rate > 0:
+        raise InvalidInput(f"rate must be > 0, got {rate!r}")
 
 
 def open_earliest_n_prob(rate: float, s, n: int):
     """Probability that a contributor joining at epoch s is among the n
     earliest arrivals: P(N(s) <= n-1) = sum_{k<n} exp(-rate s)(rate s)^k/k!."""
-    if rate <= 0 or n < 1:
-        raise InvalidInput("need rate > 0 and n >= 1")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidInput(f"need an integer n >= 1, got n={n!r}")
+    _check_rate(rate)
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
-        raise InvalidInput("s must be >= 0")
+    if not np.all((s_arr >= 0) & (s_arr < math.inf)):
+        raise InvalidInput("s must be finite and >= 0")
     lam_s = rate * s_arr
     term = np.exp(-lam_s)
     total = term.copy()
@@ -183,9 +199,11 @@ def open_termination_prob(rate: float, deadline: float, k) -> float | np.ndarray
     other in-time contributors:
         P(k, inf) = exp(-rate T)(rate T)^{k+1} / ((k+1)! (1 - exp(-rate T))),
     a unit-mass distribution over k >= 0."""
+    _check_rate(rate)
+    _check_finite(deadline=deadline)
     lam_t = rate * deadline
-    if lam_t <= 0:
-        raise InvalidInput("rate * deadline must be > 0")
+    if not 0 < lam_t < math.inf:
+        raise InvalidInput(f"rate * deadline must be finite and > 0, got {lam_t!r}")
     k_arr = np.asarray(k)
     if np.any(k_arr < 0):
         raise InvalidInput("k must be >= 0")
@@ -196,13 +214,13 @@ def open_termination_prob(rate: float, deadline: float, k) -> float | np.ndarray
     return out if out.ndim else float(out)
 
 
-def solve_bne_open_termination(config: OpenConfig) -> float:
-    """Symmetric in-time effort against the meeting-count pmf P(k, inf), cut
-    at the first k where its mass summed in order reaches 1 - _TAIL_MASS:
-    within the first 2 rate T + 64 terms by a Chernoff bound, and within
-    100 001 terms or NoConvergence."""
-    if not isinstance(config.strategy, Termination):
-        raise InvalidInput("config.strategy must be Termination")
+def open_termination_tables(config: OpenConfig) -> TerminationTables:
+    """Tables of an open termination config, one for every e0 and b: the
+    meeting-count pmf P(k, inf) cut at the first k where its mass summed in
+    order reaches 1 - _TAIL_MASS (within the first 2 rate T + 64 terms by a
+    Chernoff bound, and within 100 001 terms or NoConvergence), the
+    Poisson(rate T) in-time pmf truncated at M, and the mean in-time weight
+    integral_0^T w(x) dx / T of epochs uniform on [0, T]."""
     rate, deadline = config.poisson.rate, config.strategy.deadline
     size = min(int(2.0 * rate * deadline) + 64, 100_001)
     pk = open_termination_prob(rate, deadline, np.arange(size))
@@ -211,7 +229,25 @@ def solve_bne_open_termination(config: OpenConfig) -> float:
         raise NoConvergence("meeting-count pmf failed to accumulate mass",
                             residual=1.0 - mass[-1], iterations=size)
     pk = pk[:int(np.argmax(mass >= 1.0 - _TAIL_MASS)) + 1]
-    return _termination_effort(pk, config.max_reward, config.e0_ratio)
+    pm = poisson_pmf(config.poisson, deadline,
+                     np.arange(1, config.poisson.truncation + 1))
+    return TerminationTables(pk, pm, config.weightfn.integral(0.0, deadline) / deadline)
+
+
+def _termination_tables(config: OpenConfig,
+                        tables: TerminationTables | None) -> TerminationTables:
+    """`tables`, built here when None, of an open termination config."""
+    if not isinstance(config.strategy, Termination):
+        raise InvalidInput("config.strategy must be Termination")
+    return open_termination_tables(config) if tables is None else tables
+
+
+def solve_bne_open_termination(config: OpenConfig,
+                               tables: TerminationTables | None = None) -> float:
+    """Symmetric in-time effort against the meeting-count pmf of `tables`
+    (`open_termination_tables`, built here when None)."""
+    tables = _termination_tables(config, tables)
+    return _termination_effort(tables.opponents, config.max_reward, config.e0_ratio)
 
 
 def open_termination_conditional_eff(m: int, e_star: float, b: float,
@@ -228,41 +264,40 @@ def open_termination_conditional_eff(m: int, e_star: float, b: float,
     return (e0 + m * e_star) / (b * deadline) * weightfn.integral(0.0, deadline)
 
 
-def stage1_open_termination(config: OpenConfig, e_star: float | None = None
+def stage1_open_termination(config: OpenConfig, e_star: float | None = None,
+                            tables: TerminationTables | None = None
                             ) -> StageOneReport:
-    """Closed-form Stage-I metrics for the open termination strategy: the
-    in-time count is Poisson(rate T), truncated at M, and in-time joining
-    epochs are uniform on [0, T], so the mean in-time weight is
-    integral_0^T w(x) dx / T."""
-    if not isinstance(config.strategy, Termination):
-        raise InvalidInput("config.strategy must be Termination")
-    t_end = config.strategy.deadline
+    """Closed-form Stage-I metrics for the open termination strategy from its
+    `tables` (`open_termination_tables`, built here when None); e* is solved
+    here when None."""
+    tables = _termination_tables(config, tables)
     if e_star is None:
-        e_star = solve_bne_open_termination(config)
-    pm = poisson_pmf(config.poisson, t_end, np.arange(1, config.poisson.truncation + 1))
-    w_bar = config.weightfn.integral(0.0, t_end) / t_end
-    return _termination_report(t_end, config.max_reward, config.nature_effort,
-                               e_star, pm, w_bar)
+        e_star = solve_bne_open_termination(config, tables)
+    return _termination_report(config, e_star, tables)
 
 
 def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
                            mc_samples: int = 20_000, stage1_samples: int = 100_000,
                            seed: RngSeed = 0,
-                           draws: tuple[Stage1Panel, np.ndarray] | None = None
-                           ) -> tuple[TypeGrid | float, StageOneReport]:
+                           draws: tuple[Stage1Panel, np.ndarray] | TerminationTables
+                           | None = None) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward (`_calibrated`): the effort grid, or the in-time effort
     e* of the termination strategy. Both open strategies scale linearly in b
     (e0 tracks b), so each stage runs once, at the configured reward, and its
     result is scaled to b*. Earliest-n runs Stage I on the panel and Stage II
-    against the arrival sequences of `draws`, by default `config.draws` with
-    these sizes and seed, built here; a sweep passes the pair it shares
-    across the configs of a prior. The closed-form termination report takes
-    none."""
+    against the arrival sequences of `draws`, termination both stages on its
+    exact tables (`open_termination_tables`): `draws`, by default
+    `config.draws` with these sizes and seed, built here; a sweep passes the
+    draws it shares across the configs of a prior, and the tables across the
+    e0 ratios of a deadline."""
+    if draws is None:
+        draws = config.draws(grid_size, mc_samples, stage1_samples, seed)
     if isinstance(config.strategy, Termination):
-        return _calibrated(config, solve_bne_open_termination, stage1_open_termination)
-    panel, opponents = config.draws(grid_size, mc_samples, stage1_samples, seed) \
-        if draws is None else draws
+        return _calibrated(
+            config, lambda cfg: solve_bne_open_termination(cfg, draws),
+            lambda cfg, e_star: stage1_open_termination(cfg, e_star, draws))
+    panel, opponents = draws
     return _calibrated(
         config,
         lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 from dataclasses import replace
@@ -404,6 +405,32 @@ class TestTerminationStage1:
         rep_half = stage1_metrics_termination(cfg_half)
         # beyond the weight support, later deadlines only dilute efforts
         assert rep_half.expected_efficiency > rep_full.expected_efficiency
+
+    @pytest.mark.parametrize("system", ["closed", "open"])
+    def test_shared_tables_match_fresh_calibrations(self, system):
+        # one deadline's tables, shared by three e0 ratios, give each ratio
+        # the calibration it gets from tables of its own
+        w = StepWeight((0.0, 0.3, 0.7), (1.0, 0.6, 0.2))
+        if system == "closed":
+            calibrate = calibrated_stage1
+            configs = [BayesianConfig(n_players=7, strategy=Termination(0.55),
+                                      join_model=UNIFORM01, weightfn=w, e0_ratio=r,
+                                      budget=1.3) for r in (0.2, 0.5, 0.8)]
+        else:
+            calibrate = calibrated_open_stage1
+            configs = [OpenConfig(poisson=PoissonModel(rate=6.0, truncation=25),
+                                  strategy=Termination(0.55), weightfn=w, e0_ratio=r,
+                                  budget=1.3) for r in (0.2, 0.5, 0.8)]
+        tables = configs[0].draws()
+        assert isinstance(tables, bayesian_closed.TerminationTables)
+        for cfg in configs:
+            assert cfg.draws_key == configs[0].draws_key
+            e_shared, shared = calibrate(cfg, draws=tables)
+            e_alone, alone = calibrate(cfg)
+            assert e_shared == e_alone > 0
+            for field in dataclasses.fields(StageOneReport):
+                assert getattr(shared, field.name) == getattr(alone, field.name), \
+                    field.name
 
 
 class TestStage1EarliestN:

@@ -13,8 +13,8 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN, Termination
 from crowdcontest.cli import main
 from crowdcontest.errors import ConfigError, InvalidInput
 from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, OutputTable,
-                                      gen_trace_preset, load_spec, parse_spec,
-                                      run_spec, sweep)
+                                      _column_cells, gen_trace_preset, load_spec,
+                                      parse_spec, run_spec, sweep)
 from crowdcontest.open_system import OpenConfig, calibrated_open_stage1
 from crowdcontest.timing import UniformJoinTimes, ingest_trace_file
 
@@ -342,6 +342,37 @@ def test_render_matches_rowwise_str(table_rows):
     assert table.render() == f"# table=t\n{','.join(table.columns)}\n{body}"
 
 
+@st.composite
+def _columns(draw):
+    """A column drawn from a few values, so values repeat: of one type, which
+    formats through one dict unless a value is zero, or of mixed types."""
+    kind = draw(st.sampled_from([
+        st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+        st.integers(-2**70, 2**70),
+        st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+        | st.sampled_from([np.float64(0.0), np.float64(-0.0), np.float64(math.nan)]),
+        # equal values of different types, which one dict would merge
+        st.sampled_from([1, 1.0, True, np.int64(1), np.float64(1.0), 0, -0.0, False]),
+        _CELL_VALUES]))
+    pool = draw(st.lists(kind, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), max_size=40))
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(_columns())
+def test_column_cells_match_str(column):
+    assert _column_cells(column) == [str(x) for x in column]
+
+
+def test_column_cells_keep_signed_zeros_and_distinct_nans():
+    assert _column_cells([0.0, -0.0, 0.0]) == ["0.0", "-0.0", "0.0"]
+    assert _column_cells([float("nan"), 2.5, float("nan"), 2.5]) == \
+        ["nan", "2.5", "nan", "2.5"]
+    assert _column_cells([1, 1.0, True, np.float64(1.0)]) == ["1", "1.0", "True", "1.0"]
+
+
 class TestSweep:
     def test_points_match_separate_calibrations(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
@@ -459,6 +490,29 @@ class TestSweep:
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         run_spec(parse_spec(text), out_dir=tmp_path)
         assert len(built) == 1
+
+    @pytest.mark.parametrize("preset, module, build", [
+        ("closed-termination-step", bc, "termination_tables"),
+        ("open-termination-step", osys, "open_termination_tables")])
+    def test_spec_builds_termination_tables_once_per_deadline(self, tmp_path, monkeypatch,
+                                                              preset, module, build):
+        # the tables depend on the prior and the deadline, not on e0 or b: the
+        # three e0 ratios of each deadline share one build, and neither the
+        # solves nor the reports build their own
+        built, inner = [], getattr(module, build)
+
+        def counted(cfg):
+            built.append(cfg.strategy.deadline)
+            return inner(cfg)
+
+        monkeypatch.setattr(module, build, counted)
+        monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
+        spec = load_spec(preset)
+        run_spec(spec, out_dir=tmp_path)
+        assert len(spec.e0_ratios) == 3
+        assert built == list(spec.sweep)
+        assert len(built) == {"closed-termination-step": 24,
+                              "open-termination-step": 15}[preset]
 
     def test_empty_sweep_is_invalid(self):
         with pytest.raises(InvalidInput):

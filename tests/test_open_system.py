@@ -58,6 +58,25 @@ class TestOpenEarliestNProb:
         with pytest.raises(InvalidInput):
             open_earliest_n_prob(1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", None])
+    def test_non_integer_n(self, n):
+        with pytest.raises(InvalidInput, match="integer"):
+            open_earliest_n_prob(1.0, 1.0, n)
+
+    def test_integer_types_of_n(self):
+        assert open_earliest_n_prob(1.0, 1.0, np.int64(2)) == \
+            open_earliest_n_prob(1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_rate(self, rate):
+        with pytest.raises(InvalidInput, match="rate"):
+            open_earliest_n_prob(rate, 1.0, 2)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+    def test_non_finite_s(self, s):
+        with pytest.raises(InvalidInput, match="finite"):
+            open_earliest_n_prob(1.0, s, 2)
+
 
 class TestOpenTerminationProb:
     def test_single_value(self):
@@ -79,6 +98,22 @@ class TestOpenTerminationProb:
     def test_validation(self):
         with pytest.raises(InvalidInput):
             open_termination_prob(1.0, 0.0, 1)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_rate(self, rate):
+        # a negative rate must not pass on a negative deadline either
+        for deadline in (1.0, -1.0):
+            with pytest.raises(InvalidInput, match="rate"):
+                open_termination_prob(rate, deadline, 1)
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deadline(self, deadline):
+        with pytest.raises(InvalidInput, match="deadline"):
+            open_termination_prob(1.0, deadline, 1)
+
+    def test_overflowing_rate_times_deadline(self):
+        with pytest.raises(InvalidInput, match="finite"):
+            open_termination_prob(1e200, 1e200, 1)
 
     @pytest.mark.parametrize("rate, deadline", [(0.1, 0.3), (9.0, 0.7), (9.0, 1.5),
                                                 (50.0, 6.0)])
