@@ -463,20 +463,26 @@ def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
     fractional grid position pos (np.interp of the grid indices) adds
     k + 1 - pos to cell k = min(floor(pos), grid - 2) of its row and pos - k
     to cell k + 1; a bincount per block of BLOCK_ROWS rows sums them per cell
-    in opponent-column order. M is returned read-only."""
+    in opponent-column order; trailing columns at or past the grid's end in
+    every row of a block, which add 0 and 1 to the last two cells, skip it
+    and add their 1s after it. M is returned read-only."""
     size = times.size
-    inverse_width = np.append(1.0 / np.diff(times), 0.0)
+    indices = np.arange(size, dtype=float)
     op = np.empty((panel.shape[0], size))
     for lo in range(0, panel.shape[0], BLOCK_ROWS):
         block = op[lo:lo + BLOCK_ROWS]
-        index, offset = _knots(panel[lo:lo + BLOCK_ROWS], times)
-        pos = np.take(inverse_width, index) * offset + index
+        draws = panel[lo:lo + BLOCK_ROWS]
+        inside = np.flatnonzero(~(draws.min(axis=0) >= times[-1]))
+        width = inside[-1] + 1 if inside.size else 0
+        pos = np.interp(draws[:, :width], times, indices)
         k = np.minimum(pos.astype(int), size - 2)
         cells = np.stack([k, k + 1], axis=-1) \
             + (size * np.arange(block.shape[0]))[:, None, None]
         weights = np.stack([k + 1 - pos, pos - k], axis=-1)
         block[:] = np.bincount(cells.ravel(), weights.ravel(),
                                minlength=block.size).reshape(block.shape)
+        for _ in range(draws.shape[1] - width):
+            block[:, -1] += 1.0
     op.setflags(write=False)
     return op
 
@@ -687,26 +693,31 @@ def _termination_effort(pk: np.ndarray, b: float, r: float) -> float:
         return 0.0
 
 
-def solve_bne_termination(n_players: int, p: float, b: float, e0: float) -> float:
+def solve_bne_termination(n_players: int, p: float | np.ndarray, b: float,
+                          e0: float) -> float:
     """Symmetric BNE effort of the termination-time strategy: p = F(T) is the
     probability an opponent joins in time, so the number of in-time
-    opponents is Binomial(N-1, p)."""
+    opponents is Binomial(N-1, p); p may also be that pmf."""
     if n_players < 1:
         raise InvalidInput("n_players must be >= 1")
-    if not 0 <= p <= 1:
-        raise InvalidInput("p must lie in [0, 1]")
     if b <= 0 or e0 < 0:
         raise InvalidInput("need b > 0 and e0 >= 0")
-    return _termination_effort(_binom_pmf(n_players - 1, p), b, e0 / b)
+    if np.ndim(p) == 0:
+        if not 0 <= p <= 1:
+            raise InvalidInput("p must lie in [0, 1]")
+        p = _binom_pmf(n_players - 1, p)
+    elif np.shape(p) != (n_players,):
+        raise InvalidInput("the pmf must cover 0..N-1 opponents")
+    return _termination_effort(p, b, e0 / b)
 
 
 class TerminationTables(NamedTuple):
     """What a termination config's solve and report take of its prior and
-    deadline: the in-time `opponents` of the solve (p = F(T) closed, the
-    meeting-count pmf open), the pmf in_time[m-1] of the in-time count
-    m = 1, 2, ... and the mean in-time weight `w_bar`."""
+    deadline: the in-time `opponents` pmf of the solve (Binomial(N-1, F(T))
+    closed, the meeting-count pmf open), the pmf in_time[m-1] of the in-time
+    count m = 1, 2, ... and the mean in-time weight `w_bar`."""
 
-    opponents: float | np.ndarray
+    opponents: np.ndarray
     in_time: np.ndarray
     w_bar: float
 
@@ -734,13 +745,14 @@ def _termination_report(config, e_star: float,
 
 
 def termination_tables(config: BayesianConfig) -> TerminationTables:
-    """Tables of a closed termination config, one for every e0 and b: p =
-    F(T), the Binomial(N, p) in-time pmf, and the mean in-time weight by
-    quantile-midpoint quadrature of w under F on [0, T]."""
+    """Tables of a closed termination config, one for every e0 and b, with
+    p = F(T): the Binomial(N-1, p) and Binomial(N, p) pmfs, and the mean
+    in-time weight by quantile-midpoint quadrature of w under F on [0, T]."""
     p = float(config.join_model.cdf(config.strategy.deadline))
     us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
     w_bar = float(np.mean(config.weightfn(config.join_model.quantile(us))))
-    return TerminationTables(p, _binom_pmf(config.n_players, p)[1:], w_bar)
+    return TerminationTables(_binom_pmf(config.n_players - 1, p),
+                             _binom_pmf(config.n_players, p)[1:], w_bar)
 
 
 def stage1_metrics_termination(config: BayesianConfig, e_star: float | None = None,
@@ -773,8 +785,8 @@ def stage1_panel(config: BayesianConfig, mc_samples: int = 100_000,
     n = config.n_players
     rng = spawn_rng(seed, 0x51a6e1)
     draws = config.join_model.sample(rng, mc_samples * n).reshape(mc_samples, n)
-    types = np.sort(draws, axis=1)
-    return Stage1Panel(types, config.weightfn(types))
+    draws.sort(axis=1)
+    return Stage1Panel(draws, config.weightfn(draws))
 
 
 def _check_panel(panel: Stage1Panel, columns: int, what: str) -> None:
@@ -790,10 +802,13 @@ def _check_panel(panel: Stage1Panel, columns: int, what: str) -> None:
 def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
     """efforts(rows) -> the efforts e*(types) of the panel rows `rows` on
     `grid`: gathered through the panel's knots when they lie on grid's
-    times, else interpolated."""
+    times, else interpolated up to where e* turns constant, as np.interp
+    returns that constant beyond (bit for bit, unless it is -0.0)."""
     times, e = grid.times, grid.efforts
     if panel.knots is None or not np.array_equal(panel.knots[0], times):
-        return lambda rows: grid.interp(panel.types[rows])
+        steps = np.flatnonzero(e[:-1] != e[-1])
+        end = steps[-1] + 2 if steps.size else 1
+        return lambda rows: np.interp(panel.types[rows], times[:end], e[:end])
     _, index, offset = panel.knots
     slope = np.append(np.diff(e) / np.diff(times), 0.0)
 

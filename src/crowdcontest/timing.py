@@ -283,10 +283,12 @@ class StepWeight(WeightFunction):
             raise InvalidInput("step weights must be nonincreasing")
 
     def __call__(self, t):
+        # w(NaN) is the last value, as a search of the breakpoints finds it
         t = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                      0, len(self.values) - 1)
-        out = np.asarray(self.values)[idx]
+        out = np.full(t.shape, self.values[0])
+        for b, v in zip(self.breakpoints[1:], self.values[1:]):
+            np.copyto(out, v, where=t >= b)
+        np.copyto(out, self.values[-1], where=np.isnan(t))
         return out if out.ndim else float(out)
 
     def integral(self, lo: float, hi: float) -> float:
@@ -422,4 +424,4 @@ def sample_arrival_sequences(model: PoissonModel,
         else spawn_rng(rng_or_seed)
     m = model.truncation if m is None else m
     gaps = rng.exponential(scale=1.0 / model.rate, size=(n, m))
-    return np.cumsum(gaps, axis=1)
+    return np.cumsum(gaps, axis=1, out=gaps)

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from crowdcontest.bayesian_closed import (BayesianConfig, _binom_pmf, _grid_times,
-                                          earliest_n_prob, reward_schedule)
+                                          _knots, earliest_n_prob, reward_schedule)
 from crowdcontest.contest import ContestConfig, best_response
 from crowdcontest.errors import InvalidInput, NoConvergence, NumericalError
 
@@ -206,6 +206,22 @@ def interp_operator_by_columns(panel: np.ndarray, times: np.ndarray) -> np.ndarr
         op[rows, k] += k + 1 - pos
         op[rows, k + 1] += pos - k
     return op
+
+
+def interp_operator_by_knots(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Interpolation operator M of the grid BNE kernel, built as the kernel
+    built it before it placed draws by np.interp and left past-end columns
+    out: every draw's position from its `_knots` gather, 1 / width * offset +
+    index, and every column through one bincount over the whole panel (its
+    sums are row-local, so row blocks change no bit)."""
+    rows, size = panel.shape[0], times.size
+    index, offset = _knots(panel, times)
+    pos = np.take(np.append(1.0 / np.diff(times), 0.0), index) * offset + index
+    k = np.minimum(pos.astype(int), size - 2)
+    cells = np.stack([k, k + 1], axis=-1) + (size * np.arange(rows))[:, None, None]
+    weights = np.stack([k + 1 - pos, pos - k], axis=-1)
+    return np.bincount(cells.ravel(), weights.ravel(),
+                       minlength=rows * size).reshape(rows, size)
 
 
 def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> float:

@@ -31,11 +31,11 @@ from crowdcontest.numerics import bisect, spawn_rng
 from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
                                       stage1_open_earliest_n, stage1_open_termination)
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
-                                 StepWeight, UniformJoinTimes)
+                                 StepWeight, UniformJoinTimes, sample_arrival_sequences)
 
 from helpers import (argpartition_payment, bne_quadrature_oracle,
                      convolution_best_responses, interp_operator_by_columns,
-                     single_peaked,
+                     interp_operator_by_knots, single_peaked,
                      termination_effort_e0_zero, threshold_analytic_bound,
                      unblocked_stage1)
 
@@ -431,6 +431,26 @@ class TestTerminationStage1:
             for field in dataclasses.fields(StageOneReport):
                 assert getattr(shared, field.name) == getattr(alone, field.name), \
                     field.name
+
+    def test_closed_tables_hold_the_opponent_pmf(self, monkeypatch):
+        # the solve takes the Binomial(N-1, F(T)) pmf from the tables, so a
+        # calibration on shared tables builds no pmf of its own
+        cfg = BayesianConfig(n_players=7, strategy=Termination(0.55),
+                             join_model=UNIFORM01, e0_ratio=0.5, budget=1.3)
+        tables = bayesian_closed.termination_tables(cfg)
+        p = float(UNIFORM01.cdf(0.55))
+        assert np.array_equal(tables.opponents, bayesian_closed._binom_pmf(6, p))
+        assert solve_bne_termination(7, tables.opponents, 1.3, 0.4) == \
+            solve_bne_termination(7, p, 1.3, 0.4)
+        with pytest.raises(InvalidInput):
+            solve_bne_termination(6, tables.opponents, 1.3, 0.4)
+        fresh = calibrated_stage1(cfg), stage1_metrics_termination(cfg)
+        built = []
+        monkeypatch.setattr(bayesian_closed, "_binom_pmf",
+                            lambda *args: built.append(args))
+        assert (calibrated_stage1(cfg, draws=tables),
+                stage1_metrics_termination(cfg, tables=tables)) == fresh
+        assert built == []
 
 
 class TestStage1EarliestN:
@@ -1099,6 +1119,13 @@ class TestGridKernel:
 
 
 BLOCK = bayesian_closed.BLOCK_ROWS
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays match in shape and bit for bit, -0.0
+    apart from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
 #: panel row counts around the Stage-I block size
 BLOCK_EDGES = [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 #: report fields of the Monte Carlo Stage-I pass
@@ -1178,3 +1205,54 @@ class TestBlockedStageOne:
         op = bayesian_closed._interp_operator(panel, times)
         expect = interp_operator_by_columns(panel, times)
         assert np.max(np.abs(op - expect)) <= 1e-15 * panel.shape[1]
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    @pytest.mark.parametrize("kind", ["sorted", "unsorted", "past-end", "no-columns"])
+    @pytest.mark.parametrize("size", [3, 24])
+    def test_operator_matches_the_knot_gather_bit_for_bit(self, rows, kind, size):
+        times = np.linspace(0.0, 1.5, size)
+        rng = spawn_rng(rows)
+        if kind == "sorted":
+            # arrival epochs: the first lie inside the grid, the last past its
+            # end in every row
+            panel = sample_arrival_sequences(PoissonModel(rate=6.0, truncation=30),
+                                             rng, rows)
+            assert np.all(panel[:, -1] > times[-1]) and np.any(panel[:, 0] < times[-1])
+        elif kind == "unsorted":
+            # draws below, inside and past the grid and on its knots; columns
+            # 3 and 7 to 23 lie at or past its end in every row, 4 to 6 do
+            # not: the last cell takes 17 1s after fractions, which adding
+            # 17 at once rounds differently on the 3-point grid
+            panel = rng.uniform(-0.5, 2.5, size=(rows, 24))
+            panel[::9] = times[rng.integers(0, times.size, size=24)]
+            panel[:, [3, *range(7, 24)]] = times[-1] + rng.exponential(size=(rows, 18))
+            panel[::5, 8] = times[-1]
+        elif kind == "past-end":
+            # every draw at or past the end: no column is placed
+            panel = times[-1] + rng.exponential(size=(rows, 6))
+            panel[::3] = times[-1]
+        else:
+            panel = np.empty((rows, 0))
+        op = bayesian_closed._interp_operator(panel, times)
+        assert same_bits(op, interp_operator_by_knots(panel, times))
+
+    @pytest.mark.parametrize("tail", ["zero", "positive", "none", "constant"])
+    def test_interpolated_efforts_are_np_interp_bit_for_bit(self, tail):
+        # without knots, Stage I interpolates only up to where the efforts
+        # turn constant; the efforts past that point keep np.interp's bits
+        times = np.linspace(0.0, 3.0, 24)
+        rng = spawn_rng(11)
+        efforts = rng.uniform(0.1, 1.0, size=times.size)
+        if tail == "zero":
+            efforts[15:] = 0.0
+        elif tail == "positive":
+            efforts[15:] = 0.4
+        elif tail == "constant":
+            efforts[:] = 0.4
+        types = np.vstack([rng.uniform(-1.0, 4.5, size=(60, 8)),
+                           rng.choice(times, size=(20, 8))])
+        types.sort(axis=1)
+        panel = Stage1Panel(types, np.ones_like(types))
+        grid = TypeGrid(times, efforts, np.ones(times.size))
+        got = bayesian_closed._panel_efforts(panel, grid)(slice(None))
+        assert same_bits(got, np.interp(types, times, efforts))

@@ -312,6 +312,15 @@ def test_step_weight_values_match_a_scalar_search(breaks, t, rows):
     t = np.tile(np.concatenate([t, breaks]), (rows, 1))
     expect = [[w.values[max(bisect.bisect_right(w.breakpoints, x) - 1, 0)]
                for x in row] for row in t.tolist()]
-    assert np.array_equal(w(t), np.array(expect).reshape(t.shape))
+    got = w(t)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.array(expect).reshape(t.shape))
     for scalar in (float(t[0, 0]), breaks[0] - 1.0, breaks[-1] + 1.0):
-        assert w(scalar) == w.values[max(bisect.bisect_right(w.breakpoints, scalar) - 1, 0)]
+        got = w(scalar)
+        assert type(got) is float
+        assert got == w.values[max(bisect.bisect_right(w.breakpoints, scalar) - 1, 0)]
+    # -inf takes the first value; +inf and NaN, which a search of the
+    # breakpoints places past the last one, take the last
+    edges = [w.values[0], w.values[-1], w.values[-1]]
+    assert w(np.array([[-np.inf, np.inf, np.nan]])).tolist() == [edges]
+    assert [w(x) for x in (-np.inf, np.inf, np.nan)] == edges
