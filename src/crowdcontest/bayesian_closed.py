@@ -455,26 +455,33 @@ def _knots(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return index, offset
 
 
-def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _interp_operator(panel: np.ndarray, times: np.ndarray,
+                     positions=None) -> np.ndarray:
     """Dense M (mc x grid) with M @ e == np.interp(panel, times, e).sum(axis=1)
     for every effort grid e: row i holds the linear-interpolation weights of
     draw i's opponents, clamped to the end values outside the grid, and is
     all zeros for a panel without opponent columns. Each opponent at
-    fractional grid position pos (np.interp of the grid indices) adds
-    k + 1 - pos to cell k = min(floor(pos), grid - 2) of its row and pos - k
-    to cell k + 1; a bincount per block of BLOCK_ROWS rows sums them per cell
-    in opponent-column order; trailing columns at or past the grid's end in
-    every row of a block, which add 0 and 1 to the last two cells, skip it
-    and add their 1s after it. M is returned read-only."""
+    fractional grid position pos adds k + 1 - pos to cell k = min(floor(pos),
+    grid - 2) of its row and pos - k to cell k + 1; a bincount per block of
+    BLOCK_ROWS rows sums them per cell in opponent-column order; trailing
+    columns at or past the grid's end in every row of a block, which add 0
+    and 1 to the last two cells, skip it and add their 1s after it. The
+    grid's owner may supply `positions(draws)`, the positions of draws that
+    lie in or past the grid; by default they are np.interp of the grid
+    indices. M is returned read-only."""
     size = times.size
-    indices = np.arange(size, dtype=float)
+    if positions is None:
+        indices = np.arange(size, dtype=float)
+
+        def positions(draws):
+            return np.interp(draws, times, indices)
     op = np.empty((panel.shape[0], size))
     for lo in range(0, panel.shape[0], BLOCK_ROWS):
         block = op[lo:lo + BLOCK_ROWS]
         draws = panel[lo:lo + BLOCK_ROWS]
         inside = np.flatnonzero(~(draws.min(axis=0) >= times[-1]))
         width = inside[-1] + 1 if inside.size else 0
-        pos = np.interp(draws[:, :width], times, indices)
+        pos = positions(draws[:, :width])
         k = np.minimum(pos.astype(int), size - 2)
         cells = np.stack([k, k + 1], axis=-1) \
             + (size * np.arange(block.shape[0]))[:, None, None]
@@ -489,21 +496,26 @@ def _interp_operator(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def _bne_condition_noise(a_samples: np.ndarray, grid: TypeGrid) -> float:
     """Largest relative standard error of the equilibrium-condition
-    expectation across active grid points. Points whose effort is below
-    1e-3 of the grid maximum are immaterial to the mechanism and excluded
-    (near the participation cutoff the integrand is heavy-tailed and its
-    relative error diverges even though the effort itself is ~0)."""
+    expectation E[v], v = A/(A+e)^2, across active grid points, from the
+    moments E[v] = (A/mc) @ inv^2 and E[v^2] = (A^2/mc) @ inv^4 with inv =
+    1/(A+e). Points whose effort is below 1e-3 of the grid maximum are
+    immaterial to the mechanism and excluded (near the participation cutoff
+    the integrand is heavy-tailed and its relative error diverges even though
+    the effort itself is ~0)."""
     active = grid.efforts > 1e-3 * float(np.max(grid.efforts, initial=0.0))
     if not np.any(active):
         return 0.0
-    if a_samples.size < 2:
+    mc = a_samples.size
+    if mc < 2:
         return math.inf     # no standard error from fewer than 2 draws
-    a = a_samples[:, None]
-    vals = a / (a + grid.efforts[active][None, :]) ** 2
-    mean = np.mean(vals, axis=0)
-    stderr = np.std(vals, axis=0, ddof=1) / math.sqrt(a_samples.size)
+    w = a_samples / mc
+    power = 1.0 / (a_samples[:, None] + grid.efforts[active])
+    np.multiply(power, power, out=power)
+    mean = w @ power
+    np.multiply(power, power, out=power)
+    variance = np.maximum(a_samples * w @ power - mean * mean, 0.0) * (mc / (mc - 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(mean > 0, stderr / mean, 0.0)
+        rel = np.where(mean > 0, np.sqrt(variance / mc) / mean, 0.0)
     return float(np.max(rel))
 
 
@@ -527,8 +539,10 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
     factor 1 - 1e-4 lam, else the plain best response G(x) (Kelley, SIAM
     2003, ch. 1-2); a step onto the zero grid halves x instead (at e0 = 0, G
     maps it to itself though a lone positive effort wins b(t)). Once
-    ||f||_inf <= BNE_TOL, G(x) is the result if ||G(x) - x||_inf <= BNE_TOL,
-    else it serves as that fallback: G is computed at most once per iterate.
+    ||f||_inf <= BNE_TOL, x is the result if ||G(x) - x||_inf <= BNE_TOL,
+    else G(x) serves as that fallback: G is computed at most once per
+    iterate. The noise check reads the opponent aggregates of that
+    certifying evaluation.
 
     BNE_STEPS caps the kernel evaluations, one-step maps and best responses
     alike; NoConvergence then carries the last iterate and its ||f||_inf.
@@ -542,34 +556,37 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
         if next(budget, None) is None:
             raise NoConvergence("grid BNE iteration stalled", last=x,
                                 residual=residual, iterations=BNE_STEPS)
-        return _expected_best_responses(e0 + op @ point, b_t, BNE_TOL, point,
-                                        one_step)
+        a_samples = e0 + op @ point
+        return (a_samples, *_expected_best_responses(a_samples, b_t, BNE_TOL, point,
+                                                     one_step))
 
     x = symmetric_ne(round(float(op[:1].sum())) + 1, b_t, e0)
-    new, slopes = evaluate(x)
+    _, new, slopes = evaluate(x)
     residual = float(np.max(np.abs(new - x)))
     while True:
-        br = evaluate(x, one_step=False)[0] if residual <= BNE_TOL else None
-        if br is not None and float(np.max(np.abs(br - x))) <= BNE_TOL:
-            break
+        br = None
+        if residual <= BNE_TOL:
+            a_samples, br = evaluate(x, one_step=False)[:2]
+            if float(np.max(np.abs(br - x))) <= BNE_TOL:
+                break
         jac = np.zeros((x.size, x.size))
         jac[new > 0] = slopes(op)
         dx = np.linalg.solve(np.eye(x.size) - jac, new - x)
         del slopes      # it holds mc x grid buffers: keep those of one trial only
         for lam in (1.0, 0.5, 0.25, None):
             trial = (np.maximum(x + lam * dx, 0.0) if lam else
-                     evaluate(x, one_step=False)[0] if br is None else br)
+                     evaluate(x, one_step=False)[1] if br is None else br)
             if not np.any(trial > 0):
                 trial = 0.5 * x
-            trial_new, slopes = evaluate(trial)
+            _, trial_new, slopes = evaluate(trial)
             trial_residual = float(np.max(np.abs(trial_new - trial)))
             if lam is None or trial_residual <= (1.0 - 1e-4 * lam) * residual:
                 break
             del slopes
         x, new, residual = trial, trial_new, trial_residual
 
-    grid = TypeGrid(times, br, b_t)
-    noise = _bne_condition_noise(e0 + op @ br, grid)
+    grid = TypeGrid(times, x, b_t)
+    noise = _bne_condition_noise(a_samples, grid)
     if not noise <= MC_NOISE_LIMIT:
         raise MonteCarloNoise(
             f"relative stderr {noise:.3f} of the BNE expectation exceeds "

@@ -99,14 +99,18 @@ def open_earliest_n_prob(rate: float, s, n: int):
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr >= 0) & (s_arr < math.inf)):
         raise InvalidInput("s must be finite and >= 0")
-    lam_s = rate * s_arr
-    term = np.exp(-lam_s)
+    out = _poisson_head(rate * s_arr, n)
+    return out if out.ndim else float(out)
+
+
+def _poisson_head(lam, n: int):
+    """P(Poisson(lam) <= n-1), unvalidated, clipped to [0, 1]."""
+    term = np.exp(-lam)
     total = term.copy()
     for k in range(1, n):
-        term = term * lam_s / k
+        term = term * lam / k
         total += term
-    out = np.clip(total, 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return np.clip(total, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +121,14 @@ def _open_grid_times(config: OpenConfig, n: int, grid_size: int) -> np.ndarray:
     """Grid reaching past the participation region: out to where the reward
     schedule falls below e0 (or to negligible selection probability when
     e0 = 0)."""
+    if grid_size < 2:
+        raise InvalidInput("grid_size must be >= 2")
     rate, b, e0 = config.poisson.rate, config.max_reward, config.nature_effort
     floor = min(e0 / b, 0.999) if e0 > 0 else 0.0
     floor = max(floor, 1e-3)
 
     def gap(s):
-        return open_earliest_n_prob(rate, s, n) - floor
+        return float(_poisson_head(rate * s, n)) - floor
 
     hi = 1.0 / rate
     while gap(hi) > 0:
@@ -131,6 +137,18 @@ def _open_grid_times(config: OpenConfig, n: int, grid_size: int) -> np.ndarray:
             break
     s_max = bisect(gap, 0.0, hi, 1e-10) if gap(hi) <= 0 else hi
     return np.linspace(0.0, 1.25 * s_max, grid_size)
+
+
+def _epoch_positions(times: np.ndarray):
+    """positions(epochs), the fractional positions that `_interp_operator`
+    takes, on the open system's grid: it is uniform from 0, so an epoch lies
+    at epoch / spacing, one multiplication, held at the last index."""
+    scale, last = (times.size - 1) / times[-1], times.size - 1
+
+    def positions(epochs):
+        pos = epochs * scale
+        return np.minimum(pos, last, out=pos)
+    return positions
 
 
 def open_stage2_opponents(config: OpenConfig, mc_samples: int = 20_000,
@@ -161,8 +179,9 @@ def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
                            f"{mc_samples} sequences of truncation - 1 epochs")
     n = config.strategy.n
     times = _open_grid_times(config, n, grid_size)
-    b_t = config.max_reward * open_earliest_n_prob(config.poisson.rate, times, n)
-    return _iterate_grid_bne(times, b_t, _interp_operator(opponents, times),
+    b_t = config.max_reward * _poisson_head(config.poisson.rate * times, n)
+    return _iterate_grid_bne(times, b_t, _interp_operator(opponents, times,
+                                                          _epoch_positions(times)),
                              config.nature_effort)
 
 

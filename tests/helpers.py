@@ -10,6 +10,8 @@ from crowdcontest.bayesian_closed import (BayesianConfig, _binom_pmf, _grid_time
                                           _knots, earliest_n_prob, reward_schedule)
 from crowdcontest.contest import ContestConfig, best_response
 from crowdcontest.errors import InvalidInput, NoConvergence, NumericalError
+from crowdcontest.numerics import bisect
+from crowdcontest.open_system import open_earliest_n_prob
 
 #: step cap and damping of `fixed_point`
 FIXED_POINT_STEPS = 5000
@@ -222,6 +224,40 @@ def interp_operator_by_knots(panel: np.ndarray, times: np.ndarray) -> np.ndarray
     weights = np.stack([k + 1 - pos, pos - k], axis=-1)
     return np.bincount(cells.ravel(), weights.ravel(),
                        minlength=rows * size).reshape(rows, size)
+
+
+def condition_noise_two_pass(a_samples: np.ndarray, grid) -> float:
+    """The grid kernel's noise check as it was computed before it took two
+    moments: the largest relative standard error, np.std (ddof = 1) over
+    np.mean of A/(A+e)^2 per grid point whose effort is above 1e-3 of the
+    grid maximum; 0.0 without such points."""
+    active = grid.efforts > 1e-3 * float(np.max(grid.efforts, initial=0.0))
+    if not np.any(active):
+        return 0.0
+    a = a_samples[:, None]
+    vals = a / (a + grid.efforts[active][None, :]) ** 2
+    mean = np.mean(vals, axis=0)
+    stderr = np.std(vals, axis=0, ddof=1) / np.sqrt(a_samples.size)
+    return float(np.max(np.where(mean > 0, stderr / mean, 0.0)))
+
+
+def open_grid_times_by_public_prob(config, n: int, grid_size: int) -> np.ndarray:
+    """The open earliest-n type grid, searched as it was before the search
+    shared a private Poisson-head loop: every gap evaluation through the
+    public, validating `open_earliest_n_prob`."""
+    rate, b, e0 = config.poisson.rate, config.max_reward, config.nature_effort
+    floor = max(min(e0 / b, 0.999) if e0 > 0 else 0.0, 1e-3)
+
+    def gap(s):
+        return open_earliest_n_prob(rate, s, n) - floor
+
+    hi = 1.0 / rate
+    while gap(hi) > 0:
+        hi *= 2.0
+        if hi > 1e12 / rate:
+            break
+    s_max = bisect(gap, 0.0, hi, 1e-10) if gap(hi) <= 0 else hi
+    return np.linspace(0.0, 1.25 * s_max, grid_size)
 
 
 def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> float:

@@ -34,6 +34,7 @@ from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonMo
                                  StepWeight, UniformJoinTimes, sample_arrival_sequences)
 
 from helpers import (argpartition_payment, bne_quadrature_oracle,
+                     condition_noise_two_pass,
                      convolution_best_responses, interp_operator_by_columns,
                      interp_operator_by_knots, single_peaked,
                      termination_effort_e0_zero, threshold_analytic_bound,
@@ -1067,6 +1068,33 @@ class TestGridKernel:
         again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
         assert np.max(np.abs(again - grid.efforts)) <= 1e-6
+
+    @pytest.mark.parametrize("n_players, n", [(5, 4), (10, 5)])
+    def test_returned_grid_is_its_own_best_response(self, n_players, n):
+        # e0 = 0 on the stall grid's panel: the kernel certifies an iterate x
+        # by ||G(x) - x||_inf <= BNE_TOL and must return x itself; G(x) lies
+        # 2.7e-7 and 2.5e-7 from its own best responses here
+        cfg = en_config(n_players, n, e0_ratio=0.0,
+                        join_model=UniformJoinTimes(0.0, 6.0))
+        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        again, _ = bayesian_closed._expected_best_responses(
+            self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
+        assert np.max(np.abs(again - grid.efforts)) <= bayesian_closed.BNE_TOL
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("e0", [0.0, 0.05])
+    def test_condition_noise_matches_the_two_pass_std(self, seed, e0):
+        rng = spawn_rng(seed)
+        opposition = rng.exponential(size=3000) * rng.uniform(0.5, 2.0)
+        opposition[::11] = 0.0          # draws facing no opposition
+        # efforts below 1e-3 of the maximum are left out of the check
+        efforts = np.concatenate([[0.0, 1e-5], rng.uniform(1e-3, 2.0, size=30)])
+        grid = TypeGrid(np.arange(efforts.size, dtype=float), efforts,
+                        np.ones(efforts.size))
+        noise = bayesian_closed._bne_condition_noise(e0 + opposition, grid)
+        assert noise > 0
+        assert noise == pytest.approx(condition_noise_two_pass(e0 + opposition, grid),
+                                      rel=1e-9, abs=0.0)
 
     def test_condition_means_match_numpy(self):
         rng = spawn_rng(11)

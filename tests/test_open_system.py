@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crowdcontest import open_system
 from crowdcontest.bayesian_closed import (BLOCK_ROWS, EarliestN, LinearDecay,
-                                          Termination, TypeGrid, budget_tolerance,
-                                          effort_upper_bound)
+                                          Termination, TypeGrid, _interp_operator,
+                                          budget_tolerance, effort_upper_bound)
 from crowdcontest.errors import InvalidInput
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
@@ -20,9 +21,11 @@ from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
                                       solve_bne_open_termination,
                                       stage1_open_earliest_n,
                                       stage1_open_termination)
-from crowdcontest.timing import ConstantWeight, PoissonModel, StepWeight
+from crowdcontest.timing import (ConstantWeight, PoissonModel, StepWeight,
+                                 sample_arrival_sequences)
 
-from helpers import bne_quadrature_oracle, single_peaked, unblocked_stage1
+from helpers import (bne_quadrature_oracle, open_grid_times_by_public_prob,
+                     single_peaked, unblocked_stage1)
 
 
 def open_en(rate, truncation, n, e0_ratio, **kw):
@@ -196,6 +199,12 @@ class TestOpenEarliestNSolver:
         solo = math.sqrt(1.0 * 0.5) - 0.5
         assert sym - 1e-3 <= grid.efforts[0] <= solo + 1e-3
 
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_grid_of_fewer_than_two_points_is_invalid(self, grid_size):
+        with pytest.raises(InvalidInput, match="grid_size"):
+            solve_bne_open_earliest_n(open_en(2.0, 5, 2, e0_ratio=0.5), grid_size,
+                                      mc_samples=50)
+
     def test_rate_only_rescales_time(self):
         # the open system is scale-free: multiplying the arrival rate by c
         # compresses the effort schedule by c and changes nothing else
@@ -207,6 +216,59 @@ class TestOpenEarliestNSolver:
                                            mc_samples=20_000, seed=3)
         remapped = np.interp(g_slow.times * 0.05, g_fast.times, g_fast.efforts)
         assert np.max(np.abs(g_slow.efforts - remapped)) < 1e-12
+
+
+class TestOpenPlacement:
+    """The open grid is uniform from 0, and the operator places epochs on it
+    by one multiplication (`_epoch_positions`) instead of np.interp."""
+
+    @staticmethod
+    def _operators(panel, times):
+        return (_interp_operator(panel, times, open_system._epoch_positions(times)),
+                _interp_operator(panel, times))
+
+    @pytest.mark.parametrize("rows", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                      3 * BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("size", [3, 24])
+    def test_operator_matches_the_interp_placement(self, rows, size):
+        # arrival epochs: the first lie inside the grid, the last past its end
+        times = np.linspace(0.0, 1.5, size)
+        panel = sample_arrival_sequences(PoissonModel(rate=6.0, truncation=30),
+                                         spawn_rng(rows), rows)
+        op, expect = self._operators(panel, times)
+        assert np.max(np.abs(op - expect)) <= 1e-13
+        assert np.max(np.abs(op.sum(axis=1) - panel.shape[1])) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [2, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("kind", ["past-end", "no-columns"])
+    def test_panels_without_placed_columns_are_bit_identical(self, rows, kind):
+        times = np.linspace(0.0, 1.5, 24)
+        if kind == "past-end":
+            panel = times[-1] + spawn_rng(rows).exponential(size=(rows, 6))
+            panel[::3] = times[-1]
+        else:
+            panel = np.empty((rows, 0))
+        op, expect = self._operators(panel, times)
+        assert np.array_equal(op.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [2, 10, 19])
+    def test_solve_matches_the_interp_placement(self, n, monkeypatch):
+        # the benchmark's open sizes: 29 opponents, grid 24, 2000 sequences
+        cfg = open_en(9.0, 30, n, e0_ratio=0.5)
+        opponents = open_stage2_opponents(cfg, 2000, 4)
+        grid = solve_bne_open_earliest_n(cfg, 24, 2000, 4, opponents)
+        monkeypatch.setattr(open_system, "_epoch_positions", lambda times: None)
+        expect = solve_bne_open_earliest_n(cfg, 24, 2000, 4, opponents)
+        assert np.array_equal(grid.times, expect.times)
+        assert np.max(np.abs(grid.efforts - expect.efforts)) <= 1e-10
+
+    @pytest.mark.parametrize("e0_ratio", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("rate", [0.5, 9.0, 40.0])
+    def test_grid_matches_the_search_on_the_public_prob(self, rate, e0_ratio):
+        cfg = open_en(rate, 30, 1, e0_ratio=e0_ratio)
+        for n in range(1, 31):
+            assert np.array_equal(open_system._open_grid_times(cfg, n, 24),
+                                  open_grid_times_by_public_prob(cfg, n, 24))
 
 
 class TestOpenStage1:
