@@ -282,7 +282,7 @@ def earliest_n_prob(p, n_players: int, n_rewarded: int):
     if not 1 <= n_rewarded <= n_players:
         raise InvalidInput(f"need 1 <= n <= N, got n={n_rewarded}, N={n_players}")
     p_arr = np.asarray(p, dtype=float)
-    if np.any((p_arr < -1e-12) | (p_arr > 1 + 1e-12)):
+    if not np.all((p_arr >= -1e-12) & (p_arr <= 1 + 1e-12)):
         raise InvalidInput("p must lie in [0, 1]")
     p_arr = np.clip(p_arr, 0.0, 1.0)
     if n_rewarded == n_players:
@@ -316,8 +316,8 @@ def reward_schedule(config: BayesianConfig, times) -> np.ndarray:
 def effort_upper_bound(b_t, e0: float):
     """Analytic cap on the BNE effort at effective reward b(t):
     b(t)/4 when e0 <= b(t)/4, else b(t)^2 e0 / (4 (e0 + b(t)/4)^2)."""
-    if e0 < 0:
-        raise InvalidInput("e0 must be >= 0")
+    if not 0 <= e0 < math.inf:
+        raise InvalidInput(f"e0 must be finite and >= 0, got {e0!r}")
     b_arr = np.asarray(b_t, dtype=float)
     quarter = 0.25 * b_arr
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -619,39 +619,37 @@ def stage2_opponents(config: BayesianConfig, grid_size: int = 64,
     return Stage2Opponents(times, _interp_operator(opp_types, times))
 
 
-def _solve_grid_bne(config: BayesianConfig, grid_size: int, mc_samples: int,
-                    seed: RngSeed, opponents: Stage2Opponents | None) -> TypeGrid:
-    """Grid BNE of a closed config on a quantile-spaced grid, against
-    `opponents`, by default `stage2_opponents(config, grid_size, mc_samples,
-    seed)`, built here; a sweep passes the one it shares across its
-    configs."""
+def _solve_grid_bne(config: BayesianConfig,
+                    opponents: Stage2Opponents | None) -> TypeGrid:
+    """Grid BNE of a closed config on the grid of `opponents`, built here
+    when None; opponents whose grid is not the config's quantile-spaced grid
+    of their size were placed for another join model."""
     if opponents is None:
-        opponents = stage2_opponents(config, grid_size, mc_samples, seed)
-    elif not np.array_equal(opponents.times, _grid_times(config.join_model, grid_size)):
-        raise InvalidInput("opponents were placed on another type grid")
+        opponents = stage2_opponents(config)
+    elif not np.array_equal(opponents.times,
+                            _grid_times(config.join_model, opponents.times.size)):
+        raise InvalidInput("opponents were placed for another join model")
     times = opponents.times
     return _iterate_grid_bne(times, reward_schedule(config, times), opponents.operator,
                              config.nature_effort)
 
 
-def solve_bne_earliest_n(config: BayesianConfig, grid_size: int = 64,
-                         mc_samples: int = 20_000, seed: RngSeed = 0,
+def solve_bne_earliest_n(config: BayesianConfig,
                          opponents: Stage2Opponents | None = None) -> TypeGrid:
     """Stage-II BNE of the earliest-n strategy on a quantile-spaced grid,
     against `opponents` (`stage2_opponents`, built here when None)."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    return _solve_grid_bne(config, grid_size, mc_samples, seed, opponents)
+    return _solve_grid_bne(config, opponents)
 
 
-def solve_bne_linear(config: BayesianConfig, grid_size: int = 64,
-                     mc_samples: int = 20_000, seed: RngSeed = 0,
+def solve_bne_linear(config: BayesianConfig,
                      opponents: Stage2Opponents | None = None) -> TypeGrid:
     """Stage-II BNE of the linearly-decreasing strategy (same machinery as
     earliest-n with b(t) = max(0, b - h t))."""
     if not isinstance(config.strategy, LinearDecay):
         raise InvalidInput("config.strategy must be LinearDecay")
-    return _solve_grid_bne(config, grid_size, mc_samples, seed, opponents)
+    return _solve_grid_bne(config, opponents)
 
 
 def participation_threshold(grid: TypeGrid) -> float:
@@ -989,9 +987,7 @@ def _calibrated(config, solve, stage1) -> tuple[TypeGrid | float, StageOneReport
                        assume_linear=scales_with_reward(config.strategy))[1]
 
 
-def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
-                      mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                      seed: RngSeed = 0,
+def calibrated_stage1(config: BayesianConfig,
                       draws: tuple[Stage1Panel, Stage2Opponents] | TerminationTables
                       | None = None) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
@@ -1004,15 +1000,13 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     decay solves both stages at each b of its root search (`calibrate_b`)
     because a fixed velocity breaks the scaling.
 
-    Every Stage-I evaluation of the calibration runs on one panel and every
-    Stage-II solve against one set of opponents, or, for a termination
-    strategy, on its exact tables (`termination_tables`): `draws`, by
-    default `config.draws(grid_size, mc_samples, stage1_samples, seed)`,
-    built here; a sweep passes the draws it shares across the configs of a
-    prior, and the tables across the e0 ratios of a deadline.
+    Every evaluation runs on `draws` (`config.draws()` when None): one
+    Stage-I panel and one set of Stage-II opponents, or a termination
+    strategy's exact tables. A sweep passes the draws it shares across the
+    configs of a prior, and the tables across the e0 ratios of a deadline.
     """
     if draws is None:
-        draws = config.draws(grid_size, mc_samples, stage1_samples, seed)
+        draws = config.draws()
     s = config.strategy
     if isinstance(s, Termination):
         # the effort at b is b times the effort at b = 1, e0 = e0_ratio
@@ -1023,5 +1017,5 @@ def calibrated_stage1(config: BayesianConfig, grid_size: int = 64,
     solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
     panel, opponents = draws
     return _calibrated(
-        config, lambda cfg: solve(cfg, grid_size, mc_samples, seed, opponents),
+        config, lambda cfg: solve(cfg, opponents),
         lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel))

@@ -325,8 +325,10 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise ConfigError("e0_ratio must be >= 0", "experiment.e0_ratio")
     with _field("experiment.sweep"):
         for value in sweep_values:
-            if mode == "complete_info" and not 1 <= int(round(value)) <= spec.n_players:
-                raise ConfigError("n must lie in [1, n_players]", "experiment.sweep")
+            if mode == "complete_info" and not (float(value).is_integer()
+                                                and 1 <= value <= spec.n_players):
+                raise ConfigError(f"n must be an integer in [1, n_players], got {value}",
+                                  "experiment.sweep")
             if mode in ("closed", "open"):
                 # build each sweep value's config now, so that a value its
                 # strategy rejects (say n outside [1, N], or [1, M] in open
@@ -352,7 +354,8 @@ def _meta(spec: ExperimentSpec) -> dict:
 
 def _strategy_obj(spec: ExperimentSpec, value: float) -> bc.Strategy:
     if spec.strategy == "earliest_n":
-        return bc.EarliestN(int(round(value)))
+        # a fractional n goes through as it is, for EarliestN to reject
+        return bc.EarliestN(int(value) if float(value).is_integer() else value)
     if spec.strategy == "termination":
         return bc.Termination(value)
     return bc.LinearDecay(value)
@@ -386,8 +389,7 @@ def _calibrate_all(configs, draws: dict, grid_size: int, mc_samples: int,
         cfg, cfg_draws = item
         calibrate = bc.calibrated_stage1 if isinstance(cfg, bc.BayesianConfig) \
             else osys.calibrated_open_stage1
-        return calibrate(cfg, grid_size=grid_size, mc_samples=mc_samples,
-                         stage1_samples=stage1_samples, seed=seed, draws=cfg_draws)
+        return calibrate(cfg, cfg_draws)
 
     return _parallel_map(calibrated, [(cfg, draws_of(cfg)) for cfg in configs])
 

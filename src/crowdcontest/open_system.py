@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,16 +72,15 @@ class OpenConfig:
 
     def draws(self, grid_size: int = 64, mc_samples: int = 20_000,
               stage1_samples: int = 100_000, seed: RngSeed = 0
-              ) -> tuple[Stage1Panel, np.ndarray] | TerminationTables:
-        """The prior's Stage-I panel, from seed + 1, and its Stage-II arrival
-        sequences, from seed; for a termination strategy its exact tables
-        (`open_termination_tables`), which take no sizes or seed. The type
-        grid changes with n, so the panel keeps no knots and `grid_size`
-        goes unused."""
+              ) -> tuple[Stage1Panel, OpenOpponents] | TerminationTables:
+        """The prior's Stage-I panel, from seed + 1, and its Stage-II
+        opponents, from seed, for grids of grid_size points; for a termination
+        strategy its exact tables (`open_termination_tables`), which take no
+        sizes or seed. The type grid changes with n, so the panel keeps no knots."""
         if isinstance(self.strategy, Termination):
             return open_termination_tables(self)
         return (open_stage1_panel(self, stage1_samples, seed + 1),
-                open_stage2_opponents(self, mc_samples, seed))
+                open_stage2_opponents(self, grid_size, mc_samples, seed))
 
 
 def _check_rate(rate: float) -> None:
@@ -121,8 +121,6 @@ def _open_grid_times(config: OpenConfig, n: int, grid_size: int) -> np.ndarray:
     """Grid reaching past the participation region: out to where the reward
     schedule falls below e0 (or to negligible selection probability when
     e0 = 0)."""
-    if grid_size < 2:
-        raise InvalidInput("grid_size must be >= 2")
     rate, b, e0 = config.poisson.rate, config.max_reward, config.nature_effort
     floor = min(e0 / b, 0.999) if e0 > 0 else 0.0
     floor = max(floor, 1e-3)
@@ -151,36 +149,47 @@ def _epoch_positions(times: np.ndarray):
     return positions
 
 
-def open_stage2_opponents(config: OpenConfig, mc_samples: int = 20_000,
-                          seed: RngSeed = 0) -> np.ndarray:
+class OpenOpponents(NamedTuple):
+    """Stage-II opponents of an open prior (`open_stage2_opponents`): the
+    `grid_size` of the type grid each solve places them on, and the
+    read-only (M-1)-epoch arrival sequences `epochs`, one per row."""
+
+    grid_size: int
+    epochs: np.ndarray
+
+
+def open_stage2_opponents(config: OpenConfig, grid_size: int = 64,
+                          mc_samples: int = 20_000, seed: RngSeed = 0) -> OpenOpponents:
     """Stage-II opponents of an open config's prior: mc_samples (M-1)-epoch
-    arrival sequences from the stream (seed, 0x09e4), read-only. They depend
-    only on the Poisson model, so one panel serves every n and reward of a
-    sweep; the type grid changes with n, so each solve places them on its
-    own."""
+    arrival sequences from the stream (seed, 0x09e4), for solves on grids of
+    grid_size points. They depend only on the Poisson model, so one set
+    serves every n and reward of a sweep; the type grid changes with n, so
+    each solve places them on its own."""
+    if grid_size < 2:
+        raise InvalidInput("grid_size must be >= 2")
     epochs = sample_arrival_sequences(config.poisson, spawn_rng(seed, 0x09e4),
                                       mc_samples, config.poisson.truncation - 1)
     epochs.setflags(write=False)
-    return epochs
+    return OpenOpponents(grid_size, epochs)
 
 
-def solve_bne_open_earliest_n(config: OpenConfig, grid_size: int = 64,
-                              mc_samples: int = 20_000, seed: RngSeed = 0,
-                              opponents: np.ndarray | None = None) -> TypeGrid:
-    """Stage-II BNE with b(s) = b P(N(s) <= n-1); after isolating the tagged
-    contributor, opponents form a fresh (M-1)-epoch Poisson sequence, the
-    rows of `opponents` (`open_stage2_opponents`, built here when None)."""
+def solve_bne_open_earliest_n(config: OpenConfig,
+                              opponents: OpenOpponents | None = None) -> TypeGrid:
+    """Stage-II BNE with b(s) = b P(N(s) <= n-1) on a grid of
+    `opponents.grid_size` points; after isolating the tagged contributor,
+    opponents form a fresh (M-1)-epoch Poisson sequence, the rows of
+    `opponents.epochs` (`open_stage2_opponents`, built here when None)."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
     if opponents is None:
-        opponents = open_stage2_opponents(config, mc_samples, seed)
-    elif opponents.shape != (mc_samples, config.poisson.truncation - 1):
-        raise InvalidInput(f"opponent panel of shape {opponents.shape} does not hold "
-                           f"{mc_samples} sequences of truncation - 1 epochs")
+        opponents = open_stage2_opponents(config)
+    elif opponents.epochs.shape[1:] != (config.poisson.truncation - 1,):
+        raise InvalidInput(f"opponent sequences of shape {opponents.epochs.shape} do "
+                           f"not hold truncation - 1 epochs")
     n = config.strategy.n
-    times = _open_grid_times(config, n, grid_size)
+    times = _open_grid_times(config, n, opponents.grid_size)
     b_t = config.max_reward * _poisson_head(config.poisson.rate * times, n)
-    return _iterate_grid_bne(times, b_t, _interp_operator(opponents, times,
+    return _iterate_grid_bne(times, b_t, _interp_operator(opponents.epochs, times,
                                                           _epoch_positions(times)),
                              config.nature_effort)
 
@@ -224,8 +233,8 @@ def open_termination_prob(rate: float, deadline: float, k) -> float | np.ndarray
     if not 0 < lam_t < math.inf:
         raise InvalidInput(f"rate * deadline must be finite and > 0, got {lam_t!r}")
     k_arr = np.asarray(k)
-    if np.any(k_arr < 0):
-        raise InvalidInput("k must be >= 0")
+    if not np.all(np.isfinite(k_arr) & (k_arr >= 0) & (k_arr == np.round(k_arr))):
+        raise InvalidInput(f"k must be integers >= 0, got {k!r}")
     log_p = (k_arr + 1.0) * math.log(lam_t) - lam_t \
         - np.array([math.lgamma(j + 2.0) for j in np.ravel(k_arr).tolist()]
                    ).reshape(k_arr.shape) - math.log(-math.expm1(-lam_t))
@@ -295,30 +304,22 @@ def stage1_open_termination(config: OpenConfig, e_star: float | None = None,
     return _termination_report(config, e_star, tables)
 
 
-def calibrated_open_stage1(config: OpenConfig, grid_size: int = 64,
-                           mc_samples: int = 20_000, stage1_samples: int = 100_000,
-                           seed: RngSeed = 0,
-                           draws: tuple[Stage1Panel, np.ndarray] | TerminationTables
+def calibrated_open_stage1(config: OpenConfig,
+                           draws: tuple[Stage1Panel, OpenOpponents] | TerminationTables
                            | None = None) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward (`_calibrated`): the effort grid, or the in-time effort
     e* of the termination strategy. Both open strategies scale linearly in b
     (e0 tracks b), so each stage runs once, at the configured reward, and its
-    result is scaled to b*. Earliest-n runs Stage I on the panel and Stage II
-    against the arrival sequences of `draws`, termination both stages on its
-    exact tables (`open_termination_tables`): `draws`, by default
-    `config.draws` with these sizes and seed, built here; a sweep passes the
-    draws it shares across the configs of a prior, and the tables across the
-    e0 ratios of a deadline."""
+    result is scaled to b*. Both stages run on `draws` (`config.draws()` when
+    None), as in `calibrated_stage1`."""
     if draws is None:
-        draws = config.draws(grid_size, mc_samples, stage1_samples, seed)
+        draws = config.draws()
     if isinstance(config.strategy, Termination):
         return _calibrated(
             config, lambda cfg: solve_bne_open_termination(cfg, draws),
             lambda cfg, e_star: stage1_open_termination(cfg, e_star, draws))
     panel, opponents = draws
     return _calibrated(
-        config,
-        lambda cfg: solve_bne_open_earliest_n(cfg, grid_size, mc_samples, seed,
-                                              opponents),
+        config, lambda cfg: solve_bne_open_earliest_n(cfg, opponents),
         lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel))

@@ -55,8 +55,8 @@ class UniformJoinTimes(JoinTimeModel):
     hi: float = 1.0
 
     def __post_init__(self):
-        if not self.hi > self.lo:
-            raise InvalidInput(f"need hi > lo, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise InvalidInput(f"need finite hi > lo, got [{self.lo}, {self.hi}]")
         object.__setattr__(self, "support", (self.lo, self.hi))
 
     def cdf(self, t):
@@ -77,8 +77,8 @@ class ExponentialJoinTimes(JoinTimeModel):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise InvalidInput("rate must be > 0")
+        if not 0 < self.rate < math.inf:
+            raise InvalidInput(f"rate must be finite and > 0, got {self.rate!r}")
         object.__setattr__(self, "support", (0.0, math.inf))
 
     def cdf(self, t):
@@ -101,9 +101,9 @@ class TableJoinTimes(JoinTimeModel):
         ys = np.asarray(cdf_values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise InvalidInput("need matching 1-d knot arrays with >= 2 points")
-        if np.any(np.diff(xs) <= 0):
-            raise InvalidInput("knot times must be strictly increasing")
-        if np.any(np.diff(ys) < 0) or abs(ys[0]) > 1e-9 or abs(ys[-1] - 1.0) > 1e-9:
+        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+            raise InvalidInput("knot times must be finite and strictly increasing")
+        if not np.all(np.diff(ys) >= 0) or abs(ys[0]) > 1e-9 or abs(ys[-1] - 1.0) > 1e-9:
             raise InvalidInput("cdf knots must rise from 0 to 1")
         self._xs = xs
         self._ys = ys
@@ -275,10 +275,10 @@ class StepWeight(WeightFunction):
         object.__setattr__(self, "values", vals)
         if len(bp) != len(vals) or len(bp) < 1:
             raise InvalidInput("need one value per breakpoint")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise InvalidInput("breakpoints must be strictly increasing")
-        if any(v < 0 for v in vals):
-            raise InvalidInput("weights must be >= 0")
+        if not all(-math.inf < b1 < b2 for b1, b2 in zip(bp, bp[1:] + (math.inf,))):
+            raise InvalidInput("breakpoints must be finite and strictly increasing")
+        if not all(0 <= v < math.inf for v in vals):
+            raise InvalidInput("weights must be finite and >= 0")
         if any(v2 > v1 for v1, v2 in zip(vals, vals[1:])):
             raise InvalidInput("step weights must be nonincreasing")
 
@@ -310,8 +310,9 @@ class InversePowerWeight(WeightFunction):
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.power <= 0 or self.scale <= 0:
-            raise InvalidInput("power and scale must be > 0")
+        if not (0 < self.power < math.inf and 0 < self.scale < math.inf
+                and math.isfinite(self.t0)):
+            raise InvalidInput("power and scale must be finite and > 0, t0 finite")
 
     def __call__(self, t):
         rel = np.maximum(np.asarray(t, dtype=float) - self.t0, 0.0)
@@ -341,10 +342,10 @@ class TableWeight(WeightFunction):
         ys = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise InvalidInput("need matching 1-d knot arrays with >= 2 points")
-        if np.any(np.diff(xs) <= 0):
-            raise InvalidInput("knot times must be strictly increasing")
-        if np.any(ys < 0):
-            raise InvalidInput("weights must be >= 0")
+        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+            raise InvalidInput("knot times must be finite and strictly increasing")
+        if not np.all((ys >= 0) & (ys < math.inf)):
+            raise InvalidInput("weights must be finite and >= 0")
         if np.any(np.diff(ys) > 1e-12):
             raise InvalidInput("table weights must be nonincreasing")
         self._xs = xs
@@ -368,8 +369,8 @@ class ConstantWeight(WeightFunction):
     value: float = 1.0
 
     def __post_init__(self):
-        if self.value < 0:
-            raise InvalidInput("weight must be >= 0")
+        if not 0 <= self.value < math.inf:
+            raise InvalidInput(f"weight must be finite and >= 0, got {self.value!r}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -404,8 +405,10 @@ class PoissonModel:
 def poisson_pmf(model: PoissonModel, t: float, m) -> float | np.ndarray:
     """P(N(t) = m) = (rate t)^m exp(-rate t) / m!."""
     m_arr = np.asarray(m)
-    if np.any(m_arr < 0) or t < 0:
-        raise InvalidInput("need m >= 0 and t >= 0")
+    if not np.all(np.isfinite(m_arr) & (m_arr >= 0) & (m_arr == np.round(m_arr))):
+        raise InvalidInput(f"m must be integers >= 0, got {m!r}")
+    if not 0 <= t < math.inf:
+        raise InvalidInput(f"t must be finite and >= 0, got {t!r}")
     lam_t = model.rate * t
     if lam_t == 0.0:
         out = np.where(m_arr == 0, 1.0, 0.0)

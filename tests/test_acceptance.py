@@ -15,7 +15,8 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           participation_threshold,
                                           solve_bne_earliest_n,
                                           solve_bne_termination,
-                                          stage1_metrics_mc, stage1_panel)
+                                          stage1_metrics_mc, stage1_panel,
+                                          stage2_opponents)
 from crowdcontest.contest import (ContestConfig, efficiency_identical,
                                   solve_ne, symmetric_ne)
 from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
@@ -127,8 +128,7 @@ def test_criterion_06_consistency_triangle():
 
         en_cfg = BayesianConfig(n_players=n, strategy=EarliestN(n),
                                 join_model=model, max_reward=b, e0_ratio=ratio)
-        grid = solve_bne_earliest_n(en_cfg, grid_size=16, mc_samples=2000,
-                                    seed=i)
+        grid = solve_bne_earliest_n(en_cfg, stage2_opponents(en_cfg, 16, 2000, i))
         assert np.max(np.abs(grid.efforts - sym)) <= 1e-4
         assert np.all(grid.efforts <= effort_upper_bound(grid.b_values,
                                                          en_cfg.nature_effort) + 1e-10)
@@ -167,8 +167,7 @@ def test_criterion_08_budget_balance_across_ratios():
         cfg = BayesianConfig(n_players=6, strategy=EarliestN(3),
                              join_model=model, weightfn=PAPER_STEP,
                              e0_ratio=ratio, budget=1.0)
-        grid, rep = calibrated_stage1(cfg, grid_size=25, mc_samples=3000,
-                                      stage1_samples=40_000, seed=88)
+        grid, rep = calibrated_stage1(cfg, cfg.draws(25, 3000, 40_000, 88))
         fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), grid,
                                   stage1_panel(cfg, 40_000, 4242))
         assert abs(fresh.expected_payment - 1.0) <= budget_tolerance(
@@ -185,9 +184,7 @@ def test_criterion_08_budget_balance_across_ratios():
         cfg_o = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=20),
                            strategy=EarliestN(4), weightfn=PAPER_STEP,
                            e0_ratio=ratio, budget=1.0)
-        grid_o, rep_o = calibrated_open_stage1(cfg_o, grid_size=25,
-                                               mc_samples=3000,
-                                               stage1_samples=40_000, seed=89)
+        grid_o, rep_o = calibrated_open_stage1(cfg_o, cfg_o.draws(25, 3000, 40_000, 89))
         fresh_o = stage1_open_earliest_n(cfg_o.with_reward(rep_o.calibrated_b),
                                          grid_o, open_stage1_panel(cfg_o, 40_000, 4243))
         assert abs(fresh_o.expected_payment - 1.0) <= budget_tolerance(
@@ -256,7 +253,7 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
     cfg_e = BayesianConfig(n_players=20, strategy=EarliestN(6),
                            join_model=model, weightfn=PAPER_STEP,
                            e0_ratio=0.5, budget=1.0)
-    grid = solve_bne_earliest_n(cfg_e, grid_size=49, mc_samples=2500, seed=6)
+    grid = solve_bne_earliest_n(cfg_e, stage2_opponents(cfg_e, 49, 2500, 6))
     assert np.all(np.diff(grid.efforts) <= 1e-12)
     cutoff = participation_threshold(grid)
     assert cutoff < grid.times[-1]
@@ -269,8 +266,7 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
             cfg_n = BayesianConfig(n_players=20, strategy=EarliestN(n),
                                    join_model=model, weightfn=PAPER_STEP,
                                    e0_ratio=0.5, budget=budget)
-            _, rep = calibrated_stage1(cfg_n, grid_size=33, mc_samples=2500,
-                                       stage1_samples=20_000, seed=7)
+            _, rep = calibrated_stage1(cfg_n, cfg_n.draws(33, 2500, 20_000, 7))
             bs.append(rep.calibrated_b)
         assert all(b2 < b1 for b1, b2 in zip(bs, bs[1:])), bs
 
@@ -295,8 +291,7 @@ def test_criterion_10_effort_cap_on_all_grids(synthetic_trace_model):
             cfg = BayesianConfig(n_players=20, strategy=EarliestN(n),
                                  join_model=model, weightfn=PAPER_STEP,
                                  e0_ratio=ratio, budget=1.0)
-            grid = solve_bne_earliest_n(cfg, grid_size=33, mc_samples=2500,
-                                        seed=10)
+            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 33, 2500, 10))
             cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
             assert np.all(grid.efforts <= cap + 1e-10)
             checked += 1
@@ -305,9 +300,10 @@ def test_criterion_10_effort_cap_on_all_grids(synthetic_trace_model):
         cfg_o = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=20),
                            strategy=EarliestN(5), weightfn=PAPER_STEP,
                            e0_ratio=ratio, budget=1.0)
-        from crowdcontest.open_system import solve_bne_open_earliest_n
-        grid_o = solve_bne_open_earliest_n(cfg_o, grid_size=33,
-                                           mc_samples=2500, seed=11)
+        from crowdcontest.open_system import (open_stage2_opponents,
+                                              solve_bne_open_earliest_n)
+        grid_o = solve_bne_open_earliest_n(cfg_o,
+                                           open_stage2_opponents(cfg_o, 33, 2500, 11))
         cap = effort_upper_bound(grid_o.b_values, cfg_o.nature_effort)
         assert np.all(grid_o.efforts <= cap + 1e-10)
         checked += 1

@@ -22,14 +22,15 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
                                           solve_bne_linear,
                                           solve_bne_termination,
                                           stage1_metrics_mc, stage1_panel,
-                                          stage1_metrics_termination)
+                                          stage1_metrics_termination, stage2_opponents)
 from crowdcontest.contest import symmetric_ne
 from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise,
                                  NoConvergence)
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import bisect, spawn_rng
 from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
-                                      stage1_open_earliest_n, stage1_open_termination)
+                                      open_stage2_opponents, stage1_open_earliest_n,
+                                      stage1_open_termination)
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
                                  StepWeight, UniformJoinTimes, sample_arrival_sequences)
 
@@ -81,6 +82,12 @@ class TestEarliestNProb:
         with pytest.raises(InvalidInput):
             earliest_n_prob(1.5, 3, 1)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf,
+                                   np.array([0.2, math.nan])])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(InvalidInput, match="p must lie"):
+            earliest_n_prob(p, 5, 2)
+
     @pytest.mark.parametrize("n_players", [10.0, 10.5, None])
     def test_player_count_must_be_an_integer(self, n_players):
         with pytest.raises(InvalidInput):
@@ -121,6 +128,11 @@ class TestEffortUpperBound:
     def test_high_nature_branch(self):
         assert effort_upper_bound(1.0, 0.5) == pytest.approx(0.25 * 0.5 / 0.75**2)
 
+    @pytest.mark.parametrize("e0", [math.nan, math.inf, -0.1])
+    def test_e0_must_be_finite_and_non_negative(self, e0):
+        with pytest.raises(InvalidInput, match="e0"):
+            effort_upper_bound(1.0, e0)
+
     def test_zero_reward(self):
         assert effort_upper_bound(0.0, 0.3) == 0.0
 
@@ -128,7 +140,7 @@ class TestEffortUpperBound:
 class TestEarliestNSolver:
     def test_single_player_foc(self):
         cfg = en_config(1, 1, e0_ratio=0.25)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=64, seed=0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 64, 0))
         assert np.allclose(grid.efforts, 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("e0_ratio", [1e-6, 1e-4, 1e-3, 0.1, 0.5])
@@ -142,7 +154,7 @@ class TestEarliestNSolver:
         # from another start stalled
         calls = count_kernel_evaluations(monkeypatch)
         cfg = en_config(n_players, n_players, e0_ratio=e0_ratio)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
         assert len(calls) == 2
         assert np.unique(grid.efforts).size == 1
         expect = symmetric_ne(n_players, 1.0, cfg.nature_effort)
@@ -154,7 +166,7 @@ class TestEarliestNSolver:
         # N=3, n=1, uniform prior, e0 = 0.2 b: early types fight, late types
         # sit out past a hard threshold
         cfg = en_config(3, 1, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, grid_size=33, mc_samples=8000, seed=2)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 33, 8000, 2))
         e_at = lambda t: float(np.interp(t, grid.times, grid.efforts))
         assert e_at(0.0) > e_at(0.3) > e_at(0.4) > 0.0
         assert e_at(0.55) == 0.0
@@ -165,7 +177,7 @@ class TestEarliestNSolver:
 
     def test_matches_quadrature_oracle_two_players(self):
         cfg = en_config(2, 1, e0_ratio=0.3)
-        grid = solve_bne_earliest_n(cfg, grid_size=25, mc_samples=30_000, seed=3)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 25, 30_000, 3))
         oracle = bne_quadrature_oracle(grid.b_values, grid.times, 2,
                                        cfg.nature_effort, UNIFORM01.quantile,
                                        n_nodes=4000)
@@ -173,7 +185,7 @@ class TestEarliestNSolver:
 
     def test_matches_quadrature_oracle_three_players(self):
         cfg = en_config(3, 1, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, grid_size=25, mc_samples=30_000, seed=4)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 25, 30_000, 4))
         oracle = bne_quadrature_oracle(grid.b_values, grid.times, 3,
                                        cfg.nature_effort, UNIFORM01.quantile,
                                        n_nodes=300)
@@ -186,7 +198,7 @@ class TestEarliestNSolver:
         # kernel's own, stderr(A/(A+e)^2) / (2 E[A/(A+e)^3]) per point: 5.9e-4
         # apart here, against an error of up to 1.7e-3
         cfg = en_config(20, 10, e0_ratio=0.1)
-        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         oracle = convolution_best_responses(grid.b_values, grid.times, 20,
                                             cfg.nature_effort, UNIFORM01.quantile,
                                             grid.efforts)
@@ -202,7 +214,7 @@ class TestEarliestNSolver:
         # at active grid points the equilibrium condition holds within the
         # Monte Carlo noise band
         cfg = en_config(3, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, grid_size=21, mc_samples=20_000, seed=5)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 21, 20_000, 5))
         rng = spawn_rng(999)
         opp = UNIFORM01.sample(rng, 40_000 * 2).reshape(40_000, 2)
         a = cfg.nature_effort + grid.interp(opp).sum(axis=1)
@@ -215,7 +227,7 @@ class TestEarliestNSolver:
     def test_efforts_below_upper_bound(self):
         for ratio in (0.2, 0.5, 0.8):
             cfg = en_config(4, 2, e0_ratio=ratio)
-            grid = solve_bne_earliest_n(cfg, grid_size=21, mc_samples=4000, seed=6)
+            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 21, 4000, 6))
             cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
             assert np.all(grid.efforts <= cap + 1e-10)
 
@@ -223,19 +235,19 @@ class TestEarliestNSolver:
 class TestParticipationThreshold:
     def test_full_quota_everyone_active(self):
         cfg = en_config(2, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
         assert participation_threshold(grid) == pytest.approx(1.0)
 
     def test_priced_out_everywhere(self):
         cfg = en_config(2, 2, e0_ratio=1.5)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
         assert participation_threshold(grid) == pytest.approx(0.0)
 
     def test_binding_threshold_near_analytic_bound(self):
         # with one opponent slot the bound b(t) = e0 pins the cutoff to
         # within one grid cell when opponents' efforts vanish there
         cfg = en_config(3, 1, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, grid_size=65, mc_samples=8000, seed=7)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 65, 8000, 7))
         bound = threshold_analytic_bound(cfg)
         assert participation_threshold(grid) <= bound + 1e-9
 
@@ -457,7 +469,7 @@ class TestTerminationStage1:
 class TestStage1EarliestN:
     def test_full_quota_no_nature_spends_everything(self):
         cfg = en_config(2, 2, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=512, seed=1)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
         rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 4000, 2))
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == pytest.approx(0.0, abs=1e-12)
@@ -466,13 +478,13 @@ class TestStage1EarliestN:
 
     def test_one_draw_gives_no_standard_error(self):
         cfg = en_config(4, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=1)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 2000, 1))
         with pytest.raises(InvalidInput):
             stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 1, 2))
 
     def test_panel_of_another_prior_is_invalid(self):
         cfg = en_config(4, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=1)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 2000, 1))
         with pytest.raises(InvalidInput, match="n_players"):
             stage1_metrics_mc(cfg, grid, stage1_panel(en_config(5, 2, 0.5), 100, 2))
 
@@ -506,7 +518,7 @@ class TestStage1EarliestN:
 
     def test_single_player_payment(self):
         cfg = en_config(1, 1, e0_ratio=0.25)
-        grid = solve_bne_earliest_n(cfg, grid_size=12, mc_samples=64, seed=0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 64, 0))
         rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 2000, 3))
         assert rep.expected_payment == pytest.approx(0.5, abs=1e-12)
 
@@ -516,7 +528,7 @@ class TestStage1EarliestN:
         # quadrature as an independent oracle for the Monte Carlo path
         w = StepWeight((0.0, 0.5), (1.0, 0.4))
         cfg = en_config(2, 1, e0_ratio=0.3, weightfn=w)
-        grid = solve_bne_earliest_n(cfg, grid_size=25, mc_samples=20_000, seed=13)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 25, 20_000, 13))
         rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 150_000, 14))
 
         nodes = UNIFORM01.quantile((np.arange(600) + 0.5) / 600)
@@ -542,8 +554,7 @@ class TestCalibration:
     def test_complete_info_identity(self):
         # full quota, no nature: E[R] = b so the calibrated b is the budget
         cfg = en_config(2, 2, e0_ratio=0.0, budget=0.7)
-        grid, rep = calibrated_stage1(cfg, grid_size=12, mc_samples=512,
-                                      stage1_samples=4000, seed=0)
+        grid, rep = calibrated_stage1(cfg, cfg.draws(12, 512, 4000, 0))
         assert rep.calibrated_b == pytest.approx(0.7, abs=1e-9)
 
     def test_termination_algebra_oracle(self):
@@ -563,16 +574,15 @@ class TestCalibration:
         kw = dict(grid_size=16, mc_samples=1000, stage1_samples=8000, seed=4)
         cfg1 = en_config(3, 2, e0_ratio=0.5, budget=0.8)
         cfg2 = en_config(3, 2, e0_ratio=0.5, budget=1.6)
-        _, rep1 = calibrated_stage1(cfg1, **kw)
-        _, rep2 = calibrated_stage1(cfg2, **kw)
+        _, rep1 = calibrated_stage1(cfg1, cfg1.draws(**kw))
+        _, rep2 = calibrated_stage1(cfg2, cfg2.draws(**kw))
         assert rep2.calibrated_b == pytest.approx(2 * rep1.calibrated_b, rel=1e-6)
         assert rep2.expected_efficiency == pytest.approx(rep1.expected_efficiency,
                                                          rel=1e-6)
 
     def test_fresh_seed_budget_balance(self):
         cfg = en_config(4, 2, e0_ratio=0.5, budget=1.0)
-        grid, rep = calibrated_stage1(cfg, grid_size=25, mc_samples=4000,
-                                      stage1_samples=40_000, seed=11)
+        grid, rep = calibrated_stage1(cfg, cfg.draws(25, 4000, 40_000, 11))
         fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), grid,
                                   stage1_panel(cfg, 40_000, 777))
         tol = budget_tolerance(cfg.budget, fresh.payment_stderr)
@@ -581,10 +591,9 @@ class TestCalibration:
     def test_rescale_matches_direct_resolve(self):
         # the b=1 solve rescaled to b* agrees with re-solving at b* outright
         cfg = en_config(3, 1, e0_ratio=0.5, budget=1.0)
-        grid, rep = calibrated_stage1(cfg, grid_size=25, mc_samples=6000,
-                                      stage1_samples=20_000, seed=12)
+        grid, rep = calibrated_stage1(cfg, cfg.draws(25, 6000, 20_000, 12))
         direct = solve_bne_earliest_n(cfg.with_reward(rep.calibrated_b),
-                                      grid_size=25, mc_samples=6000, seed=12)
+                                      stage2_opponents(cfg, 25, 6000, 12))
         assert np.max(np.abs(direct.efforts - grid.efforts)) < 1e-6
 
     def test_infeasible_budget(self):
@@ -662,14 +671,14 @@ class TestCalibration:
         if system == "closed-earliest-n":
             cfg = en_config(5, 2, e0_ratio=0.4, budget=1.7)
             draws = cfg.draws(stage1_samples=20_000, **kw)
-            solution, rep = calibrated_stage1(cfg, draws=draws, **kw)
+            solution, rep = calibrated_stage1(cfg, draws=draws)
             fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), solution,
                                       draws[0])
         elif system == "open-earliest-n":
             cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
                              strategy=EarliestN(3), e0_ratio=0.4, budget=1.7)
             draws = cfg.draws(stage1_samples=20_000, **kw)
-            solution, rep = calibrated_open_stage1(cfg, draws=draws, **kw)
+            solution, rep = calibrated_open_stage1(cfg, draws=draws)
             fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), solution,
                                            draws[0])
         elif system == "closed-termination":
@@ -706,10 +715,11 @@ class TestCalibration:
         for name in ("solve_bne_open_earliest_n", "stage1_open_earliest_n"):
             counted(open_system, name)
         kw = dict(grid_size=16, mc_samples=2000, stage1_samples=4000, seed=2)
-        calibrated_stage1(en_config(4, 2, e0_ratio=0.5), **kw)
-        calibrated_open_stage1(OpenConfig(poisson=PoissonModel(rate=4.0, truncation=8),
-                                          strategy=EarliestN(2), e0_ratio=0.5),
-                               **kw)
+        closed = en_config(4, 2, e0_ratio=0.5)
+        calibrated_stage1(closed, closed.draws(**kw))
+        open_ = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=8),
+                           strategy=EarliestN(2), e0_ratio=0.5)
+        calibrated_open_stage1(open_, open_.draws(**kw))
         assert sorted(calls) == ["solve_bne_earliest_n", "solve_bne_open_earliest_n",
                                  "stage1_metrics_mc", "stage1_open_earliest_n"]
 
@@ -731,25 +741,65 @@ class TestCalibration:
                                                            rel=1e-9)
 
 
+def assert_grids_identical(a: TypeGrid, b: TypeGrid) -> None:
+    for field in ("times", "efforts", "b_values"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestDefaultDraws:
+    """A solve or calibration given no draws builds its builder's defaults:
+    the sizes and seed enter only where draws are built."""
+
+    CLOSED = en_config(3, 2, e0_ratio=0.5)
+    LINEAR = BayesianConfig(n_players=3, strategy=LinearDecay(0.5),
+                            join_model=UNIFORM01, e0_ratio=0.5)
+    OPEN = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=3),
+                      strategy=EarliestN(2), e0_ratio=0.5)
+
+    @pytest.mark.parametrize("solve, build, cfg", [
+        (solve_bne_earliest_n, stage2_opponents, CLOSED),
+        (solve_bne_linear, stage2_opponents, LINEAR),
+        (open_system.solve_bne_open_earliest_n, open_stage2_opponents, OPEN)],
+        ids=["earliest-n", "linear", "open-earliest-n"])
+    def test_solve_builds_the_default_opponents(self, solve, build, cfg):
+        grid = solve(cfg)
+        assert grid.times.size == 64
+        assert_grids_identical(grid, solve(cfg, build(cfg, 64, 20_000, 0)))
+
+    @pytest.mark.parametrize("calibrate, cfg", [
+        (calibrated_stage1, CLOSED), (calibrated_open_stage1, OPEN),
+        (calibrated_stage1, BayesianConfig(n_players=3, strategy=Termination(0.5),
+                                           join_model=UNIFORM01, e0_ratio=0.5))],
+        ids=["closed", "open", "termination"])
+    def test_calibration_builds_the_default_draws(self, calibrate, cfg):
+        solution, rep = calibrate(cfg)
+        explicit, explicit_rep = calibrate(cfg, cfg.draws(64, 20_000, 100_000, 0))
+        assert rep == explicit_rep
+        if isinstance(solution, TypeGrid):
+            assert_grids_identical(solution, explicit)
+        else:
+            assert solution == explicit
+
+
 class TestLinearDecay:
     def test_zero_velocity_equals_full_quota(self):
         base = en_config(3, 3, e0_ratio=0.5)
         cfg = BayesianConfig(n_players=3, strategy=LinearDecay(0.0),
                              join_model=UNIFORM01, e0_ratio=0.5)
-        g_lin = solve_bne_linear(cfg, grid_size=16, mc_samples=2000, seed=5)
-        g_en = solve_bne_earliest_n(base, grid_size=16, mc_samples=2000, seed=5)
+        g_lin = solve_bne_linear(cfg, stage2_opponents(cfg, 16, 2000, 5))
+        g_en = solve_bne_earliest_n(base, stage2_opponents(base, 16, 2000, 5))
         assert np.max(np.abs(g_lin.efforts - g_en.efforts)) < 1e-9
 
     def test_steep_decay_kills_late_efforts(self):
         cfg = BayesianConfig(n_players=3, strategy=LinearDecay(50.0),
                              join_model=UNIFORM01, e0_ratio=0.2)
-        grid = solve_bne_linear(cfg, grid_size=40, mc_samples=2000, seed=6)
+        grid = solve_bne_linear(cfg, stage2_opponents(cfg, 40, 2000, 6))
         assert np.all(grid.efforts[grid.times > 0.05] == 0.0)
 
     def test_single_player_linear_schedule(self):
         cfg = BayesianConfig(n_players=1, strategy=LinearDecay(1.0),
                              join_model=UNIFORM01, e0_ratio=0.25)
-        grid = solve_bne_linear(cfg, grid_size=41, mc_samples=64, seed=7)
+        grid = solve_bne_linear(cfg, stage2_opponents(cfg, 41, 64, 7))
         expect = math.sqrt(0.5 * 0.25) - 0.25
         assert float(np.interp(0.5, grid.times, grid.efforts)) == pytest.approx(
             expect, abs=1e-9)
@@ -893,24 +943,31 @@ class TestGridKernel:
         if system == "open-earliest-n":
             cfg = OpenConfig(poisson=PoissonModel(rate=3.0, truncation=1),
                              strategy=EarliestN(1), e0_ratio=e0_ratio)
-            grid = open_system.solve_bne_open_earliest_n(cfg, grid_size=16,
-                                                         mc_samples=32)
+            grid = open_system.solve_bne_open_earliest_n(
+                cfg, open_stage2_opponents(cfg, 16, 32))
         elif system == "closed-linear":
             cfg = BayesianConfig(n_players=1, strategy=LinearDecay(1.0),
                                  join_model=UNIFORM01, e0_ratio=e0_ratio)
-            grid = solve_bne_linear(cfg, grid_size=16, mc_samples=32)
+            grid = solve_bne_linear(cfg, stage2_opponents(cfg, 16, 32))
         else:
             cfg = en_config(1, 1, e0_ratio=e0_ratio)
-            grid = solve_bne_earliest_n(cfg, grid_size=16, mc_samples=32)
+            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 16, 32))
         e0 = cfg.nature_effort
         expect = np.maximum(np.sqrt(grid.b_values * e0) - e0, 0.0)
         assert np.max(np.abs(grid.efforts - expect)) <= 1e-12
 
     def test_opponents_of_another_grid_are_invalid(self):
+        # opponents carry their grid: the config's own quantile-spaced grid
+        # serves at any size, one placed for another join model does not
         cfg = en_config(4, 2, e0_ratio=0.5)
-        opponents = bayesian_closed.stage2_opponents(cfg, 12, 200, 0)
-        with pytest.raises(InvalidInput, match="grid"):
-            solve_bne_earliest_n(cfg, 16, 200, 0, opponents)
+        other = en_config(4, 2, e0_ratio=0.5, join_model=UniformJoinTimes(0.0, 6.0))
+        for solve, config in ((solve_bne_earliest_n, cfg),
+                              (solve_bne_linear, replace(cfg, strategy=LinearDecay(0.5)))):
+            with pytest.raises(InvalidInput, match="join model"):
+                solve(config, stage2_opponents(other, 12, 200, 0))
+        for size in (12, 16):
+            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, size, 200, 0))
+            assert grid.times.size == size
 
     def test_warm_newton_matches_cold(self):
         rng = spawn_rng(5)
@@ -930,7 +987,7 @@ class TestGridKernel:
         monkeypatch.setattr(bayesian_closed, "BNE_STEPS", 3)
         cfg = en_config(6, 3, e0_ratio=0.3)
         with pytest.raises(NoConvergence) as err:
-            solve_bne_earliest_n(cfg, grid_size=16, mc_samples=1000, seed=0)
+            solve_bne_earliest_n(cfg, stage2_opponents(cfg, 16, 1000, 0))
         assert err.value.iterations == 3
         assert err.value.residual > 1e-8
         last = err.value.last
@@ -938,20 +995,20 @@ class TestGridKernel:
 
     def test_one_draw_panel_fails_the_noise_check(self):
         # one opponent draw leaves the noise of the BNE expectation unknown
+        cfg = en_config(4, 2, e0_ratio=0.5)
         with pytest.raises(MonteCarloNoise):
-            solve_bne_earliest_n(en_config(4, 2, e0_ratio=0.5), grid_size=12,
-                                 mc_samples=1, seed=0)
+            solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 1, 0))
         # a lone contributor runs the same kernel and the same check
+        cfg = en_config(1, 1, e0_ratio=0.5)
         with pytest.raises(MonteCarloNoise):
-            solve_bne_earliest_n(en_config(1, 1, e0_ratio=0.5), grid_size=12,
-                                 mc_samples=1, seed=0)
+            solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 1, 0))
 
     def test_outer_iterations_at_n_near_N(self, monkeypatch):
         # 5 kernel evaluations: the start, three Newton steps and the
         # certifying best response
         calls = count_kernel_evaluations(monkeypatch)
-        solve_bne_earliest_n(en_config(20, 19, e0_ratio=0.5), mc_samples=4000,
-                             seed=0)
+        cfg = en_config(20, 19, e0_ratio=0.5)
+        solve_bne_earliest_n(cfg, stage2_opponents(cfg, mc_samples=4000, seed=0))
         assert len(calls) <= 5
 
     def test_jacobian_matches_finite_differences(self):
@@ -986,7 +1043,7 @@ class TestGridKernel:
         e0 = cfg.nature_effort
         opponents = bayesian_closed.stage2_opponents(cfg, 12, 2000, 0)
         op = opponents.operator
-        grid = solve_bne_earliest_n(cfg, 12, 2000, 0, opponents)
+        grid = solve_bne_earliest_n(cfg, opponents)
 
         def residual(x):
             step, slopes = bayesian_closed._expected_best_responses(
@@ -1009,7 +1066,7 @@ class TestGridKernel:
         # exact best responses (the fallback and the certification)
         calls = count_kernel_evaluations(monkeypatch)
         cfg = en_config(2, 1, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         assert len(calls) <= 15
         again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
@@ -1031,7 +1088,7 @@ class TestGridKernel:
 
         monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
         cfg = en_config(8, 1, e0_ratio=0.0, join_model=UniformJoinTimes(0.0, 6.0))
-        solve_bne_earliest_n(cfg, 64, 4000, 0)
+        solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         assert len(exact) >= 3
         assert len(set(exact)) == len(exact)
 
@@ -1045,7 +1102,7 @@ class TestGridKernel:
         # small for the result fails loudly, never by running out of steps
         cfg = en_config(n_players, n, e0_ratio, join_model=UniformJoinTimes(0.0, 6.0))
         try:
-            grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         except MonteCarloNoise:
             return
         assert np.any(grid.efforts > 0)
@@ -1060,7 +1117,7 @@ class TestGridKernel:
         # (0.119). 9 kernel evaluations reach the first one
         calls = count_kernel_evaluations(monkeypatch)
         cfg = en_config(5, 4, e0_ratio=0.0, join_model=UniformJoinTimes(0.0, 6.0))
-        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         assert len(calls) <= 9
         assert grid.efforts.max() == pytest.approx(0.196362071061, abs=1e-10)
         assert grid.efforts.sum() == pytest.approx(8.58585128, abs=1e-7)
@@ -1076,7 +1133,7 @@ class TestGridKernel:
         # 2.7e-7 and 2.5e-7 from its own best responses here
         cfg = en_config(n_players, n, e0_ratio=0.0,
                         join_model=UniformJoinTimes(0.0, 6.0))
-        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
         assert np.max(np.abs(again - grid.efforts)) <= bayesian_closed.BNE_TOL
@@ -1124,15 +1181,16 @@ class TestGridKernel:
         # at e0 = 0 the zero grid maps to itself, but it is no equilibrium: a
         # lone positive effort wins b(t)
         cfg = en_config(20, 10, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
-        near = solve_bne_earliest_n(replace(cfg, e0_ratio=1e-6), 64, 4000, 0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        near = solve_bne_earliest_n(replace(cfg, e0_ratio=1e-6),
+                                    stage2_opponents(cfg, 64, 4000, 0))
         noise = bayesian_closed._bne_condition_noise(self._opposition(cfg, near), near)
         assert grid.efforts.max() > 0.1
         assert np.max(np.abs(grid.efforts - near.efforts)) <= noise * near.efforts.max()
 
     def test_e0_zero_at_n_near_N_is_a_fixed_point(self):
         cfg = en_config(20, 19, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, 64, 4000, 0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
         assert grid.efforts.max() > 0.01
@@ -1140,7 +1198,7 @@ class TestGridKernel:
 
     def test_large_contest_converges_under_the_cap(self):
         cfg = en_config(100, 99, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, mc_samples=4000, seed=0)
+        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, mc_samples=4000, seed=0))
         cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
         assert np.any(grid.efforts > 0)
         assert np.all(grid.efforts <= cap + 1e-12)

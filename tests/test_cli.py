@@ -249,8 +249,8 @@ scale = 1
             cfg = OpenConfig(poisson=spec.poisson, strategy=EarliestN(3),
                              weightfn=spec.weightfn, e0_ratio=0.5, budget=2.0)
             calibrate = calibrated_open_stage1
-        _, rep = calibrate(cfg, grid_size=spec.grid_size, mc_samples=spec.mc_samples,
-                           stage1_samples=spec.stage1_samples, seed=spec.seed)
+        _, rep = calibrate(cfg, cfg.draws(spec.grid_size, spec.mc_samples,
+                                          spec.stage1_samples, spec.seed))
         assert float(row["calibrated_b"]) == pytest.approx(rep.calibrated_b, rel=1e-12)
 
     @pytest.mark.parametrize("text", [SMALL_SPEC, OPEN_SPEC, TERMINATION_SPEC],
@@ -394,7 +394,7 @@ class TestSweep:
         for cfg, (solution, rep) in zip(configs, points):
             calibrate = calibrated_stage1 if isinstance(cfg, BayesianConfig) \
                 else calibrated_open_stage1
-            alone, alone_rep = calibrate(cfg, **sizes)
+            alone, alone_rep = calibrate(cfg, cfg.draws(**sizes))
             assert rep == alone_rep
             if isinstance(alone, TypeGrid):
                 for field in ("times", "efforts", "b_values"):
@@ -465,9 +465,11 @@ class TestSweep:
         points, _ = sweep(configs, grid_size=17, mc_samples=1200, stage1_samples=6000,
                           seed=7)
         for cfg, (grid, rep) in zip(configs, points):
-            solve = bc.solve_bne_earliest_n if isinstance(cfg, BayesianConfig) \
-                else osys.solve_bne_open_earliest_n
-            alone = solve(cfg, 17, 1200, 7).scaled(rep.calibrated_b / cfg.max_reward)
+            solve, build = (bc.solve_bne_earliest_n, bc.stage2_opponents) \
+                if isinstance(cfg, BayesianConfig) \
+                else (osys.solve_bne_open_earliest_n, osys.open_stage2_opponents)
+            alone = solve(cfg, build(cfg, 17, 1200, 7)).scaled(
+                rep.calibrated_b / cfg.max_reward)
             for field in ("times", "efforts", "b_values"):
                 assert np.array_equal(getattr(grid, field), getattr(alone, field))
 
@@ -592,12 +594,33 @@ output = noisy.csv
          "experiment.mc_samples"),
         (SMALL_SPEC.replace("stage1_samples = 6000", "stage1_samples = 1"),
          "experiment.stage1_samples"),
+        (SMALL_SPEC.replace("kind = step", "kind = constant\nvalue = nan"), "weights"),
+        (SMALL_SPEC.replace("kind = step", "kind = constant\nvalue = inf"), "weights"),
+        (SMALL_SPEC.replace("kind = step", "kind = inverse_power\npower = nan"),
+         "weights"),
+        (SMALL_SPEC.replace("kind = step", "kind = inverse_power\nscale = inf"),
+         "weights"),
+        (SMALL_SPEC.replace("kind = step", "kind = inverse_power\nt0 = nan"), "weights"),
+        (SMALL_SPEC.replace("hi = 6", "hi = inf"), "join_model"),
+        (SMALL_SPEC.replace("lo = 0", "lo = nan"), "join_model"),
+        (SMALL_SPEC.replace("kind = uniform", "kind = exponential\nrate = inf"),
+         "join_model"),
+        (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2.4,2.5"), "experiment.sweep"),
+        (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,3.5"), "experiment.sweep"),
+        (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 2.4,2.5"),
+         "experiment.sweep"),
+        (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 1.5:3:0.5"),
+         "experiment.sweep"),
     ], ids=["lo-above-hi", "negative-rate", "missing-trace", "missing-trace-unit",
             "unknown-trace-unit", "non-integer-N",
             "n-above-N", "n-above-truncation", "infinite-n", "grid-size-1", "negative-seed",
             "complete-info-n-0", "complete-info-n-above-N", "infinite-deadline",
             "nan-velocity", "nan-weight", "nan-e0-ratio", "infinite-e0-ratio",
-            "nan-budget", "one-mc-sample", "one-stage1-sample"])
+            "nan-budget", "one-mc-sample", "one-stage1-sample", "nan-constant-weight",
+            "infinite-constant-weight", "nan-power", "infinite-scale", "nan-t0",
+            "infinite-hi", "nan-lo", "infinite-rate", "fractional-n",
+            "fractional-n-open", "complete-info-fractional-n",
+            "complete-info-fractional-range"])
     def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,
                                                        field):
         spec_file = tmp_path / "bad.ini"

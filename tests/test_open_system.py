@@ -102,6 +102,14 @@ class TestOpenTerminationProb:
         with pytest.raises(InvalidInput):
             open_termination_prob(1.0, 0.0, 1)
 
+    @pytest.mark.parametrize("k", [0.5, math.nan, math.inf, -1, np.array([0.0, 1.5])])
+    def test_k_must_be_integers_at_least_zero(self, k):
+        with pytest.raises(InvalidInput, match="k must be integers"):
+            open_termination_prob(1.0, 1.0, k)
+
+    def test_integral_floats_count_as_k(self):
+        assert open_termination_prob(2.0, 0.7, 3.0) == open_termination_prob(2.0, 0.7, 3)
+
     @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_bad_rate(self, rate):
         # a negative rate must not pass on a negative deadline either
@@ -163,7 +171,7 @@ class TestOpenTerminationSolver:
 class TestOpenEarliestNSolver:
     def test_lone_contributor_closed_form(self):
         cfg = open_en(1.0, 1, 1, e0_ratio=0.25)
-        grid = solve_bne_open_earliest_n(cfg, grid_size=24, mc_samples=64, seed=0)
+        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 24, 64, 0))
         expect = np.maximum(np.sqrt(grid.b_values * 0.25) - 0.25, 0.0)
         assert np.max(np.abs(grid.efforts - expect)) < 1e-12
         assert grid.efforts[0] == pytest.approx(0.25)
@@ -172,8 +180,7 @@ class TestOpenEarliestNSolver:
         # M = 2: the opponent is a single exponential epoch, so the BNE
         # admits a deterministic 1-d quadrature oracle
         cfg = open_en(1.5, 2, 1, e0_ratio=0.3)
-        grid = solve_bne_open_earliest_n(cfg, grid_size=25, mc_samples=40_000,
-                                         seed=1)
+        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 25, 40_000, 1))
         quantile = lambda q: -np.log1p(-np.asarray(q)) / 1.5
         oracle = bne_quadrature_oracle(grid.b_values, grid.times, 2,
                                        cfg.nature_effort, quantile,
@@ -182,7 +189,7 @@ class TestOpenEarliestNSolver:
 
     def test_monotone_and_bounded(self):
         cfg = open_en(2.0, 12, 3, e0_ratio=0.5)
-        grid = solve_bne_open_earliest_n(cfg, grid_size=33, mc_samples=4000, seed=2)
+        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 33, 4000, 2))
         assert np.all(np.diff(grid.efforts) <= 1e-12)
         cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
         assert np.all(grid.efforts <= cap + 1e-10)
@@ -193,8 +200,7 @@ class TestOpenEarliestNSolver:
         # full-information symmetric contest and at least nothing at all
         from crowdcontest.contest import symmetric_ne
         cfg = open_en(0.05, 4, 4, e0_ratio=0.5)
-        grid = solve_bne_open_earliest_n(cfg, grid_size=33, mc_samples=20_000,
-                                         seed=3)
+        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 33, 20_000, 3))
         sym = symmetric_ne(4, 1.0, 0.5)
         solo = math.sqrt(1.0 * 0.5) - 0.5
         assert sym - 1e-3 <= grid.efforts[0] <= solo + 1e-3
@@ -202,18 +208,29 @@ class TestOpenEarliestNSolver:
     @pytest.mark.parametrize("grid_size", [0, 1])
     def test_grid_of_fewer_than_two_points_is_invalid(self, grid_size):
         with pytest.raises(InvalidInput, match="grid_size"):
-            solve_bne_open_earliest_n(open_en(2.0, 5, 2, e0_ratio=0.5), grid_size,
-                                      mc_samples=50)
+            open_stage2_opponents(open_en(2.0, 5, 2, e0_ratio=0.5), grid_size,
+                                  mc_samples=50)
+
+    def test_solve_runs_on_the_grid_size_of_its_opponents(self):
+        cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
+        for size in (24, 40):
+            opponents = open_stage2_opponents(cfg, size, 500, 0)
+            assert opponents.grid_size == size
+            assert not opponents.epochs.flags.writeable
+            assert solve_bne_open_earliest_n(cfg, opponents).times.size == size
+        # the grid size given to the draws reaches the calibration's solve
+        grid, _ = calibrated_open_stage1(cfg, cfg.draws(24, 500, 2000, 0))
+        assert grid.times.size == 24
 
     def test_rate_only_rescales_time(self):
         # the open system is scale-free: multiplying the arrival rate by c
         # compresses the effort schedule by c and changes nothing else
         slow = open_en(0.05, 4, 2, e0_ratio=0.5)
         fast = open_en(1.0, 4, 2, e0_ratio=0.5)
-        g_slow = solve_bne_open_earliest_n(slow, grid_size=33,
-                                           mc_samples=20_000, seed=3)
-        g_fast = solve_bne_open_earliest_n(fast, grid_size=33,
-                                           mc_samples=20_000, seed=3)
+        g_slow = solve_bne_open_earliest_n(slow,
+                                           open_stage2_opponents(slow, 33, 20_000, 3))
+        g_fast = solve_bne_open_earliest_n(fast,
+                                           open_stage2_opponents(fast, 33, 20_000, 3))
         remapped = np.interp(g_slow.times * 0.05, g_fast.times, g_fast.efforts)
         assert np.max(np.abs(g_slow.efforts - remapped)) < 1e-12
 
@@ -255,10 +272,10 @@ class TestOpenPlacement:
     def test_solve_matches_the_interp_placement(self, n, monkeypatch):
         # the benchmark's open sizes: 29 opponents, grid 24, 2000 sequences
         cfg = open_en(9.0, 30, n, e0_ratio=0.5)
-        opponents = open_stage2_opponents(cfg, 2000, 4)
-        grid = solve_bne_open_earliest_n(cfg, 24, 2000, 4, opponents)
+        opponents = open_stage2_opponents(cfg, 24, 2000, 4)
+        grid = solve_bne_open_earliest_n(cfg, opponents)
         monkeypatch.setattr(open_system, "_epoch_positions", lambda times: None)
-        expect = solve_bne_open_earliest_n(cfg, 24, 2000, 4, opponents)
+        expect = solve_bne_open_earliest_n(cfg, opponents)
         assert np.array_equal(grid.times, expect.times)
         assert np.max(np.abs(grid.efforts - expect.efforts)) <= 1e-10
 
@@ -274,20 +291,20 @@ class TestOpenPlacement:
 class TestOpenStage1:
     def test_full_quota_no_nature_spends_everything(self):
         cfg = open_en(2.0, 5, 5, e0_ratio=0.0)
-        grid = solve_bne_open_earliest_n(cfg, grid_size=40, mc_samples=8000, seed=0)
+        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 40, 8000, 0))
         rep = stage1_open_earliest_n(cfg, grid, open_stage1_panel(cfg, 4000, 1))
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == 0.0
 
     def test_opponents_of_another_prior_are_invalid(self):
         cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
-        opponents = open_stage2_opponents(open_en(2.0, 6, 2, 0.5), 200, 0)
+        opponents = open_stage2_opponents(open_en(2.0, 6, 2, 0.5), 12, 200, 0)
         with pytest.raises(InvalidInput, match="truncation"):
-            solve_bne_open_earliest_n(cfg, 12, 200, 0, opponents)
+            solve_bne_open_earliest_n(cfg, opponents)
 
     def test_panel_of_another_prior_is_invalid(self):
         cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
-        grid = solve_bne_open_earliest_n(cfg, grid_size=12, mc_samples=2000, seed=0)
+        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 12, 2000, 0))
         with pytest.raises(InvalidInput, match="truncation"):
             stage1_open_earliest_n(cfg, grid,
                                    open_stage1_panel(open_en(2.0, 6, 2, 0.5), 100, 1))
@@ -328,7 +345,7 @@ class TestOpenStage1:
     def test_reward_scaling_moves_utility_not_efficiency(self):
         cfg1 = open_en(2.0, 6, 3, e0_ratio=0.5, max_reward=1.0)
         cfg2 = open_en(2.0, 6, 3, e0_ratio=0.5, max_reward=2.0)
-        g1 = solve_bne_open_earliest_n(cfg1, grid_size=25, mc_samples=4000, seed=4)
+        g1 = solve_bne_open_earliest_n(cfg1, open_stage2_opponents(cfg1, 25, 4000, 4))
         rep1 = stage1_open_earliest_n(cfg1, g1, open_stage1_panel(cfg1, 10_000, 5))
         rep2 = stage1_open_earliest_n(cfg2, g1.scaled(2.0),
                                       open_stage1_panel(cfg2, 10_000, 5))
@@ -339,8 +356,7 @@ class TestOpenStage1:
 
     def test_budget_balance_fresh_seed(self):
         cfg = open_en(3.0, 10, 4, e0_ratio=0.5, budget=1.0)
-        grid, rep = calibrated_open_stage1(cfg, grid_size=25, mc_samples=4000,
-                                           stage1_samples=30_000, seed=6)
+        grid, rep = calibrated_open_stage1(cfg, cfg.draws(25, 4000, 30_000, 6))
         fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), grid,
                                        open_stage1_panel(cfg, 30_000, 909))
         tol = budget_tolerance(cfg.budget, fresh.payment_stderr)

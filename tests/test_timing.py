@@ -167,6 +167,23 @@ class TestJoinModels:
         assert m.cdf(5.0) == 1.0
         assert m.pdf(0.0) == 0.0
 
+    @pytest.mark.parametrize("build", [
+        lambda: UniformJoinTimes(0.0, math.inf),
+        lambda: UniformJoinTimes(-math.inf, 1.0),
+        lambda: UniformJoinTimes(math.nan, 1.0),
+        lambda: UniformJoinTimes(0.0, math.nan),
+        lambda: ExponentialJoinTimes(math.inf),
+        lambda: ExponentialJoinTimes(math.nan),
+        lambda: TableJoinTimes([0.0, 1.0, math.inf], [0.0, 0.5, 1.0]),
+        lambda: TableJoinTimes([0.0, math.nan, 2.0], [0.0, 0.5, 1.0]),
+        lambda: TableJoinTimes([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+    ], ids=["uniform-inf-hi", "uniform-inf-lo", "uniform-nan-lo", "uniform-nan-hi",
+            "exponential-inf", "exponential-nan", "table-inf-time", "table-nan-time",
+            "table-nan-cdf"])
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(InvalidInput, match="finite|rise"):
+            build()
+
     def test_smoothed_pdf_is_a_density(self):
         m = EmpiricalJoinTimes(np.array([1.0, 2.0, 3.0, 4.5]), 6.0)
         grid = np.linspace(-10, 16, 20_001)
@@ -222,6 +239,34 @@ class TestWeights:
         brute = float(np.sum(w(mids)) * (hi - lo) / mids.size)
         assert w.integral(lo, hi) == pytest.approx(brute, abs=5e-6)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ConstantWeight(math.nan),
+        lambda: ConstantWeight(math.inf),
+        lambda: InversePowerWeight(power=math.nan),
+        lambda: InversePowerWeight(power=math.inf),
+        lambda: InversePowerWeight(scale=math.nan),
+        lambda: InversePowerWeight(scale=math.inf),
+        lambda: InversePowerWeight(t0=math.nan),
+        lambda: InversePowerWeight(t0=-math.inf),
+        lambda: StepWeight((math.nan,), (1.0,)),
+        lambda: StepWeight((0.0, math.inf), (1.0, 0.5)),
+        lambda: StepWeight((-math.inf, 0.0), (1.0, 0.5)),
+        lambda: StepWeight((0.0, math.nan), (1.0, 0.5)),
+        lambda: StepWeight((0.0, 1.0), (math.inf, 0.5)),
+        lambda: StepWeight((0.0, 1.0), (1.0, math.nan)),
+        lambda: TableWeight([0.0, math.inf], [1.0, 0.5]),
+        lambda: TableWeight([math.nan, 1.0], [1.0, 0.5]),
+        lambda: TableWeight([0.0, 1.0], [math.inf, 0.5]),
+        lambda: TableWeight([0.0, 1.0], [1.0, math.nan]),
+    ], ids=["constant-nan", "constant-inf", "power-nan", "power-inf", "scale-nan",
+            "scale-inf", "t0-nan", "t0-inf", "step-nan-breakpoint",
+            "step-inf-breakpoint", "step-minus-inf-breakpoint", "step-nan-breakpoint-2",
+            "step-inf-value", "step-nan-value", "table-inf-time", "table-nan-time",
+            "table-inf-value", "table-nan-value"])
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(InvalidInput, match="finite"):
+            build()
+
     def test_increasing_step_rejected(self):
         with pytest.raises(InvalidInput):
             StepWeight((0.0, 1.0), (0.2, 0.9))
@@ -263,6 +308,19 @@ class TestPoisson:
             poisson_pmf(PoissonModel(rate=1.0), -1.0, 2)
         with pytest.raises(InvalidInput):
             poisson_pmf(PoissonModel(rate=1.0), 1.0, -2)
+
+    @pytest.mark.parametrize("t, m", [(math.nan, 2), (math.inf, 2), (-math.inf, 2),
+                                      (1.0, 1.5), (1.0, math.nan), (1.0, math.inf),
+                                      (1.0, np.array([0.0, 0.5]))])
+    def test_pmf_needs_a_finite_time_and_integer_counts(self, t, m):
+        with pytest.raises(InvalidInput):
+            poisson_pmf(PoissonModel(rate=1.0), t, m)
+
+    def test_pmf_takes_integral_floats_as_counts(self):
+        m = PoissonModel(rate=2.0)
+        assert poisson_pmf(m, 1.5, 3.0) == poisson_pmf(m, 1.5, 3)
+        assert poisson_pmf(m, 1.5, np.arange(5.0)).tolist() == \
+            poisson_pmf(m, 1.5, np.arange(5)).tolist()
 
     def test_sequence_is_strictly_increasing(self):
         seq = sample_arrival_sequences(PoissonModel(rate=3.0, truncation=25), 4, 1)[0]
