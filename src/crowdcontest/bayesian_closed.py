@@ -35,6 +35,11 @@ from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 #: tolerance and best-response cap of the grid BNE
 BNE_TOL = 1e-8
 BNE_STEPS = 2000
+#: default Monte Carlo sizes of the draw builders, `experiments.sweep` and a
+#: spec: Stage-II grid points and opponent draws, and Stage-I panel rows
+GRID_SIZE = 64
+MC_SAMPLES = 20_000
+STAGE1_SAMPLES = 100_000
 #: reward scale beyond which `calibrate_b`'s doubling gives up on reaching
 #: the budget; its halving gives up below the reciprocal
 CALIBRATION_B_MAX = 1e9
@@ -46,7 +51,7 @@ TERMINATION_TOL = 1e-12
 QUAD_POINTS = 4096
 #: maximum relative Monte Carlo standard error tolerated in the BNE condition
 MC_NOISE_LIMIT = 0.10
-#: step cap of the safeguarded Newton best response
+#: step cap of the Newton best response at fixed opponent aggregates
 NEWTON_STEPS = 100
 #: panel rows that Stage I and the interpolation operator take at a time:
 #: their blocks of efforts or weights stay within the L2 cache instead of
@@ -155,8 +160,8 @@ class BayesianConfig:
         key = self.n_players, self.join_model, self.weightfn
         return (*key, self.strategy) if isinstance(self.strategy, Termination) else key
 
-    def draws(self, grid_size: int = 64, mc_samples: int = 20_000,
-              stage1_samples: int = 100_000, seed: RngSeed = 0
+    def draws(self, grid_size: int = GRID_SIZE, mc_samples: int = MC_SAMPLES,
+              stage1_samples: int = STAGE1_SAMPLES, seed: RngSeed = 0
               ) -> tuple[Stage1Panel, Stage2Opponents] | TerminationTables:
         """The prior's Stage-I panel, from seed + 1 and with its knots on the
         Stage-II grid, and its Stage-II opponents, from seed; for a
@@ -379,7 +384,7 @@ def _condition_means(a_samples: np.ndarray, size: int):
 
 
 def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
-                             tol: float, start: np.ndarray | None = None,
+                             start: np.ndarray | None = None,
                              one_step: bool = False):
     """For each grid reward b(t), solve g(e) = E[A/(A+e)^2] b(t) - 1 = 0 for
     e >= 0, where A = e0 + E_-i ranges over the Monte Carlo opponent draws:
@@ -387,14 +392,15 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     ones in the grid that A = e0 + op @ grid came from (`_condition_means`).
 
     E[A/(A+e)^2] <= 1/(4e) for any A-distribution, so every root lies in
-    [0, b(t)/4]; a safeguarded Newton iteration stays inside that bracket
-    and raises NoConvergence if it has not settled after NEWTON_STEPS steps.
-    Each point starts from `start` (a guess of the root) where that lies
-    strictly inside its bracket, else from the bracket midpoint. With
-    `one_step`, e is instead one Newton step from `start`, clipped to the
-    bracket: clip(start - g/g', 0, b(t)/4), slopes taken at `start`. When
-    no draw has A > 0 (e0 = 0 against zero opposition) any e > 0 wins b(t):
-    the condition has no root, and the best response is returned as 0.
+    [0, b(t)/4]. The one-step map N(x) = clip(x - g/g', 0, b(t)/4) is
+    iterated from `start` (default b(t)/8) until it moves at most
+    1e-3 BNE_TOL, and NoConvergence is raised after NEWTON_STEPS steps. g is
+    convex and decreasing, so a tangent root never passes the root: from its
+    left the iterates rise to it, and from its right one step lands left of
+    it (Ortega & Rheinboldt 1970, sec. 13.3). With `one_step`, e is N(start)
+    alone, slopes taken at `start`. When no draw has A > 0 (e0 = 0 against
+    zero opposition) any e > 0 wins b(t): the condition has no root, and the
+    best response is returned as 0.
     """
     positive = a_samples > 0
     if np.all(positive):
@@ -408,33 +414,22 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     if not np.any(active) or not np.any(positive):
         return e, lambda op: np.zeros((0, op.shape[1]))
     b_act = b_t[active]
-    lo = np.zeros(b_act.size)
     hi = 0.25 * b_act
-    x = 0.5 * hi
-    if start is not None:
-        warm = start[active]
-        x = warm if one_step else np.where((warm > 0) & (warm < hi), warm, x)
+    x = 0.5 * hi if start is None else start[active]
     means, slopes = _condition_means(a_samples, x.size)
     for _ in range(NEWTON_STEPS):
         square, cube = means(x)
         g = b_act * square - 1.0
         gp = -2.0 * b_act * cube
-        if one_step:
-            x = np.clip(x - g / gp, 0.0, hi)
-            break
-        lo = np.where(g > 0, x, lo)
-        hi = np.where(g < 0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(gp < 0, x - g / gp, 0.5 * (lo + hi))
-        x_new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        x_new = np.clip(x - g / gp, 0.0, hi)
         change = float(np.max(np.abs(x_new - x)))
         x = x_new
-        if change <= 1e-3 * tol:
+        if one_step or change <= 1e-3 * BNE_TOL:
             break
     else:
         raise NoConvergence("Newton best response did not converge", last=x,
                             residual=change, iterations=NEWTON_STEPS)
-    e[active] = np.maximum(x, 0.0)
+    e[active] = x
     return e, lambda op: slopes(op)[x > 0]
 
 
@@ -557,8 +552,7 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
             raise NoConvergence("grid BNE iteration stalled", last=x,
                                 residual=residual, iterations=BNE_STEPS)
         a_samples = e0 + op @ point
-        return (a_samples, *_expected_best_responses(a_samples, b_t, BNE_TOL, point,
-                                                     one_step))
+        return (a_samples, *_expected_best_responses(a_samples, b_t, point, one_step))
 
     x = symmetric_ne(round(float(op[:1].sum())) + 1, b_t, e0)
     _, new, slopes = evaluate(x)
@@ -604,8 +598,8 @@ class Stage2Opponents(NamedTuple):
     operator: np.ndarray
 
 
-def stage2_opponents(config: BayesianConfig, grid_size: int = 64,
-                     mc_samples: int = 20_000, seed: RngSeed = 0) -> Stage2Opponents:
+def stage2_opponents(config: BayesianConfig, grid_size: int = GRID_SIZE,
+                     mc_samples: int = MC_SAMPLES, seed: RngSeed = 0) -> Stage2Opponents:
     """Stage-II opponents of a closed config's prior: mc_samples draws of the
     N-1 opponent types from the stream (seed, 0x5e11), placed on the
     quantile-spaced grid of grid_size points. Grid and draws depend only on N
@@ -622,13 +616,15 @@ def stage2_opponents(config: BayesianConfig, grid_size: int = 64,
 def _solve_grid_bne(config: BayesianConfig,
                     opponents: Stage2Opponents | None) -> TypeGrid:
     """Grid BNE of a closed config on the grid of `opponents`, built here
-    when None; opponents whose grid is not the config's quantile-spaced grid
-    of their size were placed for another join model."""
+    when None. Opponents off the config's quantile-spaced grid of their size
+    or with operator rows that do not sum to N - 1 are another prior's."""
     if opponents is None:
         opponents = stage2_opponents(config)
     elif not np.array_equal(opponents.times,
                             _grid_times(config.join_model, opponents.times.size)):
         raise InvalidInput("opponents were placed for another join model")
+    elif round(float(opponents.operator[:1].sum())) != config.n_players - 1:
+        raise InvalidInput(f"opponents were drawn for another N than {config.n_players}")
     times = opponents.times
     return _iterate_grid_bne(times, reward_schedule(config, times), opponents.operator,
                              config.nature_effort)
@@ -791,7 +787,7 @@ def stage1_metrics_termination(config: BayesianConfig, e_star: float | None = No
 # Stage-I Monte Carlo metrics (earliest-n / linear decay)
 # ---------------------------------------------------------------------------
 
-def stage1_panel(config: BayesianConfig, mc_samples: int = 100_000,
+def stage1_panel(config: BayesianConfig, mc_samples: int = STAGE1_SAMPLES,
                  seed: RngSeed = 1) -> Stage1Panel:
     """Stage-I panel of a closed config's prior: mc_samples draws of the N
     joining times from the stream (seed, 0x51a6e1), each row sorted once,

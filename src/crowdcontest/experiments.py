@@ -310,9 +310,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         budget=_number(exp, "budget", 1.0, float),
         seed=_number(exp, "seed", 0, low=0),
         n_players=_number(exp, "n_players", 20),
-        grid_size=_number(exp, "grid_size", 64, low=2),
-        mc_samples=_number(exp, "mc_samples", 20_000, low=2),
-        stage1_samples=_number(exp, "stage1_samples", 100_000, low=2),
+        grid_size=_number(exp, "grid_size", bc.GRID_SIZE, low=2),
+        mc_samples=_number(exp, "mc_samples", bc.MC_SAMPLES, low=2),
+        stage1_samples=_number(exp, "stage1_samples", bc.STAGE1_SAMPLES, low=2),
         join_model=join_model,
         poisson=poisson,
         weightfn=weightfn,
@@ -394,8 +394,8 @@ def _calibrate_all(configs, draws: dict, grid_size: int, mc_samples: int,
     return _parallel_map(calibrated, [(cfg, draws_of(cfg)) for cfg in configs])
 
 
-def sweep(configs, grid_size: int = 64, mc_samples: int = 20_000,
-          stage1_samples: int = 100_000, seed: RngSeed = 0
+def sweep(configs, grid_size: int = bc.GRID_SIZE, mc_samples: int = bc.MC_SAMPLES,
+          stage1_samples: int = bc.STAGE1_SAMPLES, seed: RngSeed = 0
           ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
     """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
     config of a sweep, with `CROWDCONTEST_THREADS` workers. The draws

@@ -17,11 +17,11 @@ from typing import NamedTuple
 import numpy as np
 
 # calibrate_b is bound here too: the benchmark's call tracer wraps it by name
-from .bayesian_closed import (EarliestN, Stage1Panel, StageOneReport, Termination,
-                              TerminationTables, TypeGrid, calibrate_b, _calibrated,
-                              _check_finite, _check_panel, _interp_operator,
-                              _iterate_grid_bne, _mc_report, _termination_effort,
-                              _termination_report)
+from .bayesian_closed import (GRID_SIZE, MC_SAMPLES, STAGE1_SAMPLES, EarliestN,
+                              Stage1Panel, StageOneReport, Termination, TerminationTables,
+                              TypeGrid, calibrate_b, _calibrated, _check_finite,
+                              _check_panel, _interp_operator, _iterate_grid_bne,
+                              _mc_report, _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
@@ -70,8 +70,8 @@ class OpenConfig:
         key = self.poisson, self.weightfn
         return (*key, self.strategy) if isinstance(self.strategy, Termination) else key
 
-    def draws(self, grid_size: int = 64, mc_samples: int = 20_000,
-              stage1_samples: int = 100_000, seed: RngSeed = 0
+    def draws(self, grid_size: int = GRID_SIZE, mc_samples: int = MC_SAMPLES,
+              stage1_samples: int = STAGE1_SAMPLES, seed: RngSeed = 0
               ) -> tuple[Stage1Panel, OpenOpponents] | TerminationTables:
         """The prior's Stage-I panel, from seed + 1, and its Stage-II
         opponents, from seed, for grids of grid_size points; for a termination
@@ -158,8 +158,9 @@ class OpenOpponents(NamedTuple):
     epochs: np.ndarray
 
 
-def open_stage2_opponents(config: OpenConfig, grid_size: int = 64,
-                          mc_samples: int = 20_000, seed: RngSeed = 0) -> OpenOpponents:
+def open_stage2_opponents(config: OpenConfig, grid_size: int = GRID_SIZE,
+                          mc_samples: int = MC_SAMPLES, seed: RngSeed = 0
+                          ) -> OpenOpponents:
     """Stage-II opponents of an open config's prior: mc_samples (M-1)-epoch
     arrival sequences from the stream (seed, 0x09e4), for solves on grids of
     grid_size points. They depend only on the Poisson model, so one set
@@ -194,7 +195,7 @@ def solve_bne_open_earliest_n(config: OpenConfig,
                              config.nature_effort)
 
 
-def open_stage1_panel(config: OpenConfig, mc_samples: int = 100_000,
+def open_stage1_panel(config: OpenConfig, mc_samples: int = STAGE1_SAMPLES,
                       seed: RngSeed = 1) -> Stage1Panel:
     """Stage-I panel of an open config's prior: mc_samples full M-epoch
     arrival sequences from the stream (seed, 0x07e4), sorted as they arrive,

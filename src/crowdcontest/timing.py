@@ -55,8 +55,8 @@ class UniformJoinTimes(JoinTimeModel):
     hi: float = 1.0
 
     def __post_init__(self):
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise InvalidInput(f"need finite hi > lo, got [{self.lo}, {self.hi}]")
+        if not (-math.inf < self.lo < self.hi and self.hi - self.lo < math.inf):
+            raise InvalidInput(f"need lo < hi, hi - lo finite, got [{self.lo}, {self.hi}]")
         object.__setattr__(self, "support", (self.lo, self.hi))
 
     def cdf(self, t):
@@ -77,8 +77,9 @@ class ExponentialJoinTimes(JoinTimeModel):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
-            raise InvalidInput(f"rate must be finite and > 0, got {self.rate!r}")
+        # a draw's quantile reaches -log(2^-53) / rate, which must stay finite
+        if not (0 < self.rate < math.inf and 53 * math.log(2) / self.rate < math.inf):
+            raise InvalidInput(f"need rate > 0 with finite quantiles, got {self.rate!r}")
         object.__setattr__(self, "support", (0.0, math.inf))
 
     def cdf(self, t):

@@ -894,8 +894,7 @@ def test_newton_step_cap_raises(monkeypatch):
     monkeypatch.setattr(bayesian_closed, "NEWTON_STEPS", 2)
     a_samples = spawn_rng(3).exponential(size=200) + 0.1
     with pytest.raises(NoConvergence) as err:
-        bayesian_closed._expected_best_responses(a_samples, np.array([2.0, 4.0]),
-                                                 1e-8)
+        bayesian_closed._expected_best_responses(a_samples, np.array([2.0, 4.0]))
     assert err.value.iterations == 2
     assert err.value.residual > 0
     assert err.value.last.shape == (2,)
@@ -958,13 +957,17 @@ class TestGridKernel:
 
     def test_opponents_of_another_grid_are_invalid(self):
         # opponents carry their grid: the config's own quantile-spaced grid
-        # serves at any size, one placed for another join model does not
+        # serves at any size, one placed for another join model does not, and
+        # neither do opponents drawn for another N on the same grid
         cfg = en_config(4, 2, e0_ratio=0.5)
-        other = en_config(4, 2, e0_ratio=0.5, join_model=UniformJoinTimes(0.0, 6.0))
-        for solve, config in ((solve_bne_earliest_n, cfg),
-                              (solve_bne_linear, replace(cfg, strategy=LinearDecay(0.5)))):
-            with pytest.raises(InvalidInput, match="join model"):
-                solve(config, stage2_opponents(other, 12, 200, 0))
+        other_model = en_config(4, 2, e0_ratio=0.5, join_model=UniformJoinTimes(0.0, 6.0))
+        for other, match in ((other_model, "join model"),
+                             (en_config(6, 2, e0_ratio=0.5), "another N")):
+            for solve, config in ((solve_bne_earliest_n, cfg),
+                                  (solve_bne_linear,
+                                   replace(cfg, strategy=LinearDecay(0.5)))):
+                with pytest.raises(InvalidInput, match=match):
+                    solve(config, stage2_opponents(other, 12, 200, 0))
         for size in (12, 16):
             grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, size, 200, 0))
             assert grid.times.size == size
@@ -974,14 +977,69 @@ class TestGridKernel:
         a_samples = rng.exponential(size=3000) + 0.05
         b_t = np.linspace(0.0, 3.0, 24)
         tol = 1e-8
-        cold, _ = bayesian_closed._expected_best_responses(a_samples, b_t, tol)
+        cold, _ = bayesian_closed._expected_best_responses(a_samples, b_t)
         # near the root, at both bracket ends and outside the bracket
         start = cold * (1.0 + 0.05 * rng.standard_normal(b_t.size))
         start[::5] = 0.0
         start[1::5] = 0.25 * b_t[1::5]
         start[2::5] = b_t[2::5]
-        warm, _ = bayesian_closed._expected_best_responses(a_samples, b_t, tol, start)
+        warm, _ = bayesian_closed._expected_best_responses(a_samples, b_t, start)
         assert np.max(np.abs(warm - cold)) <= 1e-3 * tol
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mc=st.integers(1, 300),
+           b_t=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8),
+           data=st.data())
+    def test_newton_iterates_rise_to_the_root(self, seed, mc, b_t, data):
+        # g(e) = E[A/(A+e)^2] b - 1 is convex and decreasing in e, so after
+        # the first step of the one-step map N every iterate lies at or left
+        # of the root and rises to it; the exact best response is N iterated
+        slack = 1e-3 * bayesian_closed.BNE_TOL
+        rng = spawn_rng(seed)
+        a_samples = rng.exponential(size=mc) * rng.uniform(0.01, 3.0) + 1e-3
+        b_t = np.array(b_t)
+        root, _ = bayesian_closed._expected_best_responses(a_samples, b_t)
+        quarter = 0.25 * b_t
+        # 0, near or right of the root, at b(t)/4 and above it
+        start = np.array([data.draw(st.sampled_from([0.0, r, q, 2.0 * q, 4.0 * q]))
+                          * data.draw(st.floats(0.5, 1.5))
+                          for r, q in zip(root, quarter)])
+        warm, _ = bayesian_closed._expected_best_responses(a_samples, b_t, start)
+        assert np.max(np.abs(warm - root)) <= slack
+        x, _ = bayesian_closed._expected_best_responses(a_samples, b_t, start,
+                                                        one_step=True)
+        for _ in range(bayesian_closed.NEWTON_STEPS):
+            assert np.all(x <= root + slack)
+            step, _ = bayesian_closed._expected_best_responses(a_samples, b_t, x,
+                                                               one_step=True)
+            assert np.all(step >= x - slack)
+            x, change = step, float(np.max(np.abs(step - x)))
+            if change <= slack:
+                break
+        assert np.max(np.abs(x - root)) <= slack
+
+    @pytest.mark.parametrize("e0_ratio, n, bracketed_means",
+                             [(0.0, 2, 66), (1e-3, 4, 22)])
+    def test_best_responses_take_no_more_inner_steps(self, monkeypatch, e0_ratio, n,
+                                                     bracketed_means):
+        # (5, n, e0) on the stall grid's panel: the exact best responses
+        # evaluate E[A/(A+x)^k] no more often than the bracketed Newton solve
+        # they replaced (66 and 22 evaluations, 41 and 22 without the bracket)
+        means_calls = []
+        inner = bayesian_closed._condition_means
+
+        def counted(*args):
+            means, slopes = inner(*args)
+
+            def counted_means(x):
+                means_calls.append(1)
+                return means(x)
+            return counted_means, slopes
+
+        monkeypatch.setattr(bayesian_closed, "_condition_means", counted)
+        cfg = en_config(5, n, e0_ratio, join_model=UniformJoinTimes(0.0, 6.0))
+        solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        assert len(means_calls) <= bracketed_means
 
     def test_iteration_cap_raises_with_last_iterate(self, monkeypatch):
         monkeypatch.setattr(bayesian_closed, "BNE_STEPS", 3)
@@ -1023,7 +1081,7 @@ class TestGridKernel:
         x = symmetric_ne(4, b_t, e0) * spawn_rng(3).uniform(0.5, 1.5, b_t.size)
 
         def best_responses(x):
-            return bayesian_closed._expected_best_responses(e0 + op @ x, b_t, 1e-12)
+            return bayesian_closed._expected_best_responses(e0 + op @ x, b_t)
 
         br, slopes = best_responses(x)
         assert np.any(br == 0) and np.any(br > 0)
@@ -1047,7 +1105,7 @@ class TestGridKernel:
 
         def residual(x):
             step, slopes = bayesian_closed._expected_best_responses(
-                e0 + op @ x, grid.b_values, 1e-12, x, one_step=True)
+                e0 + op @ x, grid.b_values, x, one_step=True)
             return step - x, step, slopes
 
         _, step, slopes = residual(grid.efforts)
@@ -1069,7 +1127,7 @@ class TestGridKernel:
         grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         assert len(calls) <= 15
         again, _ = bayesian_closed._expected_best_responses(
-            self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
+            self._opposition(cfg, grid), grid.b_values)
         assert grid.efforts.max() > 0.1
         assert np.max(np.abs(again - grid.efforts)) <= 1e-7
 
@@ -1081,10 +1139,10 @@ class TestGridKernel:
         exact = []
         inner = bayesian_closed._expected_best_responses
 
-        def counted(a_samples, b_t, tol, start=None, one_step=False):
+        def counted(a_samples, b_t, start=None, one_step=False):
             if not one_step:
                 exact.append(start.tobytes())
-            return inner(a_samples, b_t, tol, start, one_step)
+            return inner(a_samples, b_t, start, one_step)
 
         monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
         cfg = en_config(8, 1, e0_ratio=0.0, join_model=UniformJoinTimes(0.0, 6.0))
@@ -1123,7 +1181,7 @@ class TestGridKernel:
         assert grid.efforts.sum() == pytest.approx(8.58585128, abs=1e-7)
         assert np.max(grid.efforts[grid.times >= 5.1]) <= 1e-8
         again, _ = bayesian_closed._expected_best_responses(
-            self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
+            self._opposition(cfg, grid), grid.b_values)
         assert np.max(np.abs(again - grid.efforts)) <= 1e-6
 
     @pytest.mark.parametrize("n_players, n", [(5, 4), (10, 5)])
@@ -1135,7 +1193,7 @@ class TestGridKernel:
                         join_model=UniformJoinTimes(0.0, 6.0))
         grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         again, _ = bayesian_closed._expected_best_responses(
-            self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
+            self._opposition(cfg, grid), grid.b_values)
         assert np.max(np.abs(again - grid.efforts)) <= bayesian_closed.BNE_TOL
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1192,7 +1250,7 @@ class TestGridKernel:
         cfg = en_config(20, 19, e0_ratio=0.0)
         grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
         again, _ = bayesian_closed._expected_best_responses(
-            self._opposition(cfg, grid), grid.b_values, bayesian_closed.BNE_TOL)
+            self._opposition(cfg, grid), grid.b_values)
         assert grid.efforts.max() > 0.01
         assert np.max(np.abs(again - grid.efforts)) <= 1e-7
 

@@ -605,6 +605,13 @@ output = noisy.csv
         (SMALL_SPEC.replace("lo = 0", "lo = nan"), "join_model"),
         (SMALL_SPEC.replace("kind = uniform", "kind = exponential\nrate = inf"),
          "join_model"),
+        (SMALL_SPEC.replace("lo = 0\nhi = 6", "lo = -1e308\nhi = 1e308"), "join_model"),
+        (TERMINATION_SPEC.replace("lo = 0\nhi = 6", "lo = -1e308\nhi = 1e308"),
+         "join_model"),
+        (SMALL_SPEC.replace("kind = uniform", "kind = exponential\nrate = 1e-310"),
+         "join_model"),
+        (TERMINATION_SPEC.replace("kind = uniform", "kind = exponential\nrate = 1e-310"),
+         "join_model"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2.4,2.5"), "experiment.sweep"),
         (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,3.5"), "experiment.sweep"),
         (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 2.4,2.5"),
@@ -618,7 +625,9 @@ output = noisy.csv
             "nan-velocity", "nan-weight", "nan-e0-ratio", "infinite-e0-ratio",
             "nan-budget", "one-mc-sample", "one-stage1-sample", "nan-constant-weight",
             "infinite-constant-weight", "nan-power", "infinite-scale", "nan-t0",
-            "infinite-hi", "nan-lo", "infinite-rate", "fractional-n",
+            "infinite-hi", "nan-lo", "infinite-rate", "infinite-width",
+            "infinite-width-termination", "infinite-mean", "infinite-mean-termination",
+            "fractional-n",
             "fractional-n-open", "complete-info-fractional-n",
             "complete-info-fractional-range"])
     def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,

@@ -177,12 +177,25 @@ class TestJoinModels:
         lambda: TableJoinTimes([0.0, 1.0, math.inf], [0.0, 0.5, 1.0]),
         lambda: TableJoinTimes([0.0, math.nan, 2.0], [0.0, 0.5, 1.0]),
         lambda: TableJoinTimes([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]),
+        # finite parameters whose width, mean or largest sampled quantile
+        # overflows would put NaN or inf on the type grid
+        lambda: UniformJoinTimes(-1e308, 1e308),
+        lambda: ExponentialJoinTimes(1e-310),
+        lambda: ExponentialJoinTimes(1e-308),
     ], ids=["uniform-inf-hi", "uniform-inf-lo", "uniform-nan-lo", "uniform-nan-hi",
             "exponential-inf", "exponential-nan", "table-inf-time", "table-nan-time",
-            "table-nan-cdf"])
+            "table-nan-cdf", "uniform-infinite-width", "exponential-infinite-mean",
+            "exponential-infinite-quantile"])
     def test_non_finite_parameters_rejected(self, build):
         with pytest.raises(InvalidInput, match="finite|rise"):
             build()
+
+    def test_largest_finite_parameters_keep_finite_times(self):
+        uniform = UniformJoinTimes(-1e308, 7e307)
+        exponential = ExponentialJoinTimes(3e-307)
+        q = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        assert np.all(np.isfinite(uniform.quantile(q)))
+        assert np.all(np.isfinite(exponential.quantile(q)))
 
     def test_smoothed_pdf_is_a_density(self):
         m = EmpiricalJoinTimes(np.array([1.0, 2.0, 3.0, 4.5]), 6.0)
