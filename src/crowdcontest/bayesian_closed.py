@@ -441,12 +441,34 @@ def _knots(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (last, 0), where np.interp returns the end values. Linear interpolation
     of efforts e on the grid is then the gather slope[j] * offset + e[j],
     with slope[j] = (e[j+1] - e[j]) / (times[j+1] - times[j]) and
-    slope[last] = 0: np.interp's own arithmetic."""
+    slope[last] = 0: np.interp's own arithmetic. Each block of BLOCK_ROWS
+    rows guesses j as the index at the left edge of t's bucket, 64 (at most
+    2^16 in all) per grid interval, and checks times[j] <= t < times[j+1];
+    np.searchsorted places the types that fail it. The guess fails only for
+    types in a bucket that holds a knot, few on a grid spaced near evenly
+    (a uniform prior's); on an uneven one, most types may fall back to the
+    search."""
     last = times.size - 1
-    index = np.searchsorted(times, types, side="right") - 1
-    index = np.clip(index, 0, last, out=index).astype(np.min_scalar_type(last))
-    offset = np.clip(types, times[0], times[-1])
-    offset -= np.take(times, index)
+    lo, hi = times[0], times[-1]
+    buckets = min(64 * last, 1 << 16)
+    table = np.searchsorted(times, lo + (hi - lo) / buckets * np.arange(buckets),
+                            side="right") - 1
+    scale, after = buckets / (hi - lo), np.append(times[1:], np.inf)
+    index = np.empty(types.shape, np.min_scalar_type(last))
+    offset = np.empty(types.shape)
+    rows = [a if types.ndim > 1 else a[:, None] for a in (types, index, offset)]
+    for r in range(0, types.shape[0], BLOCK_ROWS):
+        t, idx, off = (a[r:r + BLOCK_ROWS] for a in rows)
+        np.clip(t, lo, hi, out=off)
+        guess = off - lo
+        guess *= scale
+        j = np.take(table, np.fmin(guess, buckets - 1, out=guess).astype(np.intp))
+        hit = np.take(times, j) <= off
+        hit &= off < np.take(after, j)
+        missed, flat_j = np.flatnonzero(~hit), j.reshape(-1)
+        flat_j[missed] = np.searchsorted(times, off.reshape(-1)[missed], side="right") - 1
+        idx[...] = j
+        off -= np.take(times, j)
     return index, offset
 
 
@@ -457,10 +479,12 @@ def _interp_operator(panel: np.ndarray, times: np.ndarray,
     draw i's opponents, clamped to the end values outside the grid, and is
     all zeros for a panel without opponent columns. Each opponent at
     fractional grid position pos adds k + 1 - pos to cell k = min(floor(pos),
-    grid - 2) of its row and pos - k to cell k + 1; a bincount per block of
-    BLOCK_ROWS rows sums them per cell in opponent-column order; trailing
-    columns at or past the grid's end in every row of a block, which add 0
-    and 1 to the last two cells, skip it and add their 1s after it. The
+    grid - 2) of its row and pos - k to cell k + 1, both written interleaved
+    into (rows, opponents, 2) arrays (k + 1 - pos as 1 - (pos - k), the same
+    bits, as pos - k is exact); a bincount per block of BLOCK_ROWS rows sums
+    them per cell in opponent-column order; trailing columns at or past the
+    grid's end in every row of a block, which add 0 and 1 to the last two
+    cells, skip it and add their 1s after it. The
     grid's owner may supply `positions(draws)`, the positions of draws that
     lie in or past the grid; by default they are np.interp of the grid
     indices. M is returned read-only."""
@@ -477,10 +501,14 @@ def _interp_operator(panel: np.ndarray, times: np.ndarray,
         inside = np.flatnonzero(~(draws.min(axis=0) >= times[-1]))
         width = inside[-1] + 1 if inside.size else 0
         pos = positions(draws[:, :width])
-        k = np.minimum(pos.astype(int), size - 2)
-        cells = np.stack([k, k + 1], axis=-1) \
-            + (size * np.arange(block.shape[0]))[:, None, None]
-        weights = np.stack([k + 1 - pos, pos - k], axis=-1)
+        k = pos.astype(int)
+        np.minimum(k, size - 2, out=k)
+        cells = np.empty((*pos.shape, 2), dtype=int)
+        np.add(k, (size * np.arange(block.shape[0]))[:, None], out=cells[..., 0])
+        np.add(cells[..., 0], 1, out=cells[..., 1])
+        weights = np.empty((*pos.shape, 2))
+        np.subtract(pos, k, out=weights[..., 1])
+        np.subtract(1.0, weights[..., 1], out=weights[..., 0])
         block[:] = np.bincount(cells.ravel(), weights.ravel(),
                                minlength=block.size).reshape(block.shape)
         for _ in range(draws.shape[1] - width):

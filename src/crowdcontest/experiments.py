@@ -11,7 +11,6 @@ import hashlib
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
@@ -46,6 +45,7 @@ def _parallel_map(fn, items):
     workers = _thread_count()
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -49,6 +49,17 @@ class JoinTimeModel:
         return np.asarray(self.quantile(rng.random(n)), dtype=float)
 
 
+def _check_knot_times(xs: np.ndarray) -> None:
+    """InvalidInput unless the 1-d knot times `xs` rise by finite steps:
+    between finite knots whose np.diff overflows, np.interp returns inf or
+    a wrong value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(xs)
+    if not np.all((steps > 0) & (steps < math.inf)):
+        raise InvalidInput("knot times must be finite and strictly increasing "
+                           "by finite steps")
+
+
 @dataclass(frozen=True)
 class UniformJoinTimes(JoinTimeModel):
     lo: float = 0.0
@@ -102,10 +113,14 @@ class TableJoinTimes(JoinTimeModel):
         ys = np.asarray(cdf_values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise InvalidInput("need matching 1-d knot arrays with >= 2 points")
-        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
-            raise InvalidInput("knot times must be finite and strictly increasing")
+        _check_knot_times(xs)
         if not np.all(np.diff(ys) >= 0) or abs(ys[0]) > 1e-9 or abs(ys[-1] - 1.0) > 1e-9:
             raise InvalidInput("cdf knots must rise from 0 to 1")
+        # the quantile interpolates times over probabilities, at these slopes
+        with np.errstate(divide="ignore", over="ignore"):
+            slopes = np.diff(xs) / np.diff(ys)
+        if not np.all(slopes[np.diff(ys) > 0] < math.inf):
+            raise InvalidInput("knot times must rise by finite steps per unit of cdf")
         self._xs = xs
         self._ys = ys
         self.support = (float(xs[0]), float(xs[-1]))
@@ -343,8 +358,7 @@ class TableWeight(WeightFunction):
         ys = np.asarray(values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise InvalidInput("need matching 1-d knot arrays with >= 2 points")
-        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
-            raise InvalidInput("knot times must be finite and strictly increasing")
+        _check_knot_times(xs)
         if not np.all((ys >= 0) & (ys < math.inf)):
             raise InvalidInput("weights must be finite and >= 0")
         if np.any(np.diff(ys) > 1e-12):

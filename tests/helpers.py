@@ -6,8 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from crowdcontest.bayesian_closed import (BayesianConfig, _binom_pmf, _grid_times,
-                                          _knots, earliest_n_prob, reward_schedule)
+from crowdcontest.bayesian_closed import (BLOCK_ROWS, BayesianConfig, _binom_pmf,
+                                          _grid_times, earliest_n_prob, reward_schedule)
 from crowdcontest.contest import ContestConfig, best_response
 from crowdcontest.errors import InvalidInput, NoConvergence, NumericalError
 from crowdcontest.numerics import bisect
@@ -210,20 +210,62 @@ def interp_operator_by_columns(panel: np.ndarray, times: np.ndarray) -> np.ndarr
     return op
 
 
+def knots_by_search(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Knot positions of `types` on the strictly increasing grid `times`, as
+    `bayesian_closed._knots` found them before it guessed them from buckets:
+    the np.interp index j by one np.searchsorted over every type, clipped to
+    the grid and cast to the smallest integer type that holds it, and the
+    offset clip(t) - times[j]."""
+    last = times.size - 1
+    index = np.searchsorted(times, types, side="right") - 1
+    index = np.clip(index, 0, last, out=index).astype(np.min_scalar_type(last))
+    offset = np.clip(types, times[0], times[-1])
+    offset -= np.take(times, index)
+    return index, offset
+
+
 def interp_operator_by_knots(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Interpolation operator M of the grid BNE kernel, built as the kernel
     built it before it placed draws by np.interp and left past-end columns
-    out: every draw's position from its `_knots` gather, 1 / width * offset +
-    index, and every column through one bincount over the whole panel (its
-    sums are row-local, so row blocks change no bit)."""
+    out: every draw's position from its `knots_by_search` gather, 1 / width *
+    offset + index, and every column through one bincount over the whole
+    panel (its sums are row-local, so row blocks change no bit)."""
     rows, size = panel.shape[0], times.size
-    index, offset = _knots(panel, times)
+    index, offset = knots_by_search(panel, times)
     pos = np.take(np.append(1.0 / np.diff(times), 0.0), index) * offset + index
     k = np.minimum(pos.astype(int), size - 2)
     cells = np.stack([k, k + 1], axis=-1) + (size * np.arange(rows))[:, None, None]
     weights = np.stack([k + 1 - pos, pos - k], axis=-1)
     return np.bincount(cells.ravel(), weights.ravel(),
                        minlength=rows * size).reshape(rows, size)
+
+
+def interp_operator_stacked(panel: np.ndarray, times: np.ndarray,
+                            positions) -> np.ndarray:
+    """Interpolation operator M of the grid BNE kernel, built as the kernel
+    built it before it wrote its cells and weights through `out=`: per block
+    of BLOCK_ROWS rows, the (k, k + 1) cells and (k + 1 - pos, pos - k)
+    weights of the draws placed by `positions` stacked on a last axis, the
+    row offsets added by broadcasting, one bincount, and the 1s of trailing
+    columns at or past the grid's end in every row of the block added after
+    it."""
+    size = times.size
+    op = np.empty((panel.shape[0], size))
+    for lo in range(0, panel.shape[0], BLOCK_ROWS):
+        block = op[lo:lo + BLOCK_ROWS]
+        draws = panel[lo:lo + BLOCK_ROWS]
+        inside = np.flatnonzero(~(draws.min(axis=0) >= times[-1]))
+        width = inside[-1] + 1 if inside.size else 0
+        pos = positions(draws[:, :width])
+        k = np.minimum(pos.astype(int), size - 2)
+        cells = np.stack([k, k + 1], axis=-1) \
+            + (size * np.arange(block.shape[0]))[:, None, None]
+        weights = np.stack([k + 1 - pos, pos - k], axis=-1)
+        block[:] = np.bincount(cells.ravel(), weights.ravel(),
+                               minlength=block.size).reshape(block.shape)
+        for _ in range(draws.shape[1] - width):
+            block[:, -1] += 1.0
+    return op
 
 
 def condition_noise_two_pass(a_samples: np.ndarray, grid) -> float:

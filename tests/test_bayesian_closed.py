@@ -37,7 +37,8 @@ from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonMo
 from helpers import (argpartition_payment, bne_quadrature_oracle,
                      condition_noise_two_pass,
                      convolution_best_responses, interp_operator_by_columns,
-                     interp_operator_by_knots, single_peaked,
+                     interp_operator_by_knots, interp_operator_stacked,
+                     knots_by_search, single_peaked,
                      termination_effort_e0_zero, threshold_analytic_bound,
                      unblocked_stage1)
 
@@ -1379,6 +1380,53 @@ class TestBlockedStageOne:
             panel = np.empty((rows, 0))
         op = bayesian_closed._interp_operator(panel, times)
         assert same_bits(op, interp_operator_by_knots(panel, times))
+
+    @pytest.mark.parametrize("rows", BLOCK_EDGES)
+    @pytest.mark.parametrize("past_end", [True, False], ids=["past-end", "inside"])
+    def test_open_operator_matches_the_stacked_build_bit_for_bit(self, rows, past_end):
+        panel = sample_arrival_sequences(PoissonModel(rate=6.0, truncation=30),
+                                         spawn_rng(rows), rows)
+        # the open grid is uniform from 0: ending it at 1.5 leaves the last
+        # epochs past its end in every row, ending it past every epoch none
+        times = np.linspace(0.0, 1.5 if past_end else 1.01 * panel.max(), 24)
+        assert np.any(np.all(panel >= times[-1], axis=0)) == past_end
+        positions = open_system._epoch_positions(times)
+        op = bayesian_closed._interp_operator(panel, times, positions)
+        assert same_bits(op, interp_operator_stacked(panel, times, positions))
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "exponential", "clustered", "heavy-tailed"]),
+           size=st.integers(2, 80), cols=st.integers(0, 4),
+           rows=st.sampled_from([1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_knots_match_the_search_bit_for_bit(self, kind, size, cols, rows, seed):
+        rng = spawn_rng(seed)
+        if kind == "uniform":
+            lo = rng.uniform(-5.0, 5.0)
+            times = np.linspace(lo, lo + rng.uniform(0.1, 10.0), size)
+        elif kind == "exponential":
+            times = bayesian_closed._grid_times(ExponentialJoinTimes(rng.uniform(0.1, 5.0)),
+                                                size)
+        elif kind == "clustered":
+            # a table grid with three clusters of knots 1e-12 of its span apart
+            base = np.sort(rng.uniform(0.0, 6.0, size))
+            clusters = base[rng.integers(0, size, 3), None] + 6e-12 * np.arange(1, 20)
+            times = np.unique(np.concatenate([base, clusters.ravel()]))
+        else:
+            # every knot but the last in the first bucket: most guesses fail
+            times = np.append(np.linspace(0.0, 1.0, size - 1), 1e6)
+        lo, hi = times[0], times[-1]
+        # types below, inside and above the grid, on and beside its knots,
+        # and at -inf and inf, in a 1-d panel (cols = 0) or a 2-d one
+        pool = np.concatenate([rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 64),
+                               times, np.nextafter(times, -np.inf),
+                               np.nextafter(times, np.inf), [-np.inf, np.inf]])
+        types = rng.choice(pool, size=(rows, cols) if cols else rows)
+        index, offset = bayesian_closed._knots(types, times)
+        expect_index, expect_offset = knots_by_search(types, times)
+        assert index.dtype == expect_index.dtype
+        assert np.array_equal(index, expect_index)
+        assert same_bits(offset, expect_offset)
 
     @pytest.mark.parametrize("tail", ["zero", "positive", "none", "constant"])
     def test_interpolated_efforts_are_np_interp_bit_for_bit(self, tail):

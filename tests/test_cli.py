@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,6 +288,14 @@ scale = 1
         assert [p.name for p in serial] == [p.name for p in threaded]
         for p1, p2 in zip(serial, threaded):
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_import_loads_no_thread_pool(self):
+        # only a run with more than one worker starts threads
+        code = "import sys, crowdcontest; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.split() == ["False"]
 
     def test_csf_surface_preset(self, tmp_path):
         paths = run_spec(load_spec("csf-gain-surface"), out_dir=tmp_path)
@@ -612,6 +623,14 @@ output = noisy.csv
          "join_model"),
         (TERMINATION_SPEC.replace("kind = uniform", "kind = exponential\nrate = 1e-310"),
          "join_model"),
+        (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
+                            "kind = table\ntimes = -1e308,1e308\ncdf = 0,1"), "join_model"),
+        (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
+                            "kind = table\ntimes = -1e308,0,1e308\ncdf = 0,0.5,1"),
+         "join_model"),
+        (SMALL_SPEC.replace("kind = step\nbreakpoints = 0,1.5,3,6\nvalues = 1,0.6,0.2,0",
+                            "kind = table\ntimes = -1e308,1e308\nvalues = 1,0"),
+         "weights"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2.4,2.5"), "experiment.sweep"),
         (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,3.5"), "experiment.sweep"),
         (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 2.4,2.5"),
@@ -627,7 +646,8 @@ output = noisy.csv
             "infinite-constant-weight", "nan-power", "infinite-scale", "nan-t0",
             "infinite-hi", "nan-lo", "infinite-rate", "infinite-width",
             "infinite-width-termination", "infinite-mean", "infinite-mean-termination",
-            "fractional-n",
+            "overflowing-table-times", "overflowing-table-quantile",
+            "overflowing-table-weights", "fractional-n",
             "fractional-n-open", "complete-info-fractional-n",
             "complete-info-fractional-range"])
     def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,

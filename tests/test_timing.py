@@ -182,10 +182,17 @@ class TestJoinModels:
         lambda: UniformJoinTimes(-1e308, 1e308),
         lambda: ExponentialJoinTimes(1e-310),
         lambda: ExponentialJoinTimes(1e-308),
+        lambda: TableJoinTimes([-1e308, 1e308], [0.0, 1.0]),
+        lambda: TableJoinTimes([-1e308, -9e307, 9e307, 1e308], [0.0, 0.1, 0.9, 1.0]),
+        # finite steps whose quantile slope, time per unit of cdf, overflows
+        lambda: TableJoinTimes([-1e308, 0.0, 1e308], [0.0, 0.5, 1.0]),
+        lambda: TableJoinTimes([0.0, 1.5e308, 1.6e308], [0.0, 0.1, 1.0]),
     ], ids=["uniform-inf-hi", "uniform-inf-lo", "uniform-nan-lo", "uniform-nan-hi",
             "exponential-inf", "exponential-nan", "table-inf-time", "table-nan-time",
             "table-nan-cdf", "uniform-infinite-width", "exponential-infinite-mean",
-            "exponential-infinite-quantile"])
+            "exponential-infinite-quantile", "table-infinite-step",
+            "table-infinite-inner-step", "table-infinite-quantile-slope",
+            "table-infinite-inner-quantile-slope"])
     def test_non_finite_parameters_rejected(self, build):
         with pytest.raises(InvalidInput, match="finite|rise"):
             build()
@@ -193,9 +200,11 @@ class TestJoinModels:
     def test_largest_finite_parameters_keep_finite_times(self):
         uniform = UniformJoinTimes(-1e308, 7e307)
         exponential = ExponentialJoinTimes(3e-307)
+        table = TableJoinTimes([-1e308, 7e307], [0.0, 1.0])
         q = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
         assert np.all(np.isfinite(uniform.quantile(q)))
         assert np.all(np.isfinite(exponential.quantile(q)))
+        assert np.all(np.isfinite(table.quantile(q)))
 
     def test_smoothed_pdf_is_a_density(self):
         m = EmpiricalJoinTimes(np.array([1.0, 2.0, 3.0, 4.5]), 6.0)
@@ -271,14 +280,22 @@ class TestWeights:
         lambda: TableWeight([math.nan, 1.0], [1.0, 0.5]),
         lambda: TableWeight([0.0, 1.0], [math.inf, 0.5]),
         lambda: TableWeight([0.0, 1.0], [1.0, math.nan]),
+        # finite knots whose spacing overflows: np.interp returned 1.0 at 0.0
+        lambda: TableWeight([-1e308, 1e308], [1.0, 0.0]),
+        lambda: TableWeight([-1e308, -9e307, 9e307, 1e308], [1.0, 0.9, 0.1, 0.0]),
     ], ids=["constant-nan", "constant-inf", "power-nan", "power-inf", "scale-nan",
             "scale-inf", "t0-nan", "t0-inf", "step-nan-breakpoint",
             "step-inf-breakpoint", "step-minus-inf-breakpoint", "step-nan-breakpoint-2",
             "step-inf-value", "step-nan-value", "table-inf-time", "table-nan-time",
-            "table-inf-value", "table-nan-value"])
+            "table-inf-value", "table-nan-value", "table-infinite-step",
+            "table-infinite-inner-step"])
     def test_non_finite_parameters_rejected(self, build):
         with pytest.raises(InvalidInput, match="finite"):
             build()
+
+    def test_widest_finite_table_interpolates(self):
+        w = TableWeight([-1e308, 7e307], [1.0, 0.0])
+        assert w(0.0) == pytest.approx(7e307 / 1.7e308, rel=1e-12)
 
     def test_increasing_step_rejected(self):
         with pytest.raises(InvalidInput):
