@@ -235,6 +235,11 @@ class Stage1Panel:
         kept beside them: an evaluation on an effort grid over the same
         times then gathers each effort instead of searching the grid."""
         times = np.array(times, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = times.ndim == 1 and times.size >= 2 and np.all(np.diff(times) > 0) \
+                and times[-1] - times[0] < math.inf
+        if not grid:
+            raise InvalidInput("knot times must be finite and strictly increasing")
         return replace(self, knots=(times, *_knots(self.types, times)))
 
 
@@ -641,34 +646,29 @@ def stage2_opponents(config: BayesianConfig, grid_size: int = GRID_SIZE,
     return Stage2Opponents(times, _interp_operator(opp_types, times))
 
 
-def _solve_grid_bne(config: BayesianConfig,
-                    opponents: Stage2Opponents | None) -> TypeGrid:
-    """Grid BNE of a closed config on the grid of `opponents`, built here
-    when None. Opponents off the config's quantile-spaced grid of their size
-    or with operator rows that do not sum to N - 1 are another prior's."""
-    if opponents is None:
-        opponents = stage2_opponents(config)
-    elif not np.array_equal(opponents.times,
-                            _grid_times(config.join_model, opponents.times.size)):
+def _solve_grid_bne(config: BayesianConfig, opponents: Stage2Opponents) -> TypeGrid:
+    """Grid BNE of a closed config on the grid of `opponents`. Opponents off
+    the config's quantile-spaced grid of their size or with operator rows
+    that do not sum to N - 1 are another prior's."""
+    if not np.array_equal(opponents.times,
+                          _grid_times(config.join_model, opponents.times.size)):
         raise InvalidInput("opponents were placed for another join model")
-    elif round(float(opponents.operator[:1].sum())) != config.n_players - 1:
+    if round(float(opponents.operator[:1].sum())) != config.n_players - 1:
         raise InvalidInput(f"opponents were drawn for another N than {config.n_players}")
     times = opponents.times
     return _iterate_grid_bne(times, reward_schedule(config, times), opponents.operator,
                              config.nature_effort)
 
 
-def solve_bne_earliest_n(config: BayesianConfig,
-                         opponents: Stage2Opponents | None = None) -> TypeGrid:
+def solve_bne_earliest_n(config: BayesianConfig, opponents: Stage2Opponents) -> TypeGrid:
     """Stage-II BNE of the earliest-n strategy on a quantile-spaced grid,
-    against `opponents` (`stage2_opponents`, built here when None)."""
+    against `opponents` (`stage2_opponents`)."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
     return _solve_grid_bne(config, opponents)
 
 
-def solve_bne_linear(config: BayesianConfig,
-                     opponents: Stage2Opponents | None = None) -> TypeGrid:
+def solve_bne_linear(config: BayesianConfig, opponents: Stage2Opponents) -> TypeGrid:
     """Stage-II BNE of the linearly-decreasing strategy (same machinery as
     earliest-n with b(t) = max(0, b - h t))."""
     if not isinstance(config.strategy, LinearDecay):
@@ -794,20 +794,14 @@ def termination_tables(config: BayesianConfig) -> TerminationTables:
                              _binom_pmf(config.n_players, p)[1:], w_bar)
 
 
-def stage1_metrics_termination(config: BayesianConfig, e_star: float | None = None,
-                               tables: TerminationTables | None = None
-                               ) -> StageOneReport:
-    """Closed-form Stage-I metrics for the termination strategy from its
-    `tables` (`termination_tables`, built here when None): this gives the
+def stage1_metrics_termination(config: BayesianConfig, e_star: float,
+                               tables: TerminationTables) -> StageOneReport:
+    """Closed-form Stage-I metrics for the termination strategy at in-time
+    effort e* from its `tables` (`termination_tables`): this gives the
     paper's E[U] = e* N Iwf and E[Eff] = (e0/(b p) (1-(1-p)^N) + N e*/b) Iwf
-    with Iwf = int_0^T w f dt. e* is solved here when None."""
+    with Iwf = int_0^T w f dt."""
     if not isinstance(config.strategy, Termination):
         raise InvalidInput("config.strategy must be Termination")
-    if tables is None:
-        tables = termination_tables(config)
-    if e_star is None:
-        e_star = solve_bne_termination(config.n_players, tables.opponents,
-                                       config.max_reward, config.nature_effort)
     return _termination_report(config, e_star, tables)
 
 
@@ -1013,7 +1007,7 @@ def _calibrated(config, solve, stage1) -> tuple[TypeGrid | float, StageOneReport
 
 def calibrated_stage1(config: BayesianConfig,
                       draws: tuple[Stage1Panel, Stage2Opponents] | TerminationTables
-                      | None = None) -> tuple[TypeGrid | float, StageOneReport]:
+                      ) -> tuple[TypeGrid | float, StageOneReport]:
     """Solve Stage II, calibrate b to the budget, and report Stage-I metrics
     at the calibrated reward, together with the Stage-II solution there: the
     effort grid, or the flat in-time effort e* of a termination strategy.
@@ -1024,13 +1018,11 @@ def calibrated_stage1(config: BayesianConfig,
     decay solves both stages at each b of its root search (`calibrate_b`)
     because a fixed velocity breaks the scaling.
 
-    Every evaluation runs on `draws` (`config.draws()` when None): one
-    Stage-I panel and one set of Stage-II opponents, or a termination
-    strategy's exact tables. A sweep passes the draws it shares across the
-    configs of a prior, and the tables across the e0 ratios of a deadline.
+    Every evaluation runs on `draws` (`config.draws`): one Stage-I panel and
+    one set of Stage-II opponents, or a termination strategy's exact tables.
+    A sweep passes the draws it shares across the configs of a prior, and
+    the tables across the e0 ratios of a deadline.
     """
-    if draws is None:
-        draws = config.draws()
     s = config.strategy
     if isinstance(s, Termination):
         # the effort at b is b times the effort at b = 1, e0 = e0_ratio

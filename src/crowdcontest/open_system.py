@@ -174,17 +174,14 @@ def open_stage2_opponents(config: OpenConfig, grid_size: int = GRID_SIZE,
     return OpenOpponents(grid_size, epochs)
 
 
-def solve_bne_open_earliest_n(config: OpenConfig,
-                              opponents: OpenOpponents | None = None) -> TypeGrid:
+def solve_bne_open_earliest_n(config: OpenConfig, opponents: OpenOpponents) -> TypeGrid:
     """Stage-II BNE with b(s) = b P(N(s) <= n-1) on a grid of
     `opponents.grid_size` points; after isolating the tagged contributor,
     opponents form a fresh (M-1)-epoch Poisson sequence, the rows of
-    `opponents.epochs` (`open_stage2_opponents`, built here when None)."""
+    `opponents.epochs` (`open_stage2_opponents`)."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    if opponents is None:
-        opponents = open_stage2_opponents(config)
-    elif opponents.epochs.shape[1:] != (config.poisson.truncation - 1,):
+    if opponents.epochs.shape[1:] != (config.poisson.truncation - 1,):
         raise InvalidInput(f"opponent sequences of shape {opponents.epochs.shape} do "
                            f"not hold truncation - 1 epochs")
     n = config.strategy.n
@@ -263,19 +260,11 @@ def open_termination_tables(config: OpenConfig) -> TerminationTables:
     return TerminationTables(pk, pm, config.weightfn.integral(0.0, deadline) / deadline)
 
 
-def _termination_tables(config: OpenConfig,
-                        tables: TerminationTables | None) -> TerminationTables:
-    """`tables`, built here when None, of an open termination config."""
+def solve_bne_open_termination(config: OpenConfig, tables: TerminationTables) -> float:
+    """Symmetric in-time effort against the meeting-count pmf of `tables`
+    (`open_termination_tables`)."""
     if not isinstance(config.strategy, Termination):
         raise InvalidInput("config.strategy must be Termination")
-    return open_termination_tables(config) if tables is None else tables
-
-
-def solve_bne_open_termination(config: OpenConfig,
-                               tables: TerminationTables | None = None) -> float:
-    """Symmetric in-time effort against the meeting-count pmf of `tables`
-    (`open_termination_tables`, built here when None)."""
-    tables = _termination_tables(config, tables)
     return _termination_effort(tables.opponents, config.max_reward, config.e0_ratio)
 
 
@@ -293,29 +282,24 @@ def open_termination_conditional_eff(m: int, e_star: float, b: float,
     return (e0 + m * e_star) / (b * deadline) * weightfn.integral(0.0, deadline)
 
 
-def stage1_open_termination(config: OpenConfig, e_star: float | None = None,
-                            tables: TerminationTables | None = None
-                            ) -> StageOneReport:
-    """Closed-form Stage-I metrics for the open termination strategy from its
-    `tables` (`open_termination_tables`, built here when None); e* is solved
-    here when None."""
-    tables = _termination_tables(config, tables)
-    if e_star is None:
-        e_star = solve_bne_open_termination(config, tables)
+def stage1_open_termination(config: OpenConfig, e_star: float,
+                            tables: TerminationTables) -> StageOneReport:
+    """Closed-form Stage-I metrics for the open termination strategy at
+    in-time effort e* from its `tables` (`open_termination_tables`)."""
+    if not isinstance(config.strategy, Termination):
+        raise InvalidInput("config.strategy must be Termination")
     return _termination_report(config, e_star, tables)
 
 
 def calibrated_open_stage1(config: OpenConfig,
                            draws: tuple[Stage1Panel, OpenOpponents] | TerminationTables
-                           | None = None) -> tuple[TypeGrid | float, StageOneReport]:
+                           ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the
     calibrated reward (`_calibrated`): the effort grid, or the in-time effort
     e* of the termination strategy. Both open strategies scale linearly in b
     (e0 tracks b), so each stage runs once, at the configured reward, and its
-    result is scaled to b*. Both stages run on `draws` (`config.draws()` when
-    None), as in `calibrated_stage1`."""
-    if draws is None:
-        draws = config.draws()
+    result is scaled to b*. Both stages run on `draws` (`config.draws`), as
+    in `calibrated_stage1`."""
     if isinstance(config.strategy, Termination):
         return _calibrated(
             config, lambda cfg: solve_bne_open_termination(cfg, draws),

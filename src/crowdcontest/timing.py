@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyTrace, InvalidInput, MalformedRecord
-from .numerics import RngSeed, spawn_rng
 
 _TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 #: units a trace's timestamps and window may be given in, with the span of
@@ -42,10 +41,8 @@ class JoinTimeModel:
     def quantile(self, q):
         raise NotImplementedError
 
-    def sample(self, rng_or_seed: np.random.Generator | RngSeed, n: int) -> np.ndarray:
-        """Inverse-CDF sampling; accepts a Generator or a bare seed."""
-        rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
-            else spawn_rng(rng_or_seed)
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws by inverse-CDF sampling from the stream `rng`."""
         return np.asarray(self.quantile(rng.random(n)), dtype=float)
 
 
@@ -58,6 +55,17 @@ def _check_knot_times(xs: np.ndarray) -> None:
     if not np.all((steps > 0) & (steps < math.inf)):
         raise InvalidInput("knot times must be finite and strictly increasing "
                            "by finite steps")
+
+
+def _check_slopes(xs: np.ndarray, ys: np.ndarray, message: str) -> None:
+    """InvalidInput(message) unless the knot values `ys` change by finite
+    steps per unit of `xs` wherever xs rises: where diff(ys) / diff(xs)
+    overflows, np.interp of ys over xs returns inf or a wrong value."""
+    rise = np.diff(xs)
+    with np.errstate(divide="ignore", over="ignore"):
+        slopes = np.diff(ys) / rise
+    if not np.all(np.abs(slopes[rise > 0]) < math.inf):
+        raise InvalidInput(message)
 
 
 @dataclass(frozen=True)
@@ -116,11 +124,9 @@ class TableJoinTimes(JoinTimeModel):
         _check_knot_times(xs)
         if not np.all(np.diff(ys) >= 0) or abs(ys[0]) > 1e-9 or abs(ys[-1] - 1.0) > 1e-9:
             raise InvalidInput("cdf knots must rise from 0 to 1")
-        # the quantile interpolates times over probabilities, at these slopes
-        with np.errstate(divide="ignore", over="ignore"):
-            slopes = np.diff(xs) / np.diff(ys)
-        if not np.all(slopes[np.diff(ys) > 0] < math.inf):
-            raise InvalidInput("knot times must rise by finite steps per unit of cdf")
+        _check_slopes(xs, ys, "cdf knots must rise by finite steps per unit of time")
+        # the quantile interpolates times over probabilities
+        _check_slopes(ys, xs, "knot times must rise by finite steps per unit of cdf")
         self._xs = xs
         self._ys = ys
         self.support = (float(xs[0]), float(xs[-1]))
@@ -363,6 +369,7 @@ class TableWeight(WeightFunction):
             raise InvalidInput("weights must be finite and >= 0")
         if np.any(np.diff(ys) > 1e-12):
             raise InvalidInput("table weights must be nonincreasing")
+        _check_slopes(xs, ys, "table weights must fall by finite steps per unit of time")
         self._xs = xs
         self._ys = ys
 
@@ -434,12 +441,10 @@ def poisson_pmf(model: PoissonModel, t: float, m) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def sample_arrival_sequences(model: PoissonModel,
-                             rng_or_seed: np.random.Generator | RngSeed,
+def sample_arrival_sequences(model: PoissonModel, rng: np.random.Generator,
                              n: int, m: int | None = None) -> np.ndarray:
-    """(n, m) array of arrival epochs, m defaulting to the model truncation."""
-    rng = rng_or_seed if isinstance(rng_or_seed, np.random.Generator) \
-        else spawn_rng(rng_or_seed)
+    """(n, m) array of arrival epochs from the stream `rng`, m defaulting to
+    the model truncation."""
     m = model.truncation if m is None else m
     gaps = rng.exponential(scale=1.0 / model.rate, size=(n, m))
     return np.cumsum(gaps, axis=1, out=gaps)

@@ -177,7 +177,7 @@ def test_criterion_08_budget_balance_across_ratios():
         cfg_t = BayesianConfig(n_players=10, strategy=Termination(2.0),
                                join_model=model, weightfn=PAPER_STEP,
                                e0_ratio=ratio, budget=1.0)
-        _, rep_t = calibrated_stage1(cfg_t)
+        _, rep_t = calibrated_stage1(cfg_t, cfg_t.draws())
         assert abs(rep_t.expected_payment - 1.0) <= budget_tolerance(1.0, 0.0)
 
         # open earliest-n, fresh-seed re-measurement
@@ -194,7 +194,7 @@ def test_criterion_08_budget_balance_across_ratios():
         cfg_ot = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=40),
                             strategy=Termination(0.5), weightfn=PAPER_STEP,
                             e0_ratio=ratio, budget=1.0)
-        _, rep_ot = calibrated_open_stage1(cfg_ot)
+        _, rep_ot = calibrated_open_stage1(cfg_ot, cfg_ot.draws())
         assert abs(rep_ot.expected_payment - 1.0) <= budget_tolerance(1.0, 0.0)
         checked += 4
     _announce(8, f"|E[R]-B| within tolerance on {checked} calibrated sweeps, "
@@ -275,7 +275,7 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
             cfg_tt = BayesianConfig(n_players=20, strategy=Termination(t_end),
                                     join_model=model, weightfn=PAPER_STEP,
                                     e0_ratio=0.5, budget=budget)
-            _, rep = calibrated_stage1(cfg_tt)
+            _, rep = calibrated_stage1(cfg_tt, cfg_tt.draws())
             bs_t.append(rep.calibrated_b)
         assert all(b2 < b1 for b1, b2 in zip(bs_t, bs_t[1:])), bs_t
 

@@ -26,7 +26,7 @@ from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
 from crowdcontest.contest import symmetric_ne
 from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise,
                                  NoConvergence)
-from crowdcontest.experiments import sweep
+from crowdcontest.experiments import load_spec, sweep
 from crowdcontest.numerics import bisect, spawn_rng
 from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
                                       open_stage2_opponents, stage1_open_earliest_n,
@@ -349,20 +349,26 @@ class TestTerminationStage1:
     def test_matches_complete_info_efficiency(self):
         cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
                              join_model=UNIFORM01, e0_ratio=0.0)
-        rep = stage1_metrics_termination(cfg)
+        tables = cfg.draws()
+        rep = stage1_metrics_termination(
+            cfg, solve_bne_termination(2, tables.opponents, 1.0, 0.0), tables)
         assert rep.expected_efficiency == pytest.approx(0.5, abs=1e-9)
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-9)
 
     def test_nature_raises_efficiency(self):
         cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
                              join_model=UNIFORM01, e0_ratio=0.5)
-        rep = stage1_metrics_termination(cfg)
+        tables = cfg.draws()
+        rep = stage1_metrics_termination(
+            cfg, solve_bne_termination(2, tables.opponents, 1.0, 0.5), tables)
         assert rep.expected_efficiency == pytest.approx((1 + math.sqrt(5)) / 4, abs=1e-9)
 
     def test_vanishing_deadline(self):
         cfg = BayesianConfig(n_players=5, strategy=Termination(1e-9),
                              join_model=UNIFORM01, e0_ratio=0.5)
-        rep = stage1_metrics_termination(cfg)
+        tables = cfg.draws()
+        rep = stage1_metrics_termination(
+            cfg, solve_bne_termination(5, tables.opponents, 1.0, 0.5), tables)
         assert rep.expected_efficiency == pytest.approx(0.0, abs=1e-6)
         assert rep.expected_utility == pytest.approx(0.0, abs=1e-6)
 
@@ -374,9 +380,9 @@ class TestTerminationStage1:
         w = StepWeight((0.0, 0.4, 0.8), (1.0, 0.5, 0.1))
         cfg = BayesianConfig(n_players=4, strategy=Termination(0.6),
                              join_model=UNIFORM01, weightfn=w, e0_ratio=0.3)
-        rep = stage1_metrics_termination(cfg)
-        e_star = solve_bne_termination(4, float(UNIFORM01.cdf(0.6)), 1.0,
-                                       cfg.nature_effort)
+        tables = cfg.draws()
+        e_star = solve_bne_termination(4, tables.opponents, 1.0, cfg.nature_effort)
+        rep = stage1_metrics_termination(cfg, e_star, tables)
         step_grid = TypeGrid(times=np.array([0.0, 0.6, 0.6 + 1e-12, 1.0]),
                              efforts=np.array([e_star, e_star, 0.0, 0.0]),
                              b_values=np.array([1.0, 1.0, 0.0, 0.0]))
@@ -398,8 +404,9 @@ class TestTerminationStage1:
         w = StepWeight((0.0, cut), (1.0, low))
         cfg = BayesianConfig(n_players=n, strategy=Termination(p), join_model=UNIFORM01,
                              weightfn=w, e0_ratio=e0_ratio)
-        rep = stage1_metrics_termination(cfg)
-        e_star = solve_bne_termination(n, p, 1.0, e0_ratio)
+        tables = cfg.draws()
+        e_star = solve_bne_termination(n, tables.opponents, 1.0, e0_ratio)
+        rep = stage1_metrics_termination(cfg, e_star, tables)
         us = (np.arange(bayesian_closed.QUAD_POINTS) + 0.5) / bayesian_closed.QUAD_POINTS
         iwf = p * float(np.mean(w(UNIFORM01.quantile(us * p))))
         # 1 - (1-p)^N without cancellation at small p
@@ -413,10 +420,11 @@ class TestTerminationStage1:
         w = StepWeight((0.0, 0.5), (1.0, 0.0))
         cfg = BayesianConfig(n_players=3, strategy=Termination(1.0),
                              join_model=UNIFORM01, weightfn=w, e0_ratio=0.2)
-        rep_full = stage1_metrics_termination(cfg)
         cfg_half = BayesianConfig(n_players=3, strategy=Termination(0.5),
                                   join_model=UNIFORM01, weightfn=w, e0_ratio=0.2)
-        rep_half = stage1_metrics_termination(cfg_half)
+        rep_full, rep_half = (
+            stage1_metrics_termination(c, solve_bne_termination(3, t.opponents, 1.0, 0.2), t)
+            for c, t in ((cfg, cfg.draws()), (cfg_half, cfg_half.draws())))
         # beyond the weight support, later deadlines only dilute efforts
         assert rep_half.expected_efficiency > rep_full.expected_efficiency
 
@@ -440,7 +448,7 @@ class TestTerminationStage1:
         for cfg in configs:
             assert cfg.draws_key == configs[0].draws_key
             e_shared, shared = calibrate(cfg, draws=tables)
-            e_alone, alone = calibrate(cfg)
+            e_alone, alone = calibrate(cfg, cfg.draws())
             assert e_shared == e_alone > 0
             for field in dataclasses.fields(StageOneReport):
                 assert getattr(shared, field.name) == getattr(alone, field.name), \
@@ -458,12 +466,11 @@ class TestTerminationStage1:
             solve_bne_termination(7, p, 1.3, 0.4)
         with pytest.raises(InvalidInput):
             solve_bne_termination(6, tables.opponents, 1.3, 0.4)
-        fresh = calibrated_stage1(cfg), stage1_metrics_termination(cfg)
+        fresh = calibrated_stage1(cfg, cfg.draws())
         built = []
         monkeypatch.setattr(bayesian_closed, "_binom_pmf",
                             lambda *args: built.append(args))
-        assert (calibrated_stage1(cfg, draws=tables),
-                stage1_metrics_termination(cfg, tables=tables)) == fresh
+        assert calibrated_stage1(cfg, draws=tables) == fresh
         assert built == []
 
 
@@ -563,7 +570,7 @@ class TestCalibration:
         # E[R] = b (sqrt(5)-1)/4 / ((sqrt(5)-1)/4 + 1/2) = 0.381966 b
         cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
                              join_model=UNIFORM01, e0_ratio=0.5, budget=0.5)
-        e_star, rep = calibrated_stage1(cfg)
+        e_star, rep = calibrated_stage1(cfg, cfg.draws())
         expect = 0.5 * ((math.sqrt(5) - 1) / 4 + 0.5) / ((math.sqrt(5) - 1) / 4)
         assert rep.calibrated_b == pytest.approx(expect, rel=1e-9)
         assert rep.expected_payment == pytest.approx(0.5, rel=1e-9)
@@ -685,14 +692,17 @@ class TestCalibration:
         elif system == "closed-termination":
             cfg = BayesianConfig(n_players=6, strategy=Termination(0.6),
                                  join_model=UNIFORM01, e0_ratio=0.4, budget=1.7)
-            solution, rep = calibrated_stage1(cfg)
+            tables = cfg.draws()
+            solution, rep = calibrated_stage1(cfg, tables)
             fresh = stage1_metrics_termination(cfg.with_reward(rep.calibrated_b),
-                                               solution)
+                                               solution, tables)
         else:
             cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
                              strategy=Termination(0.8), e0_ratio=0.4, budget=1.7)
-            solution, rep = calibrated_open_stage1(cfg)
-            fresh = stage1_open_termination(cfg.with_reward(rep.calibrated_b), solution)
+            tables = cfg.draws()
+            solution, rep = calibrated_open_stage1(cfg, tables)
+            fresh = stage1_open_termination(cfg.with_reward(rep.calibrated_b), solution,
+                                            tables)
         assert rep.calibrated_b != cfg.max_reward
         assert rep.expected_payment == pytest.approx(cfg.budget, rel=1e-12)
         for field in ("expected_payment", "payment_stderr", "expected_utility",
@@ -735,54 +745,76 @@ class TestCalibration:
                                                           e0_ratio, budget, scale):
         cfg = BayesianConfig(n_players=n_players, strategy=Termination(deadline),
                              join_model=UNIFORM01, e0_ratio=e0_ratio, budget=budget)
-        _, rep = calibrated_stage1(cfg)
-        _, scaled = calibrated_stage1(cfg.with_reward(scale))
+        tables = cfg.draws()
+        _, rep = calibrated_stage1(cfg, tables)
+        _, scaled = calibrated_stage1(cfg.with_reward(scale), tables)
         assert scaled.calibrated_b == pytest.approx(rep.calibrated_b, rel=1e-9)
         assert scaled.expected_efficiency == pytest.approx(rep.expected_efficiency,
                                                            rel=1e-9)
 
 
-def assert_grids_identical(a: TypeGrid, b: TypeGrid) -> None:
-    for field in ("times", "efforts", "b_values"):
-        assert np.array_equal(getattr(a, field), getattr(b, field))
-
-
-class TestDefaultDraws:
-    """A solve or calibration given no draws builds its builder's defaults:
-    the sizes and seed enter only where draws are built."""
+class TestDrawsRequired:
+    """Every stage takes its draws: none builds default ones, so no solve,
+    report or calibration hides a seed or a Monte Carlo size."""
 
     CLOSED = en_config(3, 2, e0_ratio=0.5)
     LINEAR = BayesianConfig(n_players=3, strategy=LinearDecay(0.5),
                             join_model=UNIFORM01, e0_ratio=0.5)
+    TERMINATION = BayesianConfig(n_players=3, strategy=Termination(0.5),
+                                 join_model=UNIFORM01, e0_ratio=0.5)
     OPEN = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=3),
                       strategy=EarliestN(2), e0_ratio=0.5)
+    OPEN_TERMINATION = replace(OPEN, strategy=Termination(0.5))
 
-    @pytest.mark.parametrize("solve, build, cfg", [
-        (solve_bne_earliest_n, stage2_opponents, CLOSED),
-        (solve_bne_linear, stage2_opponents, LINEAR),
-        (open_system.solve_bne_open_earliest_n, open_stage2_opponents, OPEN)],
-        ids=["earliest-n", "linear", "open-earliest-n"])
-    def test_solve_builds_the_default_opponents(self, solve, build, cfg):
-        grid = solve(cfg)
-        assert grid.times.size == 64
-        assert_grids_identical(grid, solve(cfg, build(cfg, 64, 20_000, 0)))
-
-    @pytest.mark.parametrize("calibrate, cfg", [
-        (calibrated_stage1, CLOSED), (calibrated_open_stage1, OPEN),
-        (calibrated_stage1, BayesianConfig(n_players=3, strategy=Termination(0.5),
-                                           join_model=UNIFORM01, e0_ratio=0.5))],
-        ids=["closed", "open", "termination"])
-    def test_calibration_builds_the_default_draws(self, calibrate, cfg):
-        solution, rep = calibrate(cfg)
-        explicit, explicit_rep = calibrate(cfg, cfg.draws(64, 20_000, 100_000, 0))
-        assert rep == explicit_rep
-        if isinstance(solution, TypeGrid):
-            assert_grids_identical(solution, explicit)
-        else:
-            assert solution == explicit
+    @pytest.mark.parametrize("stage, cfg, args", [
+        (solve_bne_earliest_n, CLOSED, ()),
+        (solve_bne_linear, LINEAR, ()),
+        (stage1_metrics_termination, TERMINATION, (0.1,)),
+        (calibrated_stage1, CLOSED, ()),
+        (open_system.solve_bne_open_earliest_n, OPEN, ()),
+        (open_system.solve_bne_open_termination, OPEN_TERMINATION, ()),
+        (stage1_open_termination, OPEN_TERMINATION, (0.1,)),
+        (calibrated_open_stage1, OPEN, ())],
+        ids=["earliest-n", "linear", "termination-report", "calibration",
+             "open-earliest-n", "open-termination", "open-termination-report",
+             "open-calibration"])
+    def test_stage_without_draws_is_rejected(self, stage, cfg, args):
+        with pytest.raises(TypeError):
+            stage(cfg, *args)
 
 
 class TestLinearDecay:
+    @pytest.fixture(scope="class")
+    def preset_solution(self):
+        """closed-linear-step at h = 0.2 and its first e0 ratio, with its draws,
+        its Stage-II solution and its Stage-I report."""
+        spec = load_spec("closed-linear-step")
+        cfg = BayesianConfig(n_players=spec.n_players, strategy=LinearDecay(0.2),
+                             join_model=spec.join_model, weightfn=spec.weightfn,
+                             e0_ratio=spec.e0_ratios[0])
+        panel, opponents = cfg.draws(spec.grid_size, spec.mc_samples,
+                                     spec.stage1_samples, spec.seed)
+        grid = solve_bne_linear(cfg, opponents)
+        return cfg, panel, opponents, grid, stage1_metrics_mc(cfg, grid, panel)
+
+    @pytest.mark.parametrize("c, rel", [(0.5, 0.0), (2.0, 0.0), (1.7, 1e-12), (3.0, 1e-12)])
+    def test_joint_scaling_of_reward_and_velocity(self, preset_solution, c, rel):
+        # b(t) = max(0, b - h t) and e0 = e0_ratio b are homogeneous of degree
+        # 1 in (b, h) jointly: at (c b, c h) the solve and its report are c
+        # times those at (b, h), bit for bit when c is a power of 2
+        cfg, panel, opponents, grid, rep = preset_solution
+        scaled_cfg = replace(cfg, strategy=LinearDecay(c * cfg.strategy.velocity),
+                             max_reward=c * cfg.max_reward)
+        scaled = solve_bne_linear(scaled_cfg, opponents)
+        scaled_rep = stage1_metrics_mc(scaled_cfg, scaled, panel)
+        for field in ("b_values", "efforts"):
+            assert getattr(scaled, field) == pytest.approx(c * getattr(grid, field),
+                                                           rel=rel, abs=0.0), field
+        expect = replace(rep.scaled(c), parameter=scaled_cfg.strategy.velocity)
+        for field in dataclasses.fields(StageOneReport):
+            assert getattr(scaled_rep, field.name) == pytest.approx(
+                getattr(expect, field.name), rel=rel, abs=0.0), field.name
+
     def test_zero_velocity_equals_full_quota(self):
         base = en_config(3, 3, e0_ratio=0.5)
         cfg = BayesianConfig(n_players=3, strategy=LinearDecay(0.0),
@@ -1318,6 +1350,15 @@ class TestBlockedStageOne:
         elsewhere = panel.with_knots(np.linspace(0.0, 1.0, 5))
         assert stage1_metrics_mc(cfg, grid, elsewhere) == stage1_metrics_mc(cfg, grid,
                                                                             panel)
+
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [-math.inf, 0.0, math.inf]],
+                             ids=["nan", "infinite-ends"])
+    def test_knots_need_a_finite_increasing_grid(self, times):
+        # the knot search assumes one: an infinite end built its buckets from
+        # inf * 0, and a NaN gave meaningless positions
+        panel = stage1_panel(en_config(3, 2, e0_ratio=0.5), 10, 2)
+        with pytest.raises(InvalidInput, match="finite and strictly increasing"):
+            panel.with_knots(times)
 
     @hyp_settings(max_examples=80, deadline=None)
     @given(size=st.integers(2, 40), quantile_spaced=st.booleans(),

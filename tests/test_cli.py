@@ -631,6 +631,11 @@ output = noisy.csv
         (SMALL_SPEC.replace("kind = step\nbreakpoints = 0,1.5,3,6\nvalues = 1,0.6,0.2,0",
                             "kind = table\ntimes = -1e308,1e308\nvalues = 1,0"),
          "weights"),
+        (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
+                            "kind = table\ntimes = 0,1e-310\ncdf = 0,1"), "join_model"),
+        (SMALL_SPEC.replace("kind = step\nbreakpoints = 0,1.5,3,6\nvalues = 1,0.6,0.2,0",
+                            "kind = table\ntimes = 0,1e-310\nvalues = 1,0"),
+         "weights"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2.4,2.5"), "experiment.sweep"),
         (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,3.5"), "experiment.sweep"),
         (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 2.4,2.5"),
@@ -647,7 +652,8 @@ output = noisy.csv
             "infinite-hi", "nan-lo", "infinite-rate", "infinite-width",
             "infinite-width-termination", "infinite-mean", "infinite-mean-termination",
             "overflowing-table-times", "overflowing-table-quantile",
-            "overflowing-table-weights", "fractional-n",
+            "overflowing-table-weights", "overflowing-table-cdf-slope",
+            "overflowing-table-weight-slope", "fractional-n",
             "fractional-n-open", "complete-info-fractional-n",
             "complete-info-fractional-range"])
     def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,

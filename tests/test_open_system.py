@@ -141,7 +141,7 @@ class TestOpenTerminationProb:
 class TestOpenTerminationSolver:
     def test_e0_zero_matches_direct_summation(self):
         cfg = open_tt(1.0, 1.0, e0_ratio=0.0)
-        e_star = solve_bne_open_termination(cfg)
+        e_star = solve_bne_open_termination(cfg, cfg.draws())
         c = math.exp(-1) / (1 - math.exp(-1))
         direct = sum(c / math.factorial(k + 1) * k / (k + 1) ** 2
                      for k in range(1, 51))
@@ -149,7 +149,7 @@ class TestOpenTerminationSolver:
 
     def test_vanishing_window_leaves_nature_duel(self):
         cfg = open_tt(1.0, 1e-7, e0_ratio=0.25)
-        assert solve_bne_open_termination(cfg) == pytest.approx(0.25, abs=1e-6)
+        assert solve_bne_open_termination(cfg, cfg.draws()) == pytest.approx(0.25, abs=1e-6)
 
     def test_lhs_strictly_decreasing(self):
         lam_t, b, e0 = 2.0, 1.0, 0.3
@@ -161,11 +161,13 @@ class TestOpenTerminationSolver:
         assert all(b2 < b1 for b1, b2 in zip(lhs, lhs[1:]))
 
     def test_priced_out(self):
-        assert solve_bne_open_termination(open_tt(1.0, 1.0, e0_ratio=1.5)) == 0.0
+        cfg = open_tt(1.0, 1.0, e0_ratio=1.5)
+        assert solve_bne_open_termination(cfg, cfg.draws()) == 0.0
 
     def test_nobody_to_meet_without_nature(self):
         # rate T = 1e-11: the truncated meeting pmf keeps only k = 0
-        assert solve_bne_open_termination(open_tt(1.0, 1e-11, e0_ratio=0.0)) == 0.0
+        cfg = open_tt(1.0, 1e-11, e0_ratio=0.0)
+        assert solve_bne_open_termination(cfg, cfg.draws()) == 0.0
 
 
 class TestOpenEarliestNSolver:
@@ -402,8 +404,9 @@ class TestConditionalEfficiency:
 class TestOpenTerminationStage1:
     def test_stage1_matches_manual_sum(self):
         cfg = open_tt(2.0, 1.0, e0_ratio=0.5, truncation=30)
-        e_star = solve_bne_open_termination(cfg)
-        rep = stage1_open_termination(cfg, e_star)
+        tables = cfg.draws()
+        e_star = solve_bne_open_termination(cfg, tables)
+        rep = stage1_open_termination(cfg, e_star, tables)
         lam_t = 2.0
         manual_eff = sum(
             math.exp(-lam_t) * lam_t**m / math.factorial(m)
@@ -412,10 +415,12 @@ class TestOpenTerminationStage1:
 
     def test_calibration_balances_budget(self):
         cfg = open_tt(2.0, 0.8, e0_ratio=0.2, budget=0.9)
-        e_star, rep = calibrated_open_stage1(cfg)
+        tables = cfg.draws()
+        e_star, rep = calibrated_open_stage1(cfg, tables)
         assert abs(rep.expected_payment - 0.9) <= budget_tolerance(0.9, 0.0)
         # the effort of the accepted evaluation comes out with the report
-        assert e_star == solve_bne_open_termination(cfg.with_reward(rep.calibrated_b))
+        assert e_star == solve_bne_open_termination(cfg.with_reward(rep.calibrated_b),
+                                                    tables)
 
 
 def deadline_sweep(config, t_grid):
@@ -444,7 +449,8 @@ class TestOpenOptimalT:
 
     def test_vanishing_window_scores_zero(self):
         cfg = open_tt(1.0, 1e-6, e0_ratio=0.5)
-        rep = stage1_open_termination(cfg)
+        tables = cfg.draws()
+        rep = stage1_open_termination(cfg, solve_bne_open_termination(cfg, tables), tables)
         assert rep.expected_efficiency == pytest.approx(0.0, abs=1e-5)
 
 

@@ -146,7 +146,7 @@ class TestJoinModels:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
     def test_sampling_matches_cdf(self, model):
-        samples = model.sample(31, 100_000)
+        samples = model.sample(spawn_rng(31), 100_000)
         hi = model.support[1] if math.isfinite(model.support[1]) else model.quantile(0.999)
         grid = np.linspace(model.support[0], hi, 500)
         ecdf = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
@@ -196,6 +196,15 @@ class TestJoinModels:
     def test_non_finite_parameters_rejected(self, build):
         with pytest.raises(InvalidInput, match="finite|rise"):
             build()
+
+    def test_overflowing_cdf_slope_rejected(self):
+        # a rise of the cdf over a step of 1e-310 read cdf = pdf = inf halfway;
+        # a flat step that short is harmless
+        with pytest.raises(InvalidInput, match="finite steps per unit of time"):
+            TableJoinTimes([0.0, 1e-310], [0.0, 1.0])
+        flat = TableJoinTimes([0.0, 1e-310, 1.0], [0.0, 0.0, 1.0])
+        assert flat.cdf(5e-311) == flat.pdf(5e-311) == 0.0
+        assert flat.cdf(0.5) == pytest.approx(0.5, rel=1e-12)
 
     def test_largest_finite_parameters_keep_finite_times(self):
         uniform = UniformJoinTimes(-1e308, 7e307)
@@ -297,6 +306,20 @@ class TestWeights:
         w = TableWeight([-1e308, 7e307], [1.0, 0.0])
         assert w(0.0) == pytest.approx(7e307 / 1.7e308, rel=1e-12)
 
+    @pytest.mark.parametrize("times, values", [([0.0, 1e-310], [1.0, 0.0]),
+                                               ([0.0, 0.1], [1e308, 0.0])],
+                             ids=["short-step", "steep-fall"])
+    def test_overflowing_weight_slope_rejected(self, times, values):
+        # finite knots whose fall per unit of time overflows: the short step
+        # read -inf halfway, where the table says 0.5
+        with pytest.raises(InvalidInput, match="finite steps per unit of time"):
+            TableWeight(times, values)
+
+    def test_short_flat_weight_step_interpolates(self):
+        w = TableWeight([0.0, 1e-310, 1.0], [1.0, 1.0, 0.0])
+        assert w(5e-311) == 1.0
+        assert w(0.5) == pytest.approx(0.5, rel=1e-12)
+
     def test_increasing_step_rejected(self):
         with pytest.raises(InvalidInput):
             StepWeight((0.0, 1.0), (0.2, 0.9))
@@ -353,12 +376,14 @@ class TestPoisson:
             poisson_pmf(m, 1.5, np.arange(5)).tolist()
 
     def test_sequence_is_strictly_increasing(self):
-        seq = sample_arrival_sequences(PoissonModel(rate=3.0, truncation=25), 4, 1)[0]
+        seq = sample_arrival_sequences(PoissonModel(rate=3.0, truncation=25), spawn_rng(4),
+                                       1)[0]
         assert seq.shape == (25,)
         assert np.all(np.diff(seq) > 0)
 
     def test_erlang_means(self):
-        seqs = sample_arrival_sequences(PoissonModel(rate=2.0, truncation=5), 10, 200_000)
+        seqs = sample_arrival_sequences(PoissonModel(rate=2.0, truncation=5), spawn_rng(10),
+                                        200_000)
         se1 = seqs[:, 0].std(ddof=1) / math.sqrt(seqs.shape[0])
         se3 = seqs[:, 2].std(ddof=1) / math.sqrt(seqs.shape[0])
         assert abs(seqs[:, 0].mean() - 0.5) <= 3 * se1
