@@ -55,12 +55,15 @@ def _parallel_map(fn, items):
 # ---------------------------------------------------------------------------
 
 def _column_cells(column) -> list[str]:
-    """str(x) per value, formatted once per distinct (type, value); falsy
-    values (0.0 == -0.0) and NaN (never equal) are formatted every time.
-    A column of one type without a falsy value maps its distinct values
-    through one dict: equal nonzero values of one type share their bits, so
-    their strings are the same, and a NaN finds itself by identity."""
+    """str(x) per value: cell by cell where most values are distinct, else
+    once per distinct (type, value), but falsy values (0.0 == -0.0) and NaN
+    (never equal) every time. A column of one type without a falsy value maps
+    its distinct values through one dict: equal nonzero values of one type
+    share their bits, so their strings are the same, and a NaN finds itself
+    by identity."""
     distinct = set(column)
+    if 2 * len(distinct) > len(column):
+        return list(map(str, column))
     if all(distinct) and len(set(map(type, column))) == 1:
         memo = {x: str(x) for x in distinct}
         return list(map(memo.__getitem__, column))
@@ -81,24 +84,27 @@ def _column_cells(column) -> list[str]:
 @dataclass
 class OutputTable:
     """A CSV table: `#` metadata lines, a header and one line per row, each
-    cell `str(value)`. `add` appends one row, `extend` one row per index of
-    equally long columns."""
+    cell `str(value)`, stored by column. `add` appends one row, `extend` one
+    row per index of equally long columns; a call that raises stores nothing."""
 
     name: str
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     failure: str | None = None
 
+    def __post_init__(self):
+        self._values = [[] for _ in self.columns]
+
     def add(self, *values) -> None:
-        if len(values) != len(self.columns):
-            raise ConfigError(f"row width {len(values)} != {len(self.columns)}")
-        self.rows.append(tuple(values))
+        self.extend(*[(value,) for value in values])
 
     def extend(self, *columns) -> None:
         if len(columns) != len(self.columns):
             raise ConfigError(f"row width {len(columns)} != {len(self.columns)}")
-        self.rows.extend(zip(*columns, strict=True))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"column lengths {[len(c) for c in columns]} differ")
+        for stored, column in zip(self._values, columns):
+            stored.extend(column)
 
     def write(self, path) -> None:
         path = Path(path)
@@ -112,9 +118,9 @@ class OutputTable:
         for key in sorted(self.meta):
             buf.write(f"# {key}={self.meta[key]}\n")
         buf.write(",".join(self.columns) + "\n")
-        if self.rows:
-            cells = [_column_cells(column) for column in zip(*self.rows)]
-            buf.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        if any(self._values):
+            cells = map(_column_cells, self._values)
+            buf.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
         if self.failure is not None:
             buf.write(f"# FAILED: {self.failure}\n")
         return buf.getvalue()
@@ -463,8 +469,9 @@ def _run_bne_sweep(spec: ExperimentSpec) -> list[OutputTable]:
             if i == best:
                 optimum.add(*row)
             if isinstance(stage2, bc.TypeGrid):
-                for t, e, b_t in zip(stage2.times, stage2.efforts, stage2.b_values):
-                    effort.add(float(t), _param(value), ratio, float(e), float(b_t))
+                size = len(stage2.times)
+                effort.extend(stage2.times.tolist(), [_param(value)] * size, [ratio] * size,
+                              stage2.efforts.tolist(), stage2.b_values.tolist())
             else:
                 # termination: the in-time effort e* is flat, tabulate the step
                 effort.add(0.0, _param(value), ratio, stage2, rep.calibrated_b)

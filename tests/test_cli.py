@@ -177,6 +177,22 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             table.extend([1, 2], [2.0], ["a"])
 
+    def test_failed_calls_store_nothing(self):
+        # a call that raises leaves no partial row behind, not even the
+        # common prefix of unequal columns
+        table = OutputTable(name="t", columns=("i", "x"))
+        table.add(1, 2.0)
+        rendered = table.render()
+        with pytest.raises(ValueError):
+            table.extend([3, 4, 5], [6.0])
+        assert table.render() == rendered
+        with pytest.raises(ConfigError):
+            table.extend([3], [6.0], [7])
+        assert table.render() == rendered
+        with pytest.raises(ConfigError):
+            table.add(3, 6.0, 7)
+        assert table.render() == rendered
+
     def test_complete_info_without_e0_ratios_has_no_rows(self, tmp_path):
         spec = parse_spec("[experiment]\nname = ci\nmode = complete_info\n"
                           "sweep = 2,3\ne0_ratio =\nn_players = 4\noutput = ci.csv\n")
@@ -316,28 +332,77 @@ scale = 1
         _, rows = _read_rows(paths[0])
         assert len(rows) == 4 * 49
 
+    @pytest.mark.parametrize("preset", ["csf-gain-surface", "complete-info-efficiency"])
+    def test_preset_files_match_rowwise_str(self, preset, tmp_path, monkeypatch):
+        # the columnar store renders the bytes of `str` over each row of the
+        # values the table holds: value columns of distinct floats beside
+        # key columns that repeat a few values
+        written = []
+        write = OutputTable.write
 
-#: values that print alike, or compare equal and print differently,
-#: mixed with arbitrary ints, floats, strings and numpy scalars
+        def record(table, path):
+            written.append((table, path))
+            write(table, path)
+
+        monkeypatch.setattr(OutputTable, "write", record)
+        run_spec(load_spec(preset), out_dir=tmp_path)
+        assert written
+        for table, path in written:
+            lines = path.read_text().splitlines(keepends=True)
+            body = lines.index(",".join(table.columns) + "\n") + 1
+            assert "".join(lines[body:]) == "".join(
+                ",".join(map(str, row)) + "\n" for row in zip(*table._values))
+
+
+#: values that print alike, or compare equal and print differently
+_LOOKALIKES = st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, False, math.nan, math.inf,
+                               -math.inf, "", np.int64(0), np.int64(1), np.float64(-0.0),
+                               np.float64(1.0), np.float64(math.nan)])
+#: lookalikes mixed with arbitrary ints, floats, strings and numpy scalars
 _CELL_VALUES = st.one_of(
-    st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, False, math.nan, math.inf,
-                     -math.inf, "", np.int64(0), np.int64(1), np.float64(-0.0),
-                     np.float64(1.0), np.float64(math.nan)]),
+    _LOOKALIKES,
     st.integers(-2**70, 2**70),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=4),
     st.integers(-2**63, 2**63 - 1).map(np.int64),
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+#: numbers of each type a table holds
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans())
+
+
+@st.composite
+def _distinct_column(draw, size):
+    """`size` values, more than half of them distinct, so that the column is
+    formatted cell by cell: unique numbers of mixed types, with repeats and
+    lookalikes (signed zeros, NaN, ±inf, 1 beside 1.0 and True) mixed in."""
+    unique = draw(st.integers(size // 2 + 1, size)) if size else 0
+    values = draw(st.lists(_NUMBERS, min_size=unique, max_size=unique, unique=True))
+    extra = st.one_of(_LOOKALIKES, st.sampled_from(values)) if values else _LOOKALIKES
+    repeats = draw(st.lists(extra, min_size=size - unique, max_size=size - unique))
+    return draw(st.permutations(values + repeats))
+
+
+@st.composite
+def _repeating_column(draw, size):
+    """`size` values drawn from a few, so values repeat heavily."""
+    pool = draw(st.lists(_CELL_VALUES, min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
 
 
 @st.composite
 def _tables(draw):
-    """Rows drawn from a few values per column, so values repeat heavily;
+    """Columns of one length, each repeating a few values or mostly distinct;
     the first `split` rows are added one by one, the rest by `extend`."""
-    pools = draw(st.lists(st.lists(_CELL_VALUES, min_size=1, max_size=5),
-                          min_size=1, max_size=4))
-    rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), max_size=40))
-    return len(pools), rows, draw(st.integers(0, len(rows)))
+    size = draw(st.integers(0, 40))
+    columns = draw(st.lists(_repeating_column(size) | _distinct_column(size),
+                            min_size=1, max_size=4))
+    rows = list(zip(*columns))
+    return len(columns), rows, draw(st.integers(0, len(rows)))
 
 
 @hyp_settings(max_examples=200, deadline=None)
@@ -356,7 +421,10 @@ def test_render_matches_rowwise_str(table_rows):
 @st.composite
 def _columns(draw):
     """A column drawn from a few values, so values repeat: of one type, which
-    formats through one dict unless a value is zero, or of mixed types."""
+    formats through one dict unless a value is zero, or of mixed types. Or a
+    mostly distinct column, formatted cell by cell."""
+    if draw(st.booleans()):
+        return draw(_distinct_column(draw(st.integers(0, 40))))
     kind = draw(st.sampled_from([
         st.floats(allow_nan=True, allow_infinity=True)
         | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
