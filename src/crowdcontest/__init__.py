@@ -8,14 +8,14 @@ from .contest import (ContestConfig, EffortProfile, MechanismReport,
                       best_response, csf_reward, discrimination_gain_case2,
                       efficiency_identical, optimal_reward_vector, payoff,
                       report, solve_ne, symmetric_ne)
-from .bayesian_closed import (BayesianConfig, EarliestN, LinearDecay,
+from .bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN, LinearDecay,
                               Stage1Panel, StageOneReport, Termination, TypeGrid,
                               calibrate_b, calibrated_stage1, earliest_n_prob,
                               effort_upper_bound, participation_threshold,
                               solve_bne_earliest_n, solve_bne_linear,
                               solve_bne_termination, stage1_metrics_mc,
                               stage1_metrics_termination, stage1_panel)
-from .open_system import (OpenConfig, calibrated_open_stage1, open_earliest_n_prob,
+from .open_system import (PoissonPrior, calibrated_open_stage1, open_earliest_n_prob,
                           open_stage1_panel, open_termination_conditional_eff,
                           open_termination_prob, solve_bne_open_earliest_n,
                           solve_bne_open_termination, stage1_open_earliest_n,

@@ -2,10 +2,10 @@
 closed and open systems share lives here: the grid BNE kernel, the scalar
 termination-time BNE, the termination and Monte Carlo Stage-I reports, the
 Stage-I panel of sorted type draws those reports share, and budget
-calibration. The closed system (a fixed population of N contributors
-with i.i.d. joining times) is built on it here, for the earliest-n,
-termination-time and linearly-decreasing reward strategies; `open_system`
-builds the open system on it from a Poisson prior.
+calibration, all for one config over a prior (`BayesianConfig`). The
+closed prior (`ClosedPrior`: N contributors with i.i.d. joining times) is
+built here, for the earliest-n, termination-time and linearly-decreasing
+reward strategies; `open_system` builds a Poisson prior on it.
 
 Stage-II symmetry: one effort function e*(t) (sampled on a type grid) serves
 every player. The equilibrium condition at an active type t is
@@ -22,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from .errors import (BracketError, InfeasibleBudget, InvalidInput, MonteCarloNoi
                      NoConvergence)
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import ConstantWeight, JoinTimeModel, WeightFunction
+
+if TYPE_CHECKING:
+    from .open_system import PoissonPrior
 
 #: tolerance and best-response cap of the grid BNE
 BNE_TOL = 1e-8
@@ -107,32 +110,22 @@ Strategy = EarliestN | Termination | LinearDecay
 
 
 @dataclass(frozen=True)
-class BayesianConfig:
-    """Closed-system instance. The nature effort is stored as a fraction of
-    the maximum reward so budget calibration can rescale both together."""
+class ClosedPrior:
+    """A closed system's prior: N contributors with i.i.d. joining times. It
+    rejects a strategy it does not take (`admit`) and builds a config's draws
+    (`draws`), as `open_system.PoissonPrior` does; `names` says what it fixes."""
 
     n_players: int
-    strategy: Strategy
     join_model: JoinTimeModel
-    weightfn: WeightFunction = ConstantWeight()
-    max_reward: float = 1.0
-    e0_ratio: float = 0.0
-    budget: float = 1.0
+    names = "N or join model"
 
     def __post_init__(self):
         if not isinstance(self.n_players, numbers.Integral):
             raise InvalidInput(f"n_players must be an integer, got {self.n_players!r}")
         if self.n_players < 1:
             raise InvalidInput("n_players must be >= 1")
-        _check_finite(max_reward=self.max_reward, e0_ratio=self.e0_ratio,
-                      budget=self.budget)
-        if not self.max_reward > 0:
-            raise InvalidInput("max_reward must be > 0")
-        if not 0 <= self.e0_ratio:
-            raise InvalidInput("e0_ratio must be >= 0")
-        if not self.budget > 0:
-            raise InvalidInput("budget must be > 0")
-        s = self.strategy
+
+    def admit(self, s: Strategy) -> None:
         if isinstance(s, EarliestN):
             if not 1 <= s.n <= self.n_players:
                 raise InvalidInput(f"earliest-n needs 1 <= n <= N, got n={s.n}")
@@ -146,6 +139,37 @@ class BayesianConfig:
         else:
             raise InvalidInput(f"unknown strategy {s!r}")
 
+    def draws(self, config: BayesianConfig, grid_size: int, mc_samples: int,
+              stage1_samples: int, seed: RngSeed):
+        """`BayesianConfig.draws`: the panel keeps its knots on the grid."""
+        if isinstance(config.strategy, Termination):
+            return termination_tables(config)
+        opponents = stage2_opponents(config, grid_size, mc_samples, seed)
+        panel = stage1_panel(config, stage1_samples, seed + 1).with_knots(opponents.times)
+        return panel, opponents
+
+
+@dataclass(frozen=True)
+class BayesianConfig:
+    """Bayesian contest instance over a closed or open prior. The nature
+    effort is stored as a fraction of the maximum reward so budget
+    calibration can rescale both together."""
+
+    prior: ClosedPrior | PoissonPrior
+    strategy: Strategy
+    weightfn: WeightFunction = ConstantWeight()
+    max_reward: float = 1.0
+    e0_ratio: float = 0.0
+    budget: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(max_reward=self.max_reward, e0_ratio=self.e0_ratio,
+                      budget=self.budget)
+        if not (self.max_reward > 0 and self.e0_ratio >= 0 and self.budget > 0):
+            raise InvalidInput(f"need max_reward > 0, e0_ratio >= 0 and budget > 0, got "
+                               f"{self.max_reward}, {self.e0_ratio} and {self.budget}")
+        self.prior.admit(self.strategy)
+
     @property
     def nature_effort(self) -> float:
         return self.e0_ratio * self.max_reward
@@ -155,23 +179,25 @@ class BayesianConfig:
 
     @property
     def draws_key(self) -> tuple:
-        """What `draws` depends on besides its sizes and seed: N, the join
-        model and the weights, and a termination strategy's deadline."""
-        key = self.n_players, self.join_model, self.weightfn
+        """What `draws` depends on besides its sizes and seed: the prior and
+        the weights, and a termination strategy's deadline."""
+        key = self.prior, self.weightfn
         return (*key, self.strategy) if isinstance(self.strategy, Termination) else key
 
     def draws(self, grid_size: int = GRID_SIZE, mc_samples: int = MC_SAMPLES,
-              stage1_samples: int = STAGE1_SAMPLES, seed: RngSeed = 0
-              ) -> tuple[Stage1Panel, Stage2Opponents] | TerminationTables:
-        """The prior's Stage-I panel, from seed + 1 and with its knots on the
-        Stage-II grid, and its Stage-II opponents, from seed; for a
-        termination strategy its exact tables (`termination_tables`), which
-        take no sizes or seed."""
-        if isinstance(self.strategy, Termination):
-            return termination_tables(self)
-        opponents = stage2_opponents(self, grid_size, mc_samples, seed)
-        panel = stage1_panel(self, stage1_samples, seed + 1).with_knots(opponents.times)
-        return panel, opponents
+              stage1_samples: int = STAGE1_SAMPLES, seed: RngSeed = 0):
+        """The prior's Stage-I panel, from seed + 1, and its Stage-II
+        opponents, from seed; for a termination strategy its exact tables,
+        which take no sizes or seed."""
+        return self.prior.draws(self, grid_size, mc_samples, stage1_samples, seed)
+
+    def _check_drawn_for(self, what: str, record) -> None:
+        """InvalidInput unless draws `what` were drawn for this config: their
+        `record` is its `draws_key`, or its prior for Stage-II opponents."""
+        key = isinstance(record, tuple)
+        if record != (expected := self.draws_key if key else self.prior):
+            names = self.prior.names + (", weights or deadline" if key else "")
+            raise InvalidInput(f"{what} were drawn for another {names} than {expected!r}")
 
 
 @dataclass(frozen=True)
@@ -211,12 +237,13 @@ class Stage1Panel:
     per row with the row sorted ascending, so the n earliest joiners of a
     draw are its first n columns, and `weights` holds the requester's
     valuations w(types). `knots`, set by `with_knots`, holds a type grid and
-    the `_knots` positions of `types` on it. The panel takes its arrays over
-    read-only."""
+    the `_knots` positions of `types` on it, and `key` the `draws_key` it was
+    drawn for. The panel takes its arrays over read-only."""
 
     types: np.ndarray
     weights: np.ndarray
     knots: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    key: tuple = ()
 
     def __post_init__(self):
         t = np.asarray(self.types, dtype=float)
@@ -317,7 +344,8 @@ def reward_schedule(config: BayesianConfig, times) -> np.ndarray:
     b = config.max_reward
     s = config.strategy
     if isinstance(s, EarliestN):
-        return b * earliest_n_prob(config.join_model.cdf(t), config.n_players, s.n)
+        prior = config.prior
+        return b * earliest_n_prob(prior.join_model.cdf(t), prior.n_players, s.n)
     if isinstance(s, LinearDecay):
         return np.maximum(b - s.velocity * t, 0.0)
     return np.where(t <= s.deadline, b, 0.0)
@@ -622,39 +650,40 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
 
 class Stage2Opponents(NamedTuple):
-    """Stage-II opponents of a closed prior (`stage2_opponents`): the
-    quantile-spaced type grid `times` and the interpolation operator
+    """Stage-II opponents drawn for a closed `prior` (`stage2_opponents`):
+    the quantile-spaced type grid `times` and the interpolation operator
     `operator` (`_interp_operator`) of the N-1 opponent types of each Monte
     Carlo draw on it, all zeros when N = 1 leaves no opponents."""
 
     times: np.ndarray
     operator: np.ndarray
+    prior: ClosedPrior
+
+
+def _check_samples(name: str, size: int) -> None:
+    """InvalidInput unless `size` gives the 2 draws a standard error needs."""
+    if not size >= 2:
+        raise InvalidInput(f"{name} must be at least 2 Monte Carlo draws, got {size!r}")
 
 
 def stage2_opponents(config: BayesianConfig, grid_size: int = GRID_SIZE,
                      mc_samples: int = MC_SAMPLES, seed: RngSeed = 0) -> Stage2Opponents:
     """Stage-II opponents of a closed config's prior: mc_samples draws of the
     N-1 opponent types from the stream (seed, 0x5e11), placed on the
-    quantile-spaced grid of grid_size points. Grid and draws depend only on N
-    and the join model, so one serves every n, velocity and reward of a
-    sweep."""
-    times = _grid_times(config.join_model, grid_size)
-    n_opp = config.n_players - 1
+    quantile-spaced grid of grid_size points. Grid and draws depend only on
+    the prior, so one serves every n, velocity and reward of a sweep."""
+    _check_samples("mc_samples", mc_samples)
+    model, n_opp = config.prior.join_model, config.prior.n_players - 1
+    times = _grid_times(model, grid_size)
     rng = spawn_rng(seed, 0x5e11)
-    opp_types = config.join_model.sample(rng, mc_samples * n_opp) \
-        .reshape(mc_samples, n_opp)
-    return Stage2Opponents(times, _interp_operator(opp_types, times))
+    opp_types = model.sample(rng, mc_samples * n_opp).reshape(mc_samples, n_opp)
+    return Stage2Opponents(times, _interp_operator(opp_types, times), config.prior)
 
 
 def _solve_grid_bne(config: BayesianConfig, opponents: Stage2Opponents) -> TypeGrid:
-    """Grid BNE of a closed config on the grid of `opponents`. Opponents off
-    the config's quantile-spaced grid of their size or with operator rows
-    that do not sum to N - 1 are another prior's."""
-    if not np.array_equal(opponents.times,
-                          _grid_times(config.join_model, opponents.times.size)):
-        raise InvalidInput("opponents were placed for another join model")
-    if round(float(opponents.operator[:1].sum())) != config.n_players - 1:
-        raise InvalidInput(f"opponents were drawn for another N than {config.n_players}")
+    """Grid BNE of a closed config on the grid of `opponents`, which must
+    have been drawn for its prior."""
+    config._check_drawn_for("opponents", opponents.prior)
     times = opponents.times
     return _iterate_grid_bne(times, reward_schedule(config, times), opponents.operator,
                              config.nature_effort)
@@ -751,25 +780,28 @@ def solve_bne_termination(n_players: int, p: float | np.ndarray, b: float,
 
 
 class TerminationTables(NamedTuple):
-    """What a termination config's solve and report take of its prior and
-    deadline: the in-time `opponents` pmf of the solve (Binomial(N-1, F(T))
-    closed, the meeting-count pmf open), the pmf in_time[m-1] of the in-time
-    count m = 1, 2, ... and the mean in-time weight `w_bar`."""
+    """What a termination config's solve and report take of its `key`, the
+    `draws_key` they were built for: the in-time `opponents` pmf of the solve
+    (Binomial(N-1, F(T)) closed, the meeting-count pmf open), the pmf
+    in_time[m-1] of the in-time count m = 1, 2, ... and the mean in-time
+    weight `w_bar`."""
 
     opponents: np.ndarray
     in_time: np.ndarray
     w_bar: float
+    key: tuple
 
 
 def _termination_report(config, e_star: float,
                         tables: TerminationTables) -> StageOneReport:
     """Stage-I metrics of a closed or open termination config with in-time
     effort e*, from the in-time pmf P(m) and mean in-time weight w_bar of
-    its `tables`:
+    its `tables`, which must have been built for it:
         E[U] = sum_m P(m) m e* w_bar,
         E[R] = sum_m P(m) b m e* / (e0 + m e*),
         E[Eff] = sum_m P(m) (e0 + m e*) w_bar / b.
     The empty contest (m = 0) pays nothing and counts as zero efficiency."""
+    config._check_drawn_for("tables", tables.key)
     b, e0 = config.max_reward, config.nature_effort
     pm, w_bar = tables.in_time, tables.w_bar
     m = np.arange(1, pm.size + 1)
@@ -787,11 +819,12 @@ def termination_tables(config: BayesianConfig) -> TerminationTables:
     """Tables of a closed termination config, one for every e0 and b, with
     p = F(T): the Binomial(N-1, p) and Binomial(N, p) pmfs, and the mean
     in-time weight by quantile-midpoint quadrature of w under F on [0, T]."""
-    p = float(config.join_model.cdf(config.strategy.deadline))
+    n, model = config.prior.n_players, config.prior.join_model
+    p = float(model.cdf(config.strategy.deadline))
     us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
-    w_bar = float(np.mean(config.weightfn(config.join_model.quantile(us))))
-    return TerminationTables(_binom_pmf(config.n_players - 1, p),
-                             _binom_pmf(config.n_players, p)[1:], w_bar)
+    w_bar = float(np.mean(config.weightfn(model.quantile(us))))
+    return TerminationTables(_binom_pmf(n - 1, p), _binom_pmf(n, p)[1:], w_bar,
+                             config.draws_key)
 
 
 def stage1_metrics_termination(config: BayesianConfig, e_star: float,
@@ -813,23 +846,14 @@ def stage1_panel(config: BayesianConfig, mc_samples: int = STAGE1_SAMPLES,
                  seed: RngSeed = 1) -> Stage1Panel:
     """Stage-I panel of a closed config's prior: mc_samples draws of the N
     joining times from the stream (seed, 0x51a6e1), each row sorted once,
-    with their weights. It depends only on N, the join model and the weight
-    function, so one panel serves every n, velocity and reward of a sweep."""
-    n = config.n_players
+    with their weights. It depends only on the prior and the weights
+    (`draws_key`), so one serves every n, velocity and reward of a sweep."""
+    _check_samples("stage1_samples", mc_samples)
+    n, model = config.prior.n_players, config.prior.join_model
     rng = spawn_rng(seed, 0x51a6e1)
-    draws = config.join_model.sample(rng, mc_samples * n).reshape(mc_samples, n)
+    draws = model.sample(rng, mc_samples * n).reshape(mc_samples, n)
     draws.sort(axis=1)
-    return Stage1Panel(draws, config.weightfn(draws))
-
-
-def _check_panel(panel: Stage1Panel, columns: int, what: str) -> None:
-    """InvalidInput unless the panel has `columns` types per draw (the
-    config's `what`) and the 2 draws a standard error needs."""
-    rows, cols = panel.types.shape
-    if cols != columns:
-        raise InvalidInput(f"panel has {cols} types per draw, {what} is {columns}")
-    if rows < 2:
-        raise InvalidInput(f"need at least 2 Monte Carlo draws, got {rows}")
+    return Stage1Panel(draws, config.weightfn(draws), key=config.draws_key)
 
 
 def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
@@ -853,7 +877,7 @@ def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
 
 def _mc_report(config, grid: TypeGrid, panel: Stage1Panel, paid_of) -> StageOneReport:
     """Monte Carlo Stage-I report of a closed or open config on `grid` over
-    the draws of `panel`, whose shape the caller has checked. The panel is
+    the draws of `panel`, which must have been drawn for it. The panel is
     streamed in blocks of BLOCK_ROWS rows, keeping three numbers per draw:
     its effort sum, its w-weighted effort sum (the requester utility of the
     draw) and its payout paid_of(efforts, rows) for the draws `rows`. No
@@ -861,6 +885,7 @@ def _mc_report(config, grid: TypeGrid, panel: Stage1Panel, paid_of) -> StageOneR
     change no bit. E[U] is the mean utility; a draw pays paid / (e0 + sum)
     and scores utility (e0 + sum) / paid, with zero efficiency charged when
     nothing is paid out."""
+    config._check_drawn_for("panel", panel.key)
     efforts = _panel_efforts(panel, grid)
     count = panel.types.shape[0]
     total, utility, paid = np.empty(count), np.empty(count), np.empty(count)
@@ -899,7 +924,6 @@ def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
     are sorted, so earliest-n pays b times the sum of a draw's first n
     efforts; the other strategies pay each effort its b(t).
     """
-    _check_panel(panel, config.n_players, "n_players")
     s = config.strategy
     if isinstance(s, EarliestN):
         def paid_of(efforts, rows):
@@ -1028,7 +1052,7 @@ def calibrated_stage1(config: BayesianConfig,
         # the effort at b is b times the effort at b = 1, e0 = e0_ratio
         return _calibrated(
             config, lambda cfg: cfg.max_reward * solve_bne_termination(
-                cfg.n_players, draws.opponents, 1.0, cfg.e0_ratio),
+                cfg.prior.n_players, draws.opponents, 1.0, cfg.e0_ratio),
             lambda cfg, e_star: stage1_metrics_termination(cfg, e_star, draws))
     solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
     panel, opponents = draws

@@ -148,7 +148,7 @@ class ExperimentSpec:
     mc_samples: int
     stage1_samples: int
     join_model: JoinTimeModel | None
-    poisson: PoissonModel | None
+    prior: bc.ClosedPrior | osys.PoissonPrior | None
     weightfn: object
     output: str
     raw_text: str
@@ -291,14 +291,14 @@ def parse_spec(text: str) -> ExperimentSpec:
     if mode != "csf_surfaces" and not sweep_values:
         raise ConfigError("sweep must be nonempty", "experiment.sweep")
 
-    poisson = None
+    prior = None
     if mode == "open":
         if "rate" not in exp:
             raise ConfigError("open mode needs an arrival rate", "experiment.rate")
         rate = _number(exp, "rate", None, float)
         truncation = _number(exp, "truncation", 30)
         with _field("experiment"):
-            poisson = PoissonModel(rate=rate, truncation=truncation)
+            prior = osys.PoissonPrior(PoissonModel(rate=rate, truncation=truncation))
 
     with _field("join_model"):
         join_model = _build_join_model(cfg)
@@ -307,6 +307,10 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     with _field("weights"):
         weightfn = _build_weightfn(cfg)
+    n_players = _number(exp, "n_players", 20)
+    if mode == "closed":
+        with _field("experiment.n_players"):
+            prior = bc.ClosedPrior(n_players, join_model)
     spec = ExperimentSpec(
         name=exp.get("name", "experiment").strip(),
         mode=mode,
@@ -315,12 +319,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         e0_ratios=_floats(exp.get("e0_ratio", "0.5"), "experiment.e0_ratio"),
         budget=_number(exp, "budget", 1.0, float),
         seed=_number(exp, "seed", 0, low=0),
-        n_players=_number(exp, "n_players", 20),
+        n_players=n_players,
         grid_size=_number(exp, "grid_size", bc.GRID_SIZE, low=2),
         mc_samples=_number(exp, "mc_samples", bc.MC_SAMPLES, low=2),
         stage1_samples=_number(exp, "stage1_samples", bc.STAGE1_SAMPLES, low=2),
         join_model=join_model,
-        poisson=poisson,
+        prior=prior,
         weightfn=weightfn,
         output=exp.get("output", "out.csv").strip(),
         raw_text=text,
@@ -368,15 +372,10 @@ def _strategy_obj(spec: ExperimentSpec, value: float) -> bc.Strategy:
 
 
 def _config(spec: ExperimentSpec, value: float, ratio: float,
-            budget: float) -> bc.BayesianConfig | osys.OpenConfig:
-    """The closed or open config of one sweep value at one e0 ratio."""
-    if spec.mode == "closed":
-        return bc.BayesianConfig(n_players=spec.n_players,
-                                 strategy=_strategy_obj(spec, value),
-                                 join_model=spec.join_model, weightfn=spec.weightfn,
-                                 e0_ratio=ratio, budget=budget)
-    return osys.OpenConfig(poisson=spec.poisson, strategy=_strategy_obj(spec, value),
-                           weightfn=spec.weightfn, e0_ratio=ratio, budget=budget)
+            budget: float) -> bc.BayesianConfig:
+    """The config of one sweep value at one e0 ratio over the spec's prior."""
+    return bc.BayesianConfig(spec.prior, _strategy_obj(spec, value), spec.weightfn,
+                             e0_ratio=ratio, budget=budget)
 
 
 def _calibrate_all(configs, draws: dict, grid_size: int, mc_samples: int,
@@ -393,7 +392,7 @@ def _calibrate_all(configs, draws: dict, grid_size: int, mc_samples: int,
 
     def calibrated(item):
         cfg, cfg_draws = item
-        calibrate = bc.calibrated_stage1 if isinstance(cfg, bc.BayesianConfig) \
+        calibrate = bc.calibrated_stage1 if isinstance(cfg.prior, bc.ClosedPrior) \
             else osys.calibrated_open_stage1
         return calibrate(cfg, cfg_draws)
 
@@ -403,8 +402,8 @@ def _calibrate_all(configs, draws: dict, grid_size: int, mc_samples: int,
 def sweep(configs, grid_size: int = bc.GRID_SIZE, mc_samples: int = bc.MC_SAMPLES,
           stage1_samples: int = bc.STAGE1_SAMPLES, seed: RngSeed = 0
           ) -> tuple[list[tuple[bc.TypeGrid | float, bc.StageOneReport]], int]:
-    """Budget-calibrate every closed (BayesianConfig) or open (OpenConfig)
-    config of a sweep, with `CROWDCONTEST_THREADS` workers. The draws
+    """Budget-calibrate every config of a sweep, closed or open, with
+    `CROWDCONTEST_THREADS` workers. The draws
     (`config.draws`: the Stage-I panel and the Stage-II opponents, or a
     termination strategy's exact tables) depend only on `config.draws_key`
     and the sweep's sizes and seed, so one per distinct key (a prior, or a

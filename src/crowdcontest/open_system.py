@@ -1,48 +1,43 @@
 """Open crowdsensing system: contributors arrive as a Poisson process and
 compete under the earliest-n or termination-time strategy. The game, its
-two-stage pipeline and its strategy types (`EarliestN`, `Termination`) are
-those of the closed system (`bayesian_closed`); this module supplies only the
-open system's prior: the Poisson type grid, the arrival-sequence panels (the
-Stage-I one sorted by construction), the meeting-count and in-time count
-pmfs and the mean in-time weight.
+two-stage pipeline, its config and its strategy types are those of the
+closed system (`bayesian_closed`); this module supplies only the open
+system's prior (`PoissonPrior`): the Poisson type grid, the arrival-sequence
+panels (the Stage-I one sorted by construction), the meeting-count and
+in-time count pmfs and the mean in-time weight.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 # calibrate_b is bound here too: the benchmark's call tracer wraps it by name
-from .bayesian_closed import (GRID_SIZE, MC_SAMPLES, STAGE1_SAMPLES, EarliestN,
-                              Stage1Panel, StageOneReport, Termination, TerminationTables,
-                              TypeGrid, calibrate_b, _calibrated, _check_finite,
-                              _check_panel, _interp_operator, _iterate_grid_bne,
-                              _mc_report, _termination_effort, _termination_report)
+from .bayesian_closed import (GRID_SIZE, MC_SAMPLES, STAGE1_SAMPLES, BayesianConfig,
+                              EarliestN, Stage1Panel, StageOneReport, Strategy,
+                              Termination, TerminationTables, TypeGrid, calibrate_b,
+                              _calibrated, _check_finite, _check_samples, _interp_operator,
+                              _iterate_grid_bne, _mc_report, _termination_effort,
+                              _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
-from .timing import (ConstantWeight, PoissonModel, WeightFunction, poisson_pmf,
-                     sample_arrival_sequences)
+from .timing import PoissonModel, WeightFunction, poisson_pmf, sample_arrival_sequences
 
 _TAIL_MASS = 1e-10
 
 
 @dataclass(frozen=True)
-class OpenConfig:
-    """Open-system instance: Poisson arrivals truncated at M contributors."""
+class PoissonPrior:
+    """An open system: Poisson arrivals truncated at M contributors."""
 
     poisson: PoissonModel
-    strategy: EarliestN | Termination
-    weightfn: WeightFunction = ConstantWeight()
-    max_reward: float = 1.0
-    e0_ratio: float = 0.0
-    budget: float = 1.0
+    names = "Poisson model"
 
-    def __post_init__(self):
-        s = self.strategy
+    def admit(self, s: Strategy) -> None:
         if isinstance(s, EarliestN):
             if not 1 <= s.n <= self.poisson.truncation:
                 raise InvalidInput("need 1 <= n <= truncation M")
@@ -51,36 +46,15 @@ class OpenConfig:
                 raise InvalidInput("deadline must be > 0")
         else:
             raise InvalidInput(f"open systems take EarliestN or Termination, got {s!r}")
-        _check_finite(max_reward=self.max_reward, e0_ratio=self.e0_ratio,
-                      budget=self.budget)
-        if not self.max_reward > 0 or self.e0_ratio < 0 or not self.budget > 0:
-            raise InvalidInput("need max_reward > 0, e0_ratio >= 0, budget > 0")
 
-    @property
-    def nature_effort(self) -> float:
-        return self.e0_ratio * self.max_reward
-
-    def with_reward(self, b: float) -> "OpenConfig":
-        return replace(self, max_reward=b)
-
-    @property
-    def draws_key(self) -> tuple:
-        """What `draws` depends on besides its sizes and seed: the Poisson
-        model and the weights, and a termination strategy's deadline."""
-        key = self.poisson, self.weightfn
-        return (*key, self.strategy) if isinstance(self.strategy, Termination) else key
-
-    def draws(self, grid_size: int = GRID_SIZE, mc_samples: int = MC_SAMPLES,
-              stage1_samples: int = STAGE1_SAMPLES, seed: RngSeed = 0
-              ) -> tuple[Stage1Panel, OpenOpponents] | TerminationTables:
-        """The prior's Stage-I panel, from seed + 1, and its Stage-II
-        opponents, from seed, for grids of grid_size points; for a termination
-        strategy its exact tables (`open_termination_tables`), which take no
-        sizes or seed. The type grid changes with n, so the panel keeps no knots."""
-        if isinstance(self.strategy, Termination):
-            return open_termination_tables(self)
-        return (open_stage1_panel(self, stage1_samples, seed + 1),
-                open_stage2_opponents(self, grid_size, mc_samples, seed))
+    def draws(self, config: BayesianConfig, grid_size: int, mc_samples: int,
+              stage1_samples: int, seed: RngSeed):
+        """`BayesianConfig.draws`: the grid changes with n, so the panel
+        keeps no knots."""
+        if isinstance(config.strategy, Termination):
+            return open_termination_tables(config)
+        return (open_stage1_panel(config, stage1_samples, seed + 1),
+                open_stage2_opponents(config, grid_size, mc_samples, seed))
 
 
 def _check_rate(rate: float) -> None:
@@ -117,11 +91,11 @@ def _poisson_head(lam, n: int):
 # Earliest-n (open)
 # ---------------------------------------------------------------------------
 
-def _open_grid_times(config: OpenConfig, n: int, grid_size: int) -> np.ndarray:
+def _open_grid_times(config: BayesianConfig, n: int, grid_size: int) -> np.ndarray:
     """Grid reaching past the participation region: out to where the reward
     schedule falls below e0 (or to negligible selection probability when
     e0 = 0)."""
-    rate, b, e0 = config.poisson.rate, config.max_reward, config.nature_effort
+    rate, b, e0 = config.prior.poisson.rate, config.max_reward, config.nature_effort
     floor = min(e0 / b, 0.999) if e0 > 0 else 0.0
     floor = max(floor, 1e-3)
 
@@ -150,15 +124,16 @@ def _epoch_positions(times: np.ndarray):
 
 
 class OpenOpponents(NamedTuple):
-    """Stage-II opponents of an open prior (`open_stage2_opponents`): the
-    `grid_size` of the type grid each solve places them on, and the
+    """Stage-II opponents drawn for an open `prior` (`open_stage2_opponents`):
+    the `grid_size` of the type grid each solve places them on, and the
     read-only (M-1)-epoch arrival sequences `epochs`, one per row."""
 
     grid_size: int
     epochs: np.ndarray
+    prior: PoissonPrior
 
 
-def open_stage2_opponents(config: OpenConfig, grid_size: int = GRID_SIZE,
+def open_stage2_opponents(config: BayesianConfig, grid_size: int = GRID_SIZE,
                           mc_samples: int = MC_SAMPLES, seed: RngSeed = 0
                           ) -> OpenOpponents:
     """Stage-II opponents of an open config's prior: mc_samples (M-1)-epoch
@@ -168,49 +143,48 @@ def open_stage2_opponents(config: OpenConfig, grid_size: int = GRID_SIZE,
     each solve places them on its own."""
     if grid_size < 2:
         raise InvalidInput("grid_size must be >= 2")
-    epochs = sample_arrival_sequences(config.poisson, spawn_rng(seed, 0x09e4),
-                                      mc_samples, config.poisson.truncation - 1)
+    _check_samples("mc_samples", mc_samples)
+    epochs = sample_arrival_sequences(config.prior.poisson, spawn_rng(seed, 0x09e4),
+                                      mc_samples, config.prior.poisson.truncation - 1)
     epochs.setflags(write=False)
-    return OpenOpponents(grid_size, epochs)
+    return OpenOpponents(grid_size, epochs, config.prior)
 
 
-def solve_bne_open_earliest_n(config: OpenConfig, opponents: OpenOpponents) -> TypeGrid:
+def solve_bne_open_earliest_n(config: BayesianConfig, opponents: OpenOpponents) -> TypeGrid:
     """Stage-II BNE with b(s) = b P(N(s) <= n-1) on a grid of
     `opponents.grid_size` points; after isolating the tagged contributor,
     opponents form a fresh (M-1)-epoch Poisson sequence, the rows of
-    `opponents.epochs` (`open_stage2_opponents`)."""
+    `opponents.epochs` (`open_stage2_opponents` of the config's prior)."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    if opponents.epochs.shape[1:] != (config.poisson.truncation - 1,):
-        raise InvalidInput(f"opponent sequences of shape {opponents.epochs.shape} do "
-                           f"not hold truncation - 1 epochs")
+    config._check_drawn_for("opponents", opponents.prior)
     n = config.strategy.n
     times = _open_grid_times(config, n, opponents.grid_size)
-    b_t = config.max_reward * _poisson_head(config.poisson.rate * times, n)
+    b_t = config.max_reward * _poisson_head(config.prior.poisson.rate * times, n)
     return _iterate_grid_bne(times, b_t, _interp_operator(opponents.epochs, times,
                                                           _epoch_positions(times)),
                              config.nature_effort)
 
 
-def open_stage1_panel(config: OpenConfig, mc_samples: int = STAGE1_SAMPLES,
+def open_stage1_panel(config: BayesianConfig, mc_samples: int = STAGE1_SAMPLES,
                       seed: RngSeed = 1) -> Stage1Panel:
     """Stage-I panel of an open config's prior: mc_samples full M-epoch
     arrival sequences from the stream (seed, 0x07e4), sorted as they arrive,
-    with their weights. It depends only on the Poisson model and the weight
-    function, so one panel serves every n and reward of a sweep."""
-    epochs = sample_arrival_sequences(config.poisson, spawn_rng(seed, 0x07e4),
+    with their weights. It depends only on the prior and the weight function
+    (`draws_key`), so one panel serves every n and reward of a sweep."""
+    _check_samples("stage1_samples", mc_samples)
+    epochs = sample_arrival_sequences(config.prior.poisson, spawn_rng(seed, 0x07e4),
                                       mc_samples)
-    return Stage1Panel(epochs, config.weightfn(epochs))
+    return Stage1Panel(epochs, config.weightfn(epochs), key=config.draws_key)
 
 
-def stage1_open_earliest_n(config: OpenConfig, grid: TypeGrid,
+def stage1_open_earliest_n(config: BayesianConfig, grid: TypeGrid,
                            panel: Stage1Panel) -> StageOneReport:
     """Stage-I metrics by Monte Carlo over the arrival sequences of `panel`
     (`open_stage1_panel` of the config's prior). The earliest-n subset of a
     sequence is simply its first n epochs."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    _check_panel(panel, config.poisson.truncation, "poisson.truncation")
     n, b = config.strategy.n, config.max_reward
     return _mc_report(config, grid, panel,
                       lambda efforts, rows: b * np.sum(efforts[:, :n], axis=1))
@@ -240,31 +214,32 @@ def open_termination_prob(rate: float, deadline: float, k) -> float | np.ndarray
     return out if out.ndim else float(out)
 
 
-def open_termination_tables(config: OpenConfig) -> TerminationTables:
+def open_termination_tables(config: BayesianConfig) -> TerminationTables:
     """Tables of an open termination config, one for every e0 and b: the
     meeting-count pmf P(k, inf) cut at the first k where its mass summed in
     order reaches 1 - _TAIL_MASS (within the first 2 rate T + 64 terms by a
     Chernoff bound, and within 100 001 terms or NoConvergence), the
     Poisson(rate T) in-time pmf truncated at M, and the mean in-time weight
     integral_0^T w(x) dx / T of epochs uniform on [0, T]."""
-    rate, deadline = config.poisson.rate, config.strategy.deadline
-    size = min(int(2.0 * rate * deadline) + 64, 100_001)
-    pk = open_termination_prob(rate, deadline, np.arange(size))
+    poisson, deadline = config.prior.poisson, config.strategy.deadline
+    size = min(int(2.0 * poisson.rate * deadline) + 64, 100_001)
+    pk = open_termination_prob(poisson.rate, deadline, np.arange(size))
     mass = np.cumsum(pk)
     if not mass[-1] >= 1.0 - _TAIL_MASS:
         raise NoConvergence("meeting-count pmf failed to accumulate mass",
                             residual=1.0 - mass[-1], iterations=size)
     pk = pk[:int(np.argmax(mass >= 1.0 - _TAIL_MASS)) + 1]
-    pm = poisson_pmf(config.poisson, deadline,
-                     np.arange(1, config.poisson.truncation + 1))
-    return TerminationTables(pk, pm, config.weightfn.integral(0.0, deadline) / deadline)
+    pm = poisson_pmf(poisson, deadline, np.arange(1, poisson.truncation + 1))
+    return TerminationTables(pk, pm, config.weightfn.integral(0.0, deadline) / deadline,
+                             config.draws_key)
 
 
-def solve_bne_open_termination(config: OpenConfig, tables: TerminationTables) -> float:
+def solve_bne_open_termination(config: BayesianConfig, tables: TerminationTables) -> float:
     """Symmetric in-time effort against the meeting-count pmf of `tables`
-    (`open_termination_tables`)."""
+    (`open_termination_tables` of the config)."""
     if not isinstance(config.strategy, Termination):
         raise InvalidInput("config.strategy must be Termination")
+    config._check_drawn_for("tables", tables.key)
     return _termination_effort(tables.opponents, config.max_reward, config.e0_ratio)
 
 
@@ -282,7 +257,7 @@ def open_termination_conditional_eff(m: int, e_star: float, b: float,
     return (e0 + m * e_star) / (b * deadline) * weightfn.integral(0.0, deadline)
 
 
-def stage1_open_termination(config: OpenConfig, e_star: float,
+def stage1_open_termination(config: BayesianConfig, e_star: float,
                             tables: TerminationTables) -> StageOneReport:
     """Closed-form Stage-I metrics for the open termination strategy at
     in-time effort e* from its `tables` (`open_termination_tables`)."""
@@ -291,7 +266,7 @@ def stage1_open_termination(config: OpenConfig, e_star: float,
     return _termination_report(config, e_star, tables)
 
 
-def calibrated_open_stage1(config: OpenConfig,
+def calibrated_open_stage1(config: BayesianConfig,
                            draws: tuple[Stage1Panel, OpenOpponents] | TerminationTables
                            ) -> tuple[TypeGrid | float, StageOneReport]:
     """Budget-calibrated Stage-I report with the Stage-II solution at the

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from crowdcontest.bayesian_closed import (BLOCK_ROWS, BayesianConfig, _binom_pmf,
-                                          _grid_times, earliest_n_prob, reward_schedule)
+                                          _grid_times, reward_schedule)
 from crowdcontest.contest import ContestConfig, best_response
 from crowdcontest.errors import InvalidInput, NoConvergence, NumericalError
 from crowdcontest.numerics import bisect
@@ -140,10 +140,6 @@ def convolution_best_responses(b_of_t, times, n_players: int, e0: float,
         above = b_t * (mass @ (a[:, None] / (a[:, None] + mid) ** 2)) > 1.0
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     return np.where(b_t * float(mass @ (1.0 / a)) > 1.0, 0.5 * (lo + hi), 0.0)
-
-
-def earliest_n_schedule(model, times, b: float, n_players: int, n: int) -> np.ndarray:
-    return b * earliest_n_prob(model.cdf(times), n_players, n)
 
 
 def single_peaked(values, tol: float = 0.0) -> bool:
@@ -287,7 +283,7 @@ def open_grid_times_by_public_prob(config, n: int, grid_size: int) -> np.ndarray
     """The open earliest-n type grid, searched as it was before the search
     shared a private Poisson-head loop: every gap evaluation through the
     public, validating `open_earliest_n_prob`."""
-    rate, b, e0 = config.poisson.rate, config.max_reward, config.nature_effort
+    rate, b, e0 = config.prior.poisson.rate, config.max_reward, config.nature_effort
     floor = max(min(e0 / b, 0.999) if e0 > 0 else 0.0, 1e-3)
 
     def gap(s):
@@ -305,7 +301,7 @@ def open_grid_times_by_public_prob(config, n: int, grid_size: int) -> np.ndarray
 def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> float:
     """Upper bound on the participation threshold: the time where the reward
     schedule b(t) falls to the nature effort e0."""
-    times = _grid_times(config.join_model, grid_size)
+    times = _grid_times(config.prior.join_model, grid_size)
     below = reward_schedule(config, times) <= config.nature_effort
     return float(times[int(np.argmax(below)) if np.any(below) else -1])
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
+from crowdcontest.bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN,
                                           Termination, budget_tolerance,
                                           calibrated_stage1,
                                           effort_upper_bound,
@@ -23,7 +23,7 @@ from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
                                        optimal_beta_gain)
 from crowdcontest.experiments import gen_trace_preset, sweep
 from crowdcontest.numerics import spawn_rng
-from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
+from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
                                       open_stage1_panel,
                                       open_termination_conditional_eff,
                                       stage1_open_earliest_n)
@@ -126,8 +126,8 @@ def test_criterion_06_consistency_triangle():
         model = models[i % 2]
         sym = symmetric_ne(n, b, ratio * b)
 
-        en_cfg = BayesianConfig(n_players=n, strategy=EarliestN(n),
-                                join_model=model, max_reward=b, e0_ratio=ratio)
+        en_cfg = BayesianConfig(prior=ClosedPrior(n, model), strategy=EarliestN(n),
+                                max_reward=b, e0_ratio=ratio)
         grid = solve_bne_earliest_n(en_cfg, stage2_opponents(en_cfg, 16, 2000, i))
         assert np.max(np.abs(grid.efforts - sym)) <= 1e-4
         assert np.all(grid.efforts <= effort_upper_bound(grid.b_values,
@@ -164,9 +164,8 @@ def test_criterion_08_budget_balance_across_ratios():
     checked = 0
     for ratio in (0.2, 0.5, 0.8):
         # closed earliest-n, fresh-seed re-measurement
-        cfg = BayesianConfig(n_players=6, strategy=EarliestN(3),
-                             join_model=model, weightfn=PAPER_STEP,
-                             e0_ratio=ratio, budget=1.0)
+        cfg = BayesianConfig(prior=ClosedPrior(6, model), strategy=EarliestN(3),
+                             weightfn=PAPER_STEP, e0_ratio=ratio, budget=1.0)
         grid, rep = calibrated_stage1(cfg, cfg.draws(25, 3000, 40_000, 88))
         fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), grid,
                                   stage1_panel(cfg, 40_000, 4242))
@@ -174,16 +173,15 @@ def test_criterion_08_budget_balance_across_ratios():
             1.0, fresh.payment_stderr)
 
         # closed termination (exact stage 1)
-        cfg_t = BayesianConfig(n_players=10, strategy=Termination(2.0),
-                               join_model=model, weightfn=PAPER_STEP,
-                               e0_ratio=ratio, budget=1.0)
+        cfg_t = BayesianConfig(prior=ClosedPrior(10, model), strategy=Termination(2.0),
+                               weightfn=PAPER_STEP, e0_ratio=ratio, budget=1.0)
         _, rep_t = calibrated_stage1(cfg_t, cfg_t.draws())
         assert abs(rep_t.expected_payment - 1.0) <= budget_tolerance(1.0, 0.0)
 
         # open earliest-n, fresh-seed re-measurement
-        cfg_o = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=20),
-                           strategy=EarliestN(4), weightfn=PAPER_STEP,
-                           e0_ratio=ratio, budget=1.0)
+        cfg_o = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=9.0, truncation=20)),
+                               strategy=EarliestN(4), weightfn=PAPER_STEP, e0_ratio=ratio,
+                               budget=1.0)
         grid_o, rep_o = calibrated_open_stage1(cfg_o, cfg_o.draws(25, 3000, 40_000, 89))
         fresh_o = stage1_open_earliest_n(cfg_o.with_reward(rep_o.calibrated_b),
                                          grid_o, open_stage1_panel(cfg_o, 40_000, 4243))
@@ -191,9 +189,9 @@ def test_criterion_08_budget_balance_across_ratios():
             1.0, fresh_o.payment_stderr)
 
         # open termination (exact stage 1)
-        cfg_ot = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=40),
-                            strategy=Termination(0.5), weightfn=PAPER_STEP,
-                            e0_ratio=ratio, budget=1.0)
+        cfg_ot = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=9.0, truncation=40)),
+                                strategy=Termination(0.5), weightfn=PAPER_STEP,
+                                e0_ratio=ratio, budget=1.0)
         _, rep_ot = calibrated_open_stage1(cfg_ot, cfg_ot.draws())
         assert abs(rep_ot.expected_payment - 1.0) <= budget_tolerance(1.0, 0.0)
         checked += 4
@@ -213,8 +211,8 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
     n_values = [2, 3, 4, 6, 8, 10, 12, 14, 17, 20]
     sweeps = {}
     for ratio in ratios:
-        points, _ = sweep([BayesianConfig(n_players=20, strategy=EarliestN(n),
-                                          join_model=model, weightfn=PAPER_STEP,
+        points, _ = sweep([BayesianConfig(prior=ClosedPrior(20, model),
+                                          strategy=EarliestN(n), weightfn=PAPER_STEP,
                                           e0_ratio=ratio, budget=1.0)
                            for n in n_values],
                           grid_size=33, mc_samples=2500, stage1_samples=20_000,
@@ -230,10 +228,10 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
     # (a) efficiency-vs-T single-peaked (closed-form stage 1)
     t_curves = {}
     for ratio in ratios:
-        points_t, _ = sweep([BayesianConfig(n_players=20,
+        points_t, _ = sweep([BayesianConfig(prior=ClosedPrior(20, model),
                                             strategy=Termination(float(t)),
-                                            join_model=model, weightfn=PAPER_STEP,
-                                            e0_ratio=ratio, budget=1.0)
+                                            weightfn=PAPER_STEP, e0_ratio=ratio,
+                                            budget=1.0)
                              for t in np.arange(0.25, 6.01, 0.25)])
         t_curves[ratio] = [r.expected_efficiency for _, r in points_t]
         assert single_peaked(t_curves[ratio], tol=1e-9)
@@ -250,9 +248,8 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
         assert t_curves[0.5][i] <= t_curves[0.8][i] + 1e-12
 
     # (c) effort-vs-join-time: nonincreasing with a hard cutoff
-    cfg_e = BayesianConfig(n_players=20, strategy=EarliestN(6),
-                           join_model=model, weightfn=PAPER_STEP,
-                           e0_ratio=0.5, budget=1.0)
+    cfg_e = BayesianConfig(prior=ClosedPrior(20, model), strategy=EarliestN(6),
+                           weightfn=PAPER_STEP, e0_ratio=0.5, budget=1.0)
     grid = solve_bne_earliest_n(cfg_e, stage2_opponents(cfg_e, 49, 2500, 6))
     assert np.all(np.diff(grid.efforts) <= 1e-12)
     cutoff = participation_threshold(grid)
@@ -263,17 +260,16 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
     for budget in (0.5, 1.0, 2.0):
         bs = []
         for n in (2, 5, 9, 14, 20):
-            cfg_n = BayesianConfig(n_players=20, strategy=EarliestN(n),
-                                   join_model=model, weightfn=PAPER_STEP,
-                                   e0_ratio=0.5, budget=budget)
+            cfg_n = BayesianConfig(prior=ClosedPrior(20, model), strategy=EarliestN(n),
+                                   weightfn=PAPER_STEP, e0_ratio=0.5, budget=budget)
             _, rep = calibrated_stage1(cfg_n, cfg_n.draws(33, 2500, 20_000, 7))
             bs.append(rep.calibrated_b)
         assert all(b2 < b1 for b1, b2 in zip(bs, bs[1:])), bs
 
         bs_t = []
         for t_end in (0.75, 1.5, 3.0, 4.5, 6.0):
-            cfg_tt = BayesianConfig(n_players=20, strategy=Termination(t_end),
-                                    join_model=model, weightfn=PAPER_STEP,
+            cfg_tt = BayesianConfig(prior=ClosedPrior(20, model),
+                                    strategy=Termination(t_end), weightfn=PAPER_STEP,
                                     e0_ratio=0.5, budget=budget)
             _, rep = calibrated_stage1(cfg_tt, cfg_tt.draws())
             bs_t.append(rep.calibrated_b)
@@ -288,18 +284,17 @@ def test_criterion_10_effort_cap_on_all_grids(synthetic_trace_model):
     checked = 0
     for ratio in (0.2, 0.5, 0.8):
         for n in (1, 3, 10, 20):
-            cfg = BayesianConfig(n_players=20, strategy=EarliestN(n),
-                                 join_model=model, weightfn=PAPER_STEP,
-                                 e0_ratio=ratio, budget=1.0)
+            cfg = BayesianConfig(prior=ClosedPrior(20, model), strategy=EarliestN(n),
+                                 weightfn=PAPER_STEP, e0_ratio=ratio, budget=1.0)
             grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 33, 2500, 10))
             cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
             assert np.all(grid.efforts <= cap + 1e-10)
             checked += 1
     # open system instances
     for ratio in (0.2, 0.8):
-        cfg_o = OpenConfig(poisson=PoissonModel(rate=9.0, truncation=20),
-                           strategy=EarliestN(5), weightfn=PAPER_STEP,
-                           e0_ratio=ratio, budget=1.0)
+        cfg_o = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=9.0, truncation=20)),
+                               strategy=EarliestN(5), weightfn=PAPER_STEP, e0_ratio=ratio,
+                               budget=1.0)
         from crowdcontest.open_system import (open_stage2_opponents,
                                               solve_bne_open_earliest_n)
         grid_o = solve_bne_open_earliest_n(cfg_o,

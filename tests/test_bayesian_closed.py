@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
 from crowdcontest import bayesian_closed, open_system
-from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN,
+from crowdcontest.bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN,
                                           LinearDecay, Stage1Panel, StageOneReport,
                                           Termination, TypeGrid,
                                           budget_tolerance, calibrate_b,
@@ -28,11 +28,12 @@ from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise
                                  NoConvergence)
 from crowdcontest.experiments import load_spec, sweep
 from crowdcontest.numerics import bisect, spawn_rng
-from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
+from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
                                       open_stage2_opponents, stage1_open_earliest_n,
                                       stage1_open_termination)
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
-                                 StepWeight, UniformJoinTimes, sample_arrival_sequences)
+                                 StepWeight, TableJoinTimes, UniformJoinTimes,
+                                 sample_arrival_sequences)
 
 from helpers import (argpartition_payment, bne_quadrature_oracle,
                      condition_noise_two_pass,
@@ -47,8 +48,8 @@ UNIFORM01 = UniformJoinTimes(0.0, 1.0)
 
 
 def en_config(n_players, n, e0_ratio, join_model=UNIFORM01, **kw):
-    return BayesianConfig(n_players=n_players, strategy=EarliestN(n),
-                          join_model=join_model, e0_ratio=e0_ratio, **kw)
+    return BayesianConfig(prior=ClosedPrior(n_players, join_model), strategy=EarliestN(n),
+                          e0_ratio=e0_ratio, **kw)
 
 
 def count_kernel_evaluations(monkeypatch) -> list:
@@ -347,8 +348,8 @@ class TestTerminationSolver:
 
 class TestTerminationStage1:
     def test_matches_complete_info_efficiency(self):
-        cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
-                             join_model=UNIFORM01, e0_ratio=0.0)
+        cfg = BayesianConfig(prior=ClosedPrior(2, UNIFORM01), strategy=Termination(1.0),
+                             e0_ratio=0.0)
         tables = cfg.draws()
         rep = stage1_metrics_termination(
             cfg, solve_bne_termination(2, tables.opponents, 1.0, 0.0), tables)
@@ -356,16 +357,16 @@ class TestTerminationStage1:
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-9)
 
     def test_nature_raises_efficiency(self):
-        cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
-                             join_model=UNIFORM01, e0_ratio=0.5)
+        cfg = BayesianConfig(prior=ClosedPrior(2, UNIFORM01), strategy=Termination(1.0),
+                             e0_ratio=0.5)
         tables = cfg.draws()
         rep = stage1_metrics_termination(
             cfg, solve_bne_termination(2, tables.opponents, 1.0, 0.5), tables)
         assert rep.expected_efficiency == pytest.approx((1 + math.sqrt(5)) / 4, abs=1e-9)
 
     def test_vanishing_deadline(self):
-        cfg = BayesianConfig(n_players=5, strategy=Termination(1e-9),
-                             join_model=UNIFORM01, e0_ratio=0.5)
+        cfg = BayesianConfig(prior=ClosedPrior(5, UNIFORM01), strategy=Termination(1e-9),
+                             e0_ratio=0.5)
         tables = cfg.draws()
         rep = stage1_metrics_termination(
             cfg, solve_bne_termination(5, tables.opponents, 1.0, 0.5), tables)
@@ -378,8 +379,8 @@ class TestTerminationStage1:
         # against the closed-form expectations
         from crowdcontest.bayesian_closed import TypeGrid
         w = StepWeight((0.0, 0.4, 0.8), (1.0, 0.5, 0.1))
-        cfg = BayesianConfig(n_players=4, strategy=Termination(0.6),
-                             join_model=UNIFORM01, weightfn=w, e0_ratio=0.3)
+        cfg = BayesianConfig(prior=ClosedPrior(4, UNIFORM01), strategy=Termination(0.6),
+                             weightfn=w, e0_ratio=0.3)
         tables = cfg.draws()
         e_star = solve_bne_termination(4, tables.opponents, 1.0, cfg.nature_effort)
         rep = stage1_metrics_termination(cfg, e_star, tables)
@@ -402,7 +403,7 @@ class TestTerminationStage1:
         # E[Eff] = (e0/(b p) (1 - (1-p)^N) + N e*/b) Iwf. The absolute floor
         # only admits products that underflow to subnormals.
         w = StepWeight((0.0, cut), (1.0, low))
-        cfg = BayesianConfig(n_players=n, strategy=Termination(p), join_model=UNIFORM01,
+        cfg = BayesianConfig(prior=ClosedPrior(n, UNIFORM01), strategy=Termination(p),
                              weightfn=w, e0_ratio=e0_ratio)
         tables = cfg.draws()
         e_star = solve_bne_termination(n, tables.opponents, 1.0, e0_ratio)
@@ -418,10 +419,10 @@ class TestTerminationStage1:
 
     def test_step_weights_enter_through_the_integral(self):
         w = StepWeight((0.0, 0.5), (1.0, 0.0))
-        cfg = BayesianConfig(n_players=3, strategy=Termination(1.0),
-                             join_model=UNIFORM01, weightfn=w, e0_ratio=0.2)
-        cfg_half = BayesianConfig(n_players=3, strategy=Termination(0.5),
-                                  join_model=UNIFORM01, weightfn=w, e0_ratio=0.2)
+        cfg = BayesianConfig(prior=ClosedPrior(3, UNIFORM01), strategy=Termination(1.0),
+                             weightfn=w, e0_ratio=0.2)
+        cfg_half = BayesianConfig(prior=ClosedPrior(3, UNIFORM01),
+                                  strategy=Termination(0.5), weightfn=w, e0_ratio=0.2)
         rep_full, rep_half = (
             stage1_metrics_termination(c, solve_bne_termination(3, t.opponents, 1.0, 0.2), t)
             for c, t in ((cfg, cfg.draws()), (cfg_half, cfg_half.draws())))
@@ -435,14 +436,15 @@ class TestTerminationStage1:
         w = StepWeight((0.0, 0.3, 0.7), (1.0, 0.6, 0.2))
         if system == "closed":
             calibrate = calibrated_stage1
-            configs = [BayesianConfig(n_players=7, strategy=Termination(0.55),
-                                      join_model=UNIFORM01, weightfn=w, e0_ratio=r,
+            configs = [BayesianConfig(prior=ClosedPrior(7, UNIFORM01),
+                                      strategy=Termination(0.55), weightfn=w, e0_ratio=r,
                                       budget=1.3) for r in (0.2, 0.5, 0.8)]
         else:
             calibrate = calibrated_open_stage1
-            configs = [OpenConfig(poisson=PoissonModel(rate=6.0, truncation=25),
-                                  strategy=Termination(0.55), weightfn=w, e0_ratio=r,
-                                  budget=1.3) for r in (0.2, 0.5, 0.8)]
+            prior = PoissonPrior(PoissonModel(rate=6.0, truncation=25))
+            configs = [BayesianConfig(prior=prior, strategy=Termination(0.55),
+                                      weightfn=w, e0_ratio=r, budget=1.3)
+                       for r in (0.2, 0.5, 0.8)]
         tables = configs[0].draws()
         assert isinstance(tables, bayesian_closed.TerminationTables)
         for cfg in configs:
@@ -457,8 +459,8 @@ class TestTerminationStage1:
     def test_closed_tables_hold_the_opponent_pmf(self, monkeypatch):
         # the solve takes the Binomial(N-1, F(T)) pmf from the tables, so a
         # calibration on shared tables builds no pmf of its own
-        cfg = BayesianConfig(n_players=7, strategy=Termination(0.55),
-                             join_model=UNIFORM01, e0_ratio=0.5, budget=1.3)
+        cfg = BayesianConfig(prior=ClosedPrior(7, UNIFORM01), strategy=Termination(0.55),
+                             e0_ratio=0.5, budget=1.3)
         tables = bayesian_closed.termination_tables(cfg)
         p = float(UNIFORM01.cdf(0.55))
         assert np.array_equal(tables.opponents, bayesian_closed._binom_pmf(6, p))
@@ -518,7 +520,7 @@ class TestStage1EarliestN:
         grid = TypeGrid(np.linspace(0.0, 1.0, 9), 0.25 * b * rng.random(9),
                         np.full(9, b))
         cfg = en_config(n_players, n, e0_ratio, max_reward=b)
-        panel = Stage1Panel(np.sort(draws, axis=1), np.ones_like(draws))
+        panel = Stage1Panel(np.sort(draws, axis=1), np.ones_like(draws), key=cfg.draws_key)
         rep = stage1_metrics_mc(cfg, grid, panel)
         oracle = argpartition_payment(draws, grid.interp(draws), n, b,
                                       cfg.nature_effort)
@@ -568,8 +570,8 @@ class TestCalibration:
     def test_termination_algebra_oracle(self):
         # p=1, N=2, e0 = b/2, B=1/2:
         # E[R] = b (sqrt(5)-1)/4 / ((sqrt(5)-1)/4 + 1/2) = 0.381966 b
-        cfg = BayesianConfig(n_players=2, strategy=Termination(1.0),
-                             join_model=UNIFORM01, e0_ratio=0.5, budget=0.5)
+        cfg = BayesianConfig(prior=ClosedPrior(2, UNIFORM01), strategy=Termination(1.0),
+                             e0_ratio=0.5, budget=0.5)
         e_star, rep = calibrated_stage1(cfg, cfg.draws())
         expect = 0.5 * ((math.sqrt(5) - 1) / 4 + 0.5) / ((math.sqrt(5) - 1) / 4)
         assert rep.calibrated_b == pytest.approx(expect, rel=1e-9)
@@ -683,22 +685,22 @@ class TestCalibration:
             fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), solution,
                                       draws[0])
         elif system == "open-earliest-n":
-            cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
-                             strategy=EarliestN(3), e0_ratio=0.4, budget=1.7)
+            cfg = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=4.0, truncation=12)),
+                                 strategy=EarliestN(3), e0_ratio=0.4, budget=1.7)
             draws = cfg.draws(stage1_samples=20_000, **kw)
             solution, rep = calibrated_open_stage1(cfg, draws=draws)
             fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), solution,
                                            draws[0])
         elif system == "closed-termination":
-            cfg = BayesianConfig(n_players=6, strategy=Termination(0.6),
-                                 join_model=UNIFORM01, e0_ratio=0.4, budget=1.7)
+            cfg = BayesianConfig(prior=ClosedPrior(6, UNIFORM01),
+                                 strategy=Termination(0.6), e0_ratio=0.4, budget=1.7)
             tables = cfg.draws()
             solution, rep = calibrated_stage1(cfg, tables)
             fresh = stage1_metrics_termination(cfg.with_reward(rep.calibrated_b),
                                                solution, tables)
         else:
-            cfg = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=12),
-                             strategy=Termination(0.8), e0_ratio=0.4, budget=1.7)
+            cfg = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=4.0, truncation=12)),
+                                 strategy=Termination(0.8), e0_ratio=0.4, budget=1.7)
             tables = cfg.draws()
             solution, rep = calibrated_open_stage1(cfg, tables)
             fresh = stage1_open_termination(cfg.with_reward(rep.calibrated_b), solution,
@@ -728,8 +730,8 @@ class TestCalibration:
         kw = dict(grid_size=16, mc_samples=2000, stage1_samples=4000, seed=2)
         closed = en_config(4, 2, e0_ratio=0.5)
         calibrated_stage1(closed, closed.draws(**kw))
-        open_ = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=8),
-                           strategy=EarliestN(2), e0_ratio=0.5)
+        open_ = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=4.0, truncation=8)),
+                               strategy=EarliestN(2), e0_ratio=0.5)
         calibrated_open_stage1(open_, open_.draws(**kw))
         assert sorted(calls) == ["solve_bne_earliest_n", "solve_bne_open_earliest_n",
                                  "stage1_metrics_mc", "stage1_open_earliest_n"]
@@ -743,8 +745,9 @@ class TestCalibration:
     @example(n_players=7, deadline=1.0, e0_ratio=0.75, budget=1.0, scale=1 / 64)
     def test_termination_invariant_under_reward_rescaling(self, n_players, deadline,
                                                           e0_ratio, budget, scale):
-        cfg = BayesianConfig(n_players=n_players, strategy=Termination(deadline),
-                             join_model=UNIFORM01, e0_ratio=e0_ratio, budget=budget)
+        cfg = BayesianConfig(prior=ClosedPrior(n_players, UNIFORM01),
+                             strategy=Termination(deadline), e0_ratio=e0_ratio,
+                             budget=budget)
         tables = cfg.draws()
         _, rep = calibrated_stage1(cfg, tables)
         _, scaled = calibrated_stage1(cfg.with_reward(scale), tables)
@@ -758,12 +761,12 @@ class TestDrawsRequired:
     report or calibration hides a seed or a Monte Carlo size."""
 
     CLOSED = en_config(3, 2, e0_ratio=0.5)
-    LINEAR = BayesianConfig(n_players=3, strategy=LinearDecay(0.5),
-                            join_model=UNIFORM01, e0_ratio=0.5)
-    TERMINATION = BayesianConfig(n_players=3, strategy=Termination(0.5),
-                                 join_model=UNIFORM01, e0_ratio=0.5)
-    OPEN = OpenConfig(poisson=PoissonModel(rate=4.0, truncation=3),
-                      strategy=EarliestN(2), e0_ratio=0.5)
+    LINEAR = BayesianConfig(prior=ClosedPrior(3, UNIFORM01), strategy=LinearDecay(0.5),
+                            e0_ratio=0.5)
+    TERMINATION = BayesianConfig(prior=ClosedPrior(3, UNIFORM01),
+                                 strategy=Termination(0.5), e0_ratio=0.5)
+    OPEN = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=4.0, truncation=3)),
+                          strategy=EarliestN(2), e0_ratio=0.5)
     OPEN_TERMINATION = replace(OPEN, strategy=Termination(0.5))
 
     @pytest.mark.parametrize("stage, cfg, args", [
@@ -782,6 +785,54 @@ class TestDrawsRequired:
         with pytest.raises(TypeError):
             stage(cfg, *args)
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    @pytest.mark.parametrize("build, cfg, field", [
+        (lambda cfg, size: stage2_opponents(cfg, 16, size, 0), CLOSED, "mc_samples"),
+        (lambda cfg, size: stage1_panel(cfg, size, 1), CLOSED, "stage1_samples"),
+        (lambda cfg, size: open_stage2_opponents(cfg, 16, size, 0), OPEN, "mc_samples"),
+        (lambda cfg, size: open_system.open_stage1_panel(cfg, size, 1), OPEN,
+         "stage1_samples")],
+        ids=["stage2_opponents", "stage1_panel", "open_stage2_opponents",
+             "open_stage1_panel"])
+    def test_builders_reject_fewer_than_two_draws(self, build, cfg, field, samples):
+        # a standard error needs 2 draws; fewer once failed later, if at all
+        with pytest.raises(InvalidInput, match=field):
+            build(cfg, samples)
+
+    @pytest.mark.parametrize("case", ["weights", "stage1-join-model", "poisson-rate",
+                                      "deadline", "stage2-join-model"])
+    def test_draws_of_another_config_are_rejected(self, case):
+        # each stage here once returned a report from the draws of another
+        # prior, weight function or deadline: they pass every shape check
+        sizes = dict(grid_size=16, mc_samples=1000, stage1_samples=4000, seed=3)
+        step = StepWeight((0, 1.5, 3, 6), (1, 0.6, 0.2, 0))
+        cfg = en_config(6, 3, e0_ratio=0.5, join_model=UniformJoinTimes(0.0, 6.0))
+        if case == "weights":
+            draws = replace(cfg, weightfn=step).draws(**sizes)
+            stage, args = calibrated_stage1, (cfg, draws)
+        elif case == "stage1-join-model":
+            narrow = en_config(6, 3, e0_ratio=0.5, join_model=UniformJoinTimes(0.0, 3.0))
+            grid = solve_bne_earliest_n(narrow, stage2_opponents(narrow, 16, 1000, 3))
+            stage, args = stage1_metrics_mc, (narrow, grid, stage1_panel(cfg, 4000, 4))
+        elif case == "poisson-rate":
+            slow = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=3.0, truncation=10)),
+                                  strategy=EarliestN(3), weightfn=step, e0_ratio=0.5)
+            fast = replace(slow, prior=PoissonPrior(PoissonModel(rate=9.0, truncation=10)))
+            stage, args = calibrated_open_stage1, (slow, fast.draws(**sizes))
+        elif case == "deadline":
+            late = replace(cfg, strategy=Termination(4.0), weightfn=step)
+            draws = replace(late, strategy=Termination(2.0)).draws()
+            stage, args = calibrated_stage1, (late, draws)
+        else:
+            # a table prior with the uniform prior's quantile grid at 4 points
+            table = TableJoinTimes((0.0, 1.0, 2.0, 4.0, 5.0, 6.0),
+                                   (0.0, 0.1, 1 / 3, 2 / 3, 0.9, 1.0))
+            other = replace(cfg, prior=ClosedPrior(6, table))
+            draws = cfg.draws(4, 1000, 4000, 3)[0], stage2_opponents(other, 4, 1000, 3)
+            stage, args = calibrated_stage1, (cfg, draws)
+        with pytest.raises(InvalidInput, match="drawn for another"):
+            stage(*args)
+
 
 class TestLinearDecay:
     @pytest.fixture(scope="class")
@@ -789,8 +840,8 @@ class TestLinearDecay:
         """closed-linear-step at h = 0.2 and its first e0 ratio, with its draws,
         its Stage-II solution and its Stage-I report."""
         spec = load_spec("closed-linear-step")
-        cfg = BayesianConfig(n_players=spec.n_players, strategy=LinearDecay(0.2),
-                             join_model=spec.join_model, weightfn=spec.weightfn,
+        cfg = BayesianConfig(prior=spec.prior, strategy=LinearDecay(0.2),
+                             weightfn=spec.weightfn,
                              e0_ratio=spec.e0_ratios[0])
         panel, opponents = cfg.draws(spec.grid_size, spec.mc_samples,
                                      spec.stage1_samples, spec.seed)
@@ -817,29 +868,29 @@ class TestLinearDecay:
 
     def test_zero_velocity_equals_full_quota(self):
         base = en_config(3, 3, e0_ratio=0.5)
-        cfg = BayesianConfig(n_players=3, strategy=LinearDecay(0.0),
-                             join_model=UNIFORM01, e0_ratio=0.5)
+        cfg = BayesianConfig(prior=ClosedPrior(3, UNIFORM01), strategy=LinearDecay(0.0),
+                             e0_ratio=0.5)
         g_lin = solve_bne_linear(cfg, stage2_opponents(cfg, 16, 2000, 5))
         g_en = solve_bne_earliest_n(base, stage2_opponents(base, 16, 2000, 5))
         assert np.max(np.abs(g_lin.efforts - g_en.efforts)) < 1e-9
 
     def test_steep_decay_kills_late_efforts(self):
-        cfg = BayesianConfig(n_players=3, strategy=LinearDecay(50.0),
-                             join_model=UNIFORM01, e0_ratio=0.2)
+        cfg = BayesianConfig(prior=ClosedPrior(3, UNIFORM01), strategy=LinearDecay(50.0),
+                             e0_ratio=0.2)
         grid = solve_bne_linear(cfg, stage2_opponents(cfg, 40, 2000, 6))
         assert np.all(grid.efforts[grid.times > 0.05] == 0.0)
 
     def test_single_player_linear_schedule(self):
-        cfg = BayesianConfig(n_players=1, strategy=LinearDecay(1.0),
-                             join_model=UNIFORM01, e0_ratio=0.25)
+        cfg = BayesianConfig(prior=ClosedPrior(1, UNIFORM01), strategy=LinearDecay(1.0),
+                             e0_ratio=0.25)
         grid = solve_bne_linear(cfg, stage2_opponents(cfg, 41, 64, 7))
         expect = math.sqrt(0.5 * 0.25) - 0.25
         assert float(np.interp(0.5, grid.times, grid.efforts)) == pytest.approx(
             expect, abs=1e-9)
 
     def test_schedule_shapes(self):
-        cfg = BayesianConfig(n_players=2, strategy=LinearDecay(0.5),
-                             join_model=UNIFORM01, max_reward=1.0)
+        cfg = BayesianConfig(prior=ClosedPrior(2, UNIFORM01), strategy=LinearDecay(0.5),
+                             max_reward=1.0)
         assert np.allclose(reward_schedule(cfg, [0.0, 1.0, 2.5]),
                            [1.0, 0.5, 0.0])
 
@@ -868,9 +919,8 @@ class TestSweeps:
 
     def test_termination_sweep_unimodal_curve(self):
         w = StepWeight((0.0, 0.3, 0.6, 1.0), (1.0, 0.6, 0.2, 0.0))
-        cfg = BayesianConfig(n_players=10, strategy=Termination(0.5),
-                             join_model=UNIFORM01, weightfn=w, e0_ratio=0.5,
-                             budget=1.0)
+        cfg = BayesianConfig(prior=ClosedPrior(10, UNIFORM01), strategy=Termination(0.5),
+                             weightfn=w, e0_ratio=0.5, budget=1.0)
         reports, best = swept(cfg, [Termination(float(t))
                                     for t in np.linspace(0.1, 1.0, 10)])
         values = [r.expected_efficiency for r in reports]
@@ -878,8 +928,8 @@ class TestSweeps:
         assert 0.1 < best.parameter < 1.0
 
     def test_linear_sweep_scores_calibrated_candidates(self):
-        cfg = BayesianConfig(n_players=3, strategy=LinearDecay(0.1),
-                             join_model=UNIFORM01, e0_ratio=0.5, budget=0.6,
+        cfg = BayesianConfig(prior=ClosedPrior(3, UNIFORM01), strategy=LinearDecay(0.1),
+                             e0_ratio=0.5, budget=0.6,
                              weightfn=StepWeight((0.0, 0.5), (1.0, 0.2)))
         reports, best = swept(cfg, [LinearDecay(0.05), LinearDecay(0.4)],
                               grid_size=16, mc_samples=1500,
@@ -901,8 +951,7 @@ class TestConfigValidation:
 
     def test_deadline_before_support(self):
         with pytest.raises(InvalidInput):
-            BayesianConfig(n_players=2, strategy=Termination(-1.0),
-                           join_model=UNIFORM01)
+            BayesianConfig(prior=ClosedPrior(2, UNIFORM01), strategy=Termination(-1.0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["max_reward", "e0_ratio", "budget", "deadline",
@@ -911,16 +960,14 @@ class TestConfigValidation:
         strategy = {"deadline": Termination, "velocity": LinearDecay}.get(field)
         with pytest.raises(InvalidInput, match=field):
             if strategy is not None:
-                BayesianConfig(n_players=2, strategy=strategy(value),
-                               join_model=UNIFORM01)
+                BayesianConfig(prior=ClosedPrior(2, UNIFORM01), strategy=strategy(value))
             else:
                 en_config(3, 2, **{"e0_ratio": 0.5, field: value})
 
     @pytest.mark.parametrize("n_players, n", [(3, 2.5), (3, 2.0), (3.0, 2)])
     def test_non_integer_n(self, n_players, n):
         with pytest.raises(InvalidInput, match="integer"):
-            BayesianConfig(n_players=n_players, strategy=EarliestN(n),
-                           join_model=UNIFORM01)
+            BayesianConfig(prior=ClosedPrior(n_players, UNIFORM01), strategy=EarliestN(n))
 
 
 def test_newton_step_cap_raises(monkeypatch):
@@ -973,13 +1020,13 @@ class TestGridKernel:
         # without opponents (N = 1, or truncation M = 1) the general kernel
         # settles on the effort of a lone contributor against nature
         if system == "open-earliest-n":
-            cfg = OpenConfig(poisson=PoissonModel(rate=3.0, truncation=1),
-                             strategy=EarliestN(1), e0_ratio=e0_ratio)
+            cfg = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=3.0, truncation=1)),
+                                 strategy=EarliestN(1), e0_ratio=e0_ratio)
             grid = open_system.solve_bne_open_earliest_n(
                 cfg, open_stage2_opponents(cfg, 16, 32))
         elif system == "closed-linear":
-            cfg = BayesianConfig(n_players=1, strategy=LinearDecay(1.0),
-                                 join_model=UNIFORM01, e0_ratio=e0_ratio)
+            cfg = BayesianConfig(prior=ClosedPrior(1, UNIFORM01),
+                                 strategy=LinearDecay(1.0), e0_ratio=e0_ratio)
             grid = solve_bne_linear(cfg, stage2_opponents(cfg, 16, 32))
         else:
             cfg = en_config(1, 1, e0_ratio=e0_ratio)
@@ -1085,14 +1132,15 @@ class TestGridKernel:
         assert last.shape == (16,) and np.all(last >= 0)
 
     def test_one_draw_panel_fails_the_noise_check(self):
-        # one opponent draw leaves the noise of the BNE expectation unknown
-        cfg = en_config(4, 2, e0_ratio=0.5)
-        with pytest.raises(MonteCarloNoise):
-            solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 1, 0))
-        # a lone contributor runs the same kernel and the same check
-        cfg = en_config(1, 1, e0_ratio=0.5)
-        with pytest.raises(MonteCarloNoise):
-            solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 1, 0))
+        # one opponent draw leaves the noise of the BNE expectation unknown;
+        # the builder draws at least 2, so the operator is cut to its first row
+        for cfg in (en_config(4, 2, e0_ratio=0.5),
+                    # a lone contributor runs the same kernel and the same check
+                    en_config(1, 1, e0_ratio=0.5)):
+            opponents = stage2_opponents(cfg, 12, 2, 0)
+            with pytest.raises(MonteCarloNoise):
+                solve_bne_earliest_n(cfg, opponents._replace(
+                    operator=opponents.operator[:1]))
 
     def test_outer_iterations_at_n_near_N(self, monkeypatch):
         # 5 kernel evaluations: the start, three Newton steps and the
@@ -1263,8 +1311,8 @@ class TestGridKernel:
     @staticmethod
     def _opposition(cfg, grid):
         """E_-i of each opponent draw of a seed-0, 4000-draw solve of cfg."""
-        n_opp = cfg.n_players - 1
-        opp = cfg.join_model.sample(spawn_rng(0, 0x5e11), 4000 * n_opp) \
+        n_opp = cfg.prior.n_players - 1
+        opp = cfg.prior.join_model.sample(spawn_rng(0, 0x5e11), 4000 * n_opp) \
             .reshape(4000, n_opp)
         return bayesian_closed._interp_operator(opp, grid.times) @ grid.efforts
 
@@ -1313,7 +1361,7 @@ MC_FIELDS = ("expected_utility", "expected_payment", "payment_stderr",
 class TestBlockedStageOne:
     @staticmethod
     def _grid(cfg, size=17, seed=0):
-        times = bayesian_closed._grid_times(cfg.join_model, size)
+        times = bayesian_closed._grid_times(cfg.prior.join_model, size)
         efforts = spawn_rng(seed).uniform(0.0, 0.2, size=times.size)
         return TypeGrid(times, efforts, reward_schedule(cfg, times))
 
@@ -1321,8 +1369,8 @@ class TestBlockedStageOne:
     @pytest.mark.parametrize("strategy", [EarliestN(3), LinearDecay(0.2)],
                              ids=["earliest-n", "linear"])
     def test_closed_blocks_match_the_unblocked_pass(self, rows, strategy):
-        cfg = BayesianConfig(n_players=6, strategy=strategy,
-                             join_model=UniformJoinTimes(0.0, 6.0),
+        cfg = BayesianConfig(prior=ClosedPrior(6, UniformJoinTimes(0.0, 6.0)),
+                             strategy=strategy,
                              weightfn=StepWeight((0, 1.5, 3, 6), (1, 0.6, 0.2, 0)),
                              e0_ratio=0.5, max_reward=1.3)
         grid = self._grid(cfg)

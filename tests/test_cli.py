@@ -11,14 +11,14 @@ from scipy import stats
 
 from crowdcontest import bayesian_closed as bc
 from crowdcontest import open_system as osys
-from crowdcontest.bayesian_closed import (BayesianConfig, EarliestN, Termination,
-                                          TypeGrid, calibrated_stage1)
+from crowdcontest.bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN,
+                                          Termination, TypeGrid, calibrated_stage1)
 from crowdcontest.cli import main
 from crowdcontest.errors import ConfigError, InvalidInput
 from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, OutputTable,
                                       _column_cells, gen_trace_preset, load_spec,
                                       parse_spec, run_spec, sweep)
-from crowdcontest.open_system import OpenConfig, calibrated_open_stage1
+from crowdcontest.open_system import calibrated_open_stage1
 from crowdcontest.timing import UniformJoinTimes, ingest_trace_file
 
 SMALL_SPEC = """
@@ -259,15 +259,9 @@ scale = 1
         paths = run_spec(spec, out_dir=tmp_path)
         _, rows = _read_rows(paths[2])
         [row] = [r for r in rows if r["budget"] == "2.0" and r["n"] == "3"]
-        if mode == "closed":
-            cfg = BayesianConfig(n_players=spec.n_players, strategy=EarliestN(3),
-                                 join_model=spec.join_model, weightfn=spec.weightfn,
-                                 e0_ratio=0.5, budget=2.0)
-            calibrate = calibrated_stage1
-        else:
-            cfg = OpenConfig(poisson=spec.poisson, strategy=EarliestN(3),
+        cfg = BayesianConfig(prior=spec.prior, strategy=EarliestN(3),
                              weightfn=spec.weightfn, e0_ratio=0.5, budget=2.0)
-            calibrate = calibrated_open_stage1
+        calibrate = calibrated_stage1 if mode == "closed" else calibrated_open_stage1
         _, rep = calibrate(cfg, cfg.draws(spec.grid_size, spec.mc_samples,
                                           spec.stage1_samples, spec.seed))
         assert float(row["calibrated_b"]) == pytest.approx(rep.calibrated_b, rel=1e-12)
@@ -455,23 +449,23 @@ def test_column_cells_keep_signed_zeros_and_distinct_nans():
 class TestSweep:
     def test_points_match_separate_calibrations(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
-        poisson = parse_spec(OPEN_SPEC).poisson
+        open_prior = parse_spec(OPEN_SPEC).prior
         configs = [
-            BayesianConfig(n_players=4, strategy=EarliestN(3), join_model=spec.join_model,
+            BayesianConfig(prior=ClosedPrior(4, spec.join_model), strategy=EarliestN(3),
                            weightfn=spec.weightfn, e0_ratio=0.5),
-            BayesianConfig(n_players=4, strategy=Termination(2.0),
-                           join_model=spec.join_model, weightfn=spec.weightfn,
+            BayesianConfig(prior=ClosedPrior(4, spec.join_model),
+                           strategy=Termination(2.0), weightfn=spec.weightfn,
                            e0_ratio=0.2, budget=2.0),
-            OpenConfig(poisson=poisson, strategy=EarliestN(2),
-                       weightfn=spec.weightfn, e0_ratio=0.5),
-            OpenConfig(poisson=poisson, strategy=Termination(0.5),
-                       weightfn=spec.weightfn, e0_ratio=0.8)]
+            BayesianConfig(prior=open_prior, strategy=EarliestN(2),
+                           weightfn=spec.weightfn, e0_ratio=0.5),
+            BayesianConfig(prior=open_prior, strategy=Termination(0.5),
+                           weightfn=spec.weightfn, e0_ratio=0.8)]
         sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         points, best = sweep(configs, **sizes)
         assert len(points) == len(configs)
         for cfg, (solution, rep) in zip(configs, points):
-            calibrate = calibrated_stage1 if isinstance(cfg, BayesianConfig) \
+            calibrate = calibrated_stage1 if isinstance(cfg.prior, ClosedPrior) \
                 else calibrated_open_stage1
             alone, alone_rep = calibrate(cfg, cfg.draws(**sizes))
             assert rep == alone_rep
@@ -485,7 +479,7 @@ class TestSweep:
 
     def test_sweep_builds_one_stage1_panel(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
-        poisson = parse_spec(OPEN_SPEC).poisson
+        open_prior = parse_spec(OPEN_SPEC).prior
         built = []
 
         def counting(build):
@@ -498,18 +492,18 @@ class TestSweep:
         monkeypatch.setattr(osys, "open_stage1_panel", counting(osys.open_stage1_panel))
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
-        sweep([BayesianConfig(n_players=4, strategy=EarliestN(n),
-                              join_model=spec.join_model, weightfn=spec.weightfn,
+        sweep([BayesianConfig(prior=ClosedPrior(4, spec.join_model),
+                              strategy=EarliestN(n), weightfn=spec.weightfn,
                               e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
         assert built == ["stage1_panel"]
-        sweep([OpenConfig(poisson=poisson, strategy=EarliestN(n),
-                          weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
+        sweep([BayesianConfig(prior=open_prior, strategy=EarliestN(n),
+                              weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
               **sizes)
         assert built == ["stage1_panel", "open_stage1_panel"]
 
     def test_sweep_builds_one_opponent_panel(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
-        poisson = parse_spec(OPEN_SPEC).poisson
+        open_prior = parse_spec(OPEN_SPEC).prior
         built = []
 
         def counting(build):
@@ -523,29 +517,30 @@ class TestSweep:
                             counting(osys.open_stage2_opponents))
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
-        sweep([BayesianConfig(n_players=4, strategy=EarliestN(n),
-                              join_model=spec.join_model, weightfn=spec.weightfn,
+        sweep([BayesianConfig(prior=ClosedPrior(4, spec.join_model),
+                              strategy=EarliestN(n), weightfn=spec.weightfn,
                               e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
         assert built == ["stage2_opponents"]
-        sweep([OpenConfig(poisson=poisson, strategy=EarliestN(n),
-                          weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
+        sweep([BayesianConfig(prior=open_prior, strategy=EarliestN(n),
+                              weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
               **sizes)
         assert built == ["stage2_opponents", "open_stage2_opponents"]
 
     def test_standalone_solves_match_the_shared_sweep(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
-        poisson = parse_spec(OPEN_SPEC).poisson
-        configs = [BayesianConfig(n_players=4, strategy=EarliestN(n),
-                                  join_model=spec.join_model, weightfn=spec.weightfn,
+        open_prior = parse_spec(OPEN_SPEC).prior
+        configs = [BayesianConfig(prior=ClosedPrior(4, spec.join_model),
+                                  strategy=EarliestN(n), weightfn=spec.weightfn,
                                   e0_ratio=0.5) for n in (2, 3, 4)]
-        configs += [OpenConfig(poisson=poisson, strategy=EarliestN(n),
-                               weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)]
+        configs += [BayesianConfig(prior=open_prior, strategy=EarliestN(n),
+                                   weightfn=spec.weightfn, e0_ratio=0.5)
+                    for n in (2, 3, 4)]
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         points, _ = sweep(configs, grid_size=17, mc_samples=1200, stage1_samples=6000,
                           seed=7)
         for cfg, (grid, rep) in zip(configs, points):
             solve, build = (bc.solve_bne_earliest_n, bc.stage2_opponents) \
-                if isinstance(cfg, BayesianConfig) \
+                if isinstance(cfg.prior, ClosedPrior) \
                 else (osys.solve_bne_open_earliest_n, osys.open_stage2_opponents)
             alone = solve(cfg, build(cfg, 17, 1200, 7)).scaled(
                 rep.calibrated_b / cfg.max_reward)
@@ -652,6 +647,7 @@ output = noisy.csv
                             "unit = minutes"),
          "join_model.unit"),
         (SMALL_SPEC.replace("n_players = 4", "n_players = abc"), "experiment.n_players"),
+        (SMALL_SPEC.replace("n_players = 4", "n_players = 0"), "experiment.n_players"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2,3,5"), "experiment.sweep"),
         (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,7"), "experiment.sweep"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2,inf"), "experiment.sweep"),
@@ -711,7 +707,7 @@ output = noisy.csv
         (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 1.5:3:0.5"),
          "experiment.sweep"),
     ], ids=["lo-above-hi", "negative-rate", "missing-trace", "missing-trace-unit",
-            "unknown-trace-unit", "non-integer-N",
+            "unknown-trace-unit", "non-integer-N", "zero-N",
             "n-above-N", "n-above-truncation", "infinite-n", "grid-size-1", "negative-seed",
             "complete-info-n-0", "complete-info-n-above-N", "infinite-deadline",
             "nan-velocity", "nan-weight", "nan-e0-ratio", "infinite-e0-ratio",

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from crowdcontest import open_system
-from crowdcontest.bayesian_closed import (BLOCK_ROWS, EarliestN, LinearDecay,
-                                          Termination, TypeGrid, _interp_operator,
-                                          budget_tolerance, effort_upper_bound)
+from crowdcontest.bayesian_closed import (BLOCK_ROWS, BayesianConfig, EarliestN,
+                                          LinearDecay, Termination, TypeGrid,
+                                          _interp_operator, budget_tolerance,
+                                          effort_upper_bound)
 from crowdcontest.errors import InvalidInput
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
-from crowdcontest.open_system import (OpenConfig, calibrated_open_stage1,
+from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
                                       open_earliest_n_prob, open_stage1_panel,
                                       open_stage2_opponents,
                                       open_termination_conditional_eff,
@@ -29,13 +30,14 @@ from helpers import (bne_quadrature_oracle, open_grid_times_by_public_prob,
 
 
 def open_en(rate, truncation, n, e0_ratio, **kw):
-    return OpenConfig(poisson=PoissonModel(rate=rate, truncation=truncation),
-                      strategy=EarliestN(n), e0_ratio=e0_ratio, **kw)
+    prior = PoissonPrior(PoissonModel(rate=rate, truncation=truncation))
+    return BayesianConfig(prior=prior, strategy=EarliestN(n), e0_ratio=e0_ratio, **kw)
 
 
 def open_tt(rate, deadline, e0_ratio, truncation=40, **kw):
-    return OpenConfig(poisson=PoissonModel(rate=rate, truncation=truncation),
-                      strategy=Termination(deadline), e0_ratio=e0_ratio, **kw)
+    prior = PoissonPrior(PoissonModel(rate=rate, truncation=truncation))
+    return BayesianConfig(prior=prior, strategy=Termination(deadline), e0_ratio=e0_ratio,
+                          **kw)
 
 
 class TestOpenEarliestNProb:
@@ -460,8 +462,8 @@ def test_config_validation():
     # open systems take the closed system's earliest-n and termination types,
     # not linear decay
     with pytest.raises(InvalidInput, match="EarliestN or Termination"):
-        OpenConfig(poisson=PoissonModel(rate=1.0, truncation=4),
-                   strategy=LinearDecay(0.5))
+        BayesianConfig(prior=PoissonPrior(PoissonModel(rate=1.0, truncation=4)),
+                       strategy=LinearDecay(0.5))
     with pytest.raises(InvalidInput):
         open_tt(1.0, -1.0, e0_ratio=0.5)
 
