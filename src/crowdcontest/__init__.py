@@ -14,9 +14,9 @@ from .bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN, LinearDeca
                               effort_upper_bound, participation_threshold,
                               solve_bne_earliest_n, solve_bne_linear,
                               solve_bne_termination, stage1_metrics_mc,
-                              stage1_metrics_termination, stage1_panel)
+                              stage1_metrics_termination)
 from .open_system import (PoissonPrior, calibrated_open_stage1, open_earliest_n_prob,
-                          open_stage1_panel, open_termination_conditional_eff,
+                          open_termination_conditional_eff,
                           open_termination_prob, solve_bne_open_earliest_n,
                           solve_bne_open_termination, stage1_open_earliest_n,
                           stage1_open_termination)

@@ -33,7 +33,7 @@ from .numerics import RngSeed, bisect, spawn_rng
 from .timing import ConstantWeight, JoinTimeModel, WeightFunction
 
 if TYPE_CHECKING:
-    from .open_system import PoissonPrior
+    from .open_system import OpenOpponents
 
 #: tolerance and best-response cap of the grid BNE
 BNE_TOL = 1e-8
@@ -109,11 +109,18 @@ class LinearDecay:
 Strategy = EarliestN | Termination | LinearDecay
 
 
+class Prior:
+    """All that sets a closed system apart from an open one: a config's prior
+    rejects a strategy it does not take (`admit`), builds a config's draws
+    (`draws`), gives the chance `rewarded(t, n)` that a contributor joining
+    at t is among the n earliest, and places Stage-II opponents on the type
+    grid of a config's solve (`placed`); `names` says what it fixes. Its two
+    kinds are `ClosedPrior` and `open_system.PoissonPrior`."""
+
+
 @dataclass(frozen=True)
-class ClosedPrior:
-    """A closed system's prior: N contributors with i.i.d. joining times. It
-    rejects a strategy it does not take (`admit`) and builds a config's draws
-    (`draws`), as `open_system.PoissonPrior` does; `names` says what it fixes."""
+class ClosedPrior(Prior):
+    """A closed system's prior: N contributors with i.i.d. joining times."""
 
     n_players: int
     join_model: JoinTimeModel
@@ -141,12 +148,42 @@ class ClosedPrior:
 
     def draws(self, config: BayesianConfig, grid_size: int, mc_samples: int,
               stage1_samples: int, seed: RngSeed):
-        """`BayesianConfig.draws`: the panel keeps its knots on the grid."""
+        """`BayesianConfig.draws`. The Stage-II opponents: mc_samples draws of
+        the N-1 opponent types from the stream (seed, 0x5e11), placed on the
+        quantile-spaced grid of grid_size points. The Stage-I panel:
+        stage1_samples draws of the N joining times from the stream
+        (seed + 1, 0x51a6e1), each row sorted once, with their weights and
+        their knots on that grid. A termination config's tables take
+        p = F(T): the Binomial(N-1, p) and Binomial(N, p) pmfs, and the mean
+        in-time weight by quantile-midpoint quadrature of w under F on
+        [0, T]."""
+        model, n = self.join_model, self.n_players
         if isinstance(config.strategy, Termination):
-            return termination_tables(config)
-        opponents = stage2_opponents(config, grid_size, mc_samples, seed)
-        panel = stage1_panel(config, stage1_samples, seed + 1).with_knots(opponents.times)
-        return panel, opponents
+            p = float(model.cdf(config.strategy.deadline))
+            us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
+            w_bar = float(np.mean(config.weightfn(model.quantile(us))))
+            return TerminationTables(_binom_pmf(n - 1, p), _binom_pmf(n, p)[1:], w_bar,
+                                     config.draws_key)
+        _check_samples("mc_samples", mc_samples)
+        times = _grid_times(model, grid_size)
+        opp_types = model.sample(spawn_rng(seed, 0x5e11), mc_samples * (n - 1))
+        opponents = Stage2Opponents(
+            times, _interp_operator(opp_types.reshape(mc_samples, n - 1), times), self)
+        _check_samples("stage1_samples", stage1_samples)
+        types = model.sample(spawn_rng(seed + 1, 0x51a6e1), stage1_samples * n)
+        types = types.reshape(stage1_samples, n)
+        types.sort(axis=1)
+        panel = Stage1Panel(types, config.weightfn(types), key=config.draws_key)
+        return panel.with_knots(times), opponents
+
+    def rewarded(self, t: np.ndarray, n: int) -> np.ndarray:
+        """`earliest_n_prob` at the quantile F(t) of each joining time t."""
+        return earliest_n_prob(self.join_model.cdf(t), self.n_players, n)
+
+    def placed(self, config: BayesianConfig, opponents: Stage2Opponents):
+        """The type grid of a solve and the opponents' operator on it, both
+        fixed when the opponents were drawn."""
+        return opponents.times, opponents.operator
 
 
 @dataclass(frozen=True)
@@ -155,7 +192,7 @@ class BayesianConfig:
     effort is stored as a fraction of the maximum reward so budget
     calibration can rescale both together."""
 
-    prior: ClosedPrior | PoissonPrior
+    prior: Prior
     strategy: Strategy
     weightfn: WeightFunction = ConstantWeight()
     max_reward: float = 1.0
@@ -168,6 +205,9 @@ class BayesianConfig:
         if not (self.max_reward > 0 and self.e0_ratio >= 0 and self.budget > 0):
             raise InvalidInput(f"need max_reward > 0, e0_ratio >= 0 and budget > 0, got "
                                f"{self.max_reward}, {self.e0_ratio} and {self.budget}")
+        if not isinstance(self.prior, Prior):
+            raise InvalidInput(f"prior must be a ClosedPrior or PoissonPrior, "
+                               f"got {self.prior!r}")
         self.prior.admit(self.strategy)
 
     @property
@@ -341,11 +381,9 @@ def earliest_n_prob(p, n_players: int, n_rewarded: int):
 def reward_schedule(config: BayesianConfig, times) -> np.ndarray:
     """Effective maximum reward b(t) on `times` for the configured strategy."""
     t = np.asarray(times, dtype=float)
-    b = config.max_reward
-    s = config.strategy
+    b, s = config.max_reward, config.strategy
     if isinstance(s, EarliestN):
-        prior = config.prior
-        return b * earliest_n_prob(prior.join_model.cdf(t), prior.n_players, s.n)
+        return b * config.prior.rewarded(t, s.n)
     if isinstance(s, LinearDecay):
         return np.maximum(b - s.velocity * t, 0.0)
     return np.where(t <= s.deadline, b, 0.0)
@@ -650,7 +688,7 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
 
 class Stage2Opponents(NamedTuple):
-    """Stage-II opponents drawn for a closed `prior` (`stage2_opponents`):
+    """Stage-II opponents drawn for a closed `prior` (`ClosedPrior.draws`):
     the quantile-spaced type grid `times` and the interpolation operator
     `operator` (`_interp_operator`) of the N-1 opponent types of each Monte
     Carlo draw on it, all zeros when N = 1 leaves no opponents."""
@@ -666,43 +704,29 @@ def _check_samples(name: str, size: int) -> None:
         raise InvalidInput(f"{name} must be at least 2 Monte Carlo draws, got {size!r}")
 
 
-def stage2_opponents(config: BayesianConfig, grid_size: int = GRID_SIZE,
-                     mc_samples: int = MC_SAMPLES, seed: RngSeed = 0) -> Stage2Opponents:
-    """Stage-II opponents of a closed config's prior: mc_samples draws of the
-    N-1 opponent types from the stream (seed, 0x5e11), placed on the
-    quantile-spaced grid of grid_size points. Grid and draws depend only on
-    the prior, so one serves every n, velocity and reward of a sweep."""
-    _check_samples("mc_samples", mc_samples)
-    model, n_opp = config.prior.join_model, config.prior.n_players - 1
-    times = _grid_times(model, grid_size)
-    rng = spawn_rng(seed, 0x5e11)
-    opp_types = model.sample(rng, mc_samples * n_opp).reshape(mc_samples, n_opp)
-    return Stage2Opponents(times, _interp_operator(opp_types, times), config.prior)
-
-
-def _solve_grid_bne(config: BayesianConfig, opponents: Stage2Opponents) -> TypeGrid:
-    """Grid BNE of a closed config on the grid of `opponents`, which must
-    have been drawn for its prior."""
+def _solve_grid_bne(config: BayesianConfig, opponents: Stage2Opponents | OpenOpponents,
+                    kind: type) -> TypeGrid:
+    """Grid BNE of a config whose strategy is of the `kind` a solve takes,
+    against `opponents`, which must have been drawn for its prior, on the
+    grid that prior places them on (`placed`)."""
+    if not isinstance(config.strategy, kind):
+        raise InvalidInput(f"config.strategy must be {kind.__name__}")
     config._check_drawn_for("opponents", opponents.prior)
-    times = opponents.times
-    return _iterate_grid_bne(times, reward_schedule(config, times), opponents.operator,
+    times, operator = config.prior.placed(config, opponents)
+    return _iterate_grid_bne(times, reward_schedule(config, times), operator,
                              config.nature_effort)
 
 
 def solve_bne_earliest_n(config: BayesianConfig, opponents: Stage2Opponents) -> TypeGrid:
-    """Stage-II BNE of the earliest-n strategy on a quantile-spaced grid,
-    against `opponents` (`stage2_opponents`)."""
-    if not isinstance(config.strategy, EarliestN):
-        raise InvalidInput("config.strategy must be EarliestN")
-    return _solve_grid_bne(config, opponents)
+    """Stage-II BNE of the earliest-n strategy against `opponents`
+    (`config.draws`), on the grid the config's prior places them on."""
+    return _solve_grid_bne(config, opponents, EarliestN)
 
 
 def solve_bne_linear(config: BayesianConfig, opponents: Stage2Opponents) -> TypeGrid:
     """Stage-II BNE of the linearly-decreasing strategy (same machinery as
     earliest-n with b(t) = max(0, b - h t))."""
-    if not isinstance(config.strategy, LinearDecay):
-        raise InvalidInput("config.strategy must be LinearDecay")
-    return _solve_grid_bne(config, opponents)
+    return _solve_grid_bne(config, opponents, LinearDecay)
 
 
 def participation_threshold(grid: TypeGrid) -> float:
@@ -781,10 +805,10 @@ def solve_bne_termination(n_players: int, p: float | np.ndarray, b: float,
 
 class TerminationTables(NamedTuple):
     """What a termination config's solve and report take of its `key`, the
-    `draws_key` they were built for: the in-time `opponents` pmf of the solve
-    (Binomial(N-1, F(T)) closed, the meeting-count pmf open), the pmf
-    in_time[m-1] of the in-time count m = 1, 2, ... and the mean in-time
-    weight `w_bar`."""
+    `draws_key` they were built for (`config.draws`): the in-time
+    `opponents` pmf of the solve (Binomial(N-1, F(T)) closed, the
+    meeting-count pmf open), the pmf in_time[m-1] of the in-time count
+    m = 1, 2, ... and the mean in-time weight `w_bar`."""
 
     opponents: np.ndarray
     in_time: np.ndarray
@@ -801,6 +825,8 @@ def _termination_report(config, e_star: float,
         E[R] = sum_m P(m) b m e* / (e0 + m e*),
         E[Eff] = sum_m P(m) (e0 + m e*) w_bar / b.
     The empty contest (m = 0) pays nothing and counts as zero efficiency."""
+    if not isinstance(config.strategy, Termination):
+        raise InvalidInput("config.strategy must be Termination")
     config._check_drawn_for("tables", tables.key)
     b, e0 = config.max_reward, config.nature_effort
     pm, w_bar = tables.in_time, tables.w_bar
@@ -815,46 +841,18 @@ def _termination_report(config, e_star: float,
                           expected_efficiency=efficiency, efficiency_stderr=0.0)
 
 
-def termination_tables(config: BayesianConfig) -> TerminationTables:
-    """Tables of a closed termination config, one for every e0 and b, with
-    p = F(T): the Binomial(N-1, p) and Binomial(N, p) pmfs, and the mean
-    in-time weight by quantile-midpoint quadrature of w under F on [0, T]."""
-    n, model = config.prior.n_players, config.prior.join_model
-    p = float(model.cdf(config.strategy.deadline))
-    us = (np.arange(QUAD_POINTS) + 0.5) / QUAD_POINTS * p
-    w_bar = float(np.mean(config.weightfn(model.quantile(us))))
-    return TerminationTables(_binom_pmf(n - 1, p), _binom_pmf(n, p)[1:], w_bar,
-                             config.draws_key)
-
-
 def stage1_metrics_termination(config: BayesianConfig, e_star: float,
                                tables: TerminationTables) -> StageOneReport:
     """Closed-form Stage-I metrics for the termination strategy at in-time
-    effort e* from its `tables` (`termination_tables`): this gives the
+    effort e* from its `tables` (`config.draws`): this gives the
     paper's E[U] = e* N Iwf and E[Eff] = (e0/(b p) (1-(1-p)^N) + N e*/b) Iwf
     with Iwf = int_0^T w f dt."""
-    if not isinstance(config.strategy, Termination):
-        raise InvalidInput("config.strategy must be Termination")
     return _termination_report(config, e_star, tables)
 
 
 # ---------------------------------------------------------------------------
 # Stage-I Monte Carlo metrics (earliest-n / linear decay)
 # ---------------------------------------------------------------------------
-
-def stage1_panel(config: BayesianConfig, mc_samples: int = STAGE1_SAMPLES,
-                 seed: RngSeed = 1) -> Stage1Panel:
-    """Stage-I panel of a closed config's prior: mc_samples draws of the N
-    joining times from the stream (seed, 0x51a6e1), each row sorted once,
-    with their weights. It depends only on the prior and the weights
-    (`draws_key`), so one serves every n, velocity and reward of a sweep."""
-    _check_samples("stage1_samples", mc_samples)
-    n, model = config.prior.n_players, config.prior.join_model
-    rng = spawn_rng(seed, 0x51a6e1)
-    draws = model.sample(rng, mc_samples * n).reshape(mc_samples, n)
-    draws.sort(axis=1)
-    return Stage1Panel(draws, config.weightfn(draws), key=config.draws_key)
-
 
 def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
     """efforts(rows) -> the efforts e*(types) of the panel rows `rows` on
@@ -875,18 +873,21 @@ def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
     return efforts
 
 
-def _mc_report(config, grid: TypeGrid, panel: Stage1Panel, paid_of) -> StageOneReport:
+def _mc_report(config: BayesianConfig, grid: TypeGrid,
+               panel: Stage1Panel) -> StageOneReport:
     """Monte Carlo Stage-I report of a closed or open config on `grid` over
     the draws of `panel`, which must have been drawn for it. The panel is
     streamed in blocks of BLOCK_ROWS rows, keeping three numbers per draw:
     its effort sum, its w-weighted effort sum (the requester utility of the
-    draw) and its payout paid_of(efforts, rows) for the draws `rows`. No
-    mc x N effort array exists, and every sum is row-local, so the blocks
-    change no bit. E[U] is the mean utility; a draw pays paid / (e0 + sum)
-    and scores utility (e0 + sum) / paid, with zero efficiency charged when
-    nothing is paid out."""
+    draw) and its payout. The panel's rows are sorted, so earliest-n pays b
+    times the sum of a draw's first n efforts; the other strategies pay each
+    effort its b(t). No mc x N effort array exists, and every sum is
+    row-local, so the blocks change no bit. E[U] is the mean utility; a draw
+    pays paid / (e0 + sum) and scores utility (e0 + sum) / paid, with zero
+    efficiency charged when nothing is paid out."""
     config._check_drawn_for("panel", panel.key)
     efforts = _panel_efforts(panel, grid)
+    n = config.strategy.n if isinstance(config.strategy, EarliestN) else None
     count = panel.types.shape[0]
     total, utility, paid = np.empty(count), np.empty(count), np.empty(count)
     for lo in range(0, count, BLOCK_ROWS):
@@ -894,7 +895,10 @@ def _mc_report(config, grid: TypeGrid, panel: Stage1Panel, paid_of) -> StageOneR
         block = efforts(rows)
         np.sum(block, axis=1, out=total[rows])
         np.einsum("ij,ij->i", panel.weights[rows], block, out=utility[rows])
-        paid[rows] = paid_of(block, rows)
+        if n is None:
+            paid[rows] = np.sum(block * reward_schedule(config, panel.types[rows]), axis=1)
+        else:
+            paid[rows] = config.max_reward * np.sum(block[:, :n], axis=1)
     denom = config.nature_effort + total
     with np.errstate(divide="ignore", invalid="ignore"):
         payment = np.where(denom > 0, paid / denom, 0.0)
@@ -919,19 +923,9 @@ def _stderr(draws: np.ndarray) -> float:
 def stage1_metrics_mc(config: BayesianConfig, grid: TypeGrid,
                       panel: Stage1Panel) -> StageOneReport:
     """Stage-I metrics by Monte Carlo over the joint type draws of `panel`
-    (`stage1_panel` of the config's prior): the per-draw utility, payment
-    and efficiency averaged over the draws (`_mc_report`). The panel's rows
-    are sorted, so earliest-n pays b times the sum of a draw's first n
-    efforts; the other strategies pay each effort its b(t).
-    """
-    s = config.strategy
-    if isinstance(s, EarliestN):
-        def paid_of(efforts, rows):
-            return config.max_reward * np.sum(efforts[:, :s.n], axis=1)
-    else:
-        def paid_of(efforts, rows):
-            return np.sum(efforts * reward_schedule(config, panel.types[rows]), axis=1)
-    return _mc_report(config, grid, panel, paid_of)
+    (`config.draws`): the per-draw utility, payment and efficiency averaged
+    over the draws (`_mc_report`)."""
+    return _mc_report(config, grid, panel)
 
 
 def _strategy_parameter(s: Strategy) -> float:
@@ -1013,17 +1007,22 @@ def calibrate_b(payment_at, budget: float, b_hint: float = 1.0,
     return b, evaluations[b][2]
 
 
-def _calibrated(config, solve, stage1) -> tuple[TypeGrid | float, StageOneReport]:
+def _calibrated(config: BayesianConfig, draws, solve,
+                report) -> tuple[TypeGrid | float, StageOneReport]:
     """(solution, report) of a closed or open config at its budget-calibrated
     reward: calibrate_b from the configured reward, evaluating at each b the
-    Stage-II solution solve(cfg) and its Stage-I report stage1(cfg, solution)
-    of the config cfg at reward b; homogeneous models (`scales_with_reward`)
-    once, linear decay at each b of its root search."""
+    Stage-II solution solve(cfg, opponents) and its Stage-I report
+    report(cfg, solution, panel) of the config cfg at reward b, on `draws`:
+    a (panel, opponents) pair, or termination tables that serve both stages.
+    Homogeneous models (`scales_with_reward`) are evaluated once, linear
+    decay at each b of its root search."""
+    panel, opponents = (draws, draws) if isinstance(draws, TerminationTables) else draws
+
     def payment_at(b: float):
         cfg = config.with_reward(b)
-        solution = solve(cfg)
-        report = stage1(cfg, solution)
-        return report.expected_payment, report.payment_stderr, (solution, report)
+        solution = solve(cfg, opponents)
+        rep = report(cfg, solution, panel)
+        return rep.expected_payment, rep.payment_stderr, (solution, rep)
 
     return calibrate_b(payment_at, config.budget, b_hint=config.max_reward,
                        assume_linear=scales_with_reward(config.strategy))[1]
@@ -1049,13 +1048,10 @@ def calibrated_stage1(config: BayesianConfig,
     """
     s = config.strategy
     if isinstance(s, Termination):
-        # the effort at b is b times the effort at b = 1, e0 = e0_ratio
-        return _calibrated(
-            config, lambda cfg: cfg.max_reward * solve_bne_termination(
-                cfg.prior.n_players, draws.opponents, 1.0, cfg.e0_ratio),
-            lambda cfg, e_star: stage1_metrics_termination(cfg, e_star, draws))
+        # the effort at b is b times the effort at b = 1, e0 = e0_ratio,
+        # against the tables' in-time opponent pmf
+        return _calibrated(config, draws, lambda cfg, tables: cfg.max_reward * (
+            solve_bne_termination(tables.opponents.size, tables.opponents, 1.0,
+                                  cfg.e0_ratio)), stage1_metrics_termination)
     solve = solve_bne_earliest_n if isinstance(s, EarliestN) else solve_bne_linear
-    panel, opponents = draws
-    return _calibrated(
-        config, lambda cfg: solve(cfg, opponents),
-        lambda cfg, grid: stage1_metrics_mc(cfg, grid, panel))
+    return _calibrated(config, draws, solve, stage1_metrics_mc)

@@ -2,9 +2,10 @@
 compete under the earliest-n or termination-time strategy. The game, its
 two-stage pipeline, its config and its strategy types are those of the
 closed system (`bayesian_closed`); this module supplies only the open
-system's prior (`PoissonPrior`): the Poisson type grid, the arrival-sequence
-panels (the Stage-I one sorted by construction), the meeting-count and
-in-time count pmfs and the mean in-time weight.
+system's prior (`PoissonPrior`): the arrival-sequence panels (the Stage-I
+one sorted by construction), the meeting-count and in-time count pmfs and
+the mean in-time weight, the Poisson head as the rewarded chance, and the
+type grid of each solve with the opponents placed on it.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 # calibrate_b is bound here too: the benchmark's call tracer wraps it by name
-from .bayesian_closed import (GRID_SIZE, MC_SAMPLES, STAGE1_SAMPLES, BayesianConfig,
-                              EarliestN, Stage1Panel, StageOneReport, Strategy,
-                              Termination, TerminationTables, TypeGrid, calibrate_b,
-                              _calibrated, _check_finite, _check_samples, _interp_operator,
-                              _iterate_grid_bne, _mc_report, _termination_effort,
-                              _termination_report)
+from .bayesian_closed import (BayesianConfig, EarliestN, Prior, Stage1Panel,
+                              StageOneReport, Strategy, Termination, TerminationTables,
+                              TypeGrid, calibrate_b, _calibrated, _check_finite,
+                              _check_samples, _interp_operator, _mc_report,
+                              _solve_grid_bne, _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
 from .timing import PoissonModel, WeightFunction, poisson_pmf, sample_arrival_sequences
@@ -31,7 +31,7 @@ _TAIL_MASS = 1e-10
 
 
 @dataclass(frozen=True)
-class PoissonPrior:
+class PoissonPrior(Prior):
     """An open system: Poisson arrivals truncated at M contributors."""
 
     poisson: PoissonModel
@@ -49,12 +49,53 @@ class PoissonPrior:
 
     def draws(self, config: BayesianConfig, grid_size: int, mc_samples: int,
               stage1_samples: int, seed: RngSeed):
-        """`BayesianConfig.draws`: the grid changes with n, so the panel
-        keeps no knots."""
+        """`BayesianConfig.draws`. The Stage-I panel: stage1_samples full
+        M-epoch arrival sequences from the stream (seed + 1, 0x07e4), sorted
+        as they arrive, with their weights; the type grid changes with n, so
+        it keeps no knots. The Stage-II opponents: mc_samples (M-1)-epoch
+        arrival sequences from the stream (seed, 0x09e4), read-only, with the
+        grid_size of the grids each solve places them on (`placed`). A
+        termination config's tables: the meeting-count pmf P(k, inf) cut at
+        the first k where its mass summed in order reaches 1 - _TAIL_MASS
+        (within the first 2 rate T + 64 terms by a Chernoff bound, and within
+        100 001 terms or NoConvergence), the Poisson(rate T) in-time pmf
+        truncated at M, and the mean in-time weight integral_0^T w(x) dx / T
+        of epochs uniform on [0, T]."""
+        poisson = self.poisson
         if isinstance(config.strategy, Termination):
-            return open_termination_tables(config)
-        return (open_stage1_panel(config, stage1_samples, seed + 1),
-                open_stage2_opponents(config, grid_size, mc_samples, seed))
+            deadline = config.strategy.deadline
+            size = min(int(2.0 * poisson.rate * deadline) + 64, 100_001)
+            pk = open_termination_prob(poisson.rate, deadline, np.arange(size))
+            mass = np.cumsum(pk)
+            if not mass[-1] >= 1.0 - _TAIL_MASS:
+                raise NoConvergence("meeting-count pmf failed to accumulate mass",
+                                    residual=1.0 - mass[-1], iterations=size)
+            pk = pk[:int(np.argmax(mass >= 1.0 - _TAIL_MASS)) + 1]
+            pm = poisson_pmf(poisson, deadline, np.arange(1, poisson.truncation + 1))
+            w_bar = config.weightfn.integral(0.0, deadline) / deadline
+            return TerminationTables(pk, pm, w_bar, config.draws_key)
+        _check_samples("stage1_samples", stage1_samples)
+        epochs = sample_arrival_sequences(poisson, spawn_rng(seed + 1, 0x07e4),
+                                          stage1_samples)
+        panel = Stage1Panel(epochs, config.weightfn(epochs), key=config.draws_key)
+        if grid_size < 2:
+            raise InvalidInput("grid_size must be >= 2")
+        _check_samples("mc_samples", mc_samples)
+        epochs = sample_arrival_sequences(poisson, spawn_rng(seed, 0x09e4), mc_samples,
+                                          poisson.truncation - 1)
+        epochs.setflags(write=False)
+        return panel, OpenOpponents(grid_size, epochs, self)
+
+    def rewarded(self, s: np.ndarray, n: int) -> np.ndarray:
+        """P(N(s) <= n-1), the Poisson head at each epoch s, unvalidated."""
+        return _poisson_head(self.poisson.rate * s, n)
+
+    def placed(self, config: BayesianConfig, opponents: OpenOpponents):
+        """The type grid of a solve, out past the participation region of
+        the config's n (`_open_grid_times`), and the opponents' epochs placed
+        on it by `_epoch_positions`."""
+        times = _open_grid_times(config, config.strategy.n, opponents.grid_size)
+        return times, _interp_operator(opponents.epochs, times, _epoch_positions(times))
 
 
 def _check_rate(rate: float) -> None:
@@ -96,11 +137,10 @@ def _open_grid_times(config: BayesianConfig, n: int, grid_size: int) -> np.ndarr
     schedule falls below e0 (or to negligible selection probability when
     e0 = 0)."""
     rate, b, e0 = config.prior.poisson.rate, config.max_reward, config.nature_effort
-    floor = min(e0 / b, 0.999) if e0 > 0 else 0.0
-    floor = max(floor, 1e-3)
+    floor = max(min(e0 / b, 0.999) if e0 > 0 else 0.0, 1e-3)
 
     def gap(s):
-        return float(_poisson_head(rate * s, n)) - floor
+        return float(config.prior.rewarded(s, n)) - floor
 
     hi = 1.0 / rate
     while gap(hi) > 0:
@@ -124,7 +164,7 @@ def _epoch_positions(times: np.ndarray):
 
 
 class OpenOpponents(NamedTuple):
-    """Stage-II opponents drawn for an open `prior` (`open_stage2_opponents`):
+    """Stage-II opponents drawn for an open `prior` (`PoissonPrior.draws`):
     the `grid_size` of the type grid each solve places them on, and the
     read-only (M-1)-epoch arrival sequences `epochs`, one per row."""
 
@@ -133,61 +173,22 @@ class OpenOpponents(NamedTuple):
     prior: PoissonPrior
 
 
-def open_stage2_opponents(config: BayesianConfig, grid_size: int = GRID_SIZE,
-                          mc_samples: int = MC_SAMPLES, seed: RngSeed = 0
-                          ) -> OpenOpponents:
-    """Stage-II opponents of an open config's prior: mc_samples (M-1)-epoch
-    arrival sequences from the stream (seed, 0x09e4), for solves on grids of
-    grid_size points. They depend only on the Poisson model, so one set
-    serves every n and reward of a sweep; the type grid changes with n, so
-    each solve places them on its own."""
-    if grid_size < 2:
-        raise InvalidInput("grid_size must be >= 2")
-    _check_samples("mc_samples", mc_samples)
-    epochs = sample_arrival_sequences(config.prior.poisson, spawn_rng(seed, 0x09e4),
-                                      mc_samples, config.prior.poisson.truncation - 1)
-    epochs.setflags(write=False)
-    return OpenOpponents(grid_size, epochs, config.prior)
-
-
 def solve_bne_open_earliest_n(config: BayesianConfig, opponents: OpenOpponents) -> TypeGrid:
     """Stage-II BNE with b(s) = b P(N(s) <= n-1) on a grid of
     `opponents.grid_size` points; after isolating the tagged contributor,
     opponents form a fresh (M-1)-epoch Poisson sequence, the rows of
-    `opponents.epochs` (`open_stage2_opponents` of the config's prior)."""
-    if not isinstance(config.strategy, EarliestN):
-        raise InvalidInput("config.strategy must be EarliestN")
-    config._check_drawn_for("opponents", opponents.prior)
-    n = config.strategy.n
-    times = _open_grid_times(config, n, opponents.grid_size)
-    b_t = config.max_reward * _poisson_head(config.prior.poisson.rate * times, n)
-    return _iterate_grid_bne(times, b_t, _interp_operator(opponents.epochs, times,
-                                                          _epoch_positions(times)),
-                             config.nature_effort)
-
-
-def open_stage1_panel(config: BayesianConfig, mc_samples: int = STAGE1_SAMPLES,
-                      seed: RngSeed = 1) -> Stage1Panel:
-    """Stage-I panel of an open config's prior: mc_samples full M-epoch
-    arrival sequences from the stream (seed, 0x07e4), sorted as they arrive,
-    with their weights. It depends only on the prior and the weight function
-    (`draws_key`), so one panel serves every n and reward of a sweep."""
-    _check_samples("stage1_samples", mc_samples)
-    epochs = sample_arrival_sequences(config.prior.poisson, spawn_rng(seed, 0x07e4),
-                                      mc_samples)
-    return Stage1Panel(epochs, config.weightfn(epochs), key=config.draws_key)
+    `opponents.epochs` (`config.draws`)."""
+    return _solve_grid_bne(config, opponents, EarliestN)
 
 
 def stage1_open_earliest_n(config: BayesianConfig, grid: TypeGrid,
                            panel: Stage1Panel) -> StageOneReport:
     """Stage-I metrics by Monte Carlo over the arrival sequences of `panel`
-    (`open_stage1_panel` of the config's prior). The earliest-n subset of a
-    sequence is simply its first n epochs."""
+    (`config.draws`). The earliest-n subset of a sequence is simply its
+    first n epochs (`_mc_report`)."""
     if not isinstance(config.strategy, EarliestN):
         raise InvalidInput("config.strategy must be EarliestN")
-    n, b = config.strategy.n, config.max_reward
-    return _mc_report(config, grid, panel,
-                      lambda efforts, rows: b * np.sum(efforts[:, :n], axis=1))
+    return _mc_report(config, grid, panel)
 
 
 # ---------------------------------------------------------------------------
@@ -214,29 +215,9 @@ def open_termination_prob(rate: float, deadline: float, k) -> float | np.ndarray
     return out if out.ndim else float(out)
 
 
-def open_termination_tables(config: BayesianConfig) -> TerminationTables:
-    """Tables of an open termination config, one for every e0 and b: the
-    meeting-count pmf P(k, inf) cut at the first k where its mass summed in
-    order reaches 1 - _TAIL_MASS (within the first 2 rate T + 64 terms by a
-    Chernoff bound, and within 100 001 terms or NoConvergence), the
-    Poisson(rate T) in-time pmf truncated at M, and the mean in-time weight
-    integral_0^T w(x) dx / T of epochs uniform on [0, T]."""
-    poisson, deadline = config.prior.poisson, config.strategy.deadline
-    size = min(int(2.0 * poisson.rate * deadline) + 64, 100_001)
-    pk = open_termination_prob(poisson.rate, deadline, np.arange(size))
-    mass = np.cumsum(pk)
-    if not mass[-1] >= 1.0 - _TAIL_MASS:
-        raise NoConvergence("meeting-count pmf failed to accumulate mass",
-                            residual=1.0 - mass[-1], iterations=size)
-    pk = pk[:int(np.argmax(mass >= 1.0 - _TAIL_MASS)) + 1]
-    pm = poisson_pmf(poisson, deadline, np.arange(1, poisson.truncation + 1))
-    return TerminationTables(pk, pm, config.weightfn.integral(0.0, deadline) / deadline,
-                             config.draws_key)
-
-
 def solve_bne_open_termination(config: BayesianConfig, tables: TerminationTables) -> float:
-    """Symmetric in-time effort against the meeting-count pmf of `tables`
-    (`open_termination_tables` of the config)."""
+    """Symmetric in-time effort against the in-time opponent pmf of `tables`
+    (`config.draws`)."""
     if not isinstance(config.strategy, Termination):
         raise InvalidInput("config.strategy must be Termination")
     config._check_drawn_for("tables", tables.key)
@@ -260,9 +241,7 @@ def open_termination_conditional_eff(m: int, e_star: float, b: float,
 def stage1_open_termination(config: BayesianConfig, e_star: float,
                             tables: TerminationTables) -> StageOneReport:
     """Closed-form Stage-I metrics for the open termination strategy at
-    in-time effort e* from its `tables` (`open_termination_tables`)."""
-    if not isinstance(config.strategy, Termination):
-        raise InvalidInput("config.strategy must be Termination")
+    in-time effort e* from its `tables` (`config.draws`)."""
     return _termination_report(config, e_star, tables)
 
 
@@ -276,10 +255,6 @@ def calibrated_open_stage1(config: BayesianConfig,
     result is scaled to b*. Both stages run on `draws` (`config.draws`), as
     in `calibrated_stage1`."""
     if isinstance(config.strategy, Termination):
-        return _calibrated(
-            config, lambda cfg: solve_bne_open_termination(cfg, draws),
-            lambda cfg, e_star: stage1_open_termination(cfg, e_star, draws))
-    panel, opponents = draws
-    return _calibrated(
-        config, lambda cfg: solve_bne_open_earliest_n(cfg, opponents),
-        lambda cfg, grid: stage1_open_earliest_n(cfg, grid, panel))
+        return _calibrated(config, draws, solve_bne_open_termination,
+                           stage1_open_termination)
+    return _calibrated(config, draws, solve_bne_open_earliest_n, stage1_open_earliest_n)

@@ -113,12 +113,17 @@ class ExponentialJoinTimes(JoinTimeModel):
         return -np.log1p(-np.asarray(q, dtype=float)) / self.rate
 
 
+@dataclass(frozen=True)
 class TableJoinTimes(JoinTimeModel):
-    """Piecewise-linear CDF through given (time, probability) knots."""
+    """Piecewise-linear CDF through given (time, probability) knots, kept as
+    tuples of floats: tables of the same knots are the same model."""
 
-    def __init__(self, times, cdf_values):
-        xs = np.asarray(times, dtype=float)
-        ys = np.asarray(cdf_values, dtype=float)
+    times: tuple
+    cdf_values: tuple
+
+    def __post_init__(self):
+        xs = np.array(self.times, dtype=float)
+        ys = np.array(self.cdf_values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise InvalidInput("need matching 1-d knot arrays with >= 2 points")
         _check_knot_times(xs)
@@ -127,9 +132,10 @@ class TableJoinTimes(JoinTimeModel):
         _check_slopes(xs, ys, "cdf knots must rise by finite steps per unit of time")
         # the quantile interpolates times over probabilities
         _check_slopes(ys, xs, "knot times must rise by finite steps per unit of cdf")
-        self._xs = xs
-        self._ys = ys
-        self.support = (float(xs[0]), float(xs[-1]))
+        for name, value in (("times", tuple(xs.tolist())), ("_xs", xs), ("_ys", ys),
+                            ("cdf_values", tuple(ys.tolist())),
+                            ("support", (float(xs[0]), float(xs[-1])))):
+            object.__setattr__(self, name, value)
 
     def cdf(self, t):
         return np.interp(np.asarray(t, dtype=float), self._xs, self._ys,
@@ -178,12 +184,12 @@ class EmpiricalJoinTimes(TableJoinTimes):
             xs.append(float(window_width))
             ys.append(1.0)
         super().__init__(xs, ys)
-        self.sample_times = ts
-        self.n_users = n
         sigma = float(np.std(ts, ddof=1)) if n > 1 else 0.0
         iqr = float(np.subtract(*np.percentile(ts, [75, 25])))
         spread = min(sigma, iqr / 1.34) if iqr > 0 and sigma > 0 else max(sigma, 1e-3)
-        self.bandwidth = 0.9 * max(spread, 1e-6) * n ** (-0.2)
+        for name, value in (("sample_times", ts), ("n_users", n),
+                            ("bandwidth", 0.9 * max(spread, 1e-6) * n ** (-0.2))):
+            object.__setattr__(self, name, value)
 
     def smoothed_pdf(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -356,12 +362,17 @@ class InversePowerWeight(WeightFunction):
         return head + anti(hi) - anti(lo)
 
 
+@dataclass(frozen=True)
 class TableWeight(WeightFunction):
-    """Linear interpolation through (time, weight) knots, clamped outside."""
+    """Linear interpolation through (time, weight) knots, clamped outside,
+    kept as tuples of floats: tables of the same knots are the same weights."""
 
-    def __init__(self, times, values):
-        xs = np.asarray(times, dtype=float)
-        ys = np.asarray(values, dtype=float)
+    times: tuple
+    values: tuple
+
+    def __post_init__(self):
+        xs = np.array(self.times, dtype=float)
+        ys = np.array(self.values, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
             raise InvalidInput("need matching 1-d knot arrays with >= 2 points")
         _check_knot_times(xs)
@@ -370,8 +381,9 @@ class TableWeight(WeightFunction):
         if np.any(np.diff(ys) > 1e-12):
             raise InvalidInput("table weights must be nonincreasing")
         _check_slopes(xs, ys, "table weights must fall by finite steps per unit of time")
-        self._xs = xs
-        self._ys = ys
+        for name, value in (("times", tuple(xs.tolist())), ("values", tuple(ys.tolist())),
+                            ("_xs", xs), ("_ys", ys)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, t):
         out = np.interp(np.asarray(t, dtype=float), self._xs, self._ys)

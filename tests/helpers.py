@@ -18,6 +18,20 @@ FIXED_POINT_STEPS = 5000
 FIXED_POINT_DAMPING = 0.5
 
 
+def drawn(config: BayesianConfig, part: str, samples: int, seed: int,
+          grid_size: int = 2):
+    """One part of `config.draws`, the other drawn at its floor of 2 draws
+    and dropped: the Stage-II "opponents", `samples` draws on `grid_size`
+    points from the stream of `seed`, or the Stage-I "panel" of `samples`
+    rows from the stream of `seed`, which `config.draws(seed=seed - 1)`
+    draws. A closed panel keeps its knots on a grid of `grid_size` points,
+    by default 2, which no solve grid of more points matches, so Stage I
+    interpolates it."""
+    if part == "opponents":
+        return config.draws(grid_size, samples, 2, seed)[1]
+    return config.draws(grid_size, 2, samples, seed - 1)[0]
+
+
 def fixed_point(map_fn: Callable[[np.ndarray], np.ndarray],
                 init: Sequence[float] | np.ndarray | float,
                 tol: float = 1e-7,

@@ -15,8 +15,7 @@ from crowdcontest.bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN
                                           participation_threshold,
                                           solve_bne_earliest_n,
                                           solve_bne_termination,
-                                          stage1_metrics_mc, stage1_panel,
-                                          stage2_opponents)
+                                          stage1_metrics_mc)
 from crowdcontest.contest import (ContestConfig, efficiency_identical,
                                   solve_ne, symmetric_ne)
 from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
@@ -24,13 +23,12 @@ from crowdcontest.csf_analysis import (efficiency_vmax_beta_threshold,
 from crowdcontest.experiments import gen_trace_preset, sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
-                                      open_stage1_panel,
                                       open_termination_conditional_eff,
                                       stage1_open_earliest_n)
 from crowdcontest.timing import (ConstantWeight, PoissonModel, StepWeight,
                                  UniformJoinTimes, ingest_trace_file)
 
-from helpers import ne_by_iteration, single_peaked, termination_effort_e0_zero
+from helpers import drawn, ne_by_iteration, single_peaked, termination_effort_e0_zero
 
 PAPER_STEP = StepWeight((0.0, 1.5, 3.0, 6.0), (1.0, 0.6, 0.2, 0.0))
 
@@ -128,7 +126,8 @@ def test_criterion_06_consistency_triangle():
 
         en_cfg = BayesianConfig(prior=ClosedPrior(n, model), strategy=EarliestN(n),
                                 max_reward=b, e0_ratio=ratio)
-        grid = solve_bne_earliest_n(en_cfg, stage2_opponents(en_cfg, 16, 2000, i))
+        grid = solve_bne_earliest_n(
+            en_cfg, drawn(en_cfg, "opponents", 2000, i, grid_size=16))
         assert np.max(np.abs(grid.efforts - sym)) <= 1e-4
         assert np.all(grid.efforts <= effort_upper_bound(grid.b_values,
                                                          en_cfg.nature_effort) + 1e-10)
@@ -168,7 +167,7 @@ def test_criterion_08_budget_balance_across_ratios():
                              weightfn=PAPER_STEP, e0_ratio=ratio, budget=1.0)
         grid, rep = calibrated_stage1(cfg, cfg.draws(25, 3000, 40_000, 88))
         fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), grid,
-                                  stage1_panel(cfg, 40_000, 4242))
+                                  drawn(cfg, "panel", 40_000, 4242))
         assert abs(fresh.expected_payment - 1.0) <= budget_tolerance(
             1.0, fresh.payment_stderr)
 
@@ -184,7 +183,7 @@ def test_criterion_08_budget_balance_across_ratios():
                                budget=1.0)
         grid_o, rep_o = calibrated_open_stage1(cfg_o, cfg_o.draws(25, 3000, 40_000, 89))
         fresh_o = stage1_open_earliest_n(cfg_o.with_reward(rep_o.calibrated_b),
-                                         grid_o, open_stage1_panel(cfg_o, 40_000, 4243))
+                                         grid_o, drawn(cfg_o, "panel", 40_000, 4243))
         assert abs(fresh_o.expected_payment - 1.0) <= budget_tolerance(
             1.0, fresh_o.payment_stderr)
 
@@ -250,7 +249,7 @@ def test_criterion_09_figure_shape_properties(synthetic_trace_model):
     # (c) effort-vs-join-time: nonincreasing with a hard cutoff
     cfg_e = BayesianConfig(prior=ClosedPrior(20, model), strategy=EarliestN(6),
                            weightfn=PAPER_STEP, e0_ratio=0.5, budget=1.0)
-    grid = solve_bne_earliest_n(cfg_e, stage2_opponents(cfg_e, 49, 2500, 6))
+    grid = solve_bne_earliest_n(cfg_e, drawn(cfg_e, "opponents", 2500, 6, grid_size=49))
     assert np.all(np.diff(grid.efforts) <= 1e-12)
     cutoff = participation_threshold(grid)
     assert cutoff < grid.times[-1]
@@ -286,7 +285,8 @@ def test_criterion_10_effort_cap_on_all_grids(synthetic_trace_model):
         for n in (1, 3, 10, 20):
             cfg = BayesianConfig(prior=ClosedPrior(20, model), strategy=EarliestN(n),
                                  weightfn=PAPER_STEP, e0_ratio=ratio, budget=1.0)
-            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 33, 2500, 10))
+            grid = solve_bne_earliest_n(
+                cfg, drawn(cfg, "opponents", 2500, 10, grid_size=33))
             cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
             assert np.all(grid.efforts <= cap + 1e-10)
             checked += 1
@@ -295,10 +295,9 @@ def test_criterion_10_effort_cap_on_all_grids(synthetic_trace_model):
         cfg_o = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=9.0, truncation=20)),
                                strategy=EarliestN(5), weightfn=PAPER_STEP, e0_ratio=ratio,
                                budget=1.0)
-        from crowdcontest.open_system import (open_stage2_opponents,
-                                              solve_bne_open_earliest_n)
-        grid_o = solve_bne_open_earliest_n(cfg_o,
-                                           open_stage2_opponents(cfg_o, 33, 2500, 11))
+        from crowdcontest.open_system import solve_bne_open_earliest_n
+        grid_o = solve_bne_open_earliest_n(
+            cfg_o, drawn(cfg_o, "opponents", 2500, 11, grid_size=33))
         cap = effort_upper_bound(grid_o.b_values, cfg_o.nature_effort)
         assert np.all(grid_o.efforts <= cap + 1e-10)
         checked += 1

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
@@ -21,22 +22,22 @@ from crowdcontest.bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN
                                           solve_bne_earliest_n,
                                           solve_bne_linear,
                                           solve_bne_termination,
-                                          stage1_metrics_mc, stage1_panel,
-                                          stage1_metrics_termination, stage2_opponents)
+                                          stage1_metrics_mc,
+                                          stage1_metrics_termination)
 from crowdcontest.contest import symmetric_ne
 from crowdcontest.errors import (InfeasibleBudget, InvalidInput, MonteCarloNoise,
                                  NoConvergence)
 from crowdcontest.experiments import load_spec, sweep
 from crowdcontest.numerics import bisect, spawn_rng
 from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
-                                      open_stage2_opponents, stage1_open_earliest_n,
+                                      stage1_open_earliest_n,
                                       stage1_open_termination)
 from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
-                                 StepWeight, TableJoinTimes, UniformJoinTimes,
-                                 sample_arrival_sequences)
+                                 StepWeight, TableJoinTimes, TableWeight,
+                                 UniformJoinTimes, sample_arrival_sequences)
 
 from helpers import (argpartition_payment, bne_quadrature_oracle,
-                     condition_noise_two_pass,
+                     condition_noise_two_pass, drawn,
                      convolution_best_responses, interp_operator_by_columns,
                      interp_operator_by_knots, interp_operator_stacked,
                      knots_by_search, single_peaked,
@@ -142,7 +143,7 @@ class TestEffortUpperBound:
 class TestEarliestNSolver:
     def test_single_player_foc(self):
         cfg = en_config(1, 1, e0_ratio=0.25)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 64, 0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 64, 0, grid_size=12))
         assert np.allclose(grid.efforts, 0.25, atol=1e-12)
 
     @pytest.mark.parametrize("e0_ratio", [1e-6, 1e-4, 1e-3, 0.1, 0.5])
@@ -156,19 +157,19 @@ class TestEarliestNSolver:
         # from another start stalled
         calls = count_kernel_evaluations(monkeypatch)
         cfg = en_config(n_players, n_players, e0_ratio=e0_ratio)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 512, 1, grid_size=12))
         assert len(calls) == 2
         assert np.unique(grid.efforts).size == 1
         expect = symmetric_ne(n_players, 1.0, cfg.nature_effort)
         assert np.max(np.abs(grid.efforts - expect)) <= 1e-8
-        panel = stage1_panel(cfg, 256, seed=2).with_knots(grid.times)
+        panel = drawn(cfg, "panel", 256, 2).with_knots(grid.times)
         assert stage1_metrics_mc(cfg, grid, panel).payment_stderr == 0.0
 
     def test_three_player_selective_case(self):
         # N=3, n=1, uniform prior, e0 = 0.2 b: early types fight, late types
         # sit out past a hard threshold
         cfg = en_config(3, 1, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 33, 8000, 2))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 8000, 2, grid_size=33))
         e_at = lambda t: float(np.interp(t, grid.times, grid.efforts))
         assert e_at(0.0) > e_at(0.3) > e_at(0.4) > 0.0
         assert e_at(0.55) == 0.0
@@ -179,7 +180,7 @@ class TestEarliestNSolver:
 
     def test_matches_quadrature_oracle_two_players(self):
         cfg = en_config(2, 1, e0_ratio=0.3)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 25, 30_000, 3))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 30_000, 3, grid_size=25))
         oracle = bne_quadrature_oracle(grid.b_values, grid.times, 2,
                                        cfg.nature_effort, UNIFORM01.quantile,
                                        n_nodes=4000)
@@ -187,7 +188,7 @@ class TestEarliestNSolver:
 
     def test_matches_quadrature_oracle_three_players(self):
         cfg = en_config(3, 1, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 25, 30_000, 4))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 30_000, 4, grid_size=25))
         oracle = bne_quadrature_oracle(grid.b_values, grid.times, 3,
                                        cfg.nature_effort, UNIFORM01.quantile,
                                        n_nodes=300)
@@ -200,11 +201,11 @@ class TestEarliestNSolver:
         # kernel's own, stderr(A/(A+e)^2) / (2 E[A/(A+e)^3]) per point: 5.9e-4
         # apart here, against an error of up to 1.7e-3
         cfg = en_config(20, 10, e0_ratio=0.1)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         oracle = convolution_best_responses(grid.b_values, grid.times, 20,
                                             cfg.nature_effort, UNIFORM01.quantile,
                                             grid.efforts)
-        opponents = bayesian_closed.stage2_opponents(cfg, 64, 4000, 0)
+        opponents = drawn(cfg, "opponents", 4000, 0, grid_size=64)
         a = (cfg.nature_effort + opponents.operator @ grid.efforts)[:, None]
         e = grid.efforts[grid.efforts > 0]
         stderr = np.std(a / (a + e) ** 2, axis=0, ddof=1) / math.sqrt(a.size)
@@ -216,7 +217,7 @@ class TestEarliestNSolver:
         # at active grid points the equilibrium condition holds within the
         # Monte Carlo noise band
         cfg = en_config(3, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 21, 20_000, 5))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 20_000, 5, grid_size=21))
         rng = spawn_rng(999)
         opp = UNIFORM01.sample(rng, 40_000 * 2).reshape(40_000, 2)
         a = cfg.nature_effort + grid.interp(opp).sum(axis=1)
@@ -229,7 +230,8 @@ class TestEarliestNSolver:
     def test_efforts_below_upper_bound(self):
         for ratio in (0.2, 0.5, 0.8):
             cfg = en_config(4, 2, e0_ratio=ratio)
-            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 21, 4000, 6))
+            grid = solve_bne_earliest_n(
+                cfg, drawn(cfg, "opponents", 4000, 6, grid_size=21))
             cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
             assert np.all(grid.efforts <= cap + 1e-10)
 
@@ -237,19 +239,19 @@ class TestEarliestNSolver:
 class TestParticipationThreshold:
     def test_full_quota_everyone_active(self):
         cfg = en_config(2, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 512, 1, grid_size=12))
         assert participation_threshold(grid) == pytest.approx(1.0)
 
     def test_priced_out_everywhere(self):
         cfg = en_config(2, 2, e0_ratio=1.5)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 512, 1, grid_size=12))
         assert participation_threshold(grid) == pytest.approx(0.0)
 
     def test_binding_threshold_near_analytic_bound(self):
         # with one opponent slot the bound b(t) = e0 pins the cutoff to
         # within one grid cell when opponents' efforts vanish there
         cfg = en_config(3, 1, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 65, 8000, 7))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 8000, 7, grid_size=65))
         bound = threshold_analytic_bound(cfg)
         assert participation_threshold(grid) <= bound + 1e-9
 
@@ -387,7 +389,10 @@ class TestTerminationStage1:
         step_grid = TypeGrid(times=np.array([0.0, 0.6, 0.6 + 1e-12, 1.0]),
                              efforts=np.array([e_star, e_star, 0.0, 0.0]),
                              b_values=np.array([1.0, 1.0, 0.0, 0.0]))
-        mc = stage1_metrics_mc(cfg, step_grid, stage1_panel(cfg, 200_000, 21))
+        # a termination config draws no panel: take its prior's and weights'
+        # panel, recorded as drawn for it
+        panel = drawn(replace(cfg, strategy=EarliestN(1)), "panel", 200_000, 21)
+        mc = stage1_metrics_mc(cfg, step_grid, replace(panel, key=cfg.draws_key))
         assert abs(mc.expected_payment - rep.expected_payment) <= \
             3 * mc.payment_stderr + 1e-9
         assert abs(mc.expected_efficiency - rep.expected_efficiency) <= \
@@ -461,7 +466,7 @@ class TestTerminationStage1:
         # calibration on shared tables builds no pmf of its own
         cfg = BayesianConfig(prior=ClosedPrior(7, UNIFORM01), strategy=Termination(0.55),
                              e0_ratio=0.5, budget=1.3)
-        tables = bayesian_closed.termination_tables(cfg)
+        tables = cfg.draws()
         p = float(UNIFORM01.cdf(0.55))
         assert np.array_equal(tables.opponents, bayesian_closed._binom_pmf(6, p))
         assert solve_bne_termination(7, tables.opponents, 1.3, 0.4) == \
@@ -479,8 +484,8 @@ class TestTerminationStage1:
 class TestStage1EarliestN:
     def test_full_quota_no_nature_spends_everything(self):
         cfg = en_config(2, 2, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 512, 1))
-        rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 4000, 2))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 512, 1, grid_size=12))
+        rep = stage1_metrics_mc(cfg, grid, drawn(cfg, "panel", 4000, 2))
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == pytest.approx(0.0, abs=1e-12)
         assert rep.expected_efficiency == pytest.approx(0.5, abs=1e-6)
@@ -488,18 +493,18 @@ class TestStage1EarliestN:
 
     def test_one_draw_gives_no_standard_error(self):
         cfg = en_config(4, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 2000, 1))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 2000, 1, grid_size=12))
         with pytest.raises(InvalidInput):
-            stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 1, 2))
+            stage1_metrics_mc(cfg, grid, drawn(cfg, "panel", 1, 2))
 
     def test_panel_of_another_prior_is_invalid(self):
         cfg = en_config(4, 2, e0_ratio=0.5)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 2000, 1))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 2000, 1, grid_size=12))
         with pytest.raises(InvalidInput, match="n_players"):
-            stage1_metrics_mc(cfg, grid, stage1_panel(en_config(5, 2, 0.5), 100, 2))
+            stage1_metrics_mc(cfg, grid, drawn(en_config(5, 2, 0.5), "panel", 100, 2))
 
     def test_panel_is_sorted_and_read_only(self):
-        panel = stage1_panel(en_config(6, 2, 0.5), 50, 3)
+        panel = drawn(en_config(6, 2, 0.5), "panel", 50, 3)
         assert np.all(np.diff(panel.types, axis=1) >= 0)
         with pytest.raises(ValueError):
             panel.types[0, 0] = 0.0
@@ -528,8 +533,8 @@ class TestStage1EarliestN:
 
     def test_single_player_payment(self):
         cfg = en_config(1, 1, e0_ratio=0.25)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 12, 64, 0))
-        rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 2000, 3))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 64, 0, grid_size=12))
+        rep = stage1_metrics_mc(cfg, grid, drawn(cfg, "panel", 2000, 3))
         assert rep.expected_payment == pytest.approx(0.5, abs=1e-12)
 
     def test_stage1_mc_matches_tensor_quadrature(self):
@@ -538,8 +543,9 @@ class TestStage1EarliestN:
         # quadrature as an independent oracle for the Monte Carlo path
         w = StepWeight((0.0, 0.5), (1.0, 0.4))
         cfg = en_config(2, 1, e0_ratio=0.3, weightfn=w)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 25, 20_000, 13))
-        rep = stage1_metrics_mc(cfg, grid, stage1_panel(cfg, 150_000, 14))
+        grid = solve_bne_earliest_n(
+            cfg, drawn(cfg, "opponents", 20_000, 13, grid_size=25))
+        rep = stage1_metrics_mc(cfg, grid, drawn(cfg, "panel", 150_000, 14))
 
         nodes = UNIFORM01.quantile((np.arange(600) + 0.5) / 600)
         e = grid.interp(nodes)
@@ -561,6 +567,30 @@ class TestStage1EarliestN:
 
 
 class TestCalibration:
+    OPEN_PRIOR = PoissonPrior(PoissonModel(rate=4.0, truncation=8))
+
+    @pytest.mark.parametrize("prior, strategy", [
+        (ClosedPrior(5, UNIFORM01), EarliestN(2)), (OPEN_PRIOR, EarliestN(2)),
+        (ClosedPrior(5, UNIFORM01), Termination(0.5)), (OPEN_PRIOR, Termination(0.5))],
+        ids=["closed-earliest-n", "open-earliest-n", "closed-termination",
+             "open-termination"])
+    def test_either_calibration_serves_either_prior(self, prior, strategy):
+        # the closed and open calibrations differ only in the names they
+        # call: the prior supplies all the rest, so each gives the same
+        # (solution, report) pair on a config over either prior
+        cfg = BayesianConfig(prior=prior, strategy=strategy,
+                             weightfn=StepWeight((0, 0.3, 0.6), (1, 0.6, 0.2)),
+                             e0_ratio=0.5)
+        draws = cfg.draws(12, 500, 2000, 1)
+        solution, rep = calibrated_stage1(cfg, draws)
+        open_solution, open_rep = calibrated_open_stage1(cfg, draws)
+        assert rep == open_rep
+        if isinstance(strategy, Termination):
+            assert solution == open_solution
+        else:
+            for field in ("times", "efforts", "b_values"):
+                assert np.array_equal(getattr(solution, field), getattr(open_solution, field))
+
     def test_complete_info_identity(self):
         # full quota, no nature: E[R] = b so the calibrated b is the budget
         cfg = en_config(2, 2, e0_ratio=0.0, budget=0.7)
@@ -594,7 +624,7 @@ class TestCalibration:
         cfg = en_config(4, 2, e0_ratio=0.5, budget=1.0)
         grid, rep = calibrated_stage1(cfg, cfg.draws(25, 4000, 40_000, 11))
         fresh = stage1_metrics_mc(cfg.with_reward(rep.calibrated_b), grid,
-                                  stage1_panel(cfg, 40_000, 777))
+                                  drawn(cfg, "panel", 40_000, 777))
         tol = budget_tolerance(cfg.budget, fresh.payment_stderr)
         assert abs(fresh.expected_payment - cfg.budget) <= tol
 
@@ -603,7 +633,7 @@ class TestCalibration:
         cfg = en_config(3, 1, e0_ratio=0.5, budget=1.0)
         grid, rep = calibrated_stage1(cfg, cfg.draws(25, 6000, 20_000, 12))
         direct = solve_bne_earliest_n(cfg.with_reward(rep.calibrated_b),
-                                      stage2_opponents(cfg, 25, 6000, 12))
+                                      drawn(cfg, "opponents", 6000, 12, grid_size=25))
         assert np.max(np.abs(direct.efforts - grid.efforts)) < 1e-6
 
     def test_infeasible_budget(self):
@@ -785,19 +815,15 @@ class TestDrawsRequired:
         with pytest.raises(TypeError):
             stage(cfg, *args)
 
-    @pytest.mark.parametrize("samples", [0, 1])
-    @pytest.mark.parametrize("build, cfg, field", [
-        (lambda cfg, size: stage2_opponents(cfg, 16, size, 0), CLOSED, "mc_samples"),
-        (lambda cfg, size: stage1_panel(cfg, size, 1), CLOSED, "stage1_samples"),
-        (lambda cfg, size: open_stage2_opponents(cfg, 16, size, 0), OPEN, "mc_samples"),
-        (lambda cfg, size: open_system.open_stage1_panel(cfg, size, 1), OPEN,
-         "stage1_samples")],
-        ids=["stage2_opponents", "stage1_panel", "open_stage2_opponents",
-             "open_stage1_panel"])
-    def test_builders_reject_fewer_than_two_draws(self, build, cfg, field, samples):
-        # a standard error needs 2 draws; fewer once failed later, if at all
+    @pytest.mark.parametrize("size", [0, 1])
+    @pytest.mark.parametrize("field", ["grid_size", "mc_samples", "stage1_samples"])
+    @pytest.mark.parametrize("cfg", [CLOSED, OPEN], ids=["closed", "open"])
+    def test_draws_reject_fewer_than_two_draws_or_points(self, cfg, field, size):
+        # a standard error needs 2 draws and a grid 2 points; fewer draws once
+        # failed later, if at all
+        sizes = dict(grid_size=16, mc_samples=16, stage1_samples=16, seed=0)
         with pytest.raises(InvalidInput, match=field):
-            build(cfg, samples)
+            cfg.draws(**{**sizes, field: size})
 
     @pytest.mark.parametrize("case", ["weights", "stage1-join-model", "poisson-rate",
                                       "deadline", "stage2-join-model"])
@@ -812,8 +838,9 @@ class TestDrawsRequired:
             stage, args = calibrated_stage1, (cfg, draws)
         elif case == "stage1-join-model":
             narrow = en_config(6, 3, e0_ratio=0.5, join_model=UniformJoinTimes(0.0, 3.0))
-            grid = solve_bne_earliest_n(narrow, stage2_opponents(narrow, 16, 1000, 3))
-            stage, args = stage1_metrics_mc, (narrow, grid, stage1_panel(cfg, 4000, 4))
+            grid = solve_bne_earliest_n(
+                narrow, drawn(narrow, "opponents", 1000, 3, grid_size=16))
+            stage, args = stage1_metrics_mc, (narrow, grid, drawn(cfg, "panel", 4000, 4))
         elif case == "poisson-rate":
             slow = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=3.0, truncation=10)),
                                   strategy=EarliestN(3), weightfn=step, e0_ratio=0.5)
@@ -828,10 +855,30 @@ class TestDrawsRequired:
             table = TableJoinTimes((0.0, 1.0, 2.0, 4.0, 5.0, 6.0),
                                    (0.0, 0.1, 1 / 3, 2 / 3, 0.9, 1.0))
             other = replace(cfg, prior=ClosedPrior(6, table))
-            draws = cfg.draws(4, 1000, 4000, 3)[0], stage2_opponents(other, 4, 1000, 3)
+            draws = (cfg.draws(4, 1000, 4000, 3)[0],
+                     drawn(other, "opponents", 1000, 3, grid_size=4))
             stage, args = calibrated_stage1, (cfg, draws)
         with pytest.raises(InvalidInput, match="drawn for another"):
             stage(*args)
+
+    def test_draws_of_a_twin_table_prior_are_accepted(self):
+        # table models compare by their knots: draws of a prior and weights
+        # built again from the same knots serve the twin, and other knots
+        # are still rejected, named in the message
+        def config(cdf):
+            return en_config(4, 2, e0_ratio=0.5, join_model=TableJoinTimes((0, 1, 6), cdf),
+                             weightfn=TableWeight((0, 3, 6), (1, 0.5, 0)))
+
+        cfg, twin = config((0, 0.5, 1)), config((0, 0.5, 1))
+        assert twin == cfg and hash(twin.draws_key) == hash(cfg.draws_key)
+        draws = cfg.draws(12, 500, 1000, 1)
+        alone, alone_rep = calibrated_stage1(cfg, draws)
+        grid, rep = calibrated_stage1(twin, draws)
+        assert rep == alone_rep and np.array_equal(grid.efforts, alone.efforts)
+        expected = re.escape("TableJoinTimes(times=(0.0, 1.0, 6.0), "
+                             "cdf_values=(0.0, 0.4, 1.0))")
+        with pytest.raises(InvalidInput, match=f"drawn for another .*{expected}"):
+            calibrated_stage1(config((0, 0.4, 1)), draws)
 
 
 class TestLinearDecay:
@@ -870,20 +917,20 @@ class TestLinearDecay:
         base = en_config(3, 3, e0_ratio=0.5)
         cfg = BayesianConfig(prior=ClosedPrior(3, UNIFORM01), strategy=LinearDecay(0.0),
                              e0_ratio=0.5)
-        g_lin = solve_bne_linear(cfg, stage2_opponents(cfg, 16, 2000, 5))
-        g_en = solve_bne_earliest_n(base, stage2_opponents(base, 16, 2000, 5))
+        g_lin = solve_bne_linear(cfg, drawn(cfg, "opponents", 2000, 5, grid_size=16))
+        g_en = solve_bne_earliest_n(base, drawn(base, "opponents", 2000, 5, grid_size=16))
         assert np.max(np.abs(g_lin.efforts - g_en.efforts)) < 1e-9
 
     def test_steep_decay_kills_late_efforts(self):
         cfg = BayesianConfig(prior=ClosedPrior(3, UNIFORM01), strategy=LinearDecay(50.0),
                              e0_ratio=0.2)
-        grid = solve_bne_linear(cfg, stage2_opponents(cfg, 40, 2000, 6))
+        grid = solve_bne_linear(cfg, drawn(cfg, "opponents", 2000, 6, grid_size=40))
         assert np.all(grid.efforts[grid.times > 0.05] == 0.0)
 
     def test_single_player_linear_schedule(self):
         cfg = BayesianConfig(prior=ClosedPrior(1, UNIFORM01), strategy=LinearDecay(1.0),
                              e0_ratio=0.25)
-        grid = solve_bne_linear(cfg, stage2_opponents(cfg, 41, 64, 7))
+        grid = solve_bne_linear(cfg, drawn(cfg, "opponents", 64, 7, grid_size=41))
         expect = math.sqrt(0.5 * 0.25) - 0.25
         assert float(np.interp(0.5, grid.times, grid.efforts)) == pytest.approx(
             expect, abs=1e-9)
@@ -941,6 +988,12 @@ class TestSweeps:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("prior", [UNIFORM01, None, (5, UNIFORM01)])
+    def test_prior_must_be_a_prior(self, prior):
+        # such a config once failed with AttributeError on `prior.admit`
+        with pytest.raises(InvalidInput, match="prior must be a ClosedPrior or PoissonPrior"):
+            BayesianConfig(prior=prior, strategy=EarliestN(1))
+
     def test_bad_quota(self):
         with pytest.raises(InvalidInput):
             en_config(3, 4, e0_ratio=0.5)
@@ -1007,8 +1060,7 @@ class TestGridKernel:
 
     def test_operator_without_opponents_is_zero(self):
         # N = 1 leaves no opponent columns: every draw's aggregate is e0
-        opponents = bayesian_closed.stage2_opponents(en_config(1, 1, e0_ratio=0.5),
-                                                     grid_size=9, mc_samples=5)
+        opponents = drawn(en_config(1, 1, e0_ratio=0.5), "opponents", 5, 0, grid_size=9)
         op = opponents.operator
         assert op.shape == (5, 9) and not np.any(op)
         assert not op.flags.writeable
@@ -1023,14 +1075,14 @@ class TestGridKernel:
             cfg = BayesianConfig(prior=PoissonPrior(PoissonModel(rate=3.0, truncation=1)),
                                  strategy=EarliestN(1), e0_ratio=e0_ratio)
             grid = open_system.solve_bne_open_earliest_n(
-                cfg, open_stage2_opponents(cfg, 16, 32))
+                cfg, drawn(cfg, "opponents", 32, 0, grid_size=16))
         elif system == "closed-linear":
             cfg = BayesianConfig(prior=ClosedPrior(1, UNIFORM01),
                                  strategy=LinearDecay(1.0), e0_ratio=e0_ratio)
-            grid = solve_bne_linear(cfg, stage2_opponents(cfg, 16, 32))
+            grid = solve_bne_linear(cfg, drawn(cfg, "opponents", 32, 0, grid_size=16))
         else:
             cfg = en_config(1, 1, e0_ratio=e0_ratio)
-            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 16, 32))
+            grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 32, 0, grid_size=16))
         e0 = cfg.nature_effort
         expect = np.maximum(np.sqrt(grid.b_values * e0) - e0, 0.0)
         assert np.max(np.abs(grid.efforts - expect)) <= 1e-12
@@ -1047,9 +1099,10 @@ class TestGridKernel:
                                   (solve_bne_linear,
                                    replace(cfg, strategy=LinearDecay(0.5)))):
                 with pytest.raises(InvalidInput, match=match):
-                    solve(config, stage2_opponents(other, 12, 200, 0))
+                    solve(config, drawn(other, "opponents", 200, 0, grid_size=12))
         for size in (12, 16):
-            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, size, 200, 0))
+            grid = solve_bne_earliest_n(
+                cfg, drawn(cfg, "opponents", 200, 0, grid_size=size))
             assert grid.times.size == size
 
     def test_warm_newton_matches_cold(self):
@@ -1118,14 +1171,14 @@ class TestGridKernel:
 
         monkeypatch.setattr(bayesian_closed, "_condition_means", counted)
         cfg = en_config(5, n, e0_ratio, join_model=UniformJoinTimes(0.0, 6.0))
-        solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         assert len(means_calls) <= bracketed_means
 
     def test_iteration_cap_raises_with_last_iterate(self, monkeypatch):
         monkeypatch.setattr(bayesian_closed, "BNE_STEPS", 3)
         cfg = en_config(6, 3, e0_ratio=0.3)
         with pytest.raises(NoConvergence) as err:
-            solve_bne_earliest_n(cfg, stage2_opponents(cfg, 16, 1000, 0))
+            solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 1000, 0, grid_size=16))
         assert err.value.iterations == 3
         assert err.value.residual > 1e-8
         last = err.value.last
@@ -1137,7 +1190,7 @@ class TestGridKernel:
         for cfg in (en_config(4, 2, e0_ratio=0.5),
                     # a lone contributor runs the same kernel and the same check
                     en_config(1, 1, e0_ratio=0.5)):
-            opponents = stage2_opponents(cfg, 12, 2, 0)
+            opponents = drawn(cfg, "opponents", 2, 0, grid_size=12)
             with pytest.raises(MonteCarloNoise):
                 solve_bne_earliest_n(cfg, opponents._replace(
                     operator=opponents.operator[:1]))
@@ -1147,7 +1200,7 @@ class TestGridKernel:
         # certifying best response
         calls = count_kernel_evaluations(monkeypatch)
         cfg = en_config(20, 19, e0_ratio=0.5)
-        solve_bne_earliest_n(cfg, stage2_opponents(cfg, mc_samples=4000, seed=0))
+        solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         assert len(calls) <= 5
 
     def test_jacobian_matches_finite_differences(self):
@@ -1156,7 +1209,7 @@ class TestGridKernel:
         # rows, and G zero derivatives, where G(x) = 0
         cfg = en_config(4, 2, e0_ratio=0.3)
         e0 = cfg.nature_effort
-        opponents = bayesian_closed.stage2_opponents(cfg, 12, 2000, 0)
+        opponents = drawn(cfg, "opponents", 2000, 0, grid_size=12)
         op = opponents.operator
         b_t = reward_schedule(cfg, opponents.times)
         x = symmetric_ne(4, b_t, e0) * spawn_rng(3).uniform(0.5, 1.5, b_t.size)
@@ -1180,7 +1233,7 @@ class TestGridKernel:
         # rows of points that sit out: 5e-10 off here, 0.39 at 1.3 x
         cfg = en_config(4, 2, e0_ratio=0.3)
         e0 = cfg.nature_effort
-        opponents = bayesian_closed.stage2_opponents(cfg, 12, 2000, 0)
+        opponents = drawn(cfg, "opponents", 2000, 0, grid_size=12)
         op = opponents.operator
         grid = solve_bne_earliest_n(cfg, opponents)
 
@@ -1205,7 +1258,7 @@ class TestGridKernel:
         # exact best responses (the fallback and the certification)
         calls = count_kernel_evaluations(monkeypatch)
         cfg = en_config(2, 1, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         assert len(calls) <= 15
         again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values)
@@ -1227,7 +1280,7 @@ class TestGridKernel:
 
         monkeypatch.setattr(bayesian_closed, "_expected_best_responses", counted)
         cfg = en_config(8, 1, e0_ratio=0.0, join_model=UniformJoinTimes(0.0, 6.0))
-        solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         assert len(exact) >= 3
         assert len(set(exact)) == len(exact)
 
@@ -1241,7 +1294,8 @@ class TestGridKernel:
         # small for the result fails loudly, never by running out of steps
         cfg = en_config(n_players, n, e0_ratio, join_model=UniformJoinTimes(0.0, 6.0))
         try:
-            grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+            grid = solve_bne_earliest_n(
+                cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         except MonteCarloNoise:
             return
         assert np.any(grid.efforts > 0)
@@ -1256,7 +1310,7 @@ class TestGridKernel:
         # (0.119). 9 kernel evaluations reach the first one
         calls = count_kernel_evaluations(monkeypatch)
         cfg = en_config(5, 4, e0_ratio=0.0, join_model=UniformJoinTimes(0.0, 6.0))
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         assert len(calls) <= 9
         assert grid.efforts.max() == pytest.approx(0.196362071061, abs=1e-10)
         assert grid.efforts.sum() == pytest.approx(8.58585128, abs=1e-7)
@@ -1272,7 +1326,7 @@ class TestGridKernel:
         # 2.7e-7 and 2.5e-7 from its own best responses here
         cfg = en_config(n_players, n, e0_ratio=0.0,
                         join_model=UniformJoinTimes(0.0, 6.0))
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values)
         assert np.max(np.abs(again - grid.efforts)) <= bayesian_closed.BNE_TOL
@@ -1320,16 +1374,16 @@ class TestGridKernel:
         # at e0 = 0 the zero grid maps to itself, but it is no equilibrium: a
         # lone positive effort wins b(t)
         cfg = en_config(20, 10, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         near = solve_bne_earliest_n(replace(cfg, e0_ratio=1e-6),
-                                    stage2_opponents(cfg, 64, 4000, 0))
+                                    drawn(cfg, "opponents", 4000, 0, grid_size=64))
         noise = bayesian_closed._bne_condition_noise(self._opposition(cfg, near), near)
         assert grid.efforts.max() > 0.1
         assert np.max(np.abs(grid.efforts - near.efforts)) <= noise * near.efforts.max()
 
     def test_e0_zero_at_n_near_N_is_a_fixed_point(self):
         cfg = en_config(20, 19, e0_ratio=0.0)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, 64, 4000, 0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         again, _ = bayesian_closed._expected_best_responses(
             self._opposition(cfg, grid), grid.b_values)
         assert grid.efforts.max() > 0.01
@@ -1337,7 +1391,7 @@ class TestGridKernel:
 
     def test_large_contest_converges_under_the_cap(self):
         cfg = en_config(100, 99, e0_ratio=0.2)
-        grid = solve_bne_earliest_n(cfg, stage2_opponents(cfg, mc_samples=4000, seed=0))
+        grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 4000, 0, grid_size=64))
         cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
         assert np.any(grid.efforts > 0)
         assert np.all(grid.efforts <= cap + 1e-12)
@@ -1374,7 +1428,7 @@ class TestBlockedStageOne:
                              weightfn=StepWeight((0, 1.5, 3, 6), (1, 0.6, 0.2, 0)),
                              e0_ratio=0.5, max_reward=1.3)
         grid = self._grid(cfg)
-        panel = stage1_panel(cfg, rows, 5)
+        panel = drawn(cfg, "panel", rows, 5)
         if isinstance(strategy, EarliestN):
             def paid_of(efforts):
                 return cfg.max_reward * np.sum(efforts[:, :3], axis=1)
@@ -1391,10 +1445,20 @@ class TestBlockedStageOne:
             assert getattr(gathered, field) == pytest.approx(expect[field], rel=1e-15,
                                                              abs=0.0)
 
+    def test_drawn_panel_is_interpolated_off_its_grid(self):
+        # a closed panel from `draws` always carries knots on its opponents'
+        # grid; on any other grid Stage I still takes np.interp's branch
+        cfg = en_config(5, 2, e0_ratio=0.5)
+        panel, opponents = cfg.draws(12, 200, 300, 1)
+        assert np.array_equal(panel.knots[0], opponents.times)
+        grid = self._grid(cfg)
+        got = bayesian_closed._panel_efforts(panel, grid)(slice(None))
+        assert same_bits(got, np.interp(panel.types, grid.times, grid.efforts))
+
     def test_knots_of_another_grid_are_not_used(self):
         cfg = en_config(5, 2, e0_ratio=0.5)
         grid = self._grid(cfg)
-        panel = stage1_panel(cfg, 300, 2)
+        panel = drawn(cfg, "panel", 300, 2)
         elsewhere = panel.with_knots(np.linspace(0.0, 1.0, 5))
         assert stage1_metrics_mc(cfg, grid, elsewhere) == stage1_metrics_mc(cfg, grid,
                                                                             panel)
@@ -1404,7 +1468,7 @@ class TestBlockedStageOne:
     def test_knots_need_a_finite_increasing_grid(self, times):
         # the knot search assumes one: an infinite end built its buckets from
         # inf * 0, and a NaN gave meaningless positions
-        panel = stage1_panel(en_config(3, 2, e0_ratio=0.5), 10, 2)
+        panel = drawn(en_config(3, 2, e0_ratio=0.5), "panel", 10, 2)
         with pytest.raises(InvalidInput, match="finite and strictly increasing"):
             panel.with_knots(times)
 

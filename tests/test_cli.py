@@ -21,6 +21,8 @@ from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, OutputTable,
 from crowdcontest.open_system import calibrated_open_stage1
 from crowdcontest.timing import UniformJoinTimes, ingest_trace_file
 
+from helpers import drawn
+
 SMALL_SPEC = """
 [experiment]
 name = tiny
@@ -477,54 +479,52 @@ class TestSweep:
         effs = [rep.expected_efficiency for _, rep in points]
         assert best == effs.index(max(effs))
 
+    #: the streams of the priors' Stage-I panels and Stage-II opponents
+    #: (`ClosedPrior.draws`, `PoissonPrior.draws`)
+    PANEL_STREAMS = {0x51a6e1: "closed panel", 0x07e4: "open panel"}
+    OPPONENT_STREAMS = {0x5e11: "closed opponents", 0x09e4: "open opponents"}
+
+    @staticmethod
+    def _drawn_streams(monkeypatch, streams: dict) -> list:
+        """A list that names, from here on, each stream of `streams` that a
+        prior's draws sample from."""
+        drawn = []
+        for module in (bc, osys):
+            def counted(seed, *key, spawn=module.spawn_rng):
+                drawn.extend(streams[k] for k in key if k in streams)
+                return spawn(seed, *key)
+            monkeypatch.setattr(module, "spawn_rng", counted)
+        return drawn
+
     def test_sweep_builds_one_stage1_panel(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
         open_prior = parse_spec(OPEN_SPEC).prior
-        built = []
-
-        def counting(build):
-            def counted(*args):
-                built.append(build.__name__)
-                return build(*args)
-            return counted
-
-        monkeypatch.setattr(bc, "stage1_panel", counting(bc.stage1_panel))
-        monkeypatch.setattr(osys, "open_stage1_panel", counting(osys.open_stage1_panel))
+        built = self._drawn_streams(monkeypatch, self.PANEL_STREAMS)
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
         sweep([BayesianConfig(prior=ClosedPrior(4, spec.join_model),
                               strategy=EarliestN(n), weightfn=spec.weightfn,
                               e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
-        assert built == ["stage1_panel"]
+        assert built == ["closed panel"]
         sweep([BayesianConfig(prior=open_prior, strategy=EarliestN(n),
                               weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
               **sizes)
-        assert built == ["stage1_panel", "open_stage1_panel"]
+        assert built == ["closed panel", "open panel"]
 
     def test_sweep_builds_one_opponent_panel(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
         open_prior = parse_spec(OPEN_SPEC).prior
-        built = []
-
-        def counting(build):
-            def counted(*args):
-                built.append(build.__name__)
-                return build(*args)
-            return counted
-
-        monkeypatch.setattr(bc, "stage2_opponents", counting(bc.stage2_opponents))
-        monkeypatch.setattr(osys, "open_stage2_opponents",
-                            counting(osys.open_stage2_opponents))
+        built = self._drawn_streams(monkeypatch, self.OPPONENT_STREAMS)
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         sizes = dict(grid_size=17, mc_samples=1200, stage1_samples=6000, seed=7)
         sweep([BayesianConfig(prior=ClosedPrior(4, spec.join_model),
                               strategy=EarliestN(n), weightfn=spec.weightfn,
                               e0_ratio=0.5) for n in (2, 3, 4)], **sizes)
-        assert built == ["stage2_opponents"]
+        assert built == ["closed opponents"]
         sweep([BayesianConfig(prior=open_prior, strategy=EarliestN(n),
                               weightfn=spec.weightfn, e0_ratio=0.5) for n in (2, 3, 4)],
               **sizes)
-        assert built == ["stage2_opponents", "open_stage2_opponents"]
+        assert built == ["closed opponents", "open opponents"]
 
     def test_standalone_solves_match_the_shared_sweep(self, monkeypatch):
         spec = parse_spec(SMALL_SPEC)
@@ -539,10 +539,9 @@ class TestSweep:
         points, _ = sweep(configs, grid_size=17, mc_samples=1200, stage1_samples=6000,
                           seed=7)
         for cfg, (grid, rep) in zip(configs, points):
-            solve, build = (bc.solve_bne_earliest_n, bc.stage2_opponents) \
-                if isinstance(cfg.prior, ClosedPrior) \
-                else (osys.solve_bne_open_earliest_n, osys.open_stage2_opponents)
-            alone = solve(cfg, build(cfg, 17, 1200, 7)).scaled(
+            solve = bc.solve_bne_earliest_n if isinstance(cfg.prior, ClosedPrior) \
+                else osys.solve_bne_open_earliest_n
+            alone = solve(cfg, drawn(cfg, "opponents", 1200, 7, grid_size=17)).scaled(
                 rep.calibrated_b / cfg.max_reward)
             for field in ("times", "efforts", "b_values"):
                 assert np.array_equal(getattr(grid, field), getattr(alone, field))
@@ -556,32 +555,26 @@ class TestSweep:
                            ("n_players", "4"), ("grid_size", "12"),
                            ("mc_samples", "600"), ("stage1_samples", "2000")):
             text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
-        built, panel = [], bc.stage1_panel
-
-        def counted(*args):
-            built.append(args)
-            return panel(*args)
-
-        monkeypatch.setattr(bc, "stage1_panel", counted)
+        built = self._drawn_streams(monkeypatch, self.PANEL_STREAMS)
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         run_spec(parse_spec(text), out_dir=tmp_path)
-        assert len(built) == 1
+        assert built == ["closed panel"]
 
-    @pytest.mark.parametrize("preset, module, build", [
-        ("closed-termination-step", bc, "termination_tables"),
-        ("open-termination-step", osys, "open_termination_tables")])
+    @pytest.mark.parametrize("preset, prior", [
+        ("closed-termination-step", ClosedPrior),
+        ("open-termination-step", osys.PoissonPrior)])
     def test_spec_builds_termination_tables_once_per_deadline(self, tmp_path, monkeypatch,
-                                                              preset, module, build):
+                                                              preset, prior):
         # the tables depend on the prior and the deadline, not on e0 or b: the
         # three e0 ratios of each deadline share one build, and neither the
         # solves nor the reports build their own
-        built, inner = [], getattr(module, build)
+        built, inner = [], prior.draws
 
-        def counted(cfg):
+        def counted(self, cfg, *sizes):
             built.append(cfg.strategy.deadline)
-            return inner(cfg)
+            return inner(self, cfg, *sizes)
 
-        monkeypatch.setattr(module, build, counted)
+        monkeypatch.setattr(prior, "draws", counted)
         monkeypatch.setenv("CROWDCONTEST_THREADS", "2")
         spec = load_spec(preset)
         run_spec(spec, out_dir=tmp_path)

@@ -14,8 +14,7 @@ from crowdcontest.errors import InvalidInput
 from crowdcontest.experiments import sweep
 from crowdcontest.numerics import spawn_rng
 from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
-                                      open_earliest_n_prob, open_stage1_panel,
-                                      open_stage2_opponents,
+                                      open_earliest_n_prob,
                                       open_termination_conditional_eff,
                                       open_termination_prob,
                                       solve_bne_open_earliest_n,
@@ -25,7 +24,7 @@ from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
 from crowdcontest.timing import (ConstantWeight, PoissonModel, StepWeight,
                                  sample_arrival_sequences)
 
-from helpers import (bne_quadrature_oracle, open_grid_times_by_public_prob,
+from helpers import (bne_quadrature_oracle, drawn, open_grid_times_by_public_prob,
                      single_peaked, unblocked_stage1)
 
 
@@ -175,7 +174,8 @@ class TestOpenTerminationSolver:
 class TestOpenEarliestNSolver:
     def test_lone_contributor_closed_form(self):
         cfg = open_en(1.0, 1, 1, e0_ratio=0.25)
-        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 24, 64, 0))
+        grid = solve_bne_open_earliest_n(
+            cfg, drawn(cfg, "opponents", 64, 0, grid_size=24))
         expect = np.maximum(np.sqrt(grid.b_values * 0.25) - 0.25, 0.0)
         assert np.max(np.abs(grid.efforts - expect)) < 1e-12
         assert grid.efforts[0] == pytest.approx(0.25)
@@ -184,7 +184,8 @@ class TestOpenEarliestNSolver:
         # M = 2: the opponent is a single exponential epoch, so the BNE
         # admits a deterministic 1-d quadrature oracle
         cfg = open_en(1.5, 2, 1, e0_ratio=0.3)
-        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 25, 40_000, 1))
+        grid = solve_bne_open_earliest_n(
+            cfg, drawn(cfg, "opponents", 40_000, 1, grid_size=25))
         quantile = lambda q: -np.log1p(-np.asarray(q)) / 1.5
         oracle = bne_quadrature_oracle(grid.b_values, grid.times, 2,
                                        cfg.nature_effort, quantile,
@@ -193,7 +194,8 @@ class TestOpenEarliestNSolver:
 
     def test_monotone_and_bounded(self):
         cfg = open_en(2.0, 12, 3, e0_ratio=0.5)
-        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 33, 4000, 2))
+        grid = solve_bne_open_earliest_n(
+            cfg, drawn(cfg, "opponents", 4000, 2, grid_size=33))
         assert np.all(np.diff(grid.efforts) <= 1e-12)
         cap = effort_upper_bound(grid.b_values, cfg.nature_effort)
         assert np.all(grid.efforts <= cap + 1e-10)
@@ -204,7 +206,8 @@ class TestOpenEarliestNSolver:
         # full-information symmetric contest and at least nothing at all
         from crowdcontest.contest import symmetric_ne
         cfg = open_en(0.05, 4, 4, e0_ratio=0.5)
-        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 33, 20_000, 3))
+        grid = solve_bne_open_earliest_n(
+            cfg, drawn(cfg, "opponents", 20_000, 3, grid_size=33))
         sym = symmetric_ne(4, 1.0, 0.5)
         solo = math.sqrt(1.0 * 0.5) - 0.5
         assert sym - 1e-3 <= grid.efforts[0] <= solo + 1e-3
@@ -212,13 +215,13 @@ class TestOpenEarliestNSolver:
     @pytest.mark.parametrize("grid_size", [0, 1])
     def test_grid_of_fewer_than_two_points_is_invalid(self, grid_size):
         with pytest.raises(InvalidInput, match="grid_size"):
-            open_stage2_opponents(open_en(2.0, 5, 2, e0_ratio=0.5), grid_size,
-                                  mc_samples=50)
+            drawn(open_en(2.0, 5, 2, e0_ratio=0.5), "opponents", 50, 0,
+                  grid_size=grid_size)
 
     def test_solve_runs_on_the_grid_size_of_its_opponents(self):
         cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
         for size in (24, 40):
-            opponents = open_stage2_opponents(cfg, size, 500, 0)
+            opponents = drawn(cfg, "opponents", 500, 0, grid_size=size)
             assert opponents.grid_size == size
             assert not opponents.epochs.flags.writeable
             assert solve_bne_open_earliest_n(cfg, opponents).times.size == size
@@ -231,10 +234,10 @@ class TestOpenEarliestNSolver:
         # compresses the effort schedule by c and changes nothing else
         slow = open_en(0.05, 4, 2, e0_ratio=0.5)
         fast = open_en(1.0, 4, 2, e0_ratio=0.5)
-        g_slow = solve_bne_open_earliest_n(slow,
-                                           open_stage2_opponents(slow, 33, 20_000, 3))
-        g_fast = solve_bne_open_earliest_n(fast,
-                                           open_stage2_opponents(fast, 33, 20_000, 3))
+        g_slow = solve_bne_open_earliest_n(
+            slow, drawn(slow, "opponents", 20_000, 3, grid_size=33))
+        g_fast = solve_bne_open_earliest_n(
+            fast, drawn(fast, "opponents", 20_000, 3, grid_size=33))
         remapped = np.interp(g_slow.times * 0.05, g_fast.times, g_fast.efforts)
         assert np.max(np.abs(g_slow.efforts - remapped)) < 1e-12
 
@@ -276,7 +279,7 @@ class TestOpenPlacement:
     def test_solve_matches_the_interp_placement(self, n, monkeypatch):
         # the benchmark's open sizes: 29 opponents, grid 24, 2000 sequences
         cfg = open_en(9.0, 30, n, e0_ratio=0.5)
-        opponents = open_stage2_opponents(cfg, 24, 2000, 4)
+        opponents = drawn(cfg, "opponents", 2000, 4, grid_size=24)
         grid = solve_bne_open_earliest_n(cfg, opponents)
         monkeypatch.setattr(open_system, "_epoch_positions", lambda times: None)
         expect = solve_bne_open_earliest_n(cfg, opponents)
@@ -295,25 +298,27 @@ class TestOpenPlacement:
 class TestOpenStage1:
     def test_full_quota_no_nature_spends_everything(self):
         cfg = open_en(2.0, 5, 5, e0_ratio=0.0)
-        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 40, 8000, 0))
-        rep = stage1_open_earliest_n(cfg, grid, open_stage1_panel(cfg, 4000, 1))
+        grid = solve_bne_open_earliest_n(
+            cfg, drawn(cfg, "opponents", 8000, 0, grid_size=40))
+        rep = stage1_open_earliest_n(cfg, grid, drawn(cfg, "panel", 4000, 1))
         assert rep.expected_payment == pytest.approx(1.0, abs=1e-12)
         assert rep.payment_stderr == 0.0
 
     def test_opponents_of_another_prior_are_invalid(self):
         cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
-        opponents = open_stage2_opponents(open_en(2.0, 6, 2, 0.5), 12, 200, 0)
+        opponents = drawn(open_en(2.0, 6, 2, 0.5), "opponents", 200, 0, grid_size=12)
         with pytest.raises(InvalidInput, match="truncation"):
             solve_bne_open_earliest_n(cfg, opponents)
 
     def test_panel_of_another_prior_is_invalid(self):
         cfg = open_en(2.0, 5, 2, e0_ratio=0.5)
-        grid = solve_bne_open_earliest_n(cfg, open_stage2_opponents(cfg, 12, 2000, 0))
+        grid = solve_bne_open_earliest_n(
+            cfg, drawn(cfg, "opponents", 2000, 0, grid_size=12))
         with pytest.raises(InvalidInput, match="truncation"):
             stage1_open_earliest_n(cfg, grid,
-                                   open_stage1_panel(open_en(2.0, 6, 2, 0.5), 100, 1))
+                                   drawn(open_en(2.0, 6, 2, 0.5), "panel", 100, 1))
         with pytest.raises(InvalidInput, match="2 Monte Carlo draws"):
-            stage1_open_earliest_n(cfg, grid, open_stage1_panel(cfg, 1, 1))
+            stage1_open_earliest_n(cfg, grid, drawn(cfg, "panel", 1, 1))
 
     @pytest.mark.parametrize("rows", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                       3 * BLOCK_ROWS + 7])
@@ -322,7 +327,7 @@ class TestOpenStage1:
                       weightfn=StepWeight((0, 0.5, 1, 2), (1, 0.6, 0.2, 0)))
         times = np.linspace(0.0, 1.2, 17)
         grid = TypeGrid(times, spawn_rng(1).uniform(0.0, 0.2, size=17), np.ones(17))
-        panel = open_stage1_panel(cfg, rows, 3)
+        panel = drawn(cfg, "panel", rows, 3)
         rep = stage1_open_earliest_n(cfg, grid, panel)
         expect = unblocked_stage1(panel.types, panel.weights, times, grid.efforts,
                                   cfg.nature_effort,
@@ -337,7 +342,7 @@ class TestOpenStage1:
                       weightfn=StepWeight((0, 1.5, 3, 6), (1, 0.6, 0.2, 0)))
         times = np.linspace(0.0, 3.0, 24)
         grid = TypeGrid(times, spawn_rng(2).uniform(0.0, 0.2, size=24), np.ones(24))
-        panel = open_stage1_panel(cfg, 10_000, 1)
+        panel = drawn(cfg, "panel", 10_000, 1)
         tracemalloc.start()
         try:
             stage1_open_earliest_n(cfg, grid, panel)
@@ -349,10 +354,11 @@ class TestOpenStage1:
     def test_reward_scaling_moves_utility_not_efficiency(self):
         cfg1 = open_en(2.0, 6, 3, e0_ratio=0.5, max_reward=1.0)
         cfg2 = open_en(2.0, 6, 3, e0_ratio=0.5, max_reward=2.0)
-        g1 = solve_bne_open_earliest_n(cfg1, open_stage2_opponents(cfg1, 25, 4000, 4))
-        rep1 = stage1_open_earliest_n(cfg1, g1, open_stage1_panel(cfg1, 10_000, 5))
+        g1 = solve_bne_open_earliest_n(
+            cfg1, drawn(cfg1, "opponents", 4000, 4, grid_size=25))
+        rep1 = stage1_open_earliest_n(cfg1, g1, drawn(cfg1, "panel", 10_000, 5))
         rep2 = stage1_open_earliest_n(cfg2, g1.scaled(2.0),
-                                      open_stage1_panel(cfg2, 10_000, 5))
+                                      drawn(cfg2, "panel", 10_000, 5))
         assert rep2.expected_utility == pytest.approx(2 * rep1.expected_utility,
                                                       rel=1e-9)
         assert rep2.expected_efficiency == pytest.approx(rep1.expected_efficiency,
@@ -362,7 +368,7 @@ class TestOpenStage1:
         cfg = open_en(3.0, 10, 4, e0_ratio=0.5, budget=1.0)
         grid, rep = calibrated_open_stage1(cfg, cfg.draws(25, 4000, 30_000, 6))
         fresh = stage1_open_earliest_n(cfg.with_reward(rep.calibrated_b), grid,
-                                       open_stage1_panel(cfg, 30_000, 909))
+                                       drawn(cfg, "panel", 30_000, 909))
         tol = budget_tolerance(cfg.budget, fresh.payment_stderr)
         assert abs(fresh.expected_payment - cfg.budget) <= tol
 

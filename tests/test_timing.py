@@ -144,6 +144,24 @@ class TestJoinModels:
         m = ingest_trace([("a", 1.0), ("b", 2.0), ("c", 3.0)], (0.0, 6.0), "hours")
         assert m.cdf(2.0) == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("build, other", [
+        (lambda: TableJoinTimes([0.0, 1.0, 6.0], [0.0, 0.5, 1.0]),
+         lambda: TableJoinTimes([0.0, 1.0, 6.0], [0.0, 0.4, 1.0])),
+        (lambda: EmpiricalJoinTimes(np.array([0.5, 1.0, 2.5]), 6.0),
+         lambda: EmpiricalJoinTimes(np.array([0.5, 1.0, 2.0]), 6.0)),
+        (lambda: TableWeight([0.0, 2.0, 4.0], [1.0, 0.5, 0.0]),
+         lambda: TableWeight([0.0, 2.0, 4.0], [1.0, 0.4, 0.0]))],
+        ids=["table", "empirical", "table-weight"])
+    def test_tables_compare_by_class_and_knots(self, build, other):
+        a, b = build(), build()
+        assert a == b and hash(a) == hash(b)
+        assert a != other()
+        assert repr(a).startswith(f"{type(a).__name__}(times=(0.0, ")
+
+    def test_an_empirical_model_is_not_its_knots_table(self):
+        empirical = EmpiricalJoinTimes(np.array([0.5, 1.0, 2.5]), 6.0)
+        assert empirical != TableJoinTimes(empirical._xs, empirical._ys)
+
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: type(m).__name__)
     def test_sampling_matches_cdf(self, model):
         samples = model.sample(spawn_rng(31), 100_000)
