@@ -149,11 +149,14 @@ class ClosedPrior(Prior):
     def draws(self, config: BayesianConfig, grid_size: int, mc_samples: int,
               stage1_samples: int, seed: RngSeed):
         """`BayesianConfig.draws`. The Stage-II opponents: mc_samples draws of
-        the N-1 opponent types from the stream (seed, 0x5e11), placed on the
-        quantile-spaced grid of grid_size points. The Stage-I panel:
-        stage1_samples draws of the N joining times from the stream
-        (seed + 1, 0x51a6e1), each row sorted once, with their weights and
-        their knots on that grid. A termination config's tables take
+        the N-1 opponent types from the stream (seed, 0x5e11), placed by
+        their quantiles F(t) on the quantile grid of grid_size points
+        (`_quantile_grid`). The Stage-I panel: stage1_samples draws of the N
+        joining times from the stream (seed + 1, 0x51a6e1), each row sorted
+        once, with their weights and their knots, placed the same way. Both
+        are read linearly in F(t) between the grid's nodes: the chance of
+        being among the n earliest and the law of the opponents depend on
+        the join model only through F(t). A termination config's tables take
         p = F(T): the Binomial(N-1, p) and Binomial(N, p) pmfs, and the mean
         in-time weight by quantile-midpoint quadrature of w under F on
         [0, T]."""
@@ -165,16 +168,17 @@ class ClosedPrior(Prior):
             return TerminationTables(_binom_pmf(n - 1, p), _binom_pmf(n, p)[1:], w_bar,
                                      config.draws_key)
         _check_samples("mc_samples", mc_samples)
-        times = _grid_times(model, grid_size)
+        quantiles, times = _quantile_grid(model, grid_size)
         opp_types = model.sample(spawn_rng(seed, 0x5e11), mc_samples * (n - 1))
-        opponents = Stage2Opponents(
-            times, _interp_operator(opp_types.reshape(mc_samples, n - 1), times), self)
+        operator = _interp_operator(model.cdf(opp_types).reshape(mc_samples, n - 1),
+                                    quantiles)
         _check_samples("stage1_samples", stage1_samples)
         types = model.sample(spawn_rng(seed + 1, 0x51a6e1), stage1_samples * n)
         types = types.reshape(stage1_samples, n)
         types.sort(axis=1)
         panel = Stage1Panel(types, config.weightfn(types), key=config.draws_key)
-        return panel.with_knots(times), opponents
+        return (panel.with_knots(times, _positions(model.cdf(types), quantiles)),
+                Stage2Opponents(times, operator, self))
 
     def rewarded(self, t: np.ndarray, n: int) -> np.ndarray:
         """`earliest_n_prob` at the quantile F(t) of each joining time t."""
@@ -237,7 +241,10 @@ class BayesianConfig:
         key = isinstance(record, tuple)
         if record != (expected := self.draws_key if key else self.prior):
             names = self.prior.names + (", weights or deadline" if key else "")
-            raise InvalidInput(f"{what} were drawn for another {names} than {expected!r}")
+            # a trace prior's repr holds every knot: keep its two ends
+            text = repr(expected)
+            text = text if len(text) <= 300 else f"{text[:150]}...{text[-147:]}"
+            raise InvalidInput(f"{what} were drawn for another {names} than {text}")
 
 
 @dataclass(frozen=True)
@@ -264,6 +271,9 @@ class TypeGrid:
         object.__setattr__(self, "b_values", b)
 
     def interp(self, t) -> np.ndarray:
+        """e*(t) interpolated linearly in t between the grid's nodes. The
+        kernel and Stage I read a closed grid linearly in F(t) instead
+        (`_positions`): on a uniform prior the same map up to rounding."""
         return np.interp(np.asarray(t, dtype=float), self.times, self.efforts)
 
     def scaled(self, factor: float) -> "TypeGrid":
@@ -277,8 +287,8 @@ class Stage1Panel:
     per row with the row sorted ascending, so the n earliest joiners of a
     draw are its first n columns, and `weights` holds the requester's
     valuations w(types). `knots`, set by `with_knots`, holds a type grid and
-    the `_knots` positions of `types` on it, and `key` the `draws_key` it was
-    drawn for. The panel takes its arrays over read-only."""
+    the cell index and fraction of each of `types` on it, and `key` the
+    `draws_key` it was drawn for. The panel takes its arrays over read-only."""
 
     types: np.ndarray
     weights: np.ndarray
@@ -297,17 +307,22 @@ class Stage1Panel:
         object.__setattr__(self, "types", t)
         object.__setattr__(self, "weights", w)
 
-    def with_knots(self, times: np.ndarray) -> "Stage1Panel":
-        """This panel with its types' knot positions on the grid `times`
-        kept beside them: an evaluation on an effort grid over the same
-        times then gathers each effort instead of searching the grid."""
-        times = np.array(times, dtype=float)
+    def with_knots(self, times: np.ndarray, positions: np.ndarray) -> "Stage1Panel":
+        """This panel with its types' knots on the grid `times` kept beside
+        them, from their fractional grid `positions` (`_positions`): the
+        cell index j = floor(pos) and the fraction pos - j. An evaluation on
+        an effort grid over the same times then gathers each effort instead
+        of placing it."""
+        times, pos = np.array(times, dtype=float), np.asarray(positions, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             grid = times.ndim == 1 and times.size >= 2 and np.all(np.diff(times) > 0) \
                 and times[-1] - times[0] < math.inf
         if not grid:
             raise InvalidInput("knot times must be finite and strictly increasing")
-        return replace(self, knots=(times, *_knots(self.types, times)))
+        if pos.shape != self.types.shape or not np.all((pos >= 0) & (pos <= times.size - 1)):
+            raise InvalidInput("knot positions must match the types and lie on the grid")
+        index = pos.astype(np.min_scalar_type(times.size - 1))
+        return replace(self, knots=(times, index, pos - index))
 
 
 @dataclass(frozen=True)
@@ -407,16 +422,22 @@ def effort_upper_bound(b_t, e0: float):
 # Stage-II solvers
 # ---------------------------------------------------------------------------
 
-def _grid_times(model: JoinTimeModel, grid_size: int) -> np.ndarray:
-    """Quantile-spaced type grid (denser where arrivals are likely)."""
+def _quantile_grid(model: JoinTimeModel, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed type grid: the quantile grid u_k = linspace(0, q_hi,
+    grid_size), uniform from 0, which `_positions` places types on by their
+    quantiles F(t), and its nodes t_k = F^-1(u_k), denser where arrivals are
+    likely; q_hi is 1 on a bounded support and 0.9995 on an unbounded one.
+    InvalidInput unless the nodes strictly increase, as no node can be
+    dropped from a uniform u grid."""
     if grid_size < 2:
         raise InvalidInput("grid_size must be >= 2")
     q_hi = 1.0 if math.isfinite(model.support[1]) else 0.9995
-    ts = np.asarray(model.quantile(np.linspace(0.0, q_hi, grid_size)), dtype=float)
-    ts = np.unique(ts)
-    if ts.size < 2:
-        ts = np.array([ts[0], ts[0] + 1e-9])
-    return ts
+    quantiles = np.linspace(0.0, q_hi, grid_size)
+    times = np.asarray(model.quantile(quantiles), dtype=float)
+    if not np.all(np.diff(times) > 0):
+        raise InvalidInput(f"the join model's quantiles on a {grid_size}-point grid "
+                           f"repeat a time: lower grid_size")
+    return quantiles, times
 
 
 def _condition_means(a_samples: np.ndarray, size: int):
@@ -504,74 +525,35 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     return e, lambda op: slopes(op)[x > 0]
 
 
-def _knots(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knot positions of `types` on the strictly increasing grid `times`, as
-    np.interp finds them: the index j with times[j] <= t < times[j+1], in
-    the smallest integer type that holds it, and the offset t - times[j]. A
-    type left of the grid gets (0, 0), and a type at or right of its end gets
-    (last, 0), where np.interp returns the end values. Linear interpolation
-    of efforts e on the grid is then the gather slope[j] * offset + e[j],
-    with slope[j] = (e[j+1] - e[j]) / (times[j+1] - times[j]) and
-    slope[last] = 0: np.interp's own arithmetic. Each block of BLOCK_ROWS
-    rows guesses j as the index at the left edge of t's bucket, 64 (at most
-    2^16 in all) per grid interval, and checks times[j] <= t < times[j+1];
-    np.searchsorted places the types that fail it. The guess fails only for
-    types in a bucket that holds a knot, few on a grid spaced near evenly
-    (a uniform prior's); on an uneven one, most types may fall back to the
-    search."""
-    last = times.size - 1
-    lo, hi = times[0], times[-1]
-    buckets = min(64 * last, 1 << 16)
-    table = np.searchsorted(times, lo + (hi - lo) / buckets * np.arange(buckets),
-                            side="right") - 1
-    scale, after = buckets / (hi - lo), np.append(times[1:], np.inf)
-    index = np.empty(types.shape, np.min_scalar_type(last))
-    offset = np.empty(types.shape)
-    rows = [a if types.ndim > 1 else a[:, None] for a in (types, index, offset)]
-    for r in range(0, types.shape[0], BLOCK_ROWS):
-        t, idx, off = (a[r:r + BLOCK_ROWS] for a in rows)
-        np.clip(t, lo, hi, out=off)
-        guess = off - lo
-        guess *= scale
-        j = np.take(table, np.fmin(guess, buckets - 1, out=guess).astype(np.intp))
-        hit = np.take(times, j) <= off
-        hit &= off < np.take(after, j)
-        missed, flat_j = np.flatnonzero(~hit), j.reshape(-1)
-        flat_j[missed] = np.searchsorted(times, off.reshape(-1)[missed], side="right") - 1
-        idx[...] = j
-        off -= np.take(times, j)
-    return index, offset
+def _positions(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Fractional positions on `grid`, uniform from 0, of the points x >= 0
+    (a closed system's quantiles F(t), an open one's arrival epochs): x
+    (G - 1) / grid[-1], one multiplication, held at the last index G - 1."""
+    pos = x * ((grid.size - 1) / grid[-1])
+    return np.minimum(pos, grid.size - 1, out=pos)
 
 
-def _interp_operator(panel: np.ndarray, times: np.ndarray,
-                     positions=None) -> np.ndarray:
-    """Dense M (mc x grid) with M @ e == np.interp(panel, times, e).sum(axis=1)
-    for every effort grid e: row i holds the linear-interpolation weights of
-    draw i's opponents, clamped to the end values outside the grid, and is
-    all zeros for a panel without opponent columns. Each opponent at
-    fractional grid position pos adds k + 1 - pos to cell k = min(floor(pos),
-    grid - 2) of its row and pos - k to cell k + 1, both written interleaved
-    into (rows, opponents, 2) arrays (k + 1 - pos as 1 - (pos - k), the same
-    bits, as pos - k is exact); a bincount per block of BLOCK_ROWS rows sums
-    them per cell in opponent-column order; trailing columns at or past the
-    grid's end in every row of a block, which add 0 and 1 to the last two
-    cells, skip it and add their 1s after it. The
-    grid's owner may supply `positions(draws)`, the positions of draws that
-    lie in or past the grid; by default they are np.interp of the grid
-    indices. M is returned read-only."""
-    size = times.size
-    if positions is None:
-        indices = np.arange(size, dtype=float)
-
-        def positions(draws):
-            return np.interp(draws, times, indices)
-    op = np.empty((panel.shape[0], size))
-    for lo in range(0, panel.shape[0], BLOCK_ROWS):
+def _interp_operator(draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Dense M (mc x G) with M @ e == np.interp(draws, grid, e).sum(axis=1)
+    for every effort vector e on `grid`, uniform from 0, and draws >= 0: row
+    i holds the linear-interpolation weights of draw i's opponents, clamped
+    to the end value past the grid, and is all zeros for draws without
+    opponent columns. Each opponent at fractional grid position pos
+    (`_positions`) adds k + 1 - pos to cell k = min(floor(pos), G - 2) of
+    its row and pos - k to cell k + 1, both written interleaved into (rows,
+    opponents, 2) arrays (k + 1 - pos as 1 - (pos - k), the same bits, as
+    pos - k is exact); a bincount per block of BLOCK_ROWS rows sums them per
+    cell in opponent-column order; trailing columns at or past the grid's
+    end in every row of a block, which add 0 and 1 to the last two cells,
+    skip it and add their 1s after it. M is returned read-only."""
+    size = grid.size
+    op = np.empty((draws.shape[0], size))
+    for lo in range(0, draws.shape[0], BLOCK_ROWS):
         block = op[lo:lo + BLOCK_ROWS]
-        draws = panel[lo:lo + BLOCK_ROWS]
-        inside = np.flatnonzero(~(draws.min(axis=0) >= times[-1]))
+        rows = draws[lo:lo + BLOCK_ROWS]
+        inside = np.flatnonzero(~(rows.min(axis=0) >= grid[-1]))
         width = inside[-1] + 1 if inside.size else 0
-        pos = positions(draws[:, :width])
+        pos = _positions(rows[:, :width], grid)
         k = pos.astype(int)
         np.minimum(k, size - 2, out=k)
         cells = np.empty((*pos.shape, 2), dtype=int)
@@ -582,7 +564,7 @@ def _interp_operator(panel: np.ndarray, times: np.ndarray,
         np.subtract(1.0, weights[..., 1], out=weights[..., 0])
         block[:] = np.bincount(cells.ravel(), weights.ravel(),
                                minlength=block.size).reshape(block.shape)
-        for _ in range(draws.shape[1] - width):
+        for _ in range(rows.shape[1] - width):
             block[:, -1] += 1.0
     op.setflags(write=False)
     return op
@@ -689,9 +671,10 @@ def _iterate_grid_bne(times: np.ndarray, b_t: np.ndarray,
 
 class Stage2Opponents(NamedTuple):
     """Stage-II opponents drawn for a closed `prior` (`ClosedPrior.draws`):
-    the quantile-spaced type grid `times` and the interpolation operator
-    `operator` (`_interp_operator`) of the N-1 opponent types of each Monte
-    Carlo draw on it, all zeros when N = 1 leaves no opponents."""
+    the nodes `times` of the quantile grid and the interpolation operator
+    `operator` (`_interp_operator`) of the quantiles of the N-1 opponent
+    types of each Monte Carlo draw on it, all zeros when N = 1 leaves no
+    opponents."""
 
     times: np.ndarray
     operator: np.ndarray
@@ -857,19 +840,20 @@ def stage1_metrics_termination(config: BayesianConfig, e_star: float,
 def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
     """efforts(rows) -> the efforts e*(types) of the panel rows `rows` on
     `grid`: gathered through the panel's knots when they lie on grid's
-    times, else interpolated up to where e* turns constant, as np.interp
-    returns that constant beyond (bit for bit, unless it is -0.0)."""
+    times, as diff(e)[j] * fraction + e[j] (e[j] itself at the last node),
+    else interpolated up to where e* turns constant, as np.interp returns
+    that constant beyond (bit for bit, unless it is -0.0)."""
     times, e = grid.times, grid.efforts
     if panel.knots is None or not np.array_equal(panel.knots[0], times):
         steps = np.flatnonzero(e[:-1] != e[-1])
         end = steps[-1] + 2 if steps.size else 1
         return lambda rows: np.interp(panel.types[rows], times[:end], e[:end])
-    _, index, offset = panel.knots
-    slope = np.append(np.diff(e) / np.diff(times), 0.0)
+    _, index, fraction = panel.knots
+    step = np.append(np.diff(e), 0.0)
 
     def efforts(rows: slice) -> np.ndarray:
         j = index[rows]
-        return np.take(slope, j) * offset[rows] + np.take(e, j)
+        return np.take(step, j) * fraction[rows] + np.take(e, j)
     return efforts
 
 

@@ -329,6 +329,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         output=exp.get("output", "out.csv").strip(),
         raw_text=text,
     )
+    if mode == "closed" and strategy != "termination":
+        with _field("experiment.grid_size"):
+            bc._quantile_grid(join_model, spec.grid_size)
     if spec.budget <= 0:
         raise ConfigError("budget must be > 0", "experiment.budget")
     if not all(r >= 0 for r in spec.e0_ratios):

@@ -92,10 +92,10 @@ class PoissonPrior(Prior):
 
     def placed(self, config: BayesianConfig, opponents: OpenOpponents):
         """The type grid of a solve, out past the participation region of
-        the config's n (`_open_grid_times`), and the opponents' epochs placed
-        on it by `_epoch_positions`."""
+        the config's n (`_open_grid_times`), uniform from 0, and the
+        opponents' epochs placed on it (`_interp_operator`)."""
         times = _open_grid_times(config, config.strategy.n, opponents.grid_size)
-        return times, _interp_operator(opponents.epochs, times, _epoch_positions(times))
+        return times, _interp_operator(opponents.epochs, times)
 
 
 def _check_rate(rate: float) -> None:
@@ -149,18 +149,6 @@ def _open_grid_times(config: BayesianConfig, n: int, grid_size: int) -> np.ndarr
             break
     s_max = bisect(gap, 0.0, hi, 1e-10) if gap(hi) <= 0 else hi
     return np.linspace(0.0, 1.25 * s_max, grid_size)
-
-
-def _epoch_positions(times: np.ndarray):
-    """positions(epochs), the fractional positions that `_interp_operator`
-    takes, on the open system's grid: it is uniform from 0, so an epoch lies
-    at epoch / spacing, one multiplication, held at the last index."""
-    scale, last = (times.size - 1) / times[-1], times.size - 1
-
-    def positions(epochs):
-        pos = epochs * scale
-        return np.minimum(pos, last, out=pos)
-    return positions
 
 
 class OpenOpponents(NamedTuple):

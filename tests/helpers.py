@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from crowdcontest.bayesian_closed import (BLOCK_ROWS, BayesianConfig, _binom_pmf,
-                                          _grid_times, reward_schedule)
+                                          _quantile_grid, reward_schedule)
 from crowdcontest.contest import ContestConfig, best_response
 from crowdcontest.errors import InvalidInput, NoConvergence, NumericalError
 from crowdcontest.numerics import bisect
@@ -220,29 +220,14 @@ def interp_operator_by_columns(panel: np.ndarray, times: np.ndarray) -> np.ndarr
     return op
 
 
-def knots_by_search(types: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Knot positions of `types` on the strictly increasing grid `times`, as
-    `bayesian_closed._knots` found them before it guessed them from buckets:
-    the np.interp index j by one np.searchsorted over every type, clipped to
-    the grid and cast to the smallest integer type that holds it, and the
-    offset clip(t) - times[j]."""
-    last = times.size - 1
-    index = np.searchsorted(times, types, side="right") - 1
-    index = np.clip(index, 0, last, out=index).astype(np.min_scalar_type(last))
-    offset = np.clip(types, times[0], times[-1])
-    offset -= np.take(times, index)
-    return index, offset
-
-
-def interp_operator_by_knots(panel: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Interpolation operator M of the grid BNE kernel, built as the kernel
-    built it before it placed draws by np.interp and left past-end columns
-    out: every draw's position from its `knots_by_search` gather, 1 / width *
-    offset + index, and every column through one bincount over the whole
-    panel (its sums are row-local, so row blocks change no bit)."""
-    rows, size = panel.shape[0], times.size
-    index, offset = knots_by_search(panel, times)
-    pos = np.take(np.append(1.0 / np.diff(times), 0.0), index) * offset + index
+def interp_operator_by_bincount(panel: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Interpolation operator M of the grid BNE kernel on `grid`, uniform
+    from 0, built without its row blocks and without leaving past-end
+    columns out: every draw at position min(x (G - 1) / grid[-1], G - 1),
+    and every column through one bincount over the whole panel (its sums
+    are row-local, so row blocks change no bit)."""
+    rows, size = panel.shape[0], grid.size
+    pos = np.minimum(panel * ((size - 1) / grid[-1]), size - 1)
     k = np.minimum(pos.astype(int), size - 2)
     cells = np.stack([k, k + 1], axis=-1) + (size * np.arange(rows))[:, None, None]
     weights = np.stack([k + 1 - pos, pos - k], axis=-1)
@@ -250,23 +235,22 @@ def interp_operator_by_knots(panel: np.ndarray, times: np.ndarray) -> np.ndarray
                        minlength=rows * size).reshape(rows, size)
 
 
-def interp_operator_stacked(panel: np.ndarray, times: np.ndarray,
-                            positions) -> np.ndarray:
-    """Interpolation operator M of the grid BNE kernel, built as the kernel
-    built it before it wrote its cells and weights through `out=`: per block
-    of BLOCK_ROWS rows, the (k, k + 1) cells and (k + 1 - pos, pos - k)
-    weights of the draws placed by `positions` stacked on a last axis, the
-    row offsets added by broadcasting, one bincount, and the 1s of trailing
-    columns at or past the grid's end in every row of the block added after
-    it."""
-    size = times.size
+def interp_operator_stacked(panel: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Interpolation operator M of the grid BNE kernel on `grid`, uniform
+    from 0, built as the kernel built it before it wrote its cells and
+    weights through `out=`: per block of BLOCK_ROWS rows, the (k, k + 1)
+    cells and (k + 1 - pos, pos - k) weights of the draws at positions
+    min(x (G - 1) / grid[-1], G - 1) stacked on a last axis, the row offsets
+    added by broadcasting, one bincount, and the 1s of trailing columns at
+    or past the grid's end in every row of the block added after it."""
+    size = grid.size
     op = np.empty((panel.shape[0], size))
     for lo in range(0, panel.shape[0], BLOCK_ROWS):
         block = op[lo:lo + BLOCK_ROWS]
         draws = panel[lo:lo + BLOCK_ROWS]
-        inside = np.flatnonzero(~(draws.min(axis=0) >= times[-1]))
+        inside = np.flatnonzero(~(draws.min(axis=0) >= grid[-1]))
         width = inside[-1] + 1 if inside.size else 0
-        pos = positions(draws[:, :width])
+        pos = np.minimum(draws[:, :width] * ((size - 1) / grid[-1]), size - 1)
         k = np.minimum(pos.astype(int), size - 2)
         cells = np.stack([k, k + 1], axis=-1) \
             + (size * np.arange(block.shape[0]))[:, None, None]
@@ -315,7 +299,7 @@ def open_grid_times_by_public_prob(config, n: int, grid_size: int) -> np.ndarray
 def threshold_analytic_bound(config: BayesianConfig, grid_size: int = 2048) -> float:
     """Upper bound on the participation threshold: the time where the reward
     schedule b(t) falls to the nature effort e0."""
-    times = _grid_times(config.prior.join_model, grid_size)
+    times = _quantile_grid(config.prior.join_model, grid_size)[1]
     below = reward_schedule(config, times) <= config.nature_effort
     return float(times[int(np.argmax(below)) if np.any(below) else -1])
 

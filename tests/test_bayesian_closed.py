@@ -32,15 +32,15 @@ from crowdcontest.numerics import bisect, spawn_rng
 from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
                                       stage1_open_earliest_n,
                                       stage1_open_termination)
-from crowdcontest.timing import (ConstantWeight, ExponentialJoinTimes, PoissonModel,
-                                 StepWeight, TableJoinTimes, TableWeight,
+from crowdcontest.timing import (ConstantWeight, EmpiricalJoinTimes, ExponentialJoinTimes,
+                                 PoissonModel, StepWeight, TableJoinTimes, TableWeight,
                                  UniformJoinTimes, sample_arrival_sequences)
 
 from helpers import (argpartition_payment, bne_quadrature_oracle,
                      condition_noise_two_pass, drawn,
-                     convolution_best_responses, interp_operator_by_columns,
-                     interp_operator_by_knots, interp_operator_stacked,
-                     knots_by_search, single_peaked,
+                     convolution_best_responses, interp_operator_by_bincount,
+                     interp_operator_by_columns, interp_operator_stacked,
+                     single_peaked,
                      termination_effort_e0_zero, threshold_analytic_bound,
                      unblocked_stage1)
 
@@ -162,7 +162,8 @@ class TestEarliestNSolver:
         assert np.unique(grid.efforts).size == 1
         expect = symmetric_ne(n_players, 1.0, cfg.nature_effort)
         assert np.max(np.abs(grid.efforts - expect)) <= 1e-8
-        panel = drawn(cfg, "panel", 256, 2).with_knots(grid.times)
+        panel = drawn(cfg, "panel", 256, 2, grid_size=12)
+        assert np.array_equal(panel.knots[0], grid.times)
         assert stage1_metrics_mc(cfg, grid, panel).payment_stderr == 0.0
 
     def test_three_player_selective_case(self):
@@ -825,6 +826,15 @@ class TestDrawsRequired:
         with pytest.raises(InvalidInput, match=field):
             cfg.draws(**{**sizes, field: size})
 
+    def test_draws_reject_a_quantile_grid_that_repeats_a_time(self):
+        # types are placed by F(t) on a uniform u grid, so none of its nodes
+        # t_k = F^-1(u_k) may be dropped: here 64 nodes hold 11 distinct times
+        model = TableJoinTimes((1e6, 1e6 + 1e-9, 1e6 + 1), (0, 0.99, 1))
+        cfg = en_config(3, 2, e0_ratio=0.5, join_model=model)
+        with pytest.raises(InvalidInput, match="repeat a time: lower grid_size"):
+            cfg.draws(64, 16, 16, 0)
+        assert cfg.draws(4, 16, 16, 0)[1].times.size == 4
+
     @pytest.mark.parametrize("case", ["weights", "stage1-join-model", "poisson-rate",
                                       "deadline", "stage2-join-model"])
     def test_draws_of_another_config_are_rejected(self, case):
@@ -879,6 +889,22 @@ class TestDrawsRequired:
                              "cdf_values=(0.0, 0.4, 1.0))")
         with pytest.raises(InvalidInput, match=f"drawn for another .*{expected}"):
             calibrated_stage1(config((0, 0.4, 1)), draws)
+
+
+    def test_drawn_for_message_is_bounded(self):
+        # a trace prior's repr lists every knot; the message keeps its ends
+        def config(seed):
+            times = spawn_rng(seed).uniform(0.0, 6.0, 200)
+            return en_config(4, 2, e0_ratio=0.5, join_model=EmpiricalJoinTimes(times, 6.0))
+
+        cfg = config(1)
+        draws = cfg.draws(12, 100, 100, 1)
+        with pytest.raises(InvalidInput, match="drawn for another") as err:
+            calibrated_stage1(config(2), draws)
+        message = str(err.value)
+        assert len(message) <= 400
+        assert "than ClosedPrior(n_players=4, join_model=EmpiricalJoinTimes(times=(0.0, " \
+            in message and message.endswith("1.0)))")
 
 
 class TestLinearDecay:
@@ -946,6 +972,79 @@ def swept(config, strategies, **kwargs):
     """Reports of `config` under each strategy, and the best one."""
     points, best = sweep([replace(config, strategy=s) for s in strategies], **kwargs)
     return [rep for _, rep in points], points[best][1]
+
+
+#: a table prior with a kink at t = 1, F(1) = 0.5, inside a grid cell on
+#: most grids
+KINKED = TableJoinTimes((0, 1, 6), (0, 0.5, 1))
+#: ulps of the largest effort and of each report field within which a closed
+#: prior F and its quantile twin agree. Their draws and rewarded chances
+#: differ by the rounding of F(F^-1(u)), which the grid solve amplified to at
+#: most 47 ulps of the largest effort, and the Stage-I reports to 9 ulps (a
+#: payment standard error), over 6000 generated cases at the sizes below. A
+#: kernel that reads the grid linearly in t misses by 1e-5 relative on the
+#: kinked prior at n = 9.
+TIME_CHANGE_ULPS = (128, 32)
+
+
+class TestTimeChange:
+    """A closed contest depends on the join model only through u = F(t): a
+    prior F with step weights w is the uniform [0, 1] prior with weights
+    w(F^-1(u)), the steps' breakpoints mapped by F, and a deadline T is the
+    deadline F(T)."""
+
+    @staticmethod
+    def _twins(model, strategy, twin_strategy):
+        breakpoints = (0.0, 1.5, 3.0, 6.0) if model is KINKED \
+            else tuple(x * model.hi / 6.0 for x in (0.0, 1.5, 3.0, 6.0))
+        values = (1.0, 0.6, 0.2, 0.0)
+        mapped = tuple(float(model.cdf(x)) for x in breakpoints)
+        return (BayesianConfig(ClosedPrior(10, model), strategy,
+                               StepWeight(breakpoints, values), e0_ratio=0.5),
+                BayesianConfig(ClosedPrior(10, UNIFORM01), twin_strategy,
+                               StepWeight(mapped, values), e0_ratio=0.5))
+
+    @staticmethod
+    def _close(a: float, b: float, ulps: int) -> bool:
+        return abs(a - b) <= ulps * np.finfo(float).eps * max(abs(a), abs(b))
+
+    @hyp_settings(max_examples=8, deadline=None)
+    @given(model=st.one_of(st.just(KINKED), st.builds(
+               lambda c: UniformJoinTimes(0.0, 6.0 * c), st.floats(0.1, 10.0))),
+           n=st.integers(1, 10), seed=st.integers(0, 2**16))
+    @example(model=KINKED, n=9, seed=3)
+    def test_earliest_n_is_read_on_the_quantile_scale(self, model, n, seed):
+        cfg, twin = self._twins(model, EarliestN(n), EarliestN(n))
+        effort_ulps, report_ulps = TIME_CHANGE_ULPS
+        (panel, opponents), (twin_panel, twin_opponents) = (
+            c.draws(24, 1000, 4000, seed) for c in (cfg, twin))
+        grid = solve_bne_earliest_n(cfg, opponents)
+        twin_grid = solve_bne_earliest_n(twin, twin_opponents)
+        # the same nodes, t_k = F^-1(u_k)
+        assert np.max(np.abs(model.cdf(grid.times) - twin_grid.times)) <= np.finfo(float).eps
+        scale = effort_ulps * np.finfo(float).eps * np.max(grid.efforts)
+        assert np.max(np.abs(grid.efforts - twin_grid.efforts)) <= scale
+        report = stage1_metrics_mc(cfg, grid, panel)
+        twin_report = stage1_metrics_mc(twin, twin_grid, twin_panel)
+        for field in MC_FIELDS:
+            assert self._close(getattr(report, field), getattr(twin_report, field),
+                               report_ulps), field
+
+    @pytest.mark.parametrize("model", [KINKED, UniformJoinTimes(0.0, 0.6),
+                                       UniformJoinTimes(0.0, 18.0)],
+                             ids=["kinked", "uniform-0.6", "uniform-18"])
+    @pytest.mark.parametrize("deadline", [0.05, 0.4, 1.0, 2.5, 5.0])
+    def test_termination_is_read_on_the_quantile_scale(self, model, deadline):
+        deadline = min(deadline, model.support[1])
+        cfg, twin = self._twins(model, Termination(deadline),
+                                Termination(float(model.cdf(deadline))))
+        effort, report = calibrated_stage1(cfg, cfg.draws())
+        twin_effort, twin_report = calibrated_stage1(twin, twin.draws())
+        assert self._close(effort, twin_effort, TIME_CHANGE_ULPS[1])
+        for field in ("calibrated_b", "expected_utility", "expected_payment",
+                      "expected_efficiency"):
+            assert self._close(getattr(report, field), getattr(twin_report, field),
+                               TIME_CHANGE_ULPS[1]), field
 
 
 class TestSweeps:
@@ -1035,27 +1134,23 @@ def test_newton_step_cap_raises(monkeypatch):
 
 class TestGridKernel:
     @hyp_settings(max_examples=60, deadline=None)
-    @given(size=st.integers(2, 40), quantile_spaced=st.booleans(),
+    @given(size=st.integers(2, 40), end=st.sampled_from([1.0, 0.9995, 3.0]),
            n_opp=st.integers(0, 6), mc=st.integers(1, 50),
            seed=st.integers(0, 2**32 - 1))
-    def test_interp_operator_matches_interp(self, size, quantile_spaced, n_opp,
-                                            mc, seed):
-        if quantile_spaced:
-            times = bayesian_closed._grid_times(ExponentialJoinTimes(0.7), size)
-        else:
-            times = np.linspace(0.0, 3.0, size)
+    def test_interp_operator_matches_interp(self, size, end, n_opp, mc, seed):
+        # the grids the operator serves are uniform from 0: a bounded and an
+        # unbounded prior's quantile grid, and an open epoch grid
+        grid = np.linspace(0.0, end, size)
         rng = spawn_rng(seed)
-        lo, hi = times[0], times[-1]
-        # draws below, inside and above the grid (open arrival epochs run
-        # past its end), plus the knots themselves
-        panel = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo),
-                            size=(mc, n_opp))
-        panel = np.vstack([panel, np.repeat(times[:, None], n_opp, axis=1)])
-        efforts = rng.uniform(0.0, 1.0, size=times.size)
-        op = bayesian_closed._interp_operator(panel, times)
-        assert op.shape == (panel.shape[0], times.size)
+        # draws inside and above the grid (open arrival epochs run past its
+        # end), plus the knots themselves
+        panel = rng.uniform(0.0, 1.5 * end, size=(mc, n_opp))
+        panel = np.vstack([panel, np.repeat(grid[:, None], n_opp, axis=1)])
+        efforts = rng.uniform(0.0, 1.0, size=grid.size)
+        op = bayesian_closed._interp_operator(panel, grid)
+        assert op.shape == (panel.shape[0], grid.size)
         assert not op.flags.writeable
-        expect = np.interp(panel, times, efforts).sum(axis=1)
+        expect = np.interp(panel, grid, efforts).sum(axis=1)
         assert np.max(np.abs(op @ efforts - expect)) <= 1e-13
 
     def test_operator_without_opponents_is_zero(self):
@@ -1365,10 +1460,8 @@ class TestGridKernel:
     @staticmethod
     def _opposition(cfg, grid):
         """E_-i of each opponent draw of a seed-0, 4000-draw solve of cfg."""
-        n_opp = cfg.prior.n_players - 1
-        opp = cfg.prior.join_model.sample(spawn_rng(0, 0x5e11), 4000 * n_opp) \
-            .reshape(4000, n_opp)
-        return bayesian_closed._interp_operator(opp, grid.times) @ grid.efforts
+        return drawn(cfg, "opponents", 4000, 0, grid_size=grid.times.size).operator \
+            @ grid.efforts
 
     def test_e0_zero_matches_a_vanishing_nature_effort(self):
         # at e0 = 0 the zero grid maps to itself, but it is no equilibrium: a
@@ -1415,7 +1508,7 @@ MC_FIELDS = ("expected_utility", "expected_payment", "payment_stderr",
 class TestBlockedStageOne:
     @staticmethod
     def _grid(cfg, size=17, seed=0):
-        times = bayesian_closed._grid_times(cfg.prior.join_model, size)
+        times = bayesian_closed._quantile_grid(cfg.prior.join_model, size)[1]
         efforts = spawn_rng(seed).uniform(0.0, 0.2, size=times.size)
         return TypeGrid(times, efforts, reward_schedule(cfg, times))
 
@@ -1429,6 +1522,8 @@ class TestBlockedStageOne:
                              e0_ratio=0.5, max_reward=1.3)
         grid = self._grid(cfg)
         panel = drawn(cfg, "panel", rows, 5)
+        on_grid = drawn(cfg, "panel", rows, 5, grid_size=grid.times.size)
+        assert np.array_equal(on_grid.knots[0], grid.times)
         if isinstance(strategy, EarliestN):
             def paid_of(efforts):
                 return cfg.max_reward * np.sum(efforts[:, :3], axis=1)
@@ -1438,12 +1533,18 @@ class TestBlockedStageOne:
         expect = unblocked_stage1(panel.types, panel.weights, grid.times, grid.efforts,
                                   cfg.nature_effort, paid_of)
         interpolated = stage1_metrics_mc(cfg, grid, panel)
-        gathered = stage1_metrics_mc(cfg, grid, panel.with_knots(grid.times))
+        gathered = stage1_metrics_mc(cfg, grid, on_grid)
         expect["expected_utility"] = expect.pop("mean_utility")
-        for field in MC_FIELDS:
+        # the gather reads e* linearly in F(t), the oracle np.interp in t: on
+        # a uniform prior the same map up to rounding, within 4 ulps of each
+        # mean; a standard error, over 2 rows a difference of two draws,
+        # takes the ulps of its mean
+        means = ("expected_utility", "expected_payment", "expected_payment",
+                 "expected_efficiency", "expected_efficiency")
+        for field, mean in zip(MC_FIELDS, means):
             assert getattr(interpolated, field) == expect[field]
-            assert getattr(gathered, field) == pytest.approx(expect[field], rel=1e-15,
-                                                             abs=0.0)
+            assert abs(getattr(gathered, field) - expect[field]) \
+                <= 4 * np.finfo(float).eps * abs(expect[mean])
 
     def test_drawn_panel_is_interpolated_off_its_grid(self):
         # a closed panel from `draws` always carries knots on its opponents'
@@ -1459,28 +1560,38 @@ class TestBlockedStageOne:
         cfg = en_config(5, 2, e0_ratio=0.5)
         grid = self._grid(cfg)
         panel = drawn(cfg, "panel", 300, 2)
-        elsewhere = panel.with_knots(np.linspace(0.0, 1.0, 5))
+        elsewhere = panel.with_knots(np.linspace(0.0, 1.0, 5), np.zeros(panel.types.shape))
         assert stage1_metrics_mc(cfg, grid, elsewhere) == stage1_metrics_mc(cfg, grid,
                                                                             panel)
 
     @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [-math.inf, 0.0, math.inf]],
                              ids=["nan", "infinite-ends"])
     def test_knots_need_a_finite_increasing_grid(self, times):
-        # the knot search assumes one: an infinite end built its buckets from
-        # inf * 0, and a NaN gave meaningless positions
+        # a gather assumes one: an infinite end or a NaN gives meaningless
+        # efforts
         panel = drawn(en_config(3, 2, e0_ratio=0.5), "panel", 10, 2)
         with pytest.raises(InvalidInput, match="finite and strictly increasing"):
-            panel.with_knots(times)
+            panel.with_knots(times, np.zeros(panel.types.shape))
+
+    @pytest.mark.parametrize("positions", [np.zeros((10, 2)), np.full((10, 3), -1e-300),
+                                           np.full((10, 3), 2.0 + 1e-15),
+                                           np.full((10, 3), math.nan)],
+                             ids=["shape", "left-of-grid", "right-of-grid", "nan"])
+    def test_knot_positions_must_lie_on_the_grid(self, positions):
+        # a position off the grid would gather another row's cell, or none
+        panel = drawn(en_config(3, 2, e0_ratio=0.5), "panel", 10, 2)
+        with pytest.raises(InvalidInput, match="knot positions"):
+            panel.with_knots([0.0, 0.5, 1.0], positions)
 
     @hyp_settings(max_examples=80, deadline=None)
     @given(size=st.integers(2, 40), quantile_spaced=st.booleans(),
            cols=st.integers(1, 8), rows=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1))
     def test_knot_gather_matches_interp(self, size, quantile_spaced, cols, rows, seed):
-        if quantile_spaced:
-            times = bayesian_closed._grid_times(ExponentialJoinTimes(0.7), size)
-        else:
-            times = np.linspace(0.0, 3.0, size)
+        # the gather reads the efforts linearly in the quantile F(t): it is
+        # np.interp over the quantile grid (u_k, e)
+        model = ExponentialJoinTimes(0.7) if quantile_spaced else UniformJoinTimes(0.0, 3.0)
+        quantiles, times = bayesian_closed._quantile_grid(model, size)
         rng = spawn_rng(seed)
         lo, hi = times[0], times[-1]
         # types left of, inside and right of the grid, and the knots themselves
@@ -1489,25 +1600,33 @@ class TestBlockedStageOne:
         types = np.sort(np.vstack([types, on_knots]), axis=1)
         efforts = rng.uniform(0.0, 1.0, size=times.size)
         grid = TypeGrid(times, efforts, np.ones(times.size))
-        panel = Stage1Panel(types, np.ones_like(types)).with_knots(times)
+        panel = Stage1Panel(types, np.ones_like(types)).with_knots(
+            times, bayesian_closed._positions(model.cdf(types), quantiles))
         gathered = bayesian_closed._panel_efforts(panel, grid)(slice(None))
-        expect = np.interp(types, times, efforts)
-        assert np.max(np.abs(gathered - expect)) <= 1e-15 * np.max(np.abs(efforts))
+        expect = np.interp(model.cdf(types), quantiles, efforts)
+        # a position u (G - 1) / q_hi and the oracle's nodes u_k each carry
+        # about an ulp of G - 1, which moves a value by that fraction of a
+        # cell's effort step: within 4 G ulps of the largest effort
+        assert np.max(np.abs(gathered - expect)) \
+            <= 4 * size * np.finfo(float).eps * np.max(np.abs(efforts))
 
     @pytest.mark.parametrize("rows", BLOCK_EDGES)
     def test_operator_matches_the_column_loop(self, rows):
-        times = bayesian_closed._grid_times(ExponentialJoinTimes(0.7), 20)
+        # on a grid of unit spacing from 0 the kernel's multiplication and the
+        # loop's np.interp place every draw exactly; their difference on
+        # other grids is test_interp_operator_matches_interp's
+        grid = np.arange(20.0)
         rng = spawn_rng(rows)
-        panel = rng.uniform(-0.5, 1.5 * times[-1], size=(rows, 7))
-        panel[::9] = times[rng.integers(0, times.size, size=7)]
-        op = bayesian_closed._interp_operator(panel, times)
-        expect = interp_operator_by_columns(panel, times)
+        panel = rng.uniform(0.0, 1.5 * grid[-1], size=(rows, 7))
+        panel[::9] = grid[rng.integers(0, grid.size, size=7)]
+        op = bayesian_closed._interp_operator(panel, grid)
+        expect = interp_operator_by_columns(panel, grid)
         assert np.max(np.abs(op - expect)) <= 1e-15 * panel.shape[1]
 
     @pytest.mark.parametrize("rows", BLOCK_EDGES)
     @pytest.mark.parametrize("kind", ["sorted", "unsorted", "past-end", "no-columns"])
     @pytest.mark.parametrize("size", [3, 24])
-    def test_operator_matches_the_knot_gather_bit_for_bit(self, rows, kind, size):
+    def test_operator_matches_one_bincount_bit_for_bit(self, rows, kind, size):
         times = np.linspace(0.0, 1.5, size)
         rng = spawn_rng(rows)
         if kind == "sorted":
@@ -1517,11 +1636,11 @@ class TestBlockedStageOne:
                                              rng, rows)
             assert np.all(panel[:, -1] > times[-1]) and np.any(panel[:, 0] < times[-1])
         elif kind == "unsorted":
-            # draws below, inside and past the grid and on its knots; columns
-            # 3 and 7 to 23 lie at or past its end in every row, 4 to 6 do
-            # not: the last cell takes 17 1s after fractions, which adding
-            # 17 at once rounds differently on the 3-point grid
-            panel = rng.uniform(-0.5, 2.5, size=(rows, 24))
+            # draws inside and past the grid and on its knots; columns 3 and
+            # 7 to 23 lie at or past its end in every row, 4 to 6 do not: the
+            # last cell takes 17 1s after fractions, which adding 17 at once
+            # rounds differently on the 3-point grid
+            panel = rng.uniform(0.0, 2.5, size=(rows, 24))
             panel[::9] = times[rng.integers(0, times.size, size=24)]
             panel[:, [3, *range(7, 24)]] = times[-1] + rng.exponential(size=(rows, 18))
             panel[::5, 8] = times[-1]
@@ -1532,7 +1651,7 @@ class TestBlockedStageOne:
         else:
             panel = np.empty((rows, 0))
         op = bayesian_closed._interp_operator(panel, times)
-        assert same_bits(op, interp_operator_by_knots(panel, times))
+        assert same_bits(op, interp_operator_by_bincount(panel, times))
 
     @pytest.mark.parametrize("rows", BLOCK_EDGES)
     @pytest.mark.parametrize("past_end", [True, False], ids=["past-end", "inside"])
@@ -1543,43 +1662,8 @@ class TestBlockedStageOne:
         # epochs past its end in every row, ending it past every epoch none
         times = np.linspace(0.0, 1.5 if past_end else 1.01 * panel.max(), 24)
         assert np.any(np.all(panel >= times[-1], axis=0)) == past_end
-        positions = open_system._epoch_positions(times)
-        op = bayesian_closed._interp_operator(panel, times, positions)
-        assert same_bits(op, interp_operator_stacked(panel, times, positions))
-
-    @hyp_settings(max_examples=100, deadline=None)
-    @given(kind=st.sampled_from(["uniform", "exponential", "clustered", "heavy-tailed"]),
-           size=st.integers(2, 80), cols=st.integers(0, 4),
-           rows=st.sampled_from([1, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_knots_match_the_search_bit_for_bit(self, kind, size, cols, rows, seed):
-        rng = spawn_rng(seed)
-        if kind == "uniform":
-            lo = rng.uniform(-5.0, 5.0)
-            times = np.linspace(lo, lo + rng.uniform(0.1, 10.0), size)
-        elif kind == "exponential":
-            times = bayesian_closed._grid_times(ExponentialJoinTimes(rng.uniform(0.1, 5.0)),
-                                                size)
-        elif kind == "clustered":
-            # a table grid with three clusters of knots 1e-12 of its span apart
-            base = np.sort(rng.uniform(0.0, 6.0, size))
-            clusters = base[rng.integers(0, size, 3), None] + 6e-12 * np.arange(1, 20)
-            times = np.unique(np.concatenate([base, clusters.ravel()]))
-        else:
-            # every knot but the last in the first bucket: most guesses fail
-            times = np.append(np.linspace(0.0, 1.0, size - 1), 1e6)
-        lo, hi = times[0], times[-1]
-        # types below, inside and above the grid, on and beside its knots,
-        # and at -inf and inf, in a 1-d panel (cols = 0) or a 2-d one
-        pool = np.concatenate([rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 64),
-                               times, np.nextafter(times, -np.inf),
-                               np.nextafter(times, np.inf), [-np.inf, np.inf]])
-        types = rng.choice(pool, size=(rows, cols) if cols else rows)
-        index, offset = bayesian_closed._knots(types, times)
-        expect_index, expect_offset = knots_by_search(types, times)
-        assert index.dtype == expect_index.dtype
-        assert np.array_equal(index, expect_index)
-        assert same_bits(offset, expect_offset)
+        op = bayesian_closed._interp_operator(panel, times)
+        assert same_bits(op, interp_operator_stacked(panel, times))
 
     @pytest.mark.parametrize("tail", ["zero", "positive", "none", "constant"])
     def test_interpolated_efforts_are_np_interp_bit_for_bit(self, tail):

@@ -3,6 +3,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from crowdcontest import open_system as osys
 from crowdcontest.bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN,
                                           Termination, TypeGrid, calibrated_stage1)
 from crowdcontest.cli import main
-from crowdcontest.errors import ConfigError, InvalidInput
+from crowdcontest.errors import ConfigError, InvalidInput, SolverError
 from crowdcontest.experiments import (PRESETS, TRACE_PRESETS, OutputTable,
                                       _column_cells, gen_trace_preset, load_spec,
                                       parse_spec, run_spec, sweep)
@@ -441,6 +443,64 @@ def test_column_cells_match_str(column):
     assert _column_cells(column) == [str(x) for x in column]
 
 
+@st.composite
+def _small_specs(draw):
+    """A small spec of any mode and strategy: closed earliest-n, termination
+    or linear decay on a uniform, exponential or kinked table prior, open
+    earliest-n or termination, complete information or the CSF surfaces."""
+    mode = draw(st.sampled_from(["closed", "closed", "closed", "open", "open",
+                                 "complete_info", "csf_surfaces"]))
+    lines = ["[experiment]", "name = generated", f"mode = {mode}",
+             f"seed = {draw(st.integers(0, 9))}"]
+    if mode == "csf_surfaces":
+        return "\n".join(lines) + "\n"
+    count = draw(st.integers(3, 5))
+    ratios = draw(st.lists(st.sampled_from(["0", "0.25", "0.5", "1"]), min_size=1,
+                           max_size=2, unique=True))
+    lines += [f"n_players = {count}", f"e0_ratio = {','.join(ratios)}"]
+    if mode == "complete_info":
+        ns = draw(st.lists(st.integers(1, count), min_size=1, max_size=3, unique=True))
+        return "\n".join(lines + [f"sweep = {','.join(map(str, ns))}"]) + "\n"
+    strategy = draw(st.sampled_from(["earliest_n", "termination"]
+                                    + ["linear"] * (mode == "closed")))
+    values = {"earliest_n": st.integers(1, count).map(str),
+              "termination": st.sampled_from(["0.5", "1.5", "4"]),
+              "linear": st.sampled_from(["0.05", "0.2"])}[strategy]
+    sweep_values = draw(st.lists(values, min_size=1, max_size=3, unique=True))
+    lines += [f"strategy = {strategy}", f"sweep = {','.join(sweep_values)}",
+              "grid_size = 8", "mc_samples = 400", "stage1_samples = 300"]
+    if mode == "open":
+        lines += [f"rate = {draw(st.sampled_from(['2', '5']))}", f"truncation = {count}"]
+    else:
+        lines += ["", "[join_model]", draw(st.sampled_from([
+            "kind = uniform\nlo = 0\nhi = 6", "kind = exponential\nrate = 1",
+            "kind = table\ntimes = 0,1,6\ncdf = 0,0.5,1"]))]
+    if draw(st.booleans()):
+        lines += ["", "[weights]", "kind = step", "breakpoints = 0,1.5,3,6",
+                  "values = 1,0.6,0.2,0"]
+    return "\n".join(lines) + "\n"
+
+
+@hyp_settings(max_examples=40, deadline=None)
+@given(_small_specs())
+def test_generated_specs_write_the_same_bytes_at_one_and_two_workers(text):
+    spec = parse_spec(text)
+    written = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        for workers in ("1", "2"):
+            mp.setenv("CROWDCONTEST_THREADS", workers)
+            out = Path(tmp, workers)
+            try:
+                run_spec(spec, out_dir=out)
+                failure = None
+            except SolverError as exc:
+                # a failing spec flushes its tables with the failure marker
+                failure = str(exc)
+            written.append((failure, {p.name: p.read_bytes()
+                                      for p in sorted(out.glob("*.csv"))}))
+    assert written[0][1] and written[0] == written[1]
+
+
 def test_column_cells_keep_signed_zeros_and_distinct_nans():
     assert _column_cells([0.0, -0.0, 0.0]) == ["0.0", "-0.0", "0.0"]
     assert _column_cells([float("nan"), 2.5, float("nan"), 2.5]) == \
@@ -693,6 +753,9 @@ output = noisy.csv
         (SMALL_SPEC.replace("kind = step\nbreakpoints = 0,1.5,3,6\nvalues = 1,0.6,0.2,0",
                             "kind = table\ntimes = 0,1e-310\nvalues = 1,0"),
          "weights"),
+        (SMALL_SPEC.replace("kind = uniform\nlo = 0\nhi = 6",
+                            "kind = table\ntimes = 1e6,1000000.000000001,1000001\n"
+                            "cdf = 0,0.99,1"), "experiment.grid_size"),
         (SMALL_SPEC.replace("sweep = 2,3,4", "sweep = 2.4,2.5"), "experiment.sweep"),
         (OPEN_SPEC.replace("sweep = 2,3,4", "sweep = 2,3.5"), "experiment.sweep"),
         (COMPLETE_INFO_SPEC.replace("sweep = 1:4:1", "sweep = 2.4,2.5"),
@@ -710,7 +773,7 @@ output = noisy.csv
             "infinite-width-termination", "infinite-mean", "infinite-mean-termination",
             "overflowing-table-times", "overflowing-table-quantile",
             "overflowing-table-weights", "overflowing-table-cdf-slope",
-            "overflowing-table-weight-slope", "fractional-n",
+            "overflowing-table-weight-slope", "repeating-quantile-grid", "fractional-n",
             "fractional-n-open", "complete-info-fractional-n",
             "complete-info-fractional-range"])
     def test_bad_spec_value_exits_2_naming_the_field(self, tmp_path, capsys, text,

@@ -24,8 +24,8 @@ from crowdcontest.open_system import (PoissonPrior, calibrated_open_stage1,
 from crowdcontest.timing import (ConstantWeight, PoissonModel, StepWeight,
                                  sample_arrival_sequences)
 
-from helpers import (bne_quadrature_oracle, drawn, open_grid_times_by_public_prob,
-                     single_peaked, unblocked_stage1)
+from helpers import (bne_quadrature_oracle, drawn, interp_operator_by_columns,
+                     open_grid_times_by_public_prob, single_peaked, unblocked_stage1)
 
 
 def open_en(rate, truncation, n, e0_ratio, **kw):
@@ -244,12 +244,11 @@ class TestOpenEarliestNSolver:
 
 class TestOpenPlacement:
     """The open grid is uniform from 0, and the operator places epochs on it
-    by one multiplication (`_epoch_positions`) instead of np.interp."""
+    by one multiplication (`_positions`) instead of np.interp."""
 
     @staticmethod
     def _operators(panel, times):
-        return (_interp_operator(panel, times, open_system._epoch_positions(times)),
-                _interp_operator(panel, times))
+        return _interp_operator(panel, times), interp_operator_by_columns(panel, times)
 
     @pytest.mark.parametrize("rows", [2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                       3 * BLOCK_ROWS + 7])
@@ -281,7 +280,7 @@ class TestOpenPlacement:
         cfg = open_en(9.0, 30, n, e0_ratio=0.5)
         opponents = drawn(cfg, "opponents", 2000, 4, grid_size=24)
         grid = solve_bne_open_earliest_n(cfg, opponents)
-        monkeypatch.setattr(open_system, "_epoch_positions", lambda times: None)
+        monkeypatch.setattr(open_system, "_interp_operator", interp_operator_by_columns)
         expect = solve_bne_open_earliest_n(cfg, opponents)
         assert np.array_equal(grid.times, expect.times)
         assert np.max(np.abs(grid.efforts - expect.efforts)) <= 1e-10
