@@ -113,9 +113,10 @@ class Prior:
     """All that sets a closed system apart from an open one: a config's prior
     rejects a strategy it does not take (`admit`), builds a config's draws
     (`draws`), gives the chance `rewarded(t, n)` that a contributor joining
-    at t is among the n earliest, and places Stage-II opponents on the type
-    grid of a config's solve (`placed`); `names` says what it fixes. Its two
-    kinds are `ClosedPrior` and `open_system.PoissonPrior`."""
+    at t is among the n earliest, places Stage-II opponents on the type
+    grid of a config's solve (`placed`) and gives that grid's nodes on the
+    clock of its Stage-I panel and in t (`clock_grid`); `names` says what
+    it fixes. Its two kinds are `ClosedPrior` and `open_system.PoissonPrior`."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class ClosedPrior(Prior):
         their quantiles F(t) on the quantile grid of grid_size points
         (`_quantile_grid`). The Stage-I panel: stage1_samples draws of the N
         joining times from the stream (seed + 1, 0x51a6e1), each row sorted
-        once, with their weights and their knots, placed the same way. Both
+        once, with their weights and their quantiles F(t) as its clock. Both
         are read linearly in F(t) between the grid's nodes: the chance of
         being among the n earliest and the law of the opponents depend on
         the join model only through F(t). A termination config's tables take
@@ -167,17 +168,16 @@ class ClosedPrior(Prior):
             w_bar = float(np.mean(config.weightfn(model.quantile(us))))
             return TerminationTables(_binom_pmf(n - 1, p), _binom_pmf(n, p)[1:], w_bar,
                                      config.draws_key)
-        _check_samples("mc_samples", mc_samples)
+        _check_sizes(grid_size, mc_samples, stage1_samples)
         quantiles, times = _quantile_grid(model, grid_size)
         opp_types = model.sample(spawn_rng(seed, 0x5e11), mc_samples * (n - 1))
         operator = _interp_operator(model.cdf(opp_types).reshape(mc_samples, n - 1),
                                     quantiles)
-        _check_samples("stage1_samples", stage1_samples)
         types = model.sample(spawn_rng(seed + 1, 0x51a6e1), stage1_samples * n)
         types = types.reshape(stage1_samples, n)
         types.sort(axis=1)
-        panel = Stage1Panel(types, config.weightfn(types), key=config.draws_key)
-        return (panel.with_knots(times, _positions(model.cdf(types), quantiles)),
+        return (Stage1Panel(types, config.weightfn(types), model.cdf(types),
+                            key=config.draws_key),
                 Stage2Opponents(times, operator, self))
 
     def rewarded(self, t: np.ndarray, n: int) -> np.ndarray:
@@ -188,6 +188,11 @@ class ClosedPrior(Prior):
         """The type grid of a solve and the opponents' operator on it, both
         fixed when the opponents were drawn."""
         return opponents.times, opponents.operator
+
+    def clock_grid(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The solve grid of as many points as `times`, its quantile grid
+        (`_quantile_grid`): its nodes on this prior's clock F(t) and in t."""
+        return _quantile_grid(self.join_model, times.size)
 
 
 @dataclass(frozen=True)
@@ -270,12 +275,6 @@ class TypeGrid:
         object.__setattr__(self, "efforts", e)
         object.__setattr__(self, "b_values", b)
 
-    def interp(self, t) -> np.ndarray:
-        """e*(t) interpolated linearly in t between the grid's nodes. The
-        kernel and Stage I read a closed grid linearly in F(t) instead
-        (`_positions`): on a uniform prior the same map up to rounding."""
-        return np.interp(np.asarray(t, dtype=float), self.times, self.efforts)
-
     def scaled(self, factor: float) -> "TypeGrid":
         return TypeGrid(self.times, self.efforts * factor, self.b_values * factor)
 
@@ -285,44 +284,30 @@ class Stage1Panel:
     """Monte Carlo types of Stage I (common random numbers), drawn once per
     prior and shared by every evaluation of a sweep: `types` holds one draw
     per row with the row sorted ascending, so the n earliest joiners of a
-    draw are its first n columns, and `weights` holds the requester's
-    valuations w(types). `knots`, set by `with_knots`, holds a type grid and
-    the cell index and fraction of each of `types` on it, and `key` the
-    `draws_key` it was drawn for. The panel takes its arrays over read-only."""
+    draw are its first n columns, `weights` holds the requester's
+    valuations w(types), `clock` the types on their prior's clock, where a
+    report places them (a closed system's quantiles F(t), an open one's
+    epochs themselves), and `key` the `draws_key` it was drawn for. The
+    panel takes its arrays over read-only."""
 
     types: np.ndarray
     weights: np.ndarray
-    knots: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    clock: np.ndarray
     key: tuple = ()
 
     def __post_init__(self):
         t = np.asarray(self.types, dtype=float)
         w = np.asarray(self.weights, dtype=float)
+        u = np.asarray(self.clock, dtype=float)
         if t.ndim != 2 or t.shape != w.shape:
             raise InvalidInput("panel types and weights must be matching 2-d arrays")
         if np.any(t[:, 1:] < t[:, :-1]):
             raise InvalidInput("panel rows must be sorted ascending")
-        for a in (t, w, *(self.knots or ())):
+        if u.shape != t.shape or not np.all((u >= 0) & (u < math.inf)):
+            raise InvalidInput("panel clock must match the types, finite and >= 0")
+        for name, a in ("types", t), ("weights", w), ("clock", u):
             a.setflags(write=False)
-        object.__setattr__(self, "types", t)
-        object.__setattr__(self, "weights", w)
-
-    def with_knots(self, times: np.ndarray, positions: np.ndarray) -> "Stage1Panel":
-        """This panel with its types' knots on the grid `times` kept beside
-        them, from their fractional grid `positions` (`_positions`): the
-        cell index j = floor(pos) and the fraction pos - j. An evaluation on
-        an effort grid over the same times then gathers each effort instead
-        of placing it."""
-        times, pos = np.array(times, dtype=float), np.asarray(positions, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = times.ndim == 1 and times.size >= 2 and np.all(np.diff(times) > 0) \
-                and times[-1] - times[0] < math.inf
-        if not grid:
-            raise InvalidInput("knot times must be finite and strictly increasing")
-        if pos.shape != self.types.shape or not np.all((pos >= 0) & (pos <= times.size - 1)):
-            raise InvalidInput("knot positions must match the types and lie on the grid")
-        index = pos.astype(np.min_scalar_type(times.size - 1))
-        return replace(self, knots=(times, index, pos - index))
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -429,8 +414,6 @@ def _quantile_grid(model: JoinTimeModel, grid_size: int) -> tuple[np.ndarray, np
     likely; q_hi is 1 on a bounded support and 0.9995 on an unbounded one.
     InvalidInput unless the nodes strictly increase, as no node can be
     dropped from a uniform u grid."""
-    if grid_size < 2:
-        raise InvalidInput("grid_size must be >= 2")
     q_hi = 1.0 if math.isfinite(model.support[1]) else 0.9995
     quantiles = np.linspace(0.0, q_hi, grid_size)
     times = np.asarray(model.quantile(quantiles), dtype=float)
@@ -525,12 +508,13 @@ def _expected_best_responses(a_samples: np.ndarray, b_t: np.ndarray,
     return e, lambda op: slopes(op)[x > 0]
 
 
-def _positions(x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Fractional positions on `grid`, uniform from 0, of the points x >= 0
-    (a closed system's quantiles F(t), an open one's arrival epochs): x
-    (G - 1) / grid[-1], one multiplication, held at the last index G - 1."""
-    pos = x * ((grid.size - 1) / grid[-1])
-    return np.minimum(pos, grid.size - 1, out=pos)
+def _positions(x: np.ndarray, size: int, end: float) -> np.ndarray:
+    """Fractional positions on a grid of `size` points uniform from 0 to
+    `end` of the points x >= 0 on the same clock (a closed system's
+    quantiles F(t), an open one's arrival epochs): x (size - 1) / end, one
+    multiplication, held at the last index size - 1."""
+    pos = x * ((size - 1) / end)
+    return np.minimum(pos, size - 1, out=pos)
 
 
 def _interp_operator(draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -553,7 +537,7 @@ def _interp_operator(draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
         rows = draws[lo:lo + BLOCK_ROWS]
         inside = np.flatnonzero(~(rows.min(axis=0) >= grid[-1]))
         width = inside[-1] + 1 if inside.size else 0
-        pos = _positions(rows[:, :width], grid)
+        pos = _positions(rows[:, :width], size, grid[-1])
         k = pos.astype(int)
         np.minimum(k, size - 2, out=k)
         cells = np.empty((*pos.shape, 2), dtype=int)
@@ -681,10 +665,14 @@ class Stage2Opponents(NamedTuple):
     prior: ClosedPrior
 
 
-def _check_samples(name: str, size: int) -> None:
-    """InvalidInput unless `size` gives the 2 draws a standard error needs."""
-    if not size >= 2:
-        raise InvalidInput(f"{name} must be at least 2 Monte Carlo draws, got {size!r}")
+def _check_sizes(grid_size: int, mc_samples: int, stage1_samples: int) -> None:
+    """InvalidInput unless the grid has 2 points and each panel the 2 draws
+    a standard error needs, checked in this order before any draw."""
+    if not grid_size >= 2:
+        raise InvalidInput("grid_size must be >= 2")
+    for name, size in ("mc_samples", mc_samples), ("stage1_samples", stage1_samples):
+        if not size >= 2:
+            raise InvalidInput(f"{name} must be at least 2 Monte Carlo draws, got {size!r}")
 
 
 def _solve_grid_bne(config: BayesianConfig, opponents: Stage2Opponents | OpenOpponents,
@@ -837,31 +825,32 @@ def stage1_metrics_termination(config: BayesianConfig, e_star: float,
 # Stage-I Monte Carlo metrics (earliest-n / linear decay)
 # ---------------------------------------------------------------------------
 
-def _panel_efforts(panel: Stage1Panel, grid: TypeGrid):
+def _panel_efforts(panel: Stage1Panel, grid: TypeGrid, end: float):
     """efforts(rows) -> the efforts e*(types) of the panel rows `rows` on
-    `grid`: gathered through the panel's knots when they lie on grid's
-    times, as diff(e)[j] * fraction + e[j] (e[j] itself at the last node),
-    else interpolated up to where e* turns constant, as np.interp returns
-    that constant beyond (bit for bit, unless it is -0.0)."""
-    times, e = grid.times, grid.efforts
-    if panel.knots is None or not np.array_equal(panel.knots[0], times):
-        steps = np.flatnonzero(e[:-1] != e[-1])
-        end = steps[-1] + 2 if steps.size else 1
-        return lambda rows: np.interp(panel.types[rows], times[:end], e[:end])
-    _, index, fraction = panel.knots
+    `grid`, which ends at `end` on the panel's clock: each type at position
+    pos (`_positions`) of its clock reads diff(e)[j] * (pos - j) + e[j] with
+    j = floor(pos) (e[j] itself at the last node)."""
+    e = grid.efforts
     step = np.append(np.diff(e), 0.0)
 
     def efforts(rows: slice) -> np.ndarray:
-        j = index[rows]
-        return np.take(step, j) * fraction[rows] + np.take(e, j)
+        pos = _positions(panel.clock[rows], e.size, end)
+        j = pos.astype(np.intp)
+        out = np.take(step, j)
+        out *= np.subtract(pos, j, out=pos)
+        out += np.take(e, j, out=pos)
+        return out
     return efforts
 
 
 def _mc_report(config: BayesianConfig, grid: TypeGrid,
                panel: Stage1Panel) -> StageOneReport:
     """Monte Carlo Stage-I report of a closed or open config on `grid` over
-    the draws of `panel`, which must have been drawn for it. The panel is
-    streamed in blocks of BLOCK_ROWS rows, keeping three numbers per draw:
+    the draws of `panel`, which must have been drawn for it, and a grid
+    with the times of its solve grid (`Prior.clock_grid`), as a solve
+    returns it: Stage I places the types there by their clock and would
+    misread efforts at other times. The panel is streamed in blocks of
+    BLOCK_ROWS rows, keeping three numbers per draw:
     its effort sum, its w-weighted effort sum (the requester utility of the
     draw) and its payout. The panel's rows are sorted, so earliest-n pays b
     times the sum of a draw's first n efforts; the other strategies pay each
@@ -870,7 +859,10 @@ def _mc_report(config: BayesianConfig, grid: TypeGrid,
     pays paid / (e0 + sum) and scores utility (e0 + sum) / paid, with zero
     efficiency charged when nothing is paid out."""
     config._check_drawn_for("panel", panel.key)
-    efforts = _panel_efforts(panel, grid)
+    clock, nodes = config.prior.clock_grid(grid.times)
+    if not np.array_equal(grid.times, nodes):
+        raise InvalidInput("grid times are not a solve grid of this prior")
+    efforts = _panel_efforts(panel, grid, clock[-1])
     n = config.strategy.n if isinstance(config.strategy, EarliestN) else None
     count = panel.types.shape[0]
     total, utility, paid = np.empty(count), np.empty(count), np.empty(count)

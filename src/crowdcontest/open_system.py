@@ -21,7 +21,7 @@ import numpy as np
 from .bayesian_closed import (BayesianConfig, EarliestN, Prior, Stage1Panel,
                               StageOneReport, Strategy, Termination, TerminationTables,
                               TypeGrid, calibrate_b, _calibrated, _check_finite,
-                              _check_samples, _interp_operator, _mc_report,
+                              _check_sizes, _interp_operator, _mc_report,
                               _solve_grid_bne, _termination_effort, _termination_report)
 from .errors import InvalidInput, NoConvergence
 from .numerics import RngSeed, bisect, spawn_rng
@@ -51,16 +51,16 @@ class PoissonPrior(Prior):
               stage1_samples: int, seed: RngSeed):
         """`BayesianConfig.draws`. The Stage-I panel: stage1_samples full
         M-epoch arrival sequences from the stream (seed + 1, 0x07e4), sorted
-        as they arrive, with their weights; the type grid changes with n, so
-        it keeps no knots. The Stage-II opponents: mc_samples (M-1)-epoch
-        arrival sequences from the stream (seed, 0x09e4), read-only, with the
-        grid_size of the grids each solve places them on (`placed`). A
-        termination config's tables: the meeting-count pmf P(k, inf) cut at
-        the first k where its mass summed in order reaches 1 - _TAIL_MASS
-        (within the first 2 rate T + 64 terms by a Chernoff bound, and within
-        100 001 terms or NoConvergence), the Poisson(rate T) in-time pmf
-        truncated at M, and the mean in-time weight integral_0^T w(x) dx / T
-        of epochs uniform on [0, T]."""
+        as they arrive, with their weights, the epochs themselves its clock.
+        The Stage-II opponents: mc_samples (M-1)-epoch arrival sequences from
+        the stream (seed, 0x09e4), read-only, with the grid_size of the grids
+        each solve places them on (`placed`). A termination config's tables:
+        the meeting-count pmf P(k, inf) cut at the first k where its mass
+        summed in order reaches 1 - _TAIL_MASS (within the first 2 rate T +
+        64 terms by a Chernoff bound, and within 100 001 terms or
+        NoConvergence), the Poisson(rate T) in-time pmf truncated at M, and
+        the mean in-time weight integral_0^T w(x) dx / T of epochs uniform on
+        [0, T]."""
         poisson = self.poisson
         if isinstance(config.strategy, Termination):
             deadline = config.strategy.deadline
@@ -74,13 +74,10 @@ class PoissonPrior(Prior):
             pm = poisson_pmf(poisson, deadline, np.arange(1, poisson.truncation + 1))
             w_bar = config.weightfn.integral(0.0, deadline) / deadline
             return TerminationTables(pk, pm, w_bar, config.draws_key)
-        _check_samples("stage1_samples", stage1_samples)
+        _check_sizes(grid_size, mc_samples, stage1_samples)
         epochs = sample_arrival_sequences(poisson, spawn_rng(seed + 1, 0x07e4),
                                           stage1_samples)
-        panel = Stage1Panel(epochs, config.weightfn(epochs), key=config.draws_key)
-        if grid_size < 2:
-            raise InvalidInput("grid_size must be >= 2")
-        _check_samples("mc_samples", mc_samples)
+        panel = Stage1Panel(epochs, config.weightfn(epochs), epochs, key=config.draws_key)
         epochs = sample_arrival_sequences(poisson, spawn_rng(seed, 0x09e4), mc_samples,
                                           poisson.truncation - 1)
         epochs.setflags(write=False)
@@ -96,6 +93,13 @@ class PoissonPrior(Prior):
         opponents' epochs placed on it (`_interp_operator`)."""
         times = _open_grid_times(config, config.strategy.n, opponents.grid_size)
         return times, _interp_operator(opponents.epochs, times)
+
+    def clock_grid(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The solve grid of as many points as `times` out to their last,
+        uniform from 0 (`_open_grid_times`): its nodes are epochs, on this
+        prior's clock and in t alike."""
+        nodes = np.linspace(0.0, times[-1], times.size)
+        return nodes, nodes
 
 
 def _check_rate(rate: float) -> None:

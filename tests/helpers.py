@@ -24,9 +24,8 @@ def drawn(config: BayesianConfig, part: str, samples: int, seed: int,
     and dropped: the Stage-II "opponents", `samples` draws on `grid_size`
     points from the stream of `seed`, or the Stage-I "panel" of `samples`
     rows from the stream of `seed`, which `config.draws(seed=seed - 1)`
-    draws. A closed panel keeps its knots on a grid of `grid_size` points,
-    by default 2, which no solve grid of more points matches, so Stage I
-    interpolates it."""
+    draws. A panel does not depend on `grid_size`: it keeps its types on
+    its prior's clock, where Stage I places them on any solve grid."""
     if part == "opponents":
         return config.draws(grid_size, samples, 2, seed)[1]
     return config.draws(grid_size, 2, samples, seed - 1)[0]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from crowdcontest import bayesian_closed, open_system
+from crowdcontest import bayesian_closed, open_system, timing
 from crowdcontest.bayesian_closed import (BayesianConfig, ClosedPrior, EarliestN,
                                           LinearDecay, Stage1Panel, StageOneReport,
                                           Termination, TypeGrid,
@@ -163,7 +163,6 @@ class TestEarliestNSolver:
         expect = symmetric_ne(n_players, 1.0, cfg.nature_effort)
         assert np.max(np.abs(grid.efforts - expect)) <= 1e-8
         panel = drawn(cfg, "panel", 256, 2, grid_size=12)
-        assert np.array_equal(panel.knots[0], grid.times)
         assert stage1_metrics_mc(cfg, grid, panel).payment_stderr == 0.0
 
     def test_three_player_selective_case(self):
@@ -221,7 +220,7 @@ class TestEarliestNSolver:
         grid = solve_bne_earliest_n(cfg, drawn(cfg, "opponents", 20_000, 5, grid_size=21))
         rng = spawn_rng(999)
         opp = UNIFORM01.sample(rng, 40_000 * 2).reshape(40_000, 2)
-        a = cfg.nature_effort + grid.interp(opp).sum(axis=1)
+        a = cfg.nature_effort + np.interp(opp, grid.times, grid.efforts).sum(axis=1)
         for k in np.flatnonzero(grid.efforts > 1e-6):
             vals = a / (a + grid.efforts[k]) ** 2
             mean = float(np.mean(vals))
@@ -387,9 +386,13 @@ class TestTerminationStage1:
         tables = cfg.draws()
         e_star = solve_bne_termination(4, tables.opponents, 1.0, cfg.nature_effort)
         rep = stage1_metrics_termination(cfg, e_star, tables)
-        step_grid = TypeGrid(times=np.array([0.0, 0.6, 0.6 + 1e-12, 1.0]),
-                             efforts=np.array([e_star, e_star, 0.0, 0.0]),
-                             b_values=np.array([1.0, 1.0, 0.0, 0.0]))
+        # Stage I reads only a grid at the prior's quantile nodes, here
+        # linspace(0, 1), linearly in F(t) between them: the effort steps
+        # down from e* to 0 across the one cell of width 2e-5 right of T
+        nodes = np.arange(50_001)
+        step_grid = TypeGrid(times=np.linspace(0.0, 1.0, nodes.size),
+                             efforts=np.where(nodes <= 30_000, e_star, 0.0),
+                             b_values=np.where(nodes <= 30_000, 1.0, 0.0))
         # a termination config draws no panel: take its prior's and weights'
         # panel, recorded as drawn for it
         panel = drawn(replace(cfg, strategy=EarliestN(1)), "panel", 200_000, 21)
@@ -511,8 +514,10 @@ class TestStage1EarliestN:
             panel.types[0, 0] = 0.0
         with pytest.raises(ValueError):
             panel.weights[0, 0] = 0.0
-        with pytest.raises(InvalidInput):
-            Stage1Panel(np.array([[0.2, 0.1]]), np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            panel.clock[0, 0] = 0.0
+        with pytest.raises(InvalidInput, match="sorted"):
+            Stage1Panel(np.array([[0.2, 0.1]]), np.ones((1, 2)), np.array([[0.2, 0.1]]))
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(n_players=st.integers(1, 12), data=st.data(), rows=st.integers(2, 30),
@@ -526,10 +531,12 @@ class TestStage1EarliestN:
         grid = TypeGrid(np.linspace(0.0, 1.0, 9), 0.25 * b * rng.random(9),
                         np.full(9, b))
         cfg = en_config(n_players, n, e0_ratio, max_reward=b)
-        panel = Stage1Panel(np.sort(draws, axis=1), np.ones_like(draws), key=cfg.draws_key)
+        types = np.sort(draws, axis=1)
+        # on the uniform [0, 1] prior a type is its own quantile
+        panel = Stage1Panel(types, np.ones_like(draws), types, key=cfg.draws_key)
         rep = stage1_metrics_mc(cfg, grid, panel)
-        oracle = argpartition_payment(draws, grid.interp(draws), n, b,
-                                      cfg.nature_effort)
+        oracle = argpartition_payment(draws, np.interp(draws, grid.times, grid.efforts), n,
+                                      b, cfg.nature_effort)
         assert rep.expected_payment == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_single_player_payment(self):
@@ -549,7 +556,7 @@ class TestStage1EarliestN:
         rep = stage1_metrics_mc(cfg, grid, drawn(cfg, "panel", 150_000, 14))
 
         nodes = UNIFORM01.quantile((np.arange(600) + 0.5) / 600)
-        e = grid.interp(nodes)
+        e = np.interp(nodes, grid.times, grid.efforts)
         e1 = e[:, None]
         e2 = e[None, :]
         early = np.where(nodes[:, None] <= nodes[None, :], e1, e2)
@@ -825,6 +832,27 @@ class TestDrawsRequired:
         sizes = dict(grid_size=16, mc_samples=16, stage1_samples=16, seed=0)
         with pytest.raises(InvalidInput, match=field):
             cfg.draws(**{**sizes, field: size})
+
+    @pytest.mark.parametrize("bad", [("grid_size", "mc_samples", "stage1_samples"),
+                                     ("mc_samples", "stage1_samples"), ("stage1_samples",)],
+                             ids=["all", "both-panels", "stage1-panel"])
+    @pytest.mark.parametrize("cfg", [CLOSED, OPEN], ids=["closed", "open"])
+    def test_draws_check_every_size_before_sampling(self, monkeypatch, cfg, bad):
+        # both priors name the first bad size in one order and sample nothing
+        # first: closed draws once sampled the opponents before checking
+        # stage1_samples, open ones the panel before grid_size and mc_samples
+        samples = []
+        for owner, name in ((timing.JoinTimeModel, "sample"),
+                            (open_system, "sample_arrival_sequences")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, real=real, **kw:
+                                samples.append(name) or real(*args, **kw))
+        sizes = dict(grid_size=16, mc_samples=16, stage1_samples=16, seed=0)
+        with pytest.raises(InvalidInput, match=bad[0]):
+            cfg.draws(**{**sizes, **dict.fromkeys(bad, 1)})
+        assert samples == []
+        cfg.draws(**sizes)
+        assert len(samples) == 2
 
     def test_draws_reject_a_quantile_grid_that_repeats_a_time(self):
         # types are placed by F(t) on a uniform u grid, so none of its nodes
@@ -1522,8 +1550,6 @@ class TestBlockedStageOne:
                              e0_ratio=0.5, max_reward=1.3)
         grid = self._grid(cfg)
         panel = drawn(cfg, "panel", rows, 5)
-        on_grid = drawn(cfg, "panel", rows, 5, grid_size=grid.times.size)
-        assert np.array_equal(on_grid.knots[0], grid.times)
         if isinstance(strategy, EarliestN):
             def paid_of(efforts):
                 return cfg.max_reward * np.sum(efforts[:, :3], axis=1)
@@ -1532,63 +1558,74 @@ class TestBlockedStageOne:
                 return np.sum(efforts * reward_schedule(cfg, panel.types), axis=1)
         expect = unblocked_stage1(panel.types, panel.weights, grid.times, grid.efforts,
                                   cfg.nature_effort, paid_of)
-        interpolated = stage1_metrics_mc(cfg, grid, panel)
-        gathered = stage1_metrics_mc(cfg, grid, on_grid)
+        got = stage1_metrics_mc(cfg, grid, panel)
         expect["expected_utility"] = expect.pop("mean_utility")
-        # the gather reads e* linearly in F(t), the oracle np.interp in t: on
-        # a uniform prior the same map up to rounding, within 4 ulps of each
+        # Stage I reads e* linearly in F(t), the oracle np.interp in t: on a
+        # uniform prior the same map up to rounding, within 4 ulps of each
         # mean; a standard error, over 2 rows a difference of two draws,
         # takes the ulps of its mean
         means = ("expected_utility", "expected_payment", "expected_payment",
                  "expected_efficiency", "expected_efficiency")
         for field, mean in zip(MC_FIELDS, means):
-            assert getattr(interpolated, field) == expect[field]
-            assert abs(getattr(gathered, field) - expect[field]) \
+            assert abs(getattr(got, field) - expect[field]) \
                 <= 4 * np.finfo(float).eps * abs(expect[mean])
 
-    def test_drawn_panel_is_interpolated_off_its_grid(self):
-        # a closed panel from `draws` always carries knots on its opponents'
-        # grid; on any other grid Stage I still takes np.interp's branch
-        cfg = en_config(5, 2, e0_ratio=0.5)
-        panel, opponents = cfg.draws(12, 200, 300, 1)
-        assert np.array_equal(panel.knots[0], opponents.times)
-        grid = self._grid(cfg)
-        got = bayesian_closed._panel_efforts(panel, grid)(slice(None))
-        assert same_bits(got, np.interp(panel.types, grid.times, grid.efforts))
+    def test_drawn_panel_keeps_its_types_on_its_clock(self):
+        # a closed panel keeps the quantiles F(t) of its types, whatever grid
+        # it was drawn for, and an open panel its epochs, not a copy
+        cfg = en_config(5, 2, e0_ratio=0.5, join_model=ExponentialJoinTimes(0.7))
+        panel = cfg.draws(12, 200, 300, 1)[0]
+        assert same_bits(panel.clock, cfg.prior.join_model.cdf(panel.types))
+        assert same_bits(cfg.draws(40, 200, 300, 1)[0].clock, panel.clock)
+        prior = PoissonPrior(PoissonModel(rate=4.0, truncation=6))
+        panel = replace(cfg, prior=prior).draws(12, 200, 300, 1)[0]
+        assert panel.clock is panel.types
 
-    def test_knots_of_another_grid_are_not_used(self):
-        cfg = en_config(5, 2, e0_ratio=0.5)
-        grid = self._grid(cfg)
-        panel = drawn(cfg, "panel", 300, 2)
-        elsewhere = panel.with_knots(np.linspace(0.0, 1.0, 5), np.zeros(panel.types.shape))
-        assert stage1_metrics_mc(cfg, grid, elsewhere) == stage1_metrics_mc(cfg, grid,
-                                                                            panel)
+    def test_a_report_does_not_depend_on_the_grid_its_panel_was_drawn_for(self):
+        # on a kinked prior a panel drawn for another grid, once read by
+        # np.interp in t, moved the efficiency 0.23 stderr off its on-grid value
+        model = TableJoinTimes((0.0, 1.0, 6.0), (0.0, 0.5, 1.0))
+        cfg = en_config(10, 7, e0_ratio=0.5, join_model=model)
+        panel, opponents = cfg.draws(64, 4000, 20_000, 3)
+        grid = solve_bne_earliest_n(cfg, opponents)
+        other = cfg.draws(2, 2, 20_000, 3)[0]
+        assert stage1_metrics_mc(cfg, grid, other) == stage1_metrics_mc(cfg, grid, panel)
 
-    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [-math.inf, 0.0, math.inf]],
-                             ids=["nan", "infinite-ends"])
-    def test_knots_need_a_finite_increasing_grid(self, times):
-        # a gather assumes one: an infinite end or a NaN gives meaningless
-        # efforts
+    @pytest.mark.parametrize("system, times", [
+        ("closed", [0.0, 0.6, 0.6 + 1e-12, 1.0]), ("closed", np.linspace(0.0, 0.5, 9)),
+        ("closed", np.linspace(0.0, 1.0, 9) ** 2), ("open", np.linspace(0.0, 1.0, 9) ** 2),
+        ("open", np.linspace(0.1, 1.0, 9))],
+        ids=["closed-step", "closed-short", "closed-non-uniform", "open-non-uniform",
+             "open-shifted"])
+    def test_a_grid_off_the_solve_grid_is_invalid(self, system, times):
+        # a report places its panel on the solve grid by the prior's clock and
+        # would misread efforts given at other times, so it reads none: read
+        # as the quantile grid, the closed step grid gave a Monte Carlo
+        # payment of 0.4987 against its closed form's 0.5532
+        cfg = en_config(4, 2, e0_ratio=0.3)
+        if system == "open":
+            cfg = replace(cfg, prior=PoissonPrior(PoissonModel(rate=4.0, truncation=4)))
+        grid = TypeGrid(np.asarray(times), np.full(len(times), 0.3), np.ones(len(times)))
+        with pytest.raises(InvalidInput, match="grid times are not"):
+            stage1_metrics_mc(cfg, grid, drawn(cfg, "panel", 100, 2))
+
+    @pytest.mark.parametrize("clock", [np.zeros((10, 2)), np.full((10, 3), -1e-300),
+                                       np.full((10, 3), math.nan),
+                                       np.full((10, 3), math.inf)],
+                             ids=["shape", "negative", "nan", "infinite"])
+    def test_clock_must_match_the_types_finite_and_non_negative(self, clock):
+        # a clock off [0, inf) would gather another row's cell, or none
         panel = drawn(en_config(3, 2, e0_ratio=0.5), "panel", 10, 2)
-        with pytest.raises(InvalidInput, match="finite and strictly increasing"):
-            panel.with_knots(times, np.zeros(panel.types.shape))
-
-    @pytest.mark.parametrize("positions", [np.zeros((10, 2)), np.full((10, 3), -1e-300),
-                                           np.full((10, 3), 2.0 + 1e-15),
-                                           np.full((10, 3), math.nan)],
-                             ids=["shape", "left-of-grid", "right-of-grid", "nan"])
-    def test_knot_positions_must_lie_on_the_grid(self, positions):
-        # a position off the grid would gather another row's cell, or none
-        panel = drawn(en_config(3, 2, e0_ratio=0.5), "panel", 10, 2)
-        with pytest.raises(InvalidInput, match="knot positions"):
-            panel.with_knots([0.0, 0.5, 1.0], positions)
+        with pytest.raises(InvalidInput, match="panel clock"):
+            replace(panel, clock=clock)
 
     @hyp_settings(max_examples=80, deadline=None)
     @given(size=st.integers(2, 40), quantile_spaced=st.booleans(),
            cols=st.integers(1, 8), rows=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1))
-    def test_knot_gather_matches_interp(self, size, quantile_spaced, cols, rows, seed):
-        # the gather reads the efforts linearly in the quantile F(t): it is
+    def test_gather_matches_interp_on_the_clock(self, size, quantile_spaced, cols, rows,
+                                                seed):
+        # Stage I reads the efforts linearly in the quantile F(t): it is
         # np.interp over the quantile grid (u_k, e)
         model = ExponentialJoinTimes(0.7) if quantile_spaced else UniformJoinTimes(0.0, 3.0)
         quantiles, times = bayesian_closed._quantile_grid(model, size)
@@ -1600,9 +1637,8 @@ class TestBlockedStageOne:
         types = np.sort(np.vstack([types, on_knots]), axis=1)
         efforts = rng.uniform(0.0, 1.0, size=times.size)
         grid = TypeGrid(times, efforts, np.ones(times.size))
-        panel = Stage1Panel(types, np.ones_like(types)).with_knots(
-            times, bayesian_closed._positions(model.cdf(types), quantiles))
-        gathered = bayesian_closed._panel_efforts(panel, grid)(slice(None))
+        panel = Stage1Panel(types, np.ones_like(types), model.cdf(types))
+        gathered = bayesian_closed._panel_efforts(panel, grid, quantiles[-1])(slice(None))
         expect = np.interp(model.cdf(types), quantiles, efforts)
         # a position u (G - 1) / q_hi and the oracle's nodes u_k each carry
         # about an ulp of G - 1, which moves a value by that fraction of a
@@ -1666,9 +1702,10 @@ class TestBlockedStageOne:
         assert same_bits(op, interp_operator_stacked(panel, times))
 
     @pytest.mark.parametrize("tail", ["zero", "positive", "none", "constant"])
-    def test_interpolated_efforts_are_np_interp_bit_for_bit(self, tail):
-        # without knots, Stage I interpolates only up to where the efforts
-        # turn constant; the efforts past that point keep np.interp's bits
+    def test_efforts_on_a_grid_from_0_match_np_interp(self, tail):
+        # an open panel's clock is its epochs, on a grid uniform from 0: its
+        # efforts are np.interp's up to the position's rounding, within 4 G
+        # ulps of the largest effort, and past the grid's end its last effort
         times = np.linspace(0.0, 3.0, 24)
         rng = spawn_rng(11)
         efforts = rng.uniform(0.1, 1.0, size=times.size)
@@ -1678,10 +1715,13 @@ class TestBlockedStageOne:
             efforts[15:] = 0.4
         elif tail == "constant":
             efforts[:] = 0.4
-        types = np.vstack([rng.uniform(-1.0, 4.5, size=(60, 8)),
+        types = np.vstack([rng.uniform(0.0, 4.5, size=(60, 8)),
                            rng.choice(times, size=(20, 8))])
         types.sort(axis=1)
-        panel = Stage1Panel(types, np.ones_like(types))
+        panel = Stage1Panel(types, np.ones_like(types), types)
         grid = TypeGrid(times, efforts, np.ones(times.size))
-        got = bayesian_closed._panel_efforts(panel, grid)(slice(None))
-        assert same_bits(got, np.interp(types, times, efforts))
+        got = bayesian_closed._panel_efforts(panel, grid, times[-1])(slice(None))
+        assert np.max(np.abs(got - np.interp(types, times, efforts))) \
+            <= 4 * times.size * np.finfo(float).eps * np.max(efforts)
+        past = types > 1.001 * times[-1]
+        assert past.any() and np.all(got[past] == efforts[-1])
